@@ -16,16 +16,16 @@ import numpy as np
 from . import model as modelmod
 from . import optim as optimmod
 from .data import SampleBatch
-from .errors import InvalidInputError, InvalidSpecError
+from .errors import InvalidInputError
 from .evaluation import EvalReport, report_from_poses
-from .loss import ORIENT_NORM_FLOOR, LossBreakdown, LossWeights
-from .model import ACTIVATIONS, _Views, _act, _act_grad_from_output
+from .loss import LossBreakdown, LossWeights, absolute_term, unit_orientation
 from .optim import TrainConfig, TrainReport
 
 
 @dataclass(frozen=True)
 class DirectSpec:
-    """Duck-type compatible with NetworkSpec for layout/init purposes."""
+    """The trunk of a NetworkSpec with one 7-wide pose head instead of the
+    three anchor heads; ``model`` lays out, initializes and runs both."""
 
     input_dim: int
     hidden_layers: tuple[int, ...]
@@ -33,63 +33,26 @@ class DirectSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_layers", tuple(int(w) for w in self.hidden_layers))
-        if self.input_dim < 1 or any(w < 1 for w in self.hidden_layers):
-            raise InvalidSpecError("layer widths must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise InvalidSpecError(f"activation must be one of {ACTIVATIONS}")
-
-    @property
-    def trunk_dims(self) -> tuple[int, ...]:
-        return (self.input_dim, *self.hidden_layers)
-
-    @property
-    def trunk_out(self) -> int:
-        return self.trunk_dims[-1]
+        modelmod.check_trunk(self)
 
     def head_dims(self) -> dict[str, int]:
         return {"pose": 7}  # x, y, z, quaternion
 
 
-def init(spec: DirectSpec) -> np.ndarray:
-    return modelmod.init(spec)
-
-
-def param_count(spec: DirectSpec) -> int:
-    return modelmod.param_count(spec)
+init = modelmod.init
+param_count = modelmod.param_count
 
 
 def forward_batch(spec: DirectSpec, params: np.ndarray, features: np.ndarray,
                   with_cache: bool = False):
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != spec.input_dim:
-        raise InvalidInputError(f"features must be (B, {spec.input_dim})")
-    views = _Views(spec, np.asarray(params, dtype=np.float64))
-    h = X
-    cache = [h]
-    for i in range(len(spec.hidden_layers)):
-        h = _act(h @ views.W[f"trunk{i}"].T + views.b[f"trunk{i}"], spec.activation)
-        cache.append(h)
-    pose = h @ views.W["pose"].T + views.b["pose"]
+    heads, cache = modelmod.forward_heads(spec, params, features)
     if with_cache:
-        return pose, cache
-    return pose
+        return heads["pose"], cache
+    return heads["pose"]
 
 
 def backward_batch(spec: DirectSpec, params: np.ndarray, cache, d_pose: np.ndarray) -> np.ndarray:
-    views = _Views(spec, np.asarray(params, dtype=np.float64))
-    grad = np.zeros_like(params, dtype=np.float64)
-    gviews = _Views(spec, grad)
-    h = cache[-1]
-    gviews.W["pose"] += d_pose.T @ h
-    gviews.b["pose"] += d_pose.sum(axis=0)
-    dh = d_pose @ views.W["pose"]
-    for i in reversed(range(len(spec.hidden_layers))):
-        da = dh * _act_grad_from_output(cache[i + 1], spec.activation)
-        gviews.W[f"trunk{i}"] += da.T @ cache[i]
-        gviews.b[f"trunk{i}"] += da.sum(axis=0)
-        dh = da @ views.W[f"trunk{i}"]
-    return grad
+    return modelmod.backward_heads(spec, params, cache, {"pose": d_pose})
 
 
 def direct_loss_batch(pose_out: np.ndarray, gt_xyz: np.ndarray, gt_orient: np.ndarray,
@@ -97,30 +60,20 @@ def direct_loss_batch(pose_out: np.ndarray, gt_xyz: np.ndarray, gt_orient: np.nd
     """Mean direct-regression loss and the upstream gradient (already /B).
 
     Horizontal squared error is weighted like the offset term and the
-    z/orientation part like the absolute term, so the control shares the
-    anchor model's loss weighting.
+    z/orientation part is the anchor model's absolute term, so the control
+    shares the anchor model's loss weighting.
     """
-    B = pose_out.shape[0]
-    xy = pose_out[:, :2]
-    z = pose_out[:, 2]
-    raw = pose_out[:, 3:]
-    norms = np.linalg.norm(raw, axis=1)
-    if (norms <= ORIENT_NORM_FLOOR).any():
-        raise InvalidInputError("degenerate orientation in direct model output")
-    u = raw / norms[:, None]
-
-    xy_resid = xy - gt_xyz[:, :2]
-    z_resid = z - gt_xyz[:, 2]
+    xy_resid = pose_out[:, :2] - gt_xyz[:, :2]
     off_per = (xy_resid ** 2).sum(axis=1)
-    abs_per = z_resid ** 2 + ((gt_orient - u) ** 2).sum(axis=1)
+    abs_per, d_z, d_orient = absolute_term(pose_out[:, 2], pose_out[:, 3:], gt_xyz[:, 2],
+                                           gt_orient, weights.alpha3)
     total_per = weights.alpha2 * off_per + weights.alpha3 * abs_per
 
-    inv_b = 1.0 / B
+    inv_b = 1.0 / pose_out.shape[0]
     d_pose = np.zeros_like(pose_out)
     d_pose[:, :2] = weights.alpha2 * 2.0 * xy_resid * inv_b
-    d_pose[:, 2] = weights.alpha3 * 2.0 * z_resid * inv_b
-    udotq = (u * gt_orient).sum(axis=1)
-    d_pose[:, 3:] = weights.alpha3 * 2.0 * (u * udotq[:, None] - gt_orient) / norms[:, None] * inv_b
+    d_pose[:, 2] = d_z * inv_b
+    d_pose[:, 3:] = d_orient * inv_b
 
     breakdown = LossBreakdown(offset_term=float(off_per.mean()),
                               absolute_term=float(abs_per.mean()),
@@ -152,9 +105,6 @@ def train_direct(samples: SampleBatch, spec: DirectSpec, config: TrainConfig) ->
 
 def evaluate_direct(spec: DirectSpec, params: np.ndarray, batch: SampleBatch) -> EvalReport:
     pose = forward_batch(spec, params, batch.features)
-    norms = np.linalg.norm(pose[:, 3:], axis=1)
-    if (norms <= 1e-12).any():
-        raise InvalidInputError("degenerate orientation in direct model output")
-    quats = pose[:, 3:] / norms[:, None]
+    quats, _ = unit_orientation(pose[:, 3:])
     pred_anchor = np.full(len(batch), -1)
     return report_from_poses(pose[:, :3], quats, batch, pred_anchor)

@@ -225,10 +225,7 @@ def cmd_sweep(args) -> int:
     if not k_values:
         raise _UsageError("--k needs at least one value")
 
-    train_poses = data.load_pose_file(os.path.join(args.data, data.POSES_TRAIN))
-    test_poses = data.load_pose_file(os.path.join(args.data, data.POSES_TEST))
-    _, train_feats = data.load_features(os.path.join(args.data, data.FEATURES_TRAIN))
-    _, test_feats = data.load_features(os.path.join(args.data, data.FEATURES_TEST))
+    train_poses, train_feats, test_poses, test_feats = data.load_dataset_files(args.data)
 
     cfg.setdefault("network", {})["input_dim"] = str(train_feats.shape[1])
     spec_template = _network_spec(cfg, num_anchors=1)

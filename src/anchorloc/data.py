@@ -1,5 +1,5 @@
 """Dataset ingestion: pose text files, binary feature files, anchor-map
-precomputation and per-sample offset tables.
+precomputation and per-batch offset tables.
 
 Pose text format, one record per line::
 
@@ -20,13 +20,13 @@ A dataset directory holds ``poses_train.txt``, ``poses_test.txt``,
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataIntegrityError, InvalidInputError, ParseError
 from .geometry import AnchorMap, Pose, build_anchor_map
-from .simworld import Sample
+from .simworld import Sample, _fmt
 
 QUAT_NORM_TOL = 1e-3
 
@@ -37,10 +37,6 @@ POSES_TRAIN = "poses_train.txt"
 POSES_TEST = "poses_test.txt"
 FEATURES_TRAIN = "features_train.bin"
 FEATURES_TEST = "features_test.bin"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def format_pose_line(frame_id: str, pose: Pose) -> str:
@@ -135,12 +131,23 @@ class SampleBatch:
     features: np.ndarray       # (n, d)
     positions: np.ndarray      # (n, 3)
     orientations: np.ndarray   # (n, 4)
-    offsets: np.ndarray        # (n, N, 2)
+    anchor_map: AnchorMap
     nearest: np.ndarray        # (n,)
     visible_sets: list[frozenset[str]] | None = None
 
     def __len__(self) -> int:
         return self.features.shape[0]
+
+    def offsets_at(self, idx) -> np.ndarray:
+        """Ground-truth offsets (len(idx), N, 2) of rows ``idx``: each sample's
+        (x, y) minus every anchor, written one coordinate at a time (a
+        broadcast over the length-2 axis is an order of magnitude slower)."""
+        anchors = self.anchor_map.anchors
+        xy = self.positions[idx]
+        out = np.empty((xy.shape[0], anchors.shape[0], 2))
+        for d in range(2):
+            np.subtract(xy[:, d, None], anchors[:, d], out=out[:, :, d])
+        return out
 
     @classmethod
     def build(cls, frame_ids, poses: list[Pose], features: np.ndarray,
@@ -150,15 +157,13 @@ class SampleBatch:
         if feats.shape[0] != n:
             raise InvalidInputError(
                 f"{feats.shape[0]} feature rows for {n} poses")
-        positions = np.array([p.position for p in poses]) if n else np.zeros((0, 3))
-        orientations = np.array([p.orientation for p in poses]) if n else np.zeros((0, 4))
-        offsets = positions[:, None, :2] - anchor_map.anchors[None, :, :] if n \
-            else np.zeros((0, len(anchor_map), 2))
-        d2 = ((anchor_map.anchors[None, :, :] - positions[:, None, :2]) ** 2).sum(axis=2) \
-            if n else np.zeros((0, len(anchor_map)))
-        nearest = d2.argmin(axis=1) if n else np.zeros(0, dtype=np.intp)
+        positions = np.array([p.position for p in poses]).reshape(n, 3)
+        orientations = np.array([p.orientation for p in poses]).reshape(n, 4)
+        ax, ay = anchor_map.anchors.T
+        d2 = (ax - positions[:, 0, None]) ** 2 + (ay - positions[:, 1, None]) ** 2
+        nearest = d2.argmin(axis=1)
         return cls(frame_ids=list(frame_ids), features=feats, positions=positions,
-                   orientations=orientations, offsets=offsets, nearest=nearest,
+                   orientations=orientations, anchor_map=anchor_map, nearest=nearest,
                    visible_sets=visible_sets)
 
 
@@ -181,8 +186,8 @@ def assemble(poses: list[tuple[str, Pose]], features: np.ndarray, k: int,
              train_visible=None, test_visible=None) -> SceneDataset:
     """Build a SceneDataset; the anchor map comes from training poses ONLY.
 
-    Offset tables and nearest-anchor labels are materialized for both splits;
-    the test split never contributes anchors.
+    Nearest-anchor labels are materialized for both splits; the test split
+    never contributes anchors.
     """
     pose_objs = [p for _, p in poses]
     feats = np.asarray(features, dtype=np.float64)
@@ -236,8 +241,10 @@ def export_dataset(out_dir, train_samples: list[Sample], test_samples: list[Samp
     save_features(os.path.join(out_dir, FEATURES_TEST), [r[0] for r in test_recs], ef)
 
 
-def load_dataset_dir(data_dir, k: int, name: str | None = None) -> SceneDataset:
-    """Load the standard dataset directory layout and assemble with interval k."""
+def load_dataset_files(data_dir):
+    """The four files of a dataset directory as (train_poses, train_features,
+    test_poses, test_features), once each split's pose and feature files are
+    checked to list the same frame ids in the same order."""
     train_poses = load_pose_file(os.path.join(data_dir, POSES_TRAIN))
     test_poses = load_pose_file(os.path.join(data_dir, POSES_TEST))
     train_ids, train_feats = load_features(os.path.join(data_dir, FEATURES_TRAIN))
@@ -246,6 +253,12 @@ def load_dataset_dir(data_dir, k: int, name: str | None = None) -> SceneDataset:
         raise DataIntegrityError("train pose/feature frame ids disagree")
     if [fid for fid, _ in test_poses] != test_ids:
         raise DataIntegrityError("test pose/feature frame ids disagree")
+    return train_poses, train_feats, test_poses, test_feats
+
+
+def load_dataset_dir(data_dir, k: int, name: str | None = None) -> SceneDataset:
+    """Load the standard dataset directory layout and assemble with interval k."""
+    train_poses, train_feats, test_poses, test_feats = load_dataset_files(data_dir)
     return assemble(train_poses, train_feats, k, test_poses=test_poses,
                     test_features=test_feats,
                     name=name or os.path.basename(os.path.normpath(str(data_dir))))

@@ -17,9 +17,11 @@ import numpy as np
 from . import model as modelmod
 from . import optim as optimmod
 from .data import SampleBatch, assemble
-from .errors import DegenerateOrientationError, InvalidInputError, UndefinedRateError
+from .errors import InvalidInputError, UndefinedRateError
 from .geometry import AnchorMap, Pose, quat_angle_deg
+from .loss import confidences, unit_orientation
 from .model import NetworkSpec, PosePrediction
+from .simworld import _fmt
 
 ACCURACY_TRANSLATION_M = 2.0
 ACCURACY_ROTATION_DEG = 5.0
@@ -65,40 +67,16 @@ def reconstruct_pose(pred: PosePrediction, anchor_map: AnchorMap,
     """
     if pred.logits.shape[0] != len(anchor_map):
         raise InvalidInputError("prediction/anchor-map size mismatch")
-    norm = float(np.linalg.norm(pred.orient_raw))
-    if norm <= 1e-12:
-        raise DegenerateOrientationError("raw orientation has ~zero norm")
+    u, _ = unit_orientation(pred.orient_raw)
     if mode == "argmax":
         j = int(np.argmax(pred.logits))  # ties resolve to the lowest index
         xy = anchor_map.anchors[j] + pred.offsets[j]
     elif mode == "weighted":
-        e = np.exp(pred.logits - pred.logits.max())
-        c = e / e.sum()
+        c = confidences(pred.logits)
         xy = (c[:, None] * (anchor_map.anchors + pred.offsets)).sum(axis=0)
     else:
         raise InvalidInputError(f"unknown reconstruction mode {mode!r}")
-    return Pose(position=np.array([xy[0], xy[1], pred.z_hat]),
-                orientation=pred.orient_raw / norm)
-
-
-def _batch_reconstruct(spec: NetworkSpec, params: np.ndarray, batch: SampleBatch,
-                       anchor_map: AnchorMap, mode: str = "argmax"):
-    pred = modelmod.forward_batch(spec, params, batch.features)
-    norms = np.linalg.norm(pred.orient_raw, axis=1)
-    if (norms <= 1e-12).any():
-        raise DegenerateOrientationError("raw orientation has ~zero norm in batch")
-    if mode == "argmax":
-        j = pred.logits.argmax(axis=1)
-        xy = anchor_map.anchors[j] + pred.offsets[np.arange(len(j)), j]
-    elif mode == "weighted":
-        e = np.exp(pred.logits - pred.logits.max(axis=1, keepdims=True))
-        c = e / e.sum(axis=1, keepdims=True)
-        xy = (c[:, :, None] * (anchor_map.anchors[None] + pred.offsets)).sum(axis=1)
-        j = pred.logits.argmax(axis=1)
-    else:
-        raise InvalidInputError(f"unknown reconstruction mode {mode!r}")
-    quats = pred.orient_raw / norms[:, None]
-    return xy, pred.z_hat, quats, j
+    return Pose(position=np.array([xy[0], xy[1], pred.z_hat]), orientation=u)
 
 
 def report_from_poses(pred_xyz: np.ndarray, pred_quats: np.ndarray,
@@ -123,9 +101,17 @@ def report_from_poses(pred_xyz: np.ndarray, pred_quats: np.ndarray,
 def evaluate(spec: NetworkSpec, params: np.ndarray, batch: SampleBatch,
              anchor_map: AnchorMap, mode: str = "argmax") -> EvalReport:
     """Per-sample errors and headline metrics on a test batch."""
-    xy, z, quats, j = _batch_reconstruct(spec, params, batch, anchor_map, mode)
-    pred_xyz = np.column_stack([xy, z])
-    return report_from_poses(pred_xyz, quats, batch, j)
+    pred = modelmod.forward_batch(spec, params, batch.features)
+    quats, _ = unit_orientation(pred.orient_raw)
+    j = pred.logits.argmax(axis=1)
+    if mode == "argmax":
+        xy = anchor_map.anchors[j] + pred.offsets[np.arange(len(j)), j]
+    elif mode == "weighted":
+        c = confidences(pred.logits)
+        xy = (c[:, :, None] * (anchor_map.anchors[None] + pred.offsets)).sum(axis=1)
+    else:
+        raise InvalidInputError(f"unknown reconstruction mode {mode!r}")
+    return report_from_poses(np.column_stack([xy, pred.z_hat]), quats, batch, j)
 
 
 # --- anchor discovery -----------------------------------------------------------
@@ -218,10 +204,6 @@ def sweep_anchor_interval(train_poses, train_features, test_poses, test_features
 
 
 # --- report / artifact writers -----------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
 
 def write_eval_report(out_dir, report: EvalReport, prefix: str = "eval") -> None:
     os.makedirs(out_dir, exist_ok=True)

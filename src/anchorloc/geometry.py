@@ -146,10 +146,6 @@ def nearest_anchor(position: np.ndarray, anchor_map: AnchorMap) -> int:
     return int(np.argmin(d2))
 
 
-def quat_norm(q: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(q, dtype=np.float64)))
-
-
 def quat_angle_deg(a: np.ndarray, b: np.ndarray) -> float:
     """Geodesic angle between two unit quaternions, in degrees.
 

@@ -11,9 +11,9 @@ Three components:
   positive scaling of the raw orientation by construction.
 - optional cross-entropy term against the nearest-anchor label.
 
-The total is an alpha-weighted sum. All functions are pure; batched variants
-vectorize over samples and average, matching the single-sample definitions
-exactly.
+The total is an alpha-weighted sum. Each term is one batched kernel and
+:func:`batch_total_loss` combines them; the single-sample functions are
+B=1 calls into the same kernels. All functions are pure.
 """
 
 from __future__ import annotations
@@ -78,107 +78,78 @@ def confidences(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def offset_loss(pred: PosePrediction, gt: OffsetTable) -> float:
-    """Confidence-weighted squared offset loss (single sample)."""
-    if len(gt) != pred.logits.shape[0]:
-        raise InvalidInputError(
-            f"offset table has {len(gt)} anchors, prediction has {pred.logits.shape[0]}")
-    c = confidences(pred.logits)
-    r = ((gt.offsets - pred.offsets) ** 2).sum(axis=1)
-    return float(r @ c)
+def unit_orientation(orient_raw: np.ndarray, gt_orient: np.ndarray | None = None,
+                     scale: float = 1.0):
+    """Unit quaternions ``u = P/||P||`` of raw orientation outputs P, one per
+    row of a (B, 4) array or a single (4,) vector.
 
-
-def offset_loss_grad(pred: PosePrediction, gt: OffsetTable):
-    """(d_logits, d_offsets) of the offset loss; other paths are zero."""
-    if len(gt) != pred.logits.shape[0]:
-        raise InvalidInputError("offset table / prediction anchor count mismatch")
-    c = confidences(pred.logits)
-    resid = gt.offsets - pred.offsets
-    r = (resid ** 2).sum(axis=1)
-    value = float(r @ c)
-    d_offsets = -2.0 * resid * c[:, None]
-    d_logits = c * (r - value)
-    return d_logits, d_offsets
-
-
-def absolute_loss(pred: PosePrediction, gt_z: float, gt_orient: np.ndarray) -> float:
-    """Squared z residual plus squared distance to the normalized orientation."""
-    q = np.asarray(gt_orient, dtype=np.float64)
-    norm = float(np.linalg.norm(pred.orient_raw))
-    if norm <= ORIENT_NORM_FLOOR:
+    Given unit targets q of the same shape, also returns the gradient of
+    ``scale * ||q - u||^2`` w.r.t. P through the normalization Jacobian,
+    ``scale * 2(u(u.q) - q)/||P||`` (else None). A norm of at most
+    ORIENT_NORM_FLOOR cannot be normalized and raises
+    DegenerateOrientationError.
+    """
+    # np.linalg.norm(orient_raw, axis=-1) without its dispatch, which
+    # dominates on the single-sample query path
+    norms = np.sqrt(np.add.reduce(orient_raw * orient_raw, axis=-1, keepdims=True))
+    small = norms <= ORIENT_NORM_FLOOR
+    if small.any():
+        bad = int(np.argmax(small))  # the first such row
         raise DegenerateOrientationError(
-            f"raw orientation norm {norm:g} is too small to normalize")
-    u = pred.orient_raw / norm
-    return float((gt_z - pred.z_hat) ** 2 + ((q - u) ** 2).sum())
+            f"raw orientation norm {norms.flat[bad]:g} in row {bad} is too small to normalize")
+    u = orient_raw / norms
+    if gt_orient is None:
+        return u, None
+    udotq = (u * gt_orient).sum(axis=-1, keepdims=True)
+    return u, scale * 2.0 * (u * udotq - gt_orient) / norms
 
 
-def absolute_loss_grad(pred: PosePrediction, gt_z: float, gt_orient: np.ndarray):
-    """(d_z, d_orient) of the absolute loss."""
-    q = np.asarray(gt_orient, dtype=np.float64)
-    norm = float(np.linalg.norm(pred.orient_raw))
-    if norm <= ORIENT_NORM_FLOOR:
-        raise DegenerateOrientationError(
-            f"raw orientation norm {norm:g} is too small to normalize")
-    u = pred.orient_raw / norm
-    d_z = 2.0 * (pred.z_hat - gt_z)
-    # d/dP of ||q - P/||P||||^2 through the normalization Jacobian
-    d_orient = 2.0 * (u * float(u @ q) - q) / norm
-    return d_z, d_orient
+# --- per-term batched kernels ---------------------------------------------------
+# Each returns the per-sample term (B,) and its gradients multiplied by
+# ``scale`` (the term's alpha); callers apply 1/B for the batch mean.
+
+def offset_term(c: np.ndarray, offsets: np.ndarray, gt_offsets: np.ndarray,
+                scale: float = 1.0):
+    """Confidence-weighted squared offset residuals -> (per, d_logits, d_offsets).
+
+    ``c`` is the softmax of the logits (B, N); offsets are (B, N, 2).
+    """
+    resid = gt_offsets - offsets
+    r = (resid ** 2).sum(axis=2)
+    per = (r * c).sum(axis=1)
+    d_logits = scale * (c * (r - per[:, None]))
+    d_offsets = scale * (-2.0 * resid * c[:, :, None])
+    return per, d_logits, d_offsets
 
 
-def cross_entropy_loss(logits: np.ndarray, nearest: int) -> float:
-    """-log softmax(logits)[nearest], evaluated in log space."""
-    l = np.asarray(logits, dtype=np.float64)
-    if not 0 <= nearest < l.shape[0]:
-        raise InvalidInputError(f"nearest index {nearest} out of range for {l.shape[0]} anchors")
-    m = l.max()
-    lse = m + np.log(np.exp(l - m).sum())
-    return float(lse - l[nearest])
+def absolute_term(z_hat: np.ndarray, orient_raw: np.ndarray, gt_z: np.ndarray,
+                  gt_orient: np.ndarray, scale: float = 1.0):
+    """Squared z residual plus squared distance to the normalized orientation
+    -> (per, d_z, d_orient)."""
+    u, d_orient = unit_orientation(orient_raw, gt_orient, scale)
+    dz_resid = z_hat - gt_z
+    per = dz_resid ** 2 + ((gt_orient - u) ** 2).sum(axis=1)
+    return per, scale * 2.0 * dz_resid, d_orient
 
 
-def cross_entropy_grad(logits: np.ndarray, nearest: int) -> np.ndarray:
-    l = np.asarray(logits, dtype=np.float64)
-    if not 0 <= nearest < l.shape[0]:
-        raise InvalidInputError(f"nearest index {nearest} out of range for {l.shape[0]} anchors")
-    g = confidences(l)
-    g[nearest] -= 1.0
-    return g
+def cross_entropy_term(logits: np.ndarray, c: np.ndarray, nearest: np.ndarray,
+                       scale: float = 1.0):
+    """-log softmax(logits)[nearest] in log space -> (per, d_logits); ``c`` is
+    the softmax of the logits."""
+    rows = np.arange(logits.shape[0])
+    m = logits.max(axis=1)
+    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+    g = c.copy()
+    g[rows, nearest] -= 1.0
+    return lse - logits[rows, nearest], scale * g
 
-
-def total_loss(pred: PosePrediction, target: PoseTarget,
-               weights: LossWeights) -> tuple[LossBreakdown, PredGradient]:
-    """Weighted total loss and its exact gradient w.r.t. the prediction."""
-    d_logits_o, d_offsets = offset_loss_grad(pred, OffsetTable(target.offsets))
-    off = offset_loss(pred, OffsetTable(target.offsets))
-    d_z, d_orient = absolute_loss_grad(pred, target.z, target.orientation)
-    absl = absolute_loss(pred, target.z, target.orientation)
-
-    if weights.use_cross_entropy:
-        ce = cross_entropy_loss(pred.logits, target.nearest_index)
-        d_logits_ce = cross_entropy_grad(pred.logits, target.nearest_index)
-    else:
-        ce = 0.0
-        d_logits_ce = np.zeros_like(pred.logits)
-
-    total = weights.alpha1 * ce + weights.alpha2 * off + weights.alpha3 * absl
-    grad = PredGradient(
-        d_logits=weights.alpha2 * d_logits_o + weights.alpha1 * d_logits_ce,
-        d_offsets=weights.alpha2 * d_offsets,
-        d_z=weights.alpha3 * d_z,
-        d_orient=weights.alpha3 * d_orient,
-    )
-    return LossBreakdown(offset_term=off, absolute_term=absl, ce_term=ce, total=total), grad
-
-
-# --- batched path (training) --------------------------------------------------
 
 def batch_total_loss(pred: BatchPrediction, gt_offsets: np.ndarray, gt_z: np.ndarray,
                      gt_orient: np.ndarray, nearest: np.ndarray, weights: LossWeights):
     """Mean loss over a batch plus upstream gradients for backward_batch.
 
-    Per-sample losses follow the single-sample definitions exactly; the
-    returned gradients are already scaled by 1/B so the parameter gradient
-    is the mean of per-sample gradients.
+    The returned gradients are already scaled by 1/B so the parameter
+    gradient is the mean of per-sample gradients.
 
     Returns (LossBreakdown of means, d_logits, d_offsets, d_z, d_orient).
     """
@@ -186,44 +157,100 @@ def batch_total_loss(pred: BatchPrediction, gt_offsets: np.ndarray, gt_z: np.nda
     if gt_offsets.shape != (B, N, 2):
         raise InvalidInputError("ground-truth offsets shape mismatch")
 
-    c = confidences(pred.logits)                       # (B, N)
-    resid = gt_offsets - pred.offsets                  # (B, N, 2)
-    r = (resid ** 2).sum(axis=2)                       # (B, N)
-    off_per = (r * c).sum(axis=1)                      # (B,)
-
-    norms = np.linalg.norm(pred.orient_raw, axis=1)
-    if (norms <= ORIENT_NORM_FLOOR).any():
-        bad = int(np.argmin(norms))
-        raise DegenerateOrientationError(
-            f"raw orientation norm {norms[bad]:g} in batch row {bad} is too small")
-    u = pred.orient_raw / norms[:, None]
-    dz_resid = pred.z_hat - gt_z
-    abs_per = dz_resid ** 2 + ((gt_orient - u) ** 2).sum(axis=1)
-
+    c = confidences(pred.logits)
+    off_per, d_logits, d_offsets = offset_term(c, pred.offsets, gt_offsets, weights.alpha2)
+    abs_per, d_z, d_orient = absolute_term(pred.z_hat, pred.orient_raw, gt_z, gt_orient,
+                                           weights.alpha3)
+    inv_b = 1.0 / B
+    d_logits = d_logits * inv_b
     if weights.use_cross_entropy:
-        m = pred.logits.max(axis=1)
-        lse = m + np.log(np.exp(pred.logits - m[:, None]).sum(axis=1))
-        ce_per = lse - pred.logits[np.arange(B), nearest]
+        ce_per, d_logits_ce = cross_entropy_term(pred.logits, c, nearest, weights.alpha1)
+        d_logits = d_logits + d_logits_ce * inv_b
     else:
         ce_per = np.zeros(B)
 
     total_per = weights.alpha1 * ce_per + weights.alpha2 * off_per + weights.alpha3 * abs_per
-
-    inv_b = 1.0 / B
-    d_offsets = weights.alpha2 * (-2.0 * resid * c[:, :, None]) * inv_b
-    d_logits = weights.alpha2 * (c * (r - off_per[:, None])) * inv_b
-    if weights.use_cross_entropy:
-        g = c.copy()
-        g[np.arange(B), nearest] -= 1.0
-        d_logits = d_logits + weights.alpha1 * g * inv_b
-    d_z = weights.alpha3 * 2.0 * dz_resid * inv_b
-    udotq = (u * gt_orient).sum(axis=1)
-    d_orient = weights.alpha3 * 2.0 * (u * udotq[:, None] - gt_orient) / norms[:, None] * inv_b
-
     breakdown = LossBreakdown(
         offset_term=float(off_per.mean()),
         absolute_term=float(abs_per.mean()),
         ce_term=float(ce_per.mean()),
         total=float(total_per.mean()),
     )
-    return breakdown, d_logits, d_offsets, d_z, d_orient
+    return breakdown, d_logits, d_offsets * inv_b, d_z * inv_b, d_orient * inv_b
+
+
+# --- single-sample API: B=1 calls into the kernels --------------------------------
+
+def _row(a) -> np.ndarray:
+    return np.asarray(a)[None]
+
+
+def _one(kernel, *rows):
+    """Run a batched kernel on one sample: each input gains a batch axis of
+    length 1 and each output loses it."""
+    return [out[0] for out in kernel(*map(_row, rows))]
+
+
+def _check_nearest(nearest: int, n: int) -> None:
+    if not 0 <= nearest < n:
+        raise InvalidInputError(f"nearest index {nearest} out of range for {n} anchors")
+
+
+def _offset_one(pred: PosePrediction, gt: OffsetTable):
+    if len(gt) != pred.logits.shape[0]:
+        raise InvalidInputError(
+            f"offset table has {len(gt)} anchors, prediction has {pred.logits.shape[0]}")
+    return _one(offset_term, confidences(pred.logits), pred.offsets, gt.offsets)
+
+
+def offset_loss(pred: PosePrediction, gt: OffsetTable) -> float:
+    """Confidence-weighted squared offset loss (single sample)."""
+    return float(_offset_one(pred, gt)[0])
+
+
+def offset_loss_grad(pred: PosePrediction, gt: OffsetTable):
+    """(d_logits, d_offsets) of the offset loss; other paths are zero."""
+    _, d_logits, d_offsets = _offset_one(pred, gt)
+    return d_logits, d_offsets
+
+
+def absolute_loss(pred: PosePrediction, gt_z: float, gt_orient: np.ndarray) -> float:
+    """Squared z residual plus squared distance to the normalized orientation."""
+    return float(_one(absolute_term, pred.z_hat, pred.orient_raw, gt_z, gt_orient)[0])
+
+
+def absolute_loss_grad(pred: PosePrediction, gt_z: float, gt_orient: np.ndarray):
+    """(d_z, d_orient) of the absolute loss."""
+    _, d_z, d_orient = _one(absolute_term, pred.z_hat, pred.orient_raw, gt_z, gt_orient)
+    return float(d_z), d_orient
+
+
+def _cross_entropy_one(logits: np.ndarray, nearest: int):
+    l = np.asarray(logits, dtype=np.float64)
+    _check_nearest(nearest, l.shape[0])
+    return _one(cross_entropy_term, l, confidences(l), nearest)
+
+
+def cross_entropy_loss(logits: np.ndarray, nearest: int) -> float:
+    """-log softmax(logits)[nearest], evaluated in log space."""
+    return float(_cross_entropy_one(logits, nearest)[0])
+
+
+def cross_entropy_grad(logits: np.ndarray, nearest: int) -> np.ndarray:
+    return _cross_entropy_one(logits, nearest)[1]
+
+
+def total_loss(pred: PosePrediction, target: PoseTarget,
+               weights: LossWeights) -> tuple[LossBreakdown, PredGradient]:
+    """Weighted total loss and its exact gradient w.r.t. the prediction."""
+    gt = OffsetTable(target.offsets)
+    if weights.use_cross_entropy:
+        _check_nearest(target.nearest_index, pred.logits.shape[0])
+    bpred = BatchPrediction(logits=_row(pred.logits), offsets=_row(pred.offsets),
+                            z_hat=_row(pred.z_hat), orient_raw=_row(pred.orient_raw))
+    breakdown, *grads = batch_total_loss(bpred, _row(gt.offsets), _row(target.z),
+                                         _row(target.orientation),
+                                         _row(target.nearest_index), weights)
+    d_logits, d_offsets, d_z, d_orient = (g[0] for g in grads)
+    return breakdown, PredGradient(d_logits=d_logits, d_offsets=d_offsets,
+                                   d_z=float(d_z), d_orient=d_orient)

@@ -8,11 +8,14 @@ which keeps the arithmetic exactly reproducible.
 
 Parameters are one flat float64 vector whose layout is a pure function of
 the network shape (trunk layers in order, then the logits / offsets /
-absolute heads), so checkpoints round-trip bit-exactly.
+absolute heads), so checkpoints round-trip bit-exactly. Layout, trunk and
+heads are driven by a spec's ``head_dims()`` table, so the direct-regression
+control in ``baseline`` runs on the same code with its own head.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -26,6 +29,17 @@ ACTIVATIONS = ("relu", "tanh")
 ABS_HEAD_DIM = 5  # z plus 4 orientation components
 
 
+def check_trunk(spec) -> None:
+    """Validate a frozen spec's trunk fields, storing its widths as a tuple."""
+    object.__setattr__(spec, "hidden_layers", tuple(int(w) for w in spec.hidden_layers))
+    if spec.input_dim < 1:
+        raise InvalidSpecError("input_dim must be >= 1")
+    if any(w < 1 for w in spec.hidden_layers):
+        raise InvalidSpecError("hidden layer widths must be >= 1")
+    if spec.activation not in ACTIVATIONS:
+        raise InvalidSpecError(f"activation must be one of {ACTIVATIONS}")
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     input_dim: int
@@ -35,23 +49,9 @@ class NetworkSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_layers", tuple(int(w) for w in self.hidden_layers))
-        if self.input_dim < 1:
-            raise InvalidSpecError("input_dim must be >= 1")
-        if any(w < 1 for w in self.hidden_layers):
-            raise InvalidSpecError("hidden layer widths must be >= 1")
+        check_trunk(self)
         if self.num_anchors < 1:
             raise InvalidSpecError("num_anchors must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise InvalidSpecError(f"activation must be one of {ACTIVATIONS}")
-
-    @property
-    def trunk_dims(self) -> tuple[int, ...]:
-        return (self.input_dim, *self.hidden_layers)
-
-    @property
-    def trunk_out(self) -> int:
-        return self.trunk_dims[-1]
 
     def head_dims(self) -> dict[str, int]:
         n = self.num_anchors
@@ -96,14 +96,6 @@ class BatchPrediction:
     z_hat: np.ndarray       # (B,)
     orient_raw: np.ndarray  # (B, 4)
 
-    def row(self, i: int) -> PosePrediction:
-        return PosePrediction(
-            logits=self.logits[i].copy(),
-            offsets=self.offsets[i].copy(),
-            z_hat=float(self.z_hat[i]),
-            orient_raw=self.orient_raw[i].copy(),
-        )
-
 
 @dataclass(frozen=True)
 class PredGradient:
@@ -117,15 +109,20 @@ class PredGradient:
 
 # --- flat parameter layout ---------------------------------------------------
 
-def _layer_shapes(spec: NetworkSpec) -> list[tuple[str, int, int]]:
-    """(name, out_dim, in_dim) for every weight matrix, in storage order."""
+@functools.lru_cache(maxsize=64)
+def _layer_shapes(spec: NetworkSpec) -> tuple[tuple[str, int, int], ...]:
+    """(name, out_dim, in_dim) for every weight matrix, in storage order.
+
+    Any spec with ``input_dim``, ``hidden_layers`` and a ``head_dims()``
+    table of head name -> width gets this layout and the trunk below.
+    """
     shapes = []
-    dims = spec.trunk_dims
+    dims = (spec.input_dim, *spec.hidden_layers)
     for i in range(len(dims) - 1):
         shapes.append((f"trunk{i}", dims[i + 1], dims[i]))
     for name, out in spec.head_dims().items():
-        shapes.append((name, out, spec.trunk_out))
-    return shapes
+        shapes.append((name, out, dims[-1]))
+    return tuple(shapes)
 
 
 def param_count(spec: NetworkSpec) -> int:
@@ -176,12 +173,11 @@ def _act_grad_from_output(h: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - h * h
 
 
-def forward_batch(spec: NetworkSpec, params: np.ndarray, features: np.ndarray,
-                  with_cache: bool = False):
-    """Batched forward pass. ``features`` is (B, input_dim).
+def forward_heads(spec, params: np.ndarray, features: np.ndarray):
+    """Trunk plus every head of ``spec.head_dims()`` for features (B, input_dim).
 
-    With ``with_cache`` the per-layer activations needed by
-    :func:`backward_batch` are returned as a second value.
+    Returns ({head name: (B, width)}, cache), where the cache holds the
+    per-layer activations :func:`backward_heads` needs.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != spec.input_dim:
@@ -195,54 +191,29 @@ def forward_batch(spec: NetworkSpec, params: np.ndarray, features: np.ndarray,
         a = h @ views.W[f"trunk{i}"].T + views.b[f"trunk{i}"]
         h = _act(a, spec.activation)
         cache.append(h)
-
-    logits = h @ views.W["logits"].T + views.b["logits"]
-    offsets = (h @ views.W["offsets"].T + views.b["offsets"]).reshape(-1, spec.num_anchors, 2)
-    absolute = h @ views.W["absolute"].T + views.b["absolute"]
-    pred = BatchPrediction(logits=logits, offsets=offsets,
-                           z_hat=absolute[:, 0], orient_raw=absolute[:, 1:])
-    if with_cache:
-        return pred, cache
-    return pred
+    heads = {name: h @ views.W[name].T + views.b[name] for name in spec.head_dims()}
+    return heads, cache
 
 
-def forward(spec: NetworkSpec, params: np.ndarray, feature: np.ndarray) -> PosePrediction:
-    """Single-sample forward pass."""
-    f = np.asarray(feature, dtype=np.float64).reshape(-1)
-    if f.shape != (spec.input_dim,):
-        raise InvalidInputError(
-            f"feature must have dim {spec.input_dim}, got {f.shape}")
-    return forward_batch(spec, params, f[None, :]).row(0)
+def backward_heads(spec, params: np.ndarray, cache: list[np.ndarray],
+                   d_heads: dict[str, np.ndarray]) -> np.ndarray:
+    """Reverse-mode gradient over the flat parameter vector, given upstream
+    gradients (B, width) for the heads in ``spec.head_dims()`` order.
 
-
-def backward_batch(spec: NetworkSpec, params: np.ndarray, cache: list[np.ndarray],
-                   d_logits: np.ndarray, d_offsets: np.ndarray,
-                   d_z: np.ndarray, d_orient: np.ndarray) -> np.ndarray:
-    """Reverse-mode gradient over the flat parameter vector.
-
-    Upstream gradients are w.r.t. the batched head outputs; the result sums
-    sample contributions (scale the upstream values for mean reduction).
+    Sample contributions are summed (scale the upstream values for mean
+    reduction).
     """
     views = _Views(spec, np.asarray(params, dtype=np.float64))
-    B = d_logits.shape[0]
-    if d_offsets.shape[0] != B or d_z.shape[0] != B or d_orient.shape[0] != B:
-        raise InvalidInputError("upstream gradient batch sizes disagree")
-
     grad = np.zeros_like(params, dtype=np.float64)
     gviews = _Views(spec, grad)
 
     h = cache[-1]
-    d_abs = np.concatenate([d_z[:, None], d_orient], axis=1)
-    d_off_flat = d_offsets.reshape(B, -1)
-
-    gviews.W["logits"] += d_logits.T @ h
-    gviews.b["logits"] += d_logits.sum(axis=0)
-    gviews.W["offsets"] += d_off_flat.T @ h
-    gviews.b["offsets"] += d_off_flat.sum(axis=0)
-    gviews.W["absolute"] += d_abs.T @ h
-    gviews.b["absolute"] += d_abs.sum(axis=0)
-
-    dh = d_logits @ views.W["logits"] + d_off_flat @ views.W["offsets"] + d_abs @ views.W["absolute"]
+    dh = None
+    for name, d in d_heads.items():
+        gviews.W[name] += d.T @ h
+        gviews.b[name] += d.sum(axis=0)
+        dh_head = d @ views.W[name]
+        dh = dh_head if dh is None else dh + dh_head
 
     for i in reversed(range(len(spec.hidden_layers))):
         da = dh * _act_grad_from_output(cache[i + 1], spec.activation)
@@ -253,13 +224,49 @@ def backward_batch(spec: NetworkSpec, params: np.ndarray, cache: list[np.ndarray
     return grad
 
 
+def forward_batch(spec: NetworkSpec, params: np.ndarray, features: np.ndarray,
+                  with_cache: bool = False):
+    """Batched forward pass. ``features`` is (B, input_dim).
+
+    With ``with_cache`` the per-layer activations needed by
+    :func:`backward_batch` are returned as a second value.
+    """
+    heads, cache = forward_heads(spec, params, features)
+    absolute = heads["absolute"]
+    pred = BatchPrediction(logits=heads["logits"],
+                           offsets=heads["offsets"].reshape(-1, spec.num_anchors, 2),
+                           z_hat=absolute[:, 0], orient_raw=absolute[:, 1:])
+    if with_cache:
+        return pred, cache
+    return pred
+
+
+def forward(spec: NetworkSpec, params: np.ndarray, feature: np.ndarray) -> PosePrediction:
+    """Single-sample forward pass."""
+    pred = forward_batch(spec, params, np.reshape(feature, (1, -1)))
+    return PosePrediction(logits=pred.logits[0], offsets=pred.offsets[0],
+                          z_hat=float(pred.z_hat[0]), orient_raw=pred.orient_raw[0])
+
+
+def backward_batch(spec: NetworkSpec, params: np.ndarray, cache: list[np.ndarray],
+                   d_logits: np.ndarray, d_offsets: np.ndarray,
+                   d_z: np.ndarray, d_orient: np.ndarray) -> np.ndarray:
+    """Reverse-mode gradient over the flat parameter vector.
+
+    Upstream gradients are w.r.t. the batched head outputs; the result sums
+    sample contributions (scale the upstream values for mean reduction).
+    """
+    B = d_logits.shape[0]
+    if d_offsets.shape[0] != B or d_z.shape[0] != B or d_orient.shape[0] != B:
+        raise InvalidInputError("upstream gradient batch sizes disagree")
+    d_abs = np.concatenate([d_z[:, None], d_orient], axis=1)
+    return backward_heads(spec, params, cache, {
+        "logits": d_logits, "offsets": d_offsets.reshape(B, -1), "absolute": d_abs})
+
+
 def backward(spec: NetworkSpec, params: np.ndarray, feature: np.ndarray,
              upstream: PredGradient) -> np.ndarray:
     """Single-sample exact gradient of the forward pass w.r.t. all parameters."""
-    f = np.asarray(feature, dtype=np.float64).reshape(-1)
-    if f.shape != (spec.input_dim,):
-        raise InvalidInputError(
-            f"feature must have dim {spec.input_dim}, got {f.shape}")
     d_logits = np.asarray(upstream.d_logits, dtype=np.float64).reshape(1, -1)
     if d_logits.shape[1] != spec.num_anchors:
         raise InvalidInputError("upstream logit gradient has wrong length")
@@ -269,7 +276,7 @@ def backward(spec: NetworkSpec, params: np.ndarray, feature: np.ndarray,
         raise InvalidInputError("upstream orientation gradient has wrong size")
     d_offsets = np.asarray(upstream.d_offsets, dtype=np.float64).reshape(1, spec.num_anchors, 2)
     d_orient = np.asarray(upstream.d_orient, dtype=np.float64).reshape(1, 4)
-    _, cache = forward_batch(spec, params, f[None, :], with_cache=True)
+    _, cache = forward_batch(spec, params, np.reshape(feature, (1, -1)), with_cache=True)
     return backward_batch(spec, params, cache, d_logits, d_offsets,
                           np.array([upstream.d_z]), d_orient)
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import loss as lossmod
 from . import model as modelmod
+from .data import SampleBatch
 from .errors import InvalidInputError, TrainingDivergenceError
 from .loss import LossWeights
 from .model import NetworkSpec
@@ -134,41 +135,27 @@ def _train_loop(n_samples: int, params: np.ndarray, state: AdamState,
     return params, state, history
 
 
-def _sample_arrays(samples):
-    """Accepts a SampleBatch-like object or a list of records carrying
-    feature / offsets / pose / nearest, and returns stacked arrays."""
-    if hasattr(samples, "features"):
-        return (samples.features, samples.offsets,
-                samples.positions[:, 2], samples.orientations, samples.nearest)
-    feats = np.array([s.feature for s in samples], dtype=np.float64)
-    offs = np.array([s.offsets for s in samples], dtype=np.float64)
-    z = np.array([s.pose.position[2] for s in samples])
-    quats = np.array([s.pose.orientation for s in samples])
-    near = np.array([s.nearest for s in samples], dtype=np.intp)
-    return feats, offs, z, quats, near
-
-
-def train(samples, spec: NetworkSpec, config: TrainConfig, *,
+def train(samples: SampleBatch, spec: NetworkSpec, config: TrainConfig, *,
           init_params: np.ndarray | None = None,
           init_state: AdamState | None = None,
           start_epoch: int = 0,
           epoch_callback=None) -> TrainReport:
-    """End-to-end training of the three-head network on precomputed targets.
+    """End-to-end training of the three-head network on a SampleBatch whose
+    anchor map has ``spec.num_anchors`` anchors.
 
-    ``samples`` is a SampleBatch (or list of records) whose offset tables must
-    match ``spec.num_anchors``. Passing ``init_params``/``init_state``/
-    ``start_epoch`` resumes from a checkpoint and reproduces the uninterrupted
-    trajectory exactly.
+    Passing ``init_params``/``init_state``/``start_epoch`` resumes from a
+    checkpoint and reproduces the uninterrupted trajectory exactly.
     """
-    feats, gt_offsets, gt_z, gt_orient, nearest = _sample_arrays(samples)
+    feats = samples.features
     if feats.shape[0] == 0:
         raise InvalidInputError("training requires a non-empty sample list")
     if feats.shape[1] != spec.input_dim:
         raise InvalidInputError(
             f"feature dim {feats.shape[1]} does not match spec input_dim {spec.input_dim}")
-    if gt_offsets.shape[1] != spec.num_anchors:
+    if len(samples.anchor_map) != spec.num_anchors:
         raise InvalidInputError(
-            f"offset tables have {gt_offsets.shape[1]} anchors, spec expects {spec.num_anchors}")
+            f"anchor map has {len(samples.anchor_map)} anchors, spec expects {spec.num_anchors}")
+    gt_z = samples.positions[:, 2]
 
     params = modelmod.init(spec) if init_params is None else init_params.copy()
     state = AdamState.initial(params.size) if init_state is None else \
@@ -177,7 +164,8 @@ def train(samples, spec: NetworkSpec, config: TrainConfig, *,
     def batch_loss_grad(p, idx):
         pred, cache = modelmod.forward_batch(spec, p, feats[idx], with_cache=True)
         breakdown, d_logits, d_offsets, d_z, d_orient = lossmod.batch_total_loss(
-            pred, gt_offsets[idx], gt_z[idx], gt_orient[idx], nearest[idx], config.weights)
+            pred, samples.offsets_at(idx), gt_z[idx], samples.orientations[idx],
+            samples.nearest[idx], config.weights)
         grad = modelmod.backward_batch(spec, p, cache, d_logits, d_offsets, d_z, d_orient)
         return breakdown, grad
 

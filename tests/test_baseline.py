@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
-from anchorloc import baseline, data
+from anchorloc import baseline, data, model
 from anchorloc.baseline import DirectSpec, direct_loss_batch, train_direct
+from anchorloc.errors import DegenerateOrientationError
 from anchorloc.loss import LossWeights
 from anchorloc.optim import TrainConfig
 
@@ -57,3 +59,21 @@ def test_training_reduces_loss(tiny_samples):
     assert report.epochs[-1].total < report.epochs[0].total
     ev = baseline.evaluate_direct(spec, report.params, scene.test)
     assert np.isfinite(ev.median_translation_m)
+
+
+def test_degenerate_orientation_is_a_numerical_error(tiny_samples):
+    rng = np.random.default_rng(5)
+    pose = rng.standard_normal((3, 7))
+    pose[1, 3:] = 0.0
+    gt_q = np.stack([random_unit_quat(rng) for _ in range(3)])
+    with pytest.raises(DegenerateOrientationError):
+        direct_loss_batch(pose, rng.standard_normal((3, 3)), gt_q, LossWeights())
+
+    train_s, test_s = tiny_samples
+    scene = data.from_simworld(train_s, test_s, k=10)
+    spec = DirectSpec(input_dim=scene.train.features.shape[1], hidden_layers=(4,), seed=0)
+    params = baseline.init(spec)
+    views = model._Views(spec, params)
+    views.W["pose"][3:] = 0.0  # orientation rows of the head
+    with pytest.raises(DegenerateOrientationError):
+        baseline.evaluate_direct(spec, params, scene.test)

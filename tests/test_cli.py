@@ -1,3 +1,4 @@
+import shutil
 import time
 
 import pytest
@@ -162,6 +163,18 @@ class TestSweep:
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
         assert (a / "sweep.svg").read_bytes() == (b / "sweep.svg").read_bytes()
         assert len((a / "sweep.csv").read_text().splitlines()) == 3
+
+    def test_misaligned_frame_ids_rejected(self, dataset_dir, tmp_path):
+        out, cfg = dataset_dir
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        poses = bad / data.POSES_TRAIN
+        poses.write_text("".join(reversed(poses.read_text().splitlines(keepends=True))))
+        sw = tmp_path / "sw"
+        rc = main(["sweep-anchors", "--config", str(cfg), "--data", str(bad),
+                   "--out", str(sw), "--k", "100", "--epochs", "1"])
+        assert rc == EXIT_DATA
+        assert not sw.exists()
 
     def test_bad_k_list(self, dataset_dir):
         out, _ = dataset_dir

@@ -99,13 +99,17 @@ class TestAssemble:
         scene = data.assemble(poses, feats, 1)
         assert scene.num_anchors == 8
 
-    def test_offsets_satisfy_round_trip(self, tiny_samples):
+    def test_batch_offsets_match_geometry_exactly(self, tiny_samples):
+        from anchorloc.geometry import relative_offsets
         train, test = tiny_samples
         scene = data.from_simworld(train, test, k=7)
+        rng = np.random.default_rng(0)
         for batch in (scene.train, scene.test):
-            recon = scene.anchor_map.anchors[None] + batch.offsets
-            err = np.abs(recon - batch.positions[:, None, :2]).max()
-            assert err < 1e-12
+            for size in (1, 5, len(batch)):
+                idx = rng.choice(len(batch), size=size, replace=False)
+                expected = np.stack([relative_offsets(batch.positions[i], scene.anchor_map).offsets
+                                     for i in idx])
+                assert np.array_equal(batch.offsets_at(idx), expected)
 
     def test_nearest_labels_match_geometry(self, tiny_samples):
         from anchorloc.geometry import nearest_anchor

@@ -183,7 +183,7 @@ class TestDiscovery:
         batch2 = data.SampleBatch(frame_ids=batch.frame_ids, features=batch.features,
                                   positions=batch.positions,
                                   orientations=batch.orientations,
-                                  offsets=batch.offsets, nearest=batch.nearest,
+                                  anchor_map=batch.anchor_map, nearest=batch.nearest,
                                   visible_sets=all_visible)
         spec = NetworkSpec(input_dim=3, hidden_layers=(2,), num_anchors=4, seed=0)
         with pytest.raises(UndefinedRateError):

@@ -300,6 +300,35 @@ class TestBatchPath:
             assert d_z[i] == pytest.approx(g.d_z / B, abs=1e-14)
             np.testing.assert_allclose(d_orient[i], g.d_orient / B, atol=1e-14)
 
+    def test_batch_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(17)
+        n, B = 4, 3
+        w = LossWeights(alpha1=1.5, alpha2=4.0, alpha3=0.7, use_cross_entropy=True)
+        preds, targets = zip(*(random_case(rng, n=n) for _ in range(B)))
+        fields = {"logits": np.stack([p.logits for p in preds]),
+                  "offsets": np.stack([p.offsets for p in preds]),
+                  "z_hat": np.array([p.z_hat for p in preds]),
+                  "orient_raw": np.stack([p.orient_raw for p in preds])}
+        gt = (np.stack([t.offsets for t in targets]), np.array([t.z for t in targets]),
+              np.stack([t.orientation for t in targets]),
+              np.array([t.nearest_index for t in targets]))
+
+        def total(f):
+            return batch_total_loss(BatchPrediction(**f), *gt, w)[0].total
+
+        _, *analytic = batch_total_loss(BatchPrediction(**fields), *gt, w)
+        h = 1e-5
+        for name, grad in zip(fields, analytic):
+            fd = np.zeros_like(fields[name])
+            for idx in np.ndindex(fd.shape):
+                shifted = []
+                for delta in (h, -h):
+                    f = {k: v.copy() for k, v in fields.items()}
+                    f[name][idx] += delta
+                    shifted.append(total(f))
+                fd[idx] = (shifted[0] - shifted[1]) / (2 * h)
+            assert_close(grad, fd)
+
     def test_negative_alpha_rejected(self):
         with pytest.raises(InvalidInputError):
             LossWeights(alpha2=-1.0)
