@@ -101,27 +101,39 @@ def write_config_snapshot(path, cfg: dict[str, dict[str, str]]) -> None:
         fh.write("\n".join(lines))
 
 
+def _value(cfg, section: str, key: str, convert):
+    """``convert(cfg[section][key])``; a value it rejects is InvalidSpecError
+    naming the section and key."""
+    try:
+        return convert(cfg[section][key])
+    except ValueError as err:
+        raise InvalidSpecError(f"[{section}] {key}: {err}") from None
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(w) for w in text.split(",") if w.strip())
+
+
 def _network_spec(cfg, num_anchors: int) -> NetworkSpec:
-    sec = cfg["network"]
-    hidden = tuple(int(w) for w in sec["hidden_layers"].split(",") if w.strip())
-    return NetworkSpec(input_dim=int(sec["input_dim"]), hidden_layers=hidden,
-                       num_anchors=num_anchors, activation=sec["activation"],
-                       seed=int(sec["seed"]))
+    return NetworkSpec(input_dim=_value(cfg, "network", "input_dim", int),
+                       hidden_layers=_value(cfg, "network", "hidden_layers", _int_list),
+                       num_anchors=num_anchors, activation=cfg["network"]["activation"],
+                       seed=_value(cfg, "network", "seed", int))
 
 
 def _loss_weights(cfg) -> LossWeights:
-    sec = cfg["loss"]
-    return LossWeights(alpha1=float(sec["alpha1"]), alpha2=float(sec["alpha2"]),
-                       alpha3=float(sec["alpha3"]),
-                       use_cross_entropy=sec["use_cross_entropy"].lower() in ("1", "true", "yes"))
+    use_ce = cfg["loss"]["use_cross_entropy"].lower() in ("1", "true", "yes")
+    return LossWeights(alpha1=_value(cfg, "loss", "alpha1", float),
+                       alpha2=_value(cfg, "loss", "alpha2", float),
+                       alpha3=_value(cfg, "loss", "alpha3", float), use_cross_entropy=use_ce)
 
 
 def _train_config(cfg) -> TrainConfig:
-    sec = cfg["train"]
-    return TrainConfig(lr=float(sec["lr"]), batch_size=int(sec["batch_size"]),
-                       epochs=int(sec["epochs"]),
-                       lr_halving_period=int(sec["lr_halving_period"]),
-                       shuffle_seed=int(sec["shuffle_seed"]),
+    return TrainConfig(lr=_value(cfg, "train", "lr", float),
+                       batch_size=_value(cfg, "train", "batch_size", int),
+                       epochs=_value(cfg, "train", "epochs", int),
+                       lr_halving_period=_value(cfg, "train", "lr_halving_period", int),
+                       shuffle_seed=_value(cfg, "train", "shuffle_seed", int),
                        weights=_loss_weights(cfg))
 
 
@@ -129,13 +141,13 @@ def cmd_gen_world(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["world"]["seed"] = str(args.seed)
-    wsec = cfg["world"]
-    n_train, n_test = int(wsec["n_train"]), int(wsec["n_test"])
+    n_train = _value(cfg, "world", "n_train", int)
+    n_test = _value(cfg, "world", "n_test", int)
     if args.world_file:
         spec = simworld.load_world_spec(args.world_file)
     else:
-        spec = simworld.default_world(seed=int(wsec["seed"]),
-                                      noise_sigma=float(wsec["noise_sigma"]))
+        spec = simworld.default_world(seed=_value(cfg, "world", "seed", int),
+                                      noise_sigma=_value(cfg, "world", "noise_sigma", float))
     train, test = simworld.generate(spec, n_train, n_test)
     os.makedirs(args.out, exist_ok=True)
     data.export_dataset(args.out, train, test)
@@ -156,7 +168,7 @@ def cmd_train(args) -> int:
     if args.k is not None:
         cfg["data"]["frame_interval"] = str(args.k)
 
-    k = int(cfg["data"]["frame_interval"])
+    k = _value(cfg, "data", "frame_interval", int)
     scene = data.load_dataset_dir(args.data, k)  # validates inputs before any output
     cfg.setdefault("network", {})["input_dim"] = str(scene.train.features.shape[1])
 

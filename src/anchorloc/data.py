@@ -105,21 +105,30 @@ def load_features(path) -> tuple[list[str], np.ndarray]:
         raw = fh.read()
     if raw[:4] != _FEAT_MAGIC:
         raise ParseError(f"{path}: not a feature file (bad magic)")
+    if len(raw) < 24:
+        raise ParseError(f"{path}: truncated header ({len(raw)} bytes)")
     version = int.from_bytes(raw[4:8], "little")
     if version != _FEAT_VERSION:
         raise ParseError(f"{path}: unsupported feature file version {version}")
     count = int.from_bytes(raw[8:16], "little")
     dim = int.from_bytes(raw[16:24], "little")
+    # checked before allocating: every row takes at least 4 + 8 * dim bytes
+    if count * (4 + 8 * dim) > len(raw) - 24:
+        raise ParseError(f"{path}: {count} rows of dim {dim} do not fit in {len(raw)} bytes")
     ids = []
     feats = np.empty((count, dim))
     off = 24
     for i in range(count):
         idlen = int.from_bytes(raw[off:off + 4], "little")
         off += 4
+        if off + idlen + 8 * dim > len(raw):
+            raise ParseError(f"{path}: truncated in row {i}")
         ids.append(raw[off:off + idlen].decode())
         off += idlen
         feats[i] = np.frombuffer(raw[off:off + 8 * dim], dtype="<f8")
         off += 8 * dim
+    if off != len(raw):
+        raise ParseError(f"{path}: {len(raw) - off} bytes after the last row")
     return ids, feats
 
 
@@ -194,7 +203,7 @@ def assemble(poses: list[tuple[str, Pose]], features: np.ndarray, k: int,
     if len(pose_objs) != feats.shape[0]:
         raise InvalidInputError(
             f"{len(pose_objs)} training poses but {feats.shape[0]} feature rows")
-    anchor_map = build_anchor_map(pose_objs, k, source_scene=name)
+    anchor_map = build_anchor_map(pose_objs, k)
 
     train = SampleBatch.build([fid for fid, _ in poses], pose_objs, feats,
                               anchor_map, visible_sets=train_visible)
@@ -211,17 +220,24 @@ def assemble(poses: list[tuple[str, Pose]], features: np.ndarray, k: int,
     return SceneDataset(name=name, anchor_map=anchor_map, train=train, test=test)
 
 
-def from_simworld(train_samples: list[Sample], test_samples: list[Sample], k: int,
-                  name: str = "simworld") -> SceneDataset:
+def _stack_splits(train_samples: list[Sample], test_samples: list[Sample]):
+    """[train records, train features, test records, test features]: frame ids
+    t00000, ... (test: e00000, ...) with poses, and (n, dim) stacked features."""
+    first = (train_samples or test_samples)[:1]
+    dim = first[0].feature.shape[0] if first else 0
+    splits = []
+    for prefix, samples in (("t", train_samples), ("e", test_samples)):
+        splits.append([(f"{prefix}{i:05d}", s.pose) for i, s in enumerate(samples)])
+        splits.append(np.array([s.feature for s in samples]).reshape(len(samples), dim))
+    return splits
+
+
+def from_simworld(train_samples: list[Sample], test_samples: list[Sample], k: int) -> SceneDataset:
     """Assemble directly from in-memory world samples, keeping visibility
     ground truth for discovery analysis."""
-    train_poses = [(f"t{i:05d}", s.pose) for i, s in enumerate(train_samples)]
-    test_poses = [(f"e{i:05d}", s.pose) for i, s in enumerate(test_samples)]
-    tf = np.array([s.feature for s in train_samples]) if train_samples else np.zeros((0, 0))
-    ef = np.array([s.feature for s in test_samples]) if test_samples else \
-        np.zeros((0, tf.shape[1] if tf.size else 0))
-    return assemble(train_poses, tf, k, test_poses=test_poses, test_features=ef,
-                    name=name,
+    train_recs, tf, test_recs, ef = _stack_splits(train_samples, test_samples)
+    return assemble(train_recs, tf, k, test_poses=test_recs, test_features=ef,
+                    name="simworld",
                     train_visible=[s.visible_set for s in train_samples],
                     test_visible=[s.visible_set for s in test_samples])
 
@@ -229,14 +245,9 @@ def from_simworld(train_samples: list[Sample], test_samples: list[Sample], k: in
 def export_dataset(out_dir, train_samples: list[Sample], test_samples: list[Sample]) -> None:
     """Write the four dataset files for a generated world."""
     os.makedirs(out_dir, exist_ok=True)
-    train_recs = [(f"t{i:05d}", s.pose) for i, s in enumerate(train_samples)]
-    test_recs = [(f"e{i:05d}", s.pose) for i, s in enumerate(test_samples)]
+    train_recs, tf, test_recs, ef = _stack_splits(train_samples, test_samples)
     save_pose_file(os.path.join(out_dir, POSES_TRAIN), train_recs)
     save_pose_file(os.path.join(out_dir, POSES_TEST), test_recs)
-    dim = train_samples[0].feature.shape[0] if train_samples else (
-        test_samples[0].feature.shape[0] if test_samples else 0)
-    tf = np.array([s.feature for s in train_samples]).reshape(len(train_samples), dim)
-    ef = np.array([s.feature for s in test_samples]).reshape(len(test_samples), dim)
     save_features(os.path.join(out_dir, FEATURES_TRAIN), [r[0] for r in train_recs], tf)
     save_features(os.path.join(out_dir, FEATURES_TEST), [r[0] for r in test_recs], ef)
 
@@ -256,9 +267,9 @@ def load_dataset_files(data_dir):
     return train_poses, train_feats, test_poses, test_feats
 
 
-def load_dataset_dir(data_dir, k: int, name: str | None = None) -> SceneDataset:
+def load_dataset_dir(data_dir, k: int) -> SceneDataset:
     """Load the standard dataset directory layout and assemble with interval k."""
     train_poses, train_feats, test_poses, test_feats = load_dataset_files(data_dir)
     return assemble(train_poses, train_feats, k, test_poses=test_poses,
                     test_features=test_feats,
-                    name=name or os.path.basename(os.path.normpath(str(data_dir))))
+                    name=os.path.basename(os.path.normpath(str(data_dir))))

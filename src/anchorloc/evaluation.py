@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import model as modelmod
 from . import optim as optimmod
 from .data import SampleBatch, assemble
 from .errors import InvalidInputError, UndefinedRateError
-from .geometry import AnchorMap, Pose, quat_angle_deg
+from .geometry import ANCHOR_DEDUP_TOL, AnchorMap, Pose, quat_angle_deg
 from .loss import confidences, unit_orientation
 from .model import NetworkSpec, PosePrediction
 from .simworld import _fmt
@@ -57,25 +57,13 @@ class EvalReport:
         }
 
 
-def reconstruct_pose(pred: PosePrediction, anchor_map: AnchorMap,
-                     mode: str = "argmax") -> Pose:
-    """Pose from network outputs.
-
-    argmax mode: take the highest-confidence anchor and add its offset.
-    weighted mode: confidence-weighted average of anchor-plus-offset, kept
-    for comparison experiments.
-    """
+def reconstruct_pose(pred: PosePrediction, anchor_map: AnchorMap) -> Pose:
+    """Pose from network outputs: the highest-confidence anchor plus its offset."""
     if pred.logits.shape[0] != len(anchor_map):
         raise InvalidInputError("prediction/anchor-map size mismatch")
     u, _ = unit_orientation(pred.orient_raw)
-    if mode == "argmax":
-        j = int(np.argmax(pred.logits))  # ties resolve to the lowest index
-        xy = anchor_map.anchors[j] + pred.offsets[j]
-    elif mode == "weighted":
-        c = confidences(pred.logits)
-        xy = (c[:, None] * (anchor_map.anchors + pred.offsets)).sum(axis=0)
-    else:
-        raise InvalidInputError(f"unknown reconstruction mode {mode!r}")
+    j = int(np.argmax(pred.logits))  # ties resolve to the lowest index
+    xy = anchor_map.anchors[j] + pred.offsets[j]
     return Pose(position=np.array([xy[0], xy[1], pred.z_hat]), orientation=u)
 
 
@@ -100,7 +88,7 @@ def report_from_poses(pred_xyz: np.ndarray, pred_quats: np.ndarray,
 
 def evaluate(spec: NetworkSpec, params: np.ndarray, batch: SampleBatch,
              anchor_map: AnchorMap, mode: str = "argmax") -> EvalReport:
-    """Per-sample errors and headline metrics on a test batch."""
+    """Per-sample errors and metrics on a test batch; weighted mode averages by confidence."""
     pred = modelmod.forward_batch(spec, params, batch.features)
     quats, _ = unit_orientation(pred.orient_raw)
     j = pred.logits.argmax(axis=1)
@@ -116,13 +104,13 @@ def evaluate(spec: NetworkSpec, params: np.ndarray, batch: SampleBatch,
 
 # --- anchor discovery -----------------------------------------------------------
 
-def co_located_anchors(anchor_map: AnchorMap, landmarks, tol: float = 1e-9) -> dict[int, str]:
-    """anchor index -> landmark id for landmarks sitting exactly on anchors."""
+def co_located_anchors(anchor_map: AnchorMap, landmarks) -> dict[int, str]:
+    """anchor index -> landmark id for landmarks at an anchor's "same point"."""
     out = {}
     for name, p in landmarks:
         d = np.linalg.norm(anchor_map.anchors - np.asarray(p, dtype=np.float64), axis=1)
         j = int(d.argmin())
-        if d[j] <= tol:
+        if d[j] <= ANCHOR_DEDUP_TOL:
             out[j] = name
     return out
 
@@ -175,8 +163,7 @@ class SweepRow:
 
 def sweep_anchor_interval(train_poses, train_features, test_poses, test_features,
                           k_values, spec_template: NetworkSpec,
-                          config: optimmod.TrainConfig,
-                          name: str = "sweep") -> list[SweepRow]:
+                          config: optimmod.TrainConfig) -> list[SweepRow]:
     """Train one model per frame interval with identical seeds and config.
 
     The network spec template is reused with num_anchors replaced by each
@@ -187,13 +174,8 @@ def sweep_anchor_interval(train_poses, train_features, test_poses, test_features
     rows = []
     for k in k_values:
         scene = assemble(train_poses, train_features, int(k),
-                         test_poses=test_poses, test_features=test_features,
-                         name=f"{name}-k{k}")
-        spec = NetworkSpec(input_dim=spec_template.input_dim,
-                           hidden_layers=spec_template.hidden_layers,
-                           num_anchors=scene.num_anchors,
-                           activation=spec_template.activation,
-                           seed=spec_template.seed)
+                         test_poses=test_poses, test_features=test_features)
+        spec = replace(spec_template, num_anchors=scene.num_anchors)
         report = optimmod.train(scene.train, spec, config)
         ev = evaluate(spec, report.params, scene.test, scene.anchor_map)
         rows.append(SweepRow(k=int(k), num_anchors=scene.num_anchors,
@@ -205,12 +187,12 @@ def sweep_anchor_interval(train_poses, train_features, test_poses, test_features
 
 # --- report / artifact writers -----------------------------------------------------
 
-def write_eval_report(out_dir, report: EvalReport, prefix: str = "eval") -> None:
+def write_eval_report(out_dir, report: EvalReport) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, f"{prefix}_report.json"), "w", newline="\n") as fh:
+    with open(os.path.join(out_dir, "eval_report.json"), "w", newline="\n") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(os.path.join(out_dir, f"{prefix}_per_sample.csv"), "w", newline="\n") as fh:
+    with open(os.path.join(out_dir, "eval_per_sample.csv"), "w", newline="\n") as fh:
         fh.write("index,translation_m,rotation_deg,pred_anchor,nearest_anchor\n")
         for i, (t, r, a, n) in enumerate(report.per_sample):
             fh.write(f"{i},{_fmt(t)},{_fmt(r)},{a},{n}\n")

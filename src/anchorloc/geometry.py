@@ -70,7 +70,6 @@ class AnchorMap:
 
     anchors: np.ndarray  # (N, 2)
     frame_interval: int
-    source_scene: str = ""
 
     def __post_init__(self):
         a = np.asarray(self.anchors, dtype=np.float64)
@@ -83,10 +82,6 @@ class AnchorMap:
         object.__setattr__(self, "anchors", _readonly(a))
 
     def __len__(self) -> int:
-        return self.anchors.shape[0]
-
-    @property
-    def num_anchors(self) -> int:
         return self.anchors.shape[0]
 
 
@@ -106,7 +101,7 @@ class OffsetTable:
         return self.offsets.shape[0]
 
 
-def build_anchor_map(poses: list[Pose], k: int, source_scene: str = "") -> AnchorMap:
+def build_anchor_map(poses: list[Pose], k: int) -> AnchorMap:
     """Subsample every k-th pose position into an anchor list.
 
     Anchors are the (x, y) of poses at indices 0, k, 2k, ...; positions that
@@ -130,7 +125,7 @@ def build_anchor_map(poses: list[Pose], k: int, source_scene: str = "") -> Ancho
         m += 1
     if m == 1:
         raise DegenerateMapError("all anchors collapse to a single point")
-    return AnchorMap(anchors=kept[:m].copy(), frame_interval=k, source_scene=source_scene)
+    return AnchorMap(anchors=kept[:m].copy(), frame_interval=k)
 
 
 def relative_offsets(position: np.ndarray, anchor_map: AnchorMap) -> OffsetTable:

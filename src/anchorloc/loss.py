@@ -42,16 +42,6 @@ class LossWeights:
             if not np.isfinite(v) or v < 0:
                 raise InvalidInputError(f"{name} must be finite and >= 0, got {v}")
 
-    def to_dict(self) -> dict:
-        return {"alpha1": self.alpha1, "alpha2": self.alpha2,
-                "alpha3": self.alpha3, "use_cross_entropy": self.use_cross_entropy}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LossWeights":
-        return cls(alpha1=float(d["alpha1"]), alpha2=float(d["alpha2"]),
-                   alpha3=float(d["alpha3"]),
-                   use_cross_entropy=bool(d["use_cross_entropy"]))
-
 
 @dataclass(frozen=True)
 class LossBreakdown:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidSpecError
+from .errors import InvalidInputError, InvalidSpecError, ParseError
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -328,15 +328,21 @@ def load_checkpoint(path):
     if version != _CKPT_VERSION:
         raise InvalidInputError(f"{path}: unsupported checkpoint version {version}")
     hlen = int.from_bytes(raw[8:12], "little")
-    header = json.loads(raw[12:12 + hlen].decode())
-    spec = NetworkSpec.from_dict(header["spec"])
     off = 12 + hlen
+    if off > len(raw):
+        raise ParseError(f"{path}: truncated header")
+    header = json.loads(raw[12:off].decode())
+    spec = NetworkSpec.from_dict(header["spec"])
     arrays = {}
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
         n = int(np.prod(shape)) if shape else 1
+        if off + 8 * n > len(raw):
+            raise ParseError(f"{path}: truncated in array {entry['name']!r}")
         arrays[entry["name"]] = np.frombuffer(
             raw[off:off + 8 * n], dtype="<f8").reshape(shape).copy()
         off += 8 * n
+    if off != len(raw):
+        raise ParseError(f"{path}: {len(raw) - off} bytes after the last array")
     params = arrays.pop("params")
     return spec, params, arrays, header["meta"]

@@ -19,13 +19,13 @@ from .errors import InvalidInputError, TrainingDivergenceError
 from .loss import LossWeights
 from .model import NetworkSpec
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba, Alg. 1)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 32
     epochs: int = 120
     lr_halving_period: int = 30
@@ -79,8 +79,7 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> tuple[np.ndarray, AdamState]:
+              lr: float) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update. Returns new arrays; inputs untouched."""
     g = np.asarray(grads, dtype=np.float64)
     if g.shape != params.shape:
@@ -88,11 +87,11 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     if not np.isfinite(g).all():
         raise TrainingDivergenceError("non-finite gradient in Adam step")
     t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = BETA1 * state.m + (1.0 - BETA1) * g
+    v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    new_params = params - lr * m_hat / (np.sqrt(v_hat) + EPS)
     return new_params, AdamState(m=m, v=v, t=t)
 
 
@@ -118,8 +117,7 @@ def _train_loop(n_samples: int, params: np.ndarray, state: AdamState,
                 raise TrainingDivergenceError(
                     "loss became non-finite", epoch=epoch, batch=bstart // config.batch_size)
             try:
-                params, state = adam_step(params, grad, state, lr,
-                                          config.beta1, config.beta2, config.eps)
+                params, state = adam_step(params, grad, state, lr)
             except TrainingDivergenceError as err:
                 raise TrainingDivergenceError(
                     str(err), epoch=epoch, batch=bstart // config.batch_size) from None

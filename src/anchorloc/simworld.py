@@ -117,27 +117,27 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def segments_intersect(p1, p2, q1, q2, eps: float = GRAZE_EPS) -> bool:
+def segments_intersect(p1, p2, q1, q2) -> bool:
     """Exact-orientation segment intersection; collinear grazing counts."""
     d1 = _cross(q1, q2, p1)
     d2 = _cross(q1, q2, p2)
     d3 = _cross(p1, p2, q1)
     d4 = _cross(p1, p2, q2)
-    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and \
-       ((d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)):
+    if ((d1 > GRAZE_EPS and d2 < -GRAZE_EPS) or (d1 < -GRAZE_EPS and d2 > GRAZE_EPS)) and \
+       ((d3 > GRAZE_EPS and d4 < -GRAZE_EPS) or (d3 < -GRAZE_EPS and d4 > GRAZE_EPS)):
         return True
 
     def on_segment(a, b, c):
-        return (min(a[0], b[0]) - eps <= c[0] <= max(a[0], b[0]) + eps and
-                min(a[1], b[1]) - eps <= c[1] <= max(a[1], b[1]) + eps)
+        return (min(a[0], b[0]) - GRAZE_EPS <= c[0] <= max(a[0], b[0]) + GRAZE_EPS and
+                min(a[1], b[1]) - GRAZE_EPS <= c[1] <= max(a[1], b[1]) + GRAZE_EPS)
 
-    if abs(d1) <= eps and on_segment(q1, q2, p1):
+    if abs(d1) <= GRAZE_EPS and on_segment(q1, q2, p1):
         return True
-    if abs(d2) <= eps and on_segment(q1, q2, p2):
+    if abs(d2) <= GRAZE_EPS and on_segment(q1, q2, p2):
         return True
-    if abs(d3) <= eps and on_segment(p1, p2, q1):
+    if abs(d3) <= GRAZE_EPS and on_segment(p1, p2, q1):
         return True
-    if abs(d4) <= eps and on_segment(p1, p2, q2):
+    if abs(d4) <= GRAZE_EPS and on_segment(p1, p2, q2):
         return True
     return False
 
@@ -178,14 +178,6 @@ def visibility(pose: Pose, landmark: tuple[float, float] | np.ndarray,
 # Range is compressed to (0, 1], so far landmarks at different distances look
 # alike once feature noise is on; bearing stays in plain radians.
 
-def encode_bearing(bearing: float) -> float:
-    return bearing
-
-
-def decode_bearing(enc: float) -> float:
-    return enc
-
-
 def encode_distance(d: float) -> float:
     return 1.0 / (1.0 + d)
 
@@ -203,7 +195,7 @@ def sample_features(pose: Pose, spec: WorldSpec,
         vis, bearing, dist = visibility(pose, lm, spec)
         if vis:
             visible.add(name)
-            b, e = encode_bearing(bearing), encode_distance(dist)
+            b, e = bearing, encode_distance(dist)
             if noise is not None:
                 b += spec.noise_sigma * noise[i, 0]
                 e += spec.noise_sigma * noise[i, 1]
@@ -272,8 +264,9 @@ def generate(spec: WorldSpec, n_train: int, n_test: int) -> tuple[list[Sample], 
 
 # --- the default benchmark world -------------------------------------------------
 
-def stadium_route(leg: float = 15.0, radius: float = 1.0, cap_points: int = 48) -> np.ndarray:
+def stadium_route() -> np.ndarray:
     """Closed loop: two straight legs joined by semicircular caps."""
+    leg, radius, cap_points = 15.0, 1.0, 48
     pts = [(0.0, 0.0), (leg, 0.0)]
     for j in range(1, cap_points + 1):
         a = -math.pi / 2 + math.pi * j / cap_points

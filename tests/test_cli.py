@@ -1,10 +1,12 @@
+import json
 import shutil
 import time
 
 import pytest
 
-from anchorloc import data
+from anchorloc import data, evaluation, model, optim
 from anchorloc.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
+from anchorloc.errors import ParseError
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +107,27 @@ class TestTrain:
         assert "epoch" in capsys.readouterr().err
 
 
+class TestConfigValues:
+    @pytest.mark.parametrize("section,key", [
+        ("world", "n_train"), ("world", "seed"), ("world", "noise_sigma"),
+        ("data", "frame_interval"), ("network", "hidden_layers"), ("network", "seed"),
+        ("train", "lr"), ("train", "batch_size"), ("train", "epochs"),
+        ("train", "lr_halving_period"), ("train", "shuffle_seed"), ("loss", "alpha2")])
+    def test_bad_config_value_is_a_config_error(self, dataset_dir, tmp_path, capsys,
+                                                section, key):
+        out, _ = dataset_dir
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{key} = abc\n")
+        run = tmp_path / "run"
+        if section == "world":
+            rc = main(["gen-world", "--config", str(cfg), "--out", str(run)])
+        else:
+            rc = main(["train", "--config", str(cfg), "--data", str(out), "--out", str(run)])
+        assert rc == EXIT_DATA
+        assert f"[{section}] {key}:" in capsys.readouterr().err
+        assert not run.exists()
+
+
 class TestEval:
     def test_eval_outputs(self, dataset_dir, trained_run, tmp_path, capsys):
         out, _ = dataset_dir
@@ -128,6 +151,48 @@ class TestEval:
                    "--data", str(other), "--out", str(tmp_path / "ev2")])
         assert rc == EXIT_DATA
         assert "anchors" in capsys.readouterr().err
+
+    def test_weighted_report_matches_evaluate(self, dataset_dir, trained_run, tmp_path):
+        out, _ = dataset_dir
+        ckpt = trained_run / "checkpoint.bin"
+        ev = tmp_path / "ev"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(out),
+                     "--out", str(ev), "--weighted"]) == EXIT_OK
+        spec, params, _, _, meta = optim.load_training_checkpoint(ckpt)
+        scene = data.load_dataset_dir(out, meta["frame_interval"])
+        expected = evaluation.evaluate(spec, params, scene.test, scene.anchor_map,
+                                       mode="weighted")
+        assert json.loads((ev / "eval_report.json").read_text()) == expected.to_dict()
+
+
+class TestTruncatedFiles:
+    @staticmethod
+    def damaged(path, how):
+        raw = path.read_bytes()
+        path.write_bytes({"cut": raw[:-100], "cut-in-header": raw[:20],
+                          "trailing": raw + b"\0"}[how])
+
+    @pytest.mark.parametrize("how", ["cut", "cut-in-header", "trailing"])
+    def test_feature_file(self, dataset_dir, tmp_path, how):
+        out, cfg = dataset_dir
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        self.damaged(bad / data.FEATURES_TRAIN, how)
+        with pytest.raises(ParseError, match=data.FEATURES_TRAIN):
+            data.load_features(bad / data.FEATURES_TRAIN)
+        assert main(["train", "--config", str(cfg), "--data", str(bad),
+                     "--out", str(tmp_path / "run"), "--epochs", "1"]) == EXIT_DATA
+
+    @pytest.mark.parametrize("how", ["cut", "cut-in-header", "trailing"])
+    def test_checkpoint(self, dataset_dir, trained_run, tmp_path, how):
+        out, _ = dataset_dir
+        ckpt = tmp_path / "checkpoint.bin"
+        shutil.copyfile(trained_run / "checkpoint.bin", ckpt)
+        self.damaged(ckpt, how)
+        with pytest.raises(ParseError, match="checkpoint.bin"):
+            model.load_checkpoint(ckpt)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(out),
+                     "--out", str(tmp_path / "ev")]) == EXIT_DATA
 
 
 class TestSweep:

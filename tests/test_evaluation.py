@@ -64,15 +64,6 @@ class TestReconstructPose:
             expected = amap.anchors[j] + pred.offsets[j]
             np.testing.assert_allclose(pose.position[:2], expected, atol=1e-12)
 
-    def test_weighted_equals_argmax_for_one_hot(self):
-        rng = np.random.default_rng(2)
-        amap = AnchorMap(anchors=rng.uniform(-5, 5, (4, 2)), frame_interval=1)
-        logits = np.array([0.0, 50.0, 0.0, 0.0])
-        pred = pred_with(logits, rng.standard_normal((4, 2)))
-        a = reconstruct_pose(pred, amap, mode="argmax")
-        b = reconstruct_pose(pred, amap, mode="weighted")
-        np.testing.assert_allclose(a.position, b.position, atol=1e-12)
-
     def test_degenerate_orientation_raises(self):
         amap = AnchorMap(anchors=np.zeros((1, 2)), frame_interval=1)
         pred = pred_with([1.0], [[0.0, 0.0]], orient=np.zeros(4))
@@ -137,6 +128,21 @@ class TestEvaluateNetwork:
         b = evaluate(spec, params, scene.test, scene.anchor_map)
         assert a.per_sample == b.per_sample
         assert np.isfinite(a.median_translation_m)
+
+    def test_weighted_equals_argmax_for_one_hot(self, tiny_samples):
+        train, test = tiny_samples
+        scene = data.from_simworld(train, test, k=10)
+        spec = NetworkSpec(input_dim=scene.train.features.shape[1], hidden_layers=(8,),
+                           num_anchors=scene.num_anchors, activation="tanh", seed=2)
+        params = model.init(spec)
+        views = model._Views(spec, params)
+        views.W["logits"][:] = 0.0
+        views.b["logits"][:] = 0.0
+        views.b["logits"][1] = 50.0  # every sample puts all its confidence on anchor 1
+        a = evaluate(spec, params, scene.test, scene.anchor_map, mode="argmax")
+        b = evaluate(spec, params, scene.test, scene.anchor_map, mode="weighted")
+        np.testing.assert_allclose(np.array(a.per_sample), np.array(b.per_sample),
+                                   rtol=0, atol=1e-12)
 
 
 class TestDiscovery:

@@ -5,7 +5,7 @@ import pytest
 
 from anchorloc import geometry, simworld
 from anchorloc.errors import InvalidInputError, InvalidSpecError
-from anchorloc.simworld import (WorldSpec, decode_bearing, decode_distance,
+from anchorloc.simworld import (WorldSpec, decode_distance,
                                 default_world, generate, load_world_spec,
                                 sample_features, save_world_spec, segments_intersect,
                                 stadium_route, visibility)
@@ -111,7 +111,7 @@ class TestFeatures:
             if vis:
                 assert name in visible
                 assert feat[3 * i] == 1.0
-                assert decode_bearing(feat[3 * i + 1]) == pytest.approx(bearing, abs=1e-9)
+                assert feat[3 * i + 1] == pytest.approx(bearing, abs=1e-9)
                 assert decode_distance(feat[3 * i + 2]) == pytest.approx(dist, abs=1e-9)
 
     def test_invisible_channels_zeroed(self, tiny_world):
