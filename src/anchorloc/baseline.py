@@ -92,15 +92,18 @@ def train_direct(samples: SampleBatch, spec: DirectSpec, config: TrainConfig) ->
     params = init(spec)
     state = optimmod.AdamState.initial(params.size)
 
-    def batch_loss_grad(p, idx):
-        pose, cache = forward_batch(spec, p, feats[idx], with_cache=True)
-        breakdown, d_pose = direct_loss_batch(pose, gt_xyz[idx], gt_orient[idx],
-                                              config.weights)
-        return breakdown, backward_batch(spec, p, cache, d_pose)
+    def bind_step(p, grad):
+        net = modelmod.Bound(spec, p, grad)
 
-    params, state, history = optimmod._train_loop(
-        feats.shape[0], params, state, config, batch_loss_grad)
-    return TrainReport(epochs=history, params=params, adam_state=state)
+        def step(idx):
+            heads, cache = net.forward(feats[idx])
+            breakdown, d_pose = direct_loss_batch(heads["pose"], gt_xyz[idx], gt_orient[idx],
+                                                  config.weights)
+            net.backward(cache, {"pose": d_pose})
+            return breakdown
+        return step
+
+    return optimmod._train_loop(feats.shape[0], params, state, config, bind_step)
 
 
 def evaluate_direct(spec: DirectSpec, params: np.ndarray, batch: SampleBatch) -> EvalReport:

@@ -11,7 +11,7 @@ parse -> serialize -> parse is bit-stable.
 
 Feature files are little-endian binary: magic ``ALFT``, a u32 version, u64
 frame count, u64 dim, then per row a u32-length-prefixed UTF-8 frame id and
-``dim`` float64 values.
+``dim`` float64 values, which must be finite.
 
 A dataset directory holds ``poses_train.txt``, ``poses_test.txt``,
 ``features_train.bin``, ``features_test.bin``.
@@ -123,12 +123,19 @@ def load_features(path) -> tuple[list[str], np.ndarray]:
         off += 4
         if off + idlen + 8 * dim > len(raw):
             raise ParseError(f"{path}: truncated in row {i}")
-        ids.append(raw[off:off + idlen].decode())
+        try:
+            ids.append(raw[off:off + idlen].decode())
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: frame id of row {i} is not UTF-8") from None
         off += idlen
         feats[i] = np.frombuffer(raw[off:off + 8 * dim], dtype="<f8")
         off += 8 * dim
     if off != len(raw):
         raise ParseError(f"{path}: {len(raw) - off} bytes after the last row")
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DataIntegrityError(f"{path}: frame {ids[i]!r} (row {i}) has a non-finite feature")
     return ids, feats
 
 
@@ -149,14 +156,14 @@ class SampleBatch:
 
     def offsets_at(self, idx) -> np.ndarray:
         """Ground-truth offsets (len(idx), N, 2) of rows ``idx``: each sample's
-        (x, y) minus every anchor, written one coordinate at a time (a
-        broadcast over the length-2 axis is an order of magnitude slower)."""
+        (x, y) minus every anchor. Each row is laid out flat, (x, y) repeated
+        N times minus the flat anchor list, so the subtraction runs over
+        contiguous memory (a broadcast over the length-2 axis is an order of
+        magnitude slower)."""
         anchors = self.anchor_map.anchors
-        xy = self.positions[idx]
-        out = np.empty((xy.shape[0], anchors.shape[0], 2))
-        for d in range(2):
-            np.subtract(xy[:, d, None], anchors[:, d], out=out[:, :, d])
-        return out
+        out = np.tile(self.positions[idx, :2], anchors.shape[0])
+        out -= anchors.ravel()
+        return out.reshape(-1, anchors.shape[0], 2)
 
     @classmethod
     def build(cls, frame_ids, poses: list[Pose], features: np.ndarray,

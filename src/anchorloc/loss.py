@@ -13,7 +13,9 @@ Three components:
 
 The total is an alpha-weighted sum. Each term is one batched kernel and
 :func:`batch_total_loss` combines them; the single-sample functions are
-B=1 calls into the same kernels. All functions are pure.
+B=1 calls into the same kernels. All functions are pure except
+:func:`batch_total_loss_inplace`, which works in the ground-truth array its
+caller hands over.
 """
 
 from __future__ import annotations
@@ -64,8 +66,10 @@ class PoseTarget:
 def confidences(logits: np.ndarray) -> np.ndarray:
     """Stable softmax over anchor logits."""
     l = np.asarray(logits, dtype=np.float64)
-    e = np.exp(l - l.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = l - l.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def unit_orientation(orient_raw: np.ndarray, gt_orient: np.ndarray | None = None,
@@ -104,12 +108,28 @@ def offset_term(c: np.ndarray, offsets: np.ndarray, gt_offsets: np.ndarray,
 
     ``c`` is the softmax of the logits (B, N); offsets are (B, N, 2).
     """
-    resid = gt_offsets - offsets
-    r = (resid ** 2).sum(axis=2)
-    per = (r * c).sum(axis=1)
-    d_logits = scale * (c * (r - per[:, None]))
-    d_offsets = scale * (-2.0 * resid * c[:, :, None])
-    return per, d_logits, d_offsets
+    return _offset_term(c, gt_offsets - offsets, scale)
+
+
+def _offset_term(c: np.ndarray, resid: np.ndarray, scale: float):
+    """:func:`offset_term` of the residual ``gt_offsets - offsets``, which it
+    overwrites with d_offsets. The products are taken in the order of
+    ``scale * (-2 resid c)``; ``c`` multiplies one coordinate at a time (a
+    broadcast over the length-2 axis takes about twice as long)."""
+    x, y = resid[:, :, 0], resid[:, :, 1]
+    r = np.square(x)
+    rc = np.square(y)
+    r += rc
+    np.multiply(r, c, out=rc)
+    per = rc.sum(axis=1)
+    r -= per[:, None]
+    r *= c
+    r *= scale
+    resid *= -2.0
+    x *= c
+    y *= c
+    resid *= scale
+    return per, r, resid
 
 
 def absolute_term(z_hat: np.ndarray, orient_raw: np.ndarray, gt_z: np.ndarray,
@@ -143,19 +163,40 @@ def batch_total_loss(pred: BatchPrediction, gt_offsets: np.ndarray, gt_z: np.nda
 
     Returns (LossBreakdown of means, d_logits, d_offsets, d_z, d_orient).
     """
-    B, N = pred.logits.shape
-    if gt_offsets.shape != (B, N, 2):
+    _check_offsets(pred, gt_offsets)
+    return _batch_loss(pred, gt_offsets - pred.offsets, gt_z, gt_orient, nearest, weights)
+
+
+def batch_total_loss_inplace(pred: BatchPrediction, gt_offsets: np.ndarray,
+                             gt_z: np.ndarray, gt_orient: np.ndarray, nearest: np.ndarray,
+                             weights: LossWeights):
+    """:func:`batch_total_loss` computed in ``gt_offsets``, an array the caller
+    hands over: on return it holds the returned d_offsets."""
+    _check_offsets(pred, gt_offsets)
+    resid = np.subtract(gt_offsets, pred.offsets, out=gt_offsets)
+    return _batch_loss(pred, resid, gt_z, gt_orient, nearest, weights)
+
+
+def _check_offsets(pred: BatchPrediction, gt_offsets: np.ndarray) -> None:
+    if gt_offsets.shape != (*pred.logits.shape, 2):
         raise InvalidInputError("ground-truth offsets shape mismatch")
 
+
+def _batch_loss(pred: BatchPrediction, resid: np.ndarray, gt_z: np.ndarray,
+                gt_orient: np.ndarray, nearest: np.ndarray, weights: LossWeights):
+    """batch_total_loss given the residual ``gt_offsets - offsets``, which it
+    overwrites with d_offsets."""
+    B = pred.logits.shape[0]
     c = confidences(pred.logits)
-    off_per, d_logits, d_offsets = offset_term(c, pred.offsets, gt_offsets, weights.alpha2)
+    off_per, d_logits, d_offsets = _offset_term(c, resid, weights.alpha2)
     abs_per, d_z, d_orient = absolute_term(pred.z_hat, pred.orient_raw, gt_z, gt_orient,
                                            weights.alpha3)
     inv_b = 1.0 / B
-    d_logits = d_logits * inv_b
+    d_logits *= inv_b
     if weights.use_cross_entropy:
         ce_per, d_logits_ce = cross_entropy_term(pred.logits, c, nearest, weights.alpha1)
-        d_logits = d_logits + d_logits_ce * inv_b
+        d_logits_ce *= inv_b
+        d_logits += d_logits_ce
     else:
         ce_per = np.zeros(B)
 
@@ -166,7 +207,8 @@ def batch_total_loss(pred: BatchPrediction, gt_offsets: np.ndarray, gt_z: np.nda
         ce_term=float(ce_per.mean()),
         total=float(total_per.mean()),
     )
-    return breakdown, d_logits, d_offsets * inv_b, d_z * inv_b, d_orient * inv_b
+    d_offsets *= inv_b
+    return breakdown, d_logits, d_offsets, d_z * inv_b, d_orient * inv_b
 
 
 # --- single-sample API: B=1 calls into the kernels --------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import io
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,10 +161,11 @@ def init(spec: NetworkSpec) -> np.ndarray:
 
 # --- forward / backward ------------------------------------------------------
 
-def _act(a: np.ndarray, kind: str) -> np.ndarray:
+def _act_(a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation, applied in place."""
     if kind == "relu":
-        return np.maximum(a, 0.0)
-    return np.tanh(a)
+        return np.maximum(a, 0.0, out=a)
+    return np.tanh(a, out=a)
 
 
 def _act_grad_from_output(h: np.ndarray, kind: str) -> np.ndarray:
@@ -173,26 +175,55 @@ def _act_grad_from_output(h: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - h * h
 
 
+def _forward(spec, views: _Views, features: np.ndarray):
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != spec.input_dim:
+        raise InvalidInputError(
+            f"features must be (B, {spec.input_dim}), got shape {X.shape}")
+    h = X
+    cache = [h]
+    for i in range(len(spec.hidden_layers)):
+        a = h @ views.W[f"trunk{i}"].T
+        a += views.b[f"trunk{i}"]
+        h = _act_(a, spec.activation)
+        cache.append(h)
+    heads = {}
+    for name in spec.head_dims():
+        out = h @ views.W[name].T
+        out += views.b[name]
+        heads[name] = out
+    return heads, cache
+
+
+def _backward(spec, views: _Views, gviews: _Views, cache: list[np.ndarray],
+              d_heads: dict[str, np.ndarray]) -> None:
+    """Write the gradient into ``gviews``; every weight and bias is overwritten."""
+    h = cache[-1]
+    dh = None
+    for name, d in d_heads.items():
+        np.matmul(d.T, h, out=gviews.W[name])
+        np.add.reduce(d, axis=0, out=gviews.b[name])
+        dh_head = d @ views.W[name]
+        if dh is None:
+            dh = dh_head
+        else:
+            dh += dh_head
+
+    for i in reversed(range(len(spec.hidden_layers))):
+        dh *= _act_grad_from_output(cache[i + 1], spec.activation)
+        np.matmul(dh.T, cache[i], out=gviews.W[f"trunk{i}"])
+        np.add.reduce(dh, axis=0, out=gviews.b[f"trunk{i}"])
+        if i:  # no gradient w.r.t. the input features is needed
+            dh = dh @ views.W[f"trunk{i}"]
+
+
 def forward_heads(spec, params: np.ndarray, features: np.ndarray):
     """Trunk plus every head of ``spec.head_dims()`` for features (B, input_dim).
 
     Returns ({head name: (B, width)}, cache), where the cache holds the
     per-layer activations :func:`backward_heads` needs.
     """
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != spec.input_dim:
-        raise InvalidInputError(
-            f"features must be (B, {spec.input_dim}), got shape {X.shape}")
-    views = _Views(spec, np.asarray(params, dtype=np.float64))
-
-    h = X
-    cache = [h]
-    for i in range(len(spec.hidden_layers)):
-        a = h @ views.W[f"trunk{i}"].T + views.b[f"trunk{i}"]
-        h = _act(a, spec.activation)
-        cache.append(h)
-    heads = {name: h @ views.W[name].T + views.b[name] for name in spec.head_dims()}
-    return heads, cache
+    return _forward(spec, _Views(spec, np.asarray(params, dtype=np.float64)), features)
 
 
 def backward_heads(spec, params: np.ndarray, cache: list[np.ndarray],
@@ -203,25 +234,52 @@ def backward_heads(spec, params: np.ndarray, cache: list[np.ndarray],
     Sample contributions are summed (scale the upstream values for mean
     reduction).
     """
-    views = _Views(spec, np.asarray(params, dtype=np.float64))
-    grad = np.zeros_like(params, dtype=np.float64)
-    gviews = _Views(spec, grad)
-
-    h = cache[-1]
-    dh = None
-    for name, d in d_heads.items():
-        gviews.W[name] += d.T @ h
-        gviews.b[name] += d.sum(axis=0)
-        dh_head = d @ views.W[name]
-        dh = dh_head if dh is None else dh + dh_head
-
-    for i in reversed(range(len(spec.hidden_layers))):
-        da = dh * _act_grad_from_output(cache[i + 1], spec.activation)
-        gviews.W[f"trunk{i}"] += da.T @ cache[i]
-        gviews.b[f"trunk{i}"] += da.sum(axis=0)
-        dh = da @ views.W[f"trunk{i}"]
-
+    params = np.asarray(params, dtype=np.float64)
+    grad = np.zeros_like(params)
+    _backward(spec, _Views(spec, params), _Views(spec, grad), cache, d_heads)
     return grad
+
+
+class Bound:
+    """A spec's trunk and heads over one parameter vector and one gradient
+    vector, each sliced into weight/bias views once, for a whole training run.
+
+    :meth:`forward` reads the parameters as they are when it is called, so an
+    optimizer that updates the vector in place needs no rebinding;
+    :meth:`backward` overwrites the gradient vector.
+    """
+
+    def __init__(self, spec, params: np.ndarray, grad: np.ndarray):
+        self.spec = spec
+        self._views = _Views(spec, params)
+        self._gviews = _Views(spec, grad)
+
+    def forward(self, features: np.ndarray):
+        """:func:`forward_heads` on the bound parameters."""
+        return _forward(self.spec, self._views, features)
+
+    def backward(self, cache: list[np.ndarray], d_heads: dict[str, np.ndarray]) -> None:
+        """:func:`backward_heads` written into the bound gradient."""
+        _backward(self.spec, self._views, self._gviews, cache, d_heads)
+
+
+def prediction(spec: NetworkSpec, heads: dict[str, np.ndarray]) -> BatchPrediction:
+    """The anchor model's head outputs as a BatchPrediction (views, no copies)."""
+    absolute = heads["absolute"]
+    return BatchPrediction(logits=heads["logits"],
+                           offsets=heads["offsets"].reshape(-1, spec.num_anchors, 2),
+                           z_hat=absolute[:, 0], orient_raw=absolute[:, 1:])
+
+
+def head_grads(d_logits: np.ndarray, d_offsets: np.ndarray, d_z: np.ndarray,
+               d_orient: np.ndarray) -> dict[str, np.ndarray]:
+    """Upstream gradients w.r.t. a BatchPrediction as the per-head table that
+    :func:`backward_heads` takes."""
+    B = d_logits.shape[0]
+    if d_offsets.shape[0] != B or d_z.shape[0] != B or d_orient.shape[0] != B:
+        raise InvalidInputError("upstream gradient batch sizes disagree")
+    d_abs = np.concatenate([d_z[:, None], d_orient], axis=1)
+    return {"logits": d_logits, "offsets": d_offsets.reshape(B, -1), "absolute": d_abs}
 
 
 def forward_batch(spec: NetworkSpec, params: np.ndarray, features: np.ndarray,
@@ -232,10 +290,7 @@ def forward_batch(spec: NetworkSpec, params: np.ndarray, features: np.ndarray,
     :func:`backward_batch` are returned as a second value.
     """
     heads, cache = forward_heads(spec, params, features)
-    absolute = heads["absolute"]
-    pred = BatchPrediction(logits=heads["logits"],
-                           offsets=heads["offsets"].reshape(-1, spec.num_anchors, 2),
-                           z_hat=absolute[:, 0], orient_raw=absolute[:, 1:])
+    pred = prediction(spec, heads)
     if with_cache:
         return pred, cache
     return pred
@@ -256,12 +311,7 @@ def backward_batch(spec: NetworkSpec, params: np.ndarray, cache: list[np.ndarray
     Upstream gradients are w.r.t. the batched head outputs; the result sums
     sample contributions (scale the upstream values for mean reduction).
     """
-    B = d_logits.shape[0]
-    if d_offsets.shape[0] != B or d_z.shape[0] != B or d_orient.shape[0] != B:
-        raise InvalidInputError("upstream gradient batch sizes disagree")
-    d_abs = np.concatenate([d_z[:, None], d_orient], axis=1)
-    return backward_heads(spec, params, cache, {
-        "logits": d_logits, "offsets": d_offsets.reshape(B, -1), "absolute": d_abs})
+    return backward_heads(spec, params, cache, head_grads(d_logits, d_offsets, d_z, d_orient))
 
 
 def backward(spec: NetworkSpec, params: np.ndarray, feature: np.ndarray,
@@ -296,7 +346,9 @@ def save_checkpoint(path, spec: NetworkSpec, params: np.ndarray,
     header (network spec, array names/shapes in order, free-form metadata),
     then each array as raw little-endian float64 in C order. Everything is
     written canonically (sorted JSON keys, fixed array order), so a
-    load/save cycle is bit-exact.
+    load/save cycle is bit-exact. The bytes go to a temporary file in the
+    same directory that then replaces ``path``, so a write that fails midway
+    leaves any previous checkpoint at ``path`` as it was.
     """
     arrays = {"params": np.asarray(params, dtype=np.float64)}
     for name, arr in (extra_arrays or {}).items():
@@ -314,8 +366,17 @@ def save_checkpoint(path, spec: NetworkSpec, params: np.ndarray,
     buf.write(hbytes)
     for v in arrays.values():
         buf.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(buf.getvalue())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
@@ -331,18 +392,35 @@ def load_checkpoint(path):
     off = 12 + hlen
     if off > len(raw):
         raise ParseError(f"{path}: truncated header")
-    header = json.loads(raw[12:off].decode())
-    spec = NetworkSpec.from_dict(header["spec"])
+    try:
+        spec, entries, meta = _parse_header(raw[12:off])
+    except (ValueError, KeyError, TypeError, RecursionError) as err:
+        raise ParseError(f"{path}: bad header: {type(err).__name__}: {err}") from None
     arrays = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
+    for name, shape in entries:
         n = int(np.prod(shape)) if shape else 1
         if off + 8 * n > len(raw):
-            raise ParseError(f"{path}: truncated in array {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(
-            raw[off:off + 8 * n], dtype="<f8").reshape(shape).copy()
+            raise ParseError(f"{path}: truncated in array {name!r}")
+        arrays[name] = np.frombuffer(raw[off:off + 8 * n], dtype="<f8").reshape(shape).copy()
         off += 8 * n
     if off != len(raw):
         raise ParseError(f"{path}: {len(raw) - off} bytes after the last array")
     params = arrays.pop("params")
-    return spec, params, arrays, header["meta"]
+    return spec, params, arrays, meta
+
+
+def _parse_header(hbytes: bytes):
+    """(spec, [(array name, shape)], meta) of a checkpoint's JSON header.
+    Anything malformed raises ValueError, KeyError or TypeError (or, for JSON
+    nested too deeply to decode, RecursionError)."""
+    header = json.loads(hbytes.decode())
+    spec = NetworkSpec.from_dict(header["spec"])
+    entries = [(str(e["name"]), tuple(int(d) for d in e["shape"])) for e in header["arrays"]]
+    if any(d < 0 for _, shape in entries for d in shape):
+        raise ValueError("negative array dimension")
+    if "params" not in dict(entries):
+        raise KeyError("params")
+    meta = header["meta"]
+    if not isinstance(meta, dict):
+        raise TypeError("meta is not an object")
+    return spec, entries, meta

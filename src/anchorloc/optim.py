@@ -100,11 +100,59 @@ def _epoch_permutation(shuffle_seed: int, epoch: int, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
+class _InPlaceAdam:
+    """:func:`adam_step` on parameter, moment and gradient buffers that one
+    training run owns: the same operations in the same order, each written
+    into a buffer with ``out=`` or in place, so trajectories are bit-identical
+    and a step allocates nothing the size of the parameter vector."""
+
+    def __init__(self, params: np.ndarray, state: AdamState):
+        self.params = np.array(params, dtype=np.float64)
+        self.m = np.array(state.m, dtype=np.float64)
+        self.v = np.array(state.v, dtype=np.float64)
+        self.t = state.t
+        self.grad = np.zeros_like(self.params)
+        self._s1 = np.empty_like(self.params)
+        self._s2 = np.empty_like(self.params)
+        self._finite = np.empty(self.params.shape, dtype=bool)
+
+    def step(self, lr: float) -> None:
+        g, m, v, s1, s2 = self.grad, self.m, self.v, self._s1, self._s2
+        if not np.isfinite(g, out=self._finite).all():
+            raise TrainingDivergenceError("non-finite gradient in Adam step")
+        self.t += 1
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=s1)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=s1)
+        s1 *= g
+        v += s1
+        np.divide(m, 1.0 - BETA1 ** self.t, out=s1)  # m_hat
+        s1 *= lr
+        np.divide(v, 1.0 - BETA2 ** self.t, out=s2)  # v_hat
+        np.sqrt(s2, out=s2)
+        s2 += EPS
+        s1 /= s2
+        self.params -= s1
+
+    def snapshot(self) -> tuple[np.ndarray, AdamState]:
+        """Copies of the parameters and the state, which later steps leave alone."""
+        return self.params.copy(), AdamState(m=self.m.copy(), v=self.v.copy(), t=self.t)
+
+
 def _train_loop(n_samples: int, params: np.ndarray, state: AdamState,
-                config: TrainConfig, batch_loss_grad, start_epoch: int = 0,
-                epoch_callback=None):
-    """Shared mini-batch loop; ``batch_loss_grad(params, idx)`` supplies
-    (LossBreakdown of batch means, flat gradient)."""
+                config: TrainConfig, bind_step, start_epoch: int = 0,
+                epoch_callback=None) -> TrainReport:
+    """Shared mini-batch loop over copies of ``params`` and ``state``.
+
+    ``bind_step(params, grad)`` is called once with the run's parameter and
+    gradient buffers and returns ``step(idx)``, which writes the gradient of
+    the batch-mean loss over rows ``idx`` into ``grad`` and returns the
+    LossBreakdown of batch means. Adam then updates ``params`` in place.
+    ``epoch_callback`` gets snapshots, not the buffers.
+    """
+    adam = _InPlaceAdam(params, state)
+    step = bind_step(adam.params, adam.grad)
     history: list[EpochStats] = []
     for epoch in range(start_epoch, config.epochs):
         lr = lr_at(epoch, config)
@@ -112,12 +160,12 @@ def _train_loop(n_samples: int, params: np.ndarray, state: AdamState,
         sums = np.zeros(4)  # total, offset, absolute, ce weighted by batch size
         for bstart in range(0, n_samples, config.batch_size):
             idx = perm[bstart:bstart + config.batch_size]
-            breakdown, grad = batch_loss_grad(params, idx)
+            breakdown = step(idx)
             if not np.isfinite(breakdown.total):
                 raise TrainingDivergenceError(
                     "loss became non-finite", epoch=epoch, batch=bstart // config.batch_size)
             try:
-                params, state = adam_step(params, grad, state, lr)
+                adam.step(lr)
             except TrainingDivergenceError as err:
                 raise TrainingDivergenceError(
                     str(err), epoch=epoch, batch=bstart // config.batch_size) from None
@@ -129,8 +177,9 @@ def _train_loop(n_samples: int, params: np.ndarray, state: AdamState,
                            ce=float(means[3]))
         history.append(stats)
         if epoch_callback is not None:
-            epoch_callback(stats, params, state)
-    return params, state, history
+            epoch_callback(stats, *adam.snapshot())
+    return TrainReport(epochs=history, params=adam.params,
+                       adam_state=AdamState(m=adam.m, v=adam.v, t=adam.t))
 
 
 def train(samples: SampleBatch, spec: NetworkSpec, config: TrainConfig, *,
@@ -155,22 +204,23 @@ def train(samples: SampleBatch, spec: NetworkSpec, config: TrainConfig, *,
             f"anchor map has {len(samples.anchor_map)} anchors, spec expects {spec.num_anchors}")
     gt_z = samples.positions[:, 2]
 
-    params = modelmod.init(spec) if init_params is None else init_params.copy()
-    state = AdamState.initial(params.size) if init_state is None else \
-        AdamState(m=init_state.m.copy(), v=init_state.v.copy(), t=init_state.t)
+    params = modelmod.init(spec) if init_params is None else init_params
+    state = AdamState.initial(params.size) if init_state is None else init_state
 
-    def batch_loss_grad(p, idx):
-        pred, cache = modelmod.forward_batch(spec, p, feats[idx], with_cache=True)
-        breakdown, d_logits, d_offsets, d_z, d_orient = lossmod.batch_total_loss(
-            pred, samples.offsets_at(idx), gt_z[idx], samples.orientations[idx],
-            samples.nearest[idx], config.weights)
-        grad = modelmod.backward_batch(spec, p, cache, d_logits, d_offsets, d_z, d_orient)
-        return breakdown, grad
+    def bind_step(p, grad):
+        net = modelmod.Bound(spec, p, grad)
 
-    params, state, history = _train_loop(
-        feats.shape[0], params, state, config, batch_loss_grad,
-        start_epoch=start_epoch, epoch_callback=epoch_callback)
-    return TrainReport(epochs=history, params=params, adam_state=state)
+        def step(idx):
+            heads, cache = net.forward(feats[idx])
+            breakdown, *d = lossmod.batch_total_loss_inplace(
+                modelmod.prediction(spec, heads), samples.offsets_at(idx), gt_z[idx],
+                samples.orientations[idx], samples.nearest[idx], config.weights)
+            net.backward(cache, modelmod.head_grads(*d))
+            return breakdown
+        return step
+
+    return _train_loop(feats.shape[0], params, state, config, bind_step,
+                       start_epoch=start_epoch, epoch_callback=epoch_callback)
 
 
 def save_training_checkpoint(path, spec: NetworkSpec, params: np.ndarray,

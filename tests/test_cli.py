@@ -165,14 +165,41 @@ class TestEval:
         assert json.loads((ev / "eval_report.json").read_text()) == expected.to_dict()
 
 
-class TestTruncatedFiles:
-    @staticmethod
-    def damaged(path, how):
-        raw = path.read_bytes()
-        path.write_bytes({"cut": raw[:-100], "cut-in-header": raw[:20],
-                          "trailing": raw + b"\0"}[how])
+def _byte_set(offset, value):
+    return lambda raw: raw[:offset] + value + raw[offset + 1:]
 
-    @pytest.mark.parametrize("how", ["cut", "cut-in-header", "trailing"])
+
+def _key_renamed(key):
+    return lambda raw: raw.replace(b'"%s"' % key, b'"!%s"' % key[1:], 1)
+
+
+def _nested_header(depth):
+    """A checkpoint whose whole JSON header is ``depth`` opening brackets."""
+    return lambda raw: raw[:8] + depth.to_bytes(4, "little") + b"[" * depth
+
+
+class TestTruncatedFiles:
+    DAMAGE = {
+        "cut": lambda raw: raw[:-100],
+        "cut-in-header": lambda raw: raw[:20],
+        "trailing": lambda raw: raw + b"\0",
+        # the first byte of the first frame id (after the 24-byte header
+        # and the id's u32 length)
+        "id-not-utf8": _byte_set(28, b"\xff"),
+        # the checkpoint's JSON header starts at byte 12 with "{"
+        "header-not-json": _byte_set(12, b"["),
+        "header-not-utf8": _byte_set(13, b"\xff"),
+        "no-spec": _key_renamed(b"spec"),
+        "no-arrays": _key_renamed(b"arrays"),
+        "no-shape": _key_renamed(b"shape"),
+        "header-nested-too-deep": _nested_header(10**5),
+    }
+
+    @classmethod
+    def damaged(cls, path, how):
+        path.write_bytes(cls.DAMAGE[how](path.read_bytes()))
+
+    @pytest.mark.parametrize("how", ["cut", "cut-in-header", "trailing", "id-not-utf8"])
     def test_feature_file(self, dataset_dir, tmp_path, how):
         out, cfg = dataset_dir
         bad = tmp_path / "bad"
@@ -183,7 +210,9 @@ class TestTruncatedFiles:
         assert main(["train", "--config", str(cfg), "--data", str(bad),
                      "--out", str(tmp_path / "run"), "--epochs", "1"]) == EXIT_DATA
 
-    @pytest.mark.parametrize("how", ["cut", "cut-in-header", "trailing"])
+    @pytest.mark.parametrize("how", ["cut", "cut-in-header", "trailing", "header-not-json",
+                                     "header-not-utf8", "no-spec", "no-arrays", "no-shape",
+                                     "header-nested-too-deep"])
     def test_checkpoint(self, dataset_dir, trained_run, tmp_path, how):
         out, _ = dataset_dir
         ckpt = tmp_path / "checkpoint.bin"
@@ -193,6 +222,22 @@ class TestTruncatedFiles:
             model.load_checkpoint(ckpt)
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(out),
                      "--out", str(tmp_path / "ev")]) == EXIT_DATA
+
+
+class TestNonFiniteFeatures:
+    def test_nan_feature_is_a_data_error(self, dataset_dir, tmp_path, capsys):
+        out, cfg = dataset_dir
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        ids, feats = data.load_features(bad / data.FEATURES_TRAIN)
+        feats[5, 3] = float("nan")
+        data.save_features(bad / data.FEATURES_TRAIN, ids, feats)
+        run = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--data", str(bad),
+                     "--out", str(run), "--epochs", "1"]) == EXIT_DATA
+        assert ids[5] in capsys.readouterr().err
+        assert not run.exists()
 
 
 class TestSweep:

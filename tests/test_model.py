@@ -1,3 +1,5 @@
+import errno
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,39 @@ class TestCheckpoint:
         after = model.forward(spec2, params2, x)
         assert np.array_equal(before.logits, after.logits)
         assert np.array_equal(before.orient_raw, after.orient_raw)
+
+    def test_failed_write_leaves_previous_checkpoint(self, tmp_path, monkeypatch):
+        spec = small_spec()
+        params = model.init(spec)
+        path = tmp_path / "ckpt.bin"
+        model.save_checkpoint(path, spec, params, meta={"epoch": 1})
+        before = path.read_bytes()
+
+        class HalfWriter:
+            """A file whose write stores half the bytes, then fails as a full disk would."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_open = open
+        monkeypatch.setattr(model, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError):
+            model.save_checkpoint(path, spec, params + 1.0, meta={"epoch": 2})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
+        model.save_checkpoint(path, spec, params + 1.0, meta={"epoch": 2})
+        assert model.load_checkpoint(path)[3] == {"epoch": 2}
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]

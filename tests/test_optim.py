@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from anchorloc import data, model
+from anchorloc import baseline, data, loss, model
+from anchorloc.baseline import DirectSpec
 from anchorloc.errors import InvalidInputError, TrainingDivergenceError
 from anchorloc.loss import LossWeights
 from anchorloc.model import NetworkSpec
-from anchorloc.optim import (AdamState, TrainConfig, adam_step, load_training_checkpoint,
-                             lr_at, save_training_checkpoint, train)
+from anchorloc.optim import (AdamState, EpochStats, TrainConfig, adam_step,
+                             load_training_checkpoint, lr_at, save_training_checkpoint, train)
 
 
 class ScalarAdam:
@@ -161,3 +162,112 @@ class TestTrain:
                         init_state=state2, start_epoch=3)
         assert np.array_equal(resumed.params, full.params)
         assert resumed.epochs == full.epochs[3:]
+
+
+def reference_loop(samples, params, state, config, loss_grad, start_epoch=0):
+    """Mini-batch Adam built only from public pure functions: the documented
+    shuffles, ``loss_grad(params, idx)`` -> (LossBreakdown, flat gradient) and
+    ``adam_step``. Returns (params, state, [EpochStats])."""
+    n = len(samples)
+    history = []
+    for epoch in range(start_epoch, config.epochs):
+        lr = lr_at(epoch, config)
+        perm = np.random.default_rng([config.shuffle_seed, epoch]).permutation(n)
+        sums = np.zeros(4)
+        for start in range(0, n, config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            b, grad = loss_grad(params, idx)
+            params, state = adam_step(params, grad, state, lr)
+            sums += len(idx) * np.array([b.total, b.offset_term, b.absolute_term, b.ce_term])
+        means = sums / n
+        history.append(EpochStats(epoch=epoch, lr=lr, total=float(means[0]),
+                                  offset=float(means[1]), absolute=float(means[2]),
+                                  ce=float(means[3])))
+    return params, state, history
+
+
+def anchor_loss_grad(samples, spec, weights):
+    def loss_grad(params, idx):
+        pred, cache = model.forward_batch(spec, params, samples.features[idx], with_cache=True)
+        b, *d = loss.batch_total_loss(pred, samples.offsets_at(idx), samples.positions[idx, 2],
+                                      samples.orientations[idx], samples.nearest[idx], weights)
+        return b, model.backward_batch(spec, params, cache, *d)
+    return loss_grad
+
+
+def direct_loss_grad(samples, spec, weights):
+    def loss_grad(params, idx):
+        pose, cache = baseline.forward_batch(spec, params, samples.features[idx],
+                                             with_cache=True)
+        b, d_pose = baseline.direct_loss_batch(pose, samples.positions[idx],
+                                               samples.orientations[idx], weights)
+        return b, baseline.backward_batch(spec, params, cache, d_pose)
+    return loss_grad
+
+
+def assert_same_run(report, params, state, history):
+    assert np.array_equal(report.params, params)
+    assert np.array_equal(report.adam_state.m, state.m)
+    assert np.array_equal(report.adam_state.v, state.v)
+    assert report.adam_state.t == state.t
+    assert report.epochs == history
+
+
+class TestInPlaceStep:
+    """The training loop updates buffers in place; these runs must equal the
+    pure functions' trajectory exactly."""
+
+    @pytest.mark.parametrize("activation, use_ce", [("relu", False), ("tanh", True)])
+    def test_matches_pure_reference_loop(self, tiny_scene, activation, use_ce):
+        spec = NetworkSpec(input_dim=tiny_scene.train.features.shape[1], hidden_layers=(16, 8),
+                           num_anchors=tiny_scene.num_anchors, activation=activation, seed=5)
+        cfg = TrainConfig(epochs=4, batch_size=7, lr=1e-2, lr_halving_period=2, shuffle_seed=3,
+                          weights=LossWeights(alpha1=0.5, alpha2=3.0, alpha3=0.7,
+                                              use_cross_entropy=use_ce))
+        report = train(tiny_scene.train, spec, cfg)
+        ref = reference_loop(tiny_scene.train, model.init(spec), AdamState.initial(
+            model.param_count(spec)), cfg, anchor_loss_grad(tiny_scene.train, spec, cfg.weights))
+        assert_same_run(report, *ref)
+
+    def test_direct_matches_pure_reference_loop(self, tiny_scene):
+        spec = DirectSpec(input_dim=tiny_scene.train.features.shape[1], hidden_layers=(16,),
+                          seed=4)
+        cfg = TrainConfig(epochs=3, batch_size=9, lr=1e-2, shuffle_seed=6)
+        report = baseline.train_direct(tiny_scene.train, spec, cfg)
+        ref = reference_loop(tiny_scene.train, baseline.init(spec), AdamState.initial(
+            baseline.param_count(spec)), cfg, direct_loss_grad(tiny_scene.train, spec,
+                                                               cfg.weights))
+        assert_same_run(report, *ref)
+
+    def test_resumed_run_leaves_inputs_and_snapshots_alone(self, tiny_scene, tiny_net):
+        cfg = TrainConfig(epochs=5, batch_size=11, lr=1e-2, shuffle_seed=8)
+        half = train(tiny_scene.train, tiny_net, TrainConfig(epochs=2, batch_size=11, lr=1e-2,
+                                                             shuffle_seed=8))
+        init_params, init_state = half.params, half.adam_state
+        kept = (init_params.copy(), init_state.m.copy(), init_state.v.copy(), init_state.t)
+
+        seen = []
+
+        def on_epoch(stats, params, state):
+            seen.append((params, state, params.copy(), state.m.copy(), state.v.copy(), state.t))
+
+        report = train(tiny_scene.train, tiny_net, cfg, init_params=init_params,
+                       init_state=init_state, start_epoch=2, epoch_callback=on_epoch)
+        assert np.array_equal(init_params, kept[0])
+        assert np.array_equal(init_state.m, kept[1])
+        assert np.array_equal(init_state.v, kept[2])
+        assert init_state.t == kept[3]
+
+        assert len(seen) == 3
+        for params, state, params0, m0, v0, t0 in seen:
+            assert np.array_equal(params, params0)
+            assert np.array_equal(state.m, m0) and np.array_equal(state.v, v0)
+            assert state.t == t0
+        assert not np.array_equal(seen[0][0], seen[-1][0])
+        assert np.array_equal(seen[-1][0], report.params)
+
+        ref = reference_loop(tiny_scene.train, kept[0], AdamState(m=kept[1], v=kept[2],
+                                                                   t=kept[3]),
+                             cfg, anchor_loss_grad(tiny_scene.train, tiny_net, cfg.weights),
+                             start_epoch=2)
+        assert_same_run(report, *ref)
