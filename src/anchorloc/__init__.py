@@ -8,7 +8,7 @@ metrics and a command-line interface.
 
 __version__ = "0.1.0"
 
-from .geometry import AnchorMap, OffsetTable, Pose  # noqa: F401
+from .geometry import AnchorMap, Pose  # noqa: F401
 from .loss import LossBreakdown, LossWeights  # noqa: F401
 from .model import NetworkSpec, PosePrediction  # noqa: F401
 from .optim import TrainConfig  # noqa: F401

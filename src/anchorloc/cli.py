@@ -82,11 +82,14 @@ def load_config(path: str | None) -> dict[str, dict[str, str]]:
         if not os.path.isfile(path):
             raise InvalidInputError(f"config file not found: {path}")
         parser = configparser.ConfigParser()
-        parser.read(path)
-        for sec in parser.sections():
-            cfg.setdefault(sec, {})
-            for key, val in parser.items(sec):
-                cfg[sec][key] = val
+        try:
+            parser.read(path)
+            for sec in parser.sections():
+                cfg.setdefault(sec, {})
+                for key, val in parser.items(sec):
+                    cfg[sec][key] = val
+        except (configparser.Error, UnicodeDecodeError) as err:
+            raise InvalidSpecError(f"malformed config file {path}: {err}") from None
     return cfg
 
 

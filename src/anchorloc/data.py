@@ -68,13 +68,17 @@ def parse_pose_line(line: str, line_number: int | None = None) -> tuple[str, Pos
 
 def load_pose_file(path) -> list[tuple[str, Pose]]:
     """Ordered (frame_id, Pose) records from a pose text file."""
+    try:
+        with open(path, "r") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not a text file: {err}") from None
     records = []
-    with open(path, "r") as fh:
-        for n, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            records.append(parse_pose_line(line, n))
+    for n, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        records.append(parse_pose_line(line, n))
     return records
 
 

@@ -85,22 +85,6 @@ class AnchorMap:
         return self.anchors.shape[0]
 
 
-@dataclass(frozen=True)
-class OffsetTable:
-    """Per-anchor (x, y) ground-truth offsets of one sample position."""
-
-    offsets: np.ndarray  # (N, 2)
-
-    def __post_init__(self):
-        o = np.asarray(self.offsets, dtype=np.float64)
-        if o.ndim != 2 or o.shape[1] != 2:
-            raise InvalidInputError(f"offsets must be an (N, 2) array, got shape {o.shape}")
-        object.__setattr__(self, "offsets", _readonly(o))
-
-    def __len__(self) -> int:
-        return self.offsets.shape[0]
-
-
 def build_anchor_map(poses: list[Pose], k: int) -> AnchorMap:
     """Subsample every k-th pose position into an anchor list.
 
@@ -126,12 +110,6 @@ def build_anchor_map(poses: list[Pose], k: int) -> AnchorMap:
     if m == 1:
         raise DegenerateMapError("all anchors collapse to a single point")
     return AnchorMap(anchors=kept[:m].copy(), frame_interval=k)
-
-
-def relative_offsets(position: np.ndarray, anchor_map: AnchorMap) -> OffsetTable:
-    """Ground-truth offsets: the sample (x, y) expressed in each anchor's origin."""
-    pos = np.asarray(position, dtype=np.float64).reshape(-1)
-    return OffsetTable(offsets=pos[:2] - anchor_map.anchors)
 
 
 def nearest_anchor(position: np.ndarray, anchor_map: AnchorMap) -> int:

@@ -12,10 +12,9 @@ Three components:
 - optional cross-entropy term against the nearest-anchor label.
 
 The total is an alpha-weighted sum. Each term is one batched kernel and
-:func:`batch_total_loss` combines them; the single-sample functions are
-B=1 calls into the same kernels. All functions are pure except
-:func:`batch_total_loss_inplace`, which works in the ground-truth array its
-caller hands over.
+:func:`batch_total_loss` combines them; a single sample is a batch of one.
+All functions are pure except :func:`batch_total_loss_inplace`, which works
+in the ground-truth array its caller hands over.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOrientationError, InvalidInputError
-from .geometry import OffsetTable
-from .model import BatchPrediction, PosePrediction, PredGradient
+from .model import BatchPrediction
 
 ORIENT_NORM_FLOOR = 1e-12
 
@@ -51,16 +49,6 @@ class LossBreakdown:
     absolute_term: float
     ce_term: float
     total: float
-
-
-@dataclass(frozen=True)
-class PoseTarget:
-    """Ground truth for one sample, in loss-ready form."""
-
-    offsets: np.ndarray      # (N, 2)
-    z: float
-    orientation: np.ndarray  # (4,) unit quaternion
-    nearest_index: int
 
 
 def confidences(logits: np.ndarray) -> np.ndarray:
@@ -209,80 +197,3 @@ def _batch_loss(pred: BatchPrediction, resid: np.ndarray, gt_z: np.ndarray,
     )
     d_offsets *= inv_b
     return breakdown, d_logits, d_offsets, d_z * inv_b, d_orient * inv_b
-
-
-# --- single-sample API: B=1 calls into the kernels --------------------------------
-
-def _row(a) -> np.ndarray:
-    return np.asarray(a)[None]
-
-
-def _one(kernel, *rows):
-    """Run a batched kernel on one sample: each input gains a batch axis of
-    length 1 and each output loses it."""
-    return [out[0] for out in kernel(*map(_row, rows))]
-
-
-def _check_nearest(nearest: int, n: int) -> None:
-    if not 0 <= nearest < n:
-        raise InvalidInputError(f"nearest index {nearest} out of range for {n} anchors")
-
-
-def _offset_one(pred: PosePrediction, gt: OffsetTable):
-    if len(gt) != pred.logits.shape[0]:
-        raise InvalidInputError(
-            f"offset table has {len(gt)} anchors, prediction has {pred.logits.shape[0]}")
-    return _one(offset_term, confidences(pred.logits), pred.offsets, gt.offsets)
-
-
-def offset_loss(pred: PosePrediction, gt: OffsetTable) -> float:
-    """Confidence-weighted squared offset loss (single sample)."""
-    return float(_offset_one(pred, gt)[0])
-
-
-def offset_loss_grad(pred: PosePrediction, gt: OffsetTable):
-    """(d_logits, d_offsets) of the offset loss; other paths are zero."""
-    _, d_logits, d_offsets = _offset_one(pred, gt)
-    return d_logits, d_offsets
-
-
-def absolute_loss(pred: PosePrediction, gt_z: float, gt_orient: np.ndarray) -> float:
-    """Squared z residual plus squared distance to the normalized orientation."""
-    return float(_one(absolute_term, pred.z_hat, pred.orient_raw, gt_z, gt_orient)[0])
-
-
-def absolute_loss_grad(pred: PosePrediction, gt_z: float, gt_orient: np.ndarray):
-    """(d_z, d_orient) of the absolute loss."""
-    _, d_z, d_orient = _one(absolute_term, pred.z_hat, pred.orient_raw, gt_z, gt_orient)
-    return float(d_z), d_orient
-
-
-def _cross_entropy_one(logits: np.ndarray, nearest: int):
-    l = np.asarray(logits, dtype=np.float64)
-    _check_nearest(nearest, l.shape[0])
-    return _one(cross_entropy_term, l, confidences(l), nearest)
-
-
-def cross_entropy_loss(logits: np.ndarray, nearest: int) -> float:
-    """-log softmax(logits)[nearest], evaluated in log space."""
-    return float(_cross_entropy_one(logits, nearest)[0])
-
-
-def cross_entropy_grad(logits: np.ndarray, nearest: int) -> np.ndarray:
-    return _cross_entropy_one(logits, nearest)[1]
-
-
-def total_loss(pred: PosePrediction, target: PoseTarget,
-               weights: LossWeights) -> tuple[LossBreakdown, PredGradient]:
-    """Weighted total loss and its exact gradient w.r.t. the prediction."""
-    gt = OffsetTable(target.offsets)
-    if weights.use_cross_entropy:
-        _check_nearest(target.nearest_index, pred.logits.shape[0])
-    bpred = BatchPrediction(logits=_row(pred.logits), offsets=_row(pred.offsets),
-                            z_hat=_row(pred.z_hat), orient_raw=_row(pred.orient_raw))
-    breakdown, *grads = batch_total_loss(bpred, _row(gt.offsets), _row(target.z),
-                                         _row(target.orientation),
-                                         _row(target.nearest_index), weights)
-    d_logits, d_offsets, d_z, d_orient = (g[0] for g in grads)
-    return breakdown, PredGradient(d_logits=d_logits, d_offsets=d_offsets,
-                                   d_z=float(d_z), d_orient=d_orient)

@@ -98,16 +98,6 @@ class BatchPrediction:
     orient_raw: np.ndarray  # (B, 4)
 
 
-@dataclass(frozen=True)
-class PredGradient:
-    """Gradient of a scalar loss w.r.t. one PosePrediction."""
-
-    d_logits: np.ndarray
-    d_offsets: np.ndarray
-    d_z: float
-    d_orient: np.ndarray
-
-
 # --- flat parameter layout ---------------------------------------------------
 
 @functools.lru_cache(maxsize=64)
@@ -312,23 +302,6 @@ def backward_batch(spec: NetworkSpec, params: np.ndarray, cache: list[np.ndarray
     sample contributions (scale the upstream values for mean reduction).
     """
     return backward_heads(spec, params, cache, head_grads(d_logits, d_offsets, d_z, d_orient))
-
-
-def backward(spec: NetworkSpec, params: np.ndarray, feature: np.ndarray,
-             upstream: PredGradient) -> np.ndarray:
-    """Single-sample exact gradient of the forward pass w.r.t. all parameters."""
-    d_logits = np.asarray(upstream.d_logits, dtype=np.float64).reshape(1, -1)
-    if d_logits.shape[1] != spec.num_anchors:
-        raise InvalidInputError("upstream logit gradient has wrong length")
-    if np.asarray(upstream.d_offsets).size != 2 * spec.num_anchors:
-        raise InvalidInputError("upstream offset gradient has wrong size")
-    if np.asarray(upstream.d_orient).size != 4:
-        raise InvalidInputError("upstream orientation gradient has wrong size")
-    d_offsets = np.asarray(upstream.d_offsets, dtype=np.float64).reshape(1, spec.num_anchors, 2)
-    d_orient = np.asarray(upstream.d_orient, dtype=np.float64).reshape(1, 4)
-    _, cache = forward_batch(spec, params, np.reshape(feature, (1, -1)), with_cache=True)
-    return backward_batch(spec, params, cache, d_logits, d_offsets,
-                          np.array([upstream.d_z]), d_orient)
 
 
 # --- checkpoint container ----------------------------------------------------

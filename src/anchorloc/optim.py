@@ -80,19 +80,14 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
               lr: float) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update. Returns new arrays; inputs untouched."""
-    g = np.asarray(grads, dtype=np.float64)
-    if g.shape != params.shape:
+    """One bias-corrected Adam update (:meth:`_InPlaceAdam.step` on copies).
+    Returns new arrays; inputs untouched."""
+    if np.shape(grads) != params.shape:
         raise InvalidInputError("gradient/parameter shape mismatch")
-    if not np.isfinite(g).all():
-        raise TrainingDivergenceError("non-finite gradient in Adam step")
-    t = state.t + 1
-    m = BETA1 * state.m + (1.0 - BETA1) * g
-    v = BETA2 * state.v + (1.0 - BETA2) * g * g
-    m_hat = m / (1.0 - BETA1 ** t)
-    v_hat = v / (1.0 - BETA2 ** t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + EPS)
-    return new_params, AdamState(m=m, v=v, t=t)
+    adam = _InPlaceAdam(params, state)
+    adam.grad[...] = grads
+    adam.step(lr)
+    return adam.params, AdamState(m=adam.m, v=adam.v, t=adam.t)
 
 
 def _epoch_permutation(shuffle_seed: int, epoch: int, n: int) -> np.ndarray:
@@ -101,10 +96,10 @@ def _epoch_permutation(shuffle_seed: int, epoch: int, n: int) -> np.ndarray:
 
 
 class _InPlaceAdam:
-    """:func:`adam_step` on parameter, moment and gradient buffers that one
-    training run owns: the same operations in the same order, each written
-    into a buffer with ``out=`` or in place, so trajectories are bit-identical
-    and a step allocates nothing the size of the parameter vector."""
+    """Adam (Kingma & Ba, Alg. 1) on parameter, moment and gradient buffers
+    that one training run owns. Every operation writes into a buffer with
+    ``out=`` or in place, so a step allocates nothing the size of the
+    parameter vector."""
 
     def __init__(self, params: np.ndarray, state: AdamState):
         self.params = np.array(params, dtype=np.float64)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidSpecError
+from .errors import InvalidInputError, InvalidSpecError, ParseError
 from .geometry import Pose, yaw_quat
 
 GRAZE_EPS = 1e-12
@@ -335,14 +335,18 @@ def save_world_spec(path, spec: WorldSpec) -> None:
 
 
 def load_world_spec(path) -> WorldSpec:
+    try:
+        with open(path, "r") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not a text file: {err}") from None
     values: dict[str, str] = {}
-    with open(path, "r") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("["):
-                continue
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#") or line.startswith("["):
+            continue
+        key, _, val = line.partition("=")
+        values[key.strip()] = val.strip()
     try:
         route = np.array([[float(c) for c in part.split(",")]
                           for part in values["route"].split(";")])

@@ -15,11 +15,10 @@ import pytest
 from anchorloc import baseline, data, evaluation, model, optim, simworld
 from anchorloc.baseline import DirectSpec
 from anchorloc.errors import UndefinedRateError
-from anchorloc.geometry import AnchorMap, nearest_anchor, relative_offsets
-from anchorloc.loss import (LossWeights, PoseTarget, absolute_loss, absolute_loss_grad,
-                            batch_total_loss, confidences, cross_entropy_grad,
-                            cross_entropy_loss, offset_loss, offset_loss_grad, total_loss)
-from anchorloc.model import NetworkSpec, PosePrediction, PredGradient
+from anchorloc.geometry import AnchorMap, Pose, nearest_anchor
+from anchorloc.loss import (LossWeights, absolute_term, batch_total_loss, confidences,
+                            cross_entropy_term, offset_term)
+from anchorloc.model import BatchPrediction, NetworkSpec
 from anchorloc.optim import TrainConfig
 from anchorloc.simworld import segments_intersect
 
@@ -128,58 +127,49 @@ def random_gradient_case(rng):
         pre = views.W["trunk0"] @ x + views.b["trunk0"]
         if np.abs(pre).min() > 1e-3:
             break
-    target = PoseTarget(offsets=rng.standard_normal((spec.num_anchors, 2)),
-                        z=rng.standard_normal(), orientation=random_unit_quat(rng),
-                        nearest_index=int(rng.integers(0, spec.num_anchors)))
+    # (offsets, z, orientation, nearest) of a batch of one, as batch_total_loss takes them
+    target = (rng.standard_normal((1, spec.num_anchors, 2)), np.array([rng.standard_normal()]),
+              random_unit_quat(rng)[None], np.array([rng.integers(0, spec.num_anchors)]))
     return spec, params, x, target
 
 
-def loss_terms(pred, target, weights):
-    """The four losses and their gradients w.r.t. the prediction."""
-    from anchorloc.geometry import OffsetTable
-    gt = OffsetTable(target.offsets)
-    d_lo, d_off = offset_loss_grad(pred, gt)
-    d_z, d_or = absolute_loss_grad(pred, target.z, target.orientation)
-    d_ce = cross_entropy_grad(pred.logits, target.nearest_index)
-    breakdown, total_grad = total_loss(pred, target, weights)
+def loss_grads(pred, target, weights):
+    """The gradients of the four losses w.r.t. a one-sample BatchPrediction,
+    as backward_batch's upstream arguments."""
+    gt_off, gt_z, gt_q, nearest = target
+    c = confidences(pred.logits)
+    _, d_lo, d_off = offset_term(c, pred.offsets, gt_off)
+    _, d_z, d_or = absolute_term(pred.z_hat, pred.orient_raw, gt_z, gt_q)
+    _, d_ce = cross_entropy_term(pred.logits, c, nearest)
+    _, *total_grad = batch_total_loss(pred, *target, weights)
+    zero_lo, zero_off, zero_z, zero_or = (np.zeros_like(a) for a in (
+        pred.logits, pred.offsets, pred.z_hat, pred.orient_raw))
     return {
-        "offset": (offset_loss(pred, gt),
-                   PredGradient(d_logits=d_lo, d_offsets=d_off, d_z=0.0,
-                                d_orient=np.zeros(4))),
-        "absolute": (absolute_loss(pred, target.z, target.orientation),
-                     PredGradient(d_logits=np.zeros_like(pred.logits),
-                                  d_offsets=np.zeros_like(pred.offsets),
-                                  d_z=d_z, d_orient=d_or)),
-        "ce": (cross_entropy_loss(pred.logits, target.nearest_index),
-               PredGradient(d_logits=d_ce, d_offsets=np.zeros_like(pred.offsets),
-                            d_z=0.0, d_orient=np.zeros(4))),
-        "total": (breakdown.total, total_grad),
+        "offset": (d_lo, d_off, zero_z, zero_or),
+        "absolute": (zero_lo, zero_off, d_z, d_or),
+        "ce": (d_ce, zero_off, zero_z, zero_or),
+        "total": total_grad,
     }
 
 
 def loss_value(name, pred, target, weights):
-    from anchorloc.geometry import OffsetTable
+    gt_off, gt_z, gt_q, nearest = target
     if name == "offset":
-        return offset_loss(pred, OffsetTable(target.offsets))
+        return offset_term(confidences(pred.logits), pred.offsets, gt_off)[0][0]
     if name == "absolute":
-        return absolute_loss(pred, target.z, target.orientation)
+        return absolute_term(pred.z_hat, pred.orient_raw, gt_z, gt_q)[0][0]
     if name == "ce":
-        return cross_entropy_loss(pred.logits, target.nearest_index)
-    return total_loss(pred, target, weights)[0].total
+        return cross_entropy_term(pred.logits, confidences(pred.logits), nearest)[0][0]
+    return batch_total_loss(pred, *target, weights)[0].total
+
+
+PRED_FIELDS = ("logits", "offsets", "z_hat", "orient_raw")
 
 
 def perturbed_pred(pred, field, idx, delta):
-    logits, offsets = pred.logits.copy(), pred.offsets.copy()
-    z, orient = pred.z_hat, pred.orient_raw.copy()
-    if field == "logits":
-        logits[idx] += delta
-    elif field == "offsets":
-        offsets[idx] += delta
-    elif field == "z":
-        z += delta
-    else:
-        orient[idx] += delta
-    return PosePrediction(logits=logits, offsets=offsets, z_hat=z, orient_raw=orient)
+    fields = {name: getattr(pred, name).copy() for name in PRED_FIELDS}
+    fields[field][idx] += delta
+    return BatchPrediction(**fields)
 
 
 def max_rel_err(analytic, fd):
@@ -195,33 +185,28 @@ def test_criterion_1_gradient_correctness():
     start = time.time()
     for _ in range(100):
         spec, params, x, target = random_gradient_case(rng)
-        pred = model.forward(spec, params, x)
-        terms = loss_terms(pred, target, weights)
+        pred, cache = model.forward_batch(spec, params, x[None], with_cache=True)
+        grads = loss_grads(pred, target, weights)
 
-        # gradients w.r.t. every PosePrediction entry
-        for name, (_, grad) in terms.items():
-            for field, anal in (("logits", grad.d_logits), ("offsets", grad.d_offsets),
-                                ("z", grad.d_z), ("orient", grad.d_orient)):
-                anal = np.atleast_1d(np.asarray(anal, dtype=float))
-                shape = {"logits": pred.logits.shape, "offsets": pred.offsets.shape,
-                         "z": (1,), "orient": (4,)}[field]
-                fd = np.zeros(shape)
-                for idx in np.ndindex(shape):
-                    use = idx if field != "z" else None
-                    hi = loss_value(name, perturbed_pred(pred, field, use, +h), target, weights)
-                    lo = loss_value(name, perturbed_pred(pred, field, use, -h), target, weights)
+        # gradients w.r.t. every BatchPrediction entry
+        for name, grad in grads.items():
+            for field, anal in zip(PRED_FIELDS, grad):
+                fd = np.zeros(anal.shape)
+                for idx in np.ndindex(fd.shape):
+                    hi = loss_value(name, perturbed_pred(pred, field, idx, +h), target, weights)
+                    lo = loss_value(name, perturbed_pred(pred, field, idx, -h), target, weights)
                     fd[idx] = (hi - lo) / (2 * h)
-                worst = max(worst, max_rel_err(anal.reshape(fd.shape), fd))
+                worst = max(worst, max_rel_err(anal, fd))
 
         # gradients w.r.t. every network parameter, per loss term
-        for name, (_, grad) in terms.items():
-            analytic = model.backward(spec, params, x, grad)
+        for name, grad in grads.items():
+            analytic = model.backward_batch(spec, params, cache, *grad)
             fd = np.zeros_like(params)
             for j in range(params.size):
                 for sign in (+1, -1):
                     p = params.copy()
                     p[j] += sign * h
-                    v = loss_value(name, model.forward(spec, p, x), target, weights)
+                    v = loss_value(name, model.forward_batch(spec, p, x[None]), target, weights)
                     if sign > 0:
                         hi = v
                     else:
@@ -240,46 +225,44 @@ def test_criterion_2_loss_degenerations():
     ok = True
     details = []
 
+    def one_sample(logits, offsets, z_hat, orient_raw):
+        return BatchPrediction(logits=logits[None], offsets=offsets[None],
+                               z_hat=np.array([z_hat]), orient_raw=orient_raw[None])
+
+    def absolute(pred, gt_z, gt_q):
+        return absolute_term(pred.z_hat, pred.orient_raw, np.array([gt_z]), gt_q[None])[0][0]
+
     # one-hot confidence -> single-anchor squared loss
-    from anchorloc.geometry import OffsetTable
-    gt = OffsetTable(rng.standard_normal((4, 2)))
+    gt = rng.standard_normal((4, 2))
     logits = np.array([40.0, 0.0, 0.0, 0.0])
-    pred = PosePrediction(logits=logits, offsets=np.zeros((4, 2)), z_hat=0.0,
-                          orient_raw=np.array([1.0, 0, 0, 0]))
-    single = (gt.offsets[0] ** 2).sum()
-    ok &= abs(offset_loss(pred, gt) - single) < 1e-12
+    single = (gt[0] ** 2).sum()
+    ok &= abs(offset_term(confidences(logits[None]), np.zeros((1, 4, 2)), gt[None])[0][0]
+              - single) < 1e-12
 
     # zero residuals -> zero loss
     q = random_unit_quat(rng)
     offs = rng.standard_normal((3, 2))
-    perfect = PosePrediction(logits=rng.standard_normal(3), offsets=offs,
-                             z_hat=0.3, orient_raw=1.7 * q)
-    target = PoseTarget(offsets=offs, z=0.3, orientation=q, nearest_index=1)
-    breakdown, _ = total_loss(perfect, target, LossWeights(use_cross_entropy=False))
+    perfect = one_sample(rng.standard_normal(3), offs, 0.3, 1.7 * q)
+    target = (offs[None], np.array([0.3]), q[None], np.array([1]))
+    breakdown = batch_total_loss(perfect, *target, LossWeights(use_cross_entropy=False))[0]
     ok &= abs(breakdown.total) < 1e-12
 
     # alpha isolation reproduces each component alone
-    pred2 = PosePrediction(logits=rng.standard_normal(3),
-                           offsets=rng.standard_normal((3, 2)),
-                           z_hat=rng.standard_normal(),
-                           orient_raw=rng.standard_normal(4) + 0.2)
-    target2 = PoseTarget(offsets=rng.standard_normal((3, 2)), z=0.1,
-                         orientation=q, nearest_index=2)
+    pred2 = one_sample(rng.standard_normal(3), rng.standard_normal((3, 2)),
+                       rng.standard_normal(), rng.standard_normal(4) + 0.2)
+    target2 = (rng.standard_normal((1, 3, 2)), np.array([0.1]), q[None], np.array([2]))
     for alphas, term in ((dict(alpha1=3.0, alpha2=0.0, alpha3=0.0, use_cross_entropy=True), "ce_term"),
                          (dict(alpha1=0.0, alpha2=7.0, alpha3=0.0), "offset_term"),
                          (dict(alpha1=0.0, alpha2=0.0, alpha3=2.5), "absolute_term")):
-        b, _ = total_loss(pred2, target2, LossWeights(**alphas))
+        b = batch_total_loss(pred2, *target2, LossWeights(**alphas))[0]
         scale = max(alphas["alpha1"], alphas["alpha2"], alphas["alpha3"])
         ok &= abs(b.total - scale * getattr(b, term)) < 1e-12
 
     # orientation term invariant to positive scaling of the raw output
-    base = absolute_loss(pred2, 0.0, q)
     for c in (1e-3, 0.5, 42.0):
-        scaled = PosePrediction(logits=pred2.logits, offsets=pred2.offsets, z_hat=0.0,
-                                orient_raw=c * pred2.orient_raw)
-        pred2_z0 = PosePrediction(logits=pred2.logits, offsets=pred2.offsets,
-                                  z_hat=0.0, orient_raw=pred2.orient_raw)
-        ok &= abs(absolute_loss(scaled, 0.0, q) - absolute_loss(pred2_z0, 0.0, q)) < 1e-12
+        scaled = one_sample(pred2.logits[0], pred2.offsets[0], 0.0, c * pred2.orient_raw[0])
+        pred2_z0 = one_sample(pred2.logits[0], pred2.offsets[0], 0.0, pred2.orient_raw[0])
+        ok &= abs(absolute(scaled, 0.0, q) - absolute(pred2_z0, 0.0, q)) < 1e-12
     verdict(2, "loss degenerations exact", ok)
 
 
@@ -293,7 +276,9 @@ def test_criterion_3_oracles():
         anchors = rng.uniform(-100, 100, size=(int(rng.integers(2, 30)), 2))
         amap = AnchorMap(anchors=anchors, frame_interval=1)
         pos = rng.uniform(-100, 100, size=3)
-        recon = amap.anchors + relative_offsets(pos, amap).offsets
+        batch = data.SampleBatch.build(["p"], [Pose(position=pos, orientation=[1.0, 0, 0, 0])],
+                                       np.zeros((1, 1)), amap)
+        recon = amap.anchors + batch.offsets_at([0])[0]
         worst = max(worst, float(np.abs(recon - pos[:2]).max()))
     round_trip_ok = worst < 1e-12
 
@@ -401,7 +386,7 @@ def test_criterion_8_protocol_fidelity():
              and optim.lr_at(30, cfg) == 2e-4 and optim.lr_at(59, cfg) == 2e-4
              and optim.lr_at(60, cfg) == 1e-4 and optim.lr_at(90, cfg) == 5e-5)
 
-    from anchorloc.geometry import Pose, yaw_quat
+    from anchorloc.geometry import yaw_quat
     amap = AnchorMap(anchors=np.zeros((1, 2)), frame_interval=1)
     poses = [Pose(position=np.zeros(3), orientation=np.array([1.0, 0, 0, 0]))] * 2
     batch = data.SampleBatch.build(["a", "b"], poses, np.zeros((2, 2)), amap)

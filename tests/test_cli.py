@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from anchorloc import data, evaluation, model, optim
+from anchorloc import data, evaluation, model, optim, simworld
 from anchorloc.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
 from anchorloc.errors import ParseError
 
@@ -127,6 +127,18 @@ class TestConfigValues:
         assert f"[{section}] {key}:" in capsys.readouterr().err
         assert not run.exists()
 
+    @pytest.mark.parametrize("text", [b"[world\nn_train = 10\n", b"\xff[world]\nn_train = 10\n"],
+                             ids=["section-not-closed", "not-utf8"])
+    def test_malformed_config_file_is_a_config_error(self, dataset_dir, tmp_path, capsys, text):
+        out, _ = dataset_dir
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(text)
+        run = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(out), "--out", str(run)])
+        assert rc == EXIT_DATA
+        assert str(cfg) in capsys.readouterr().err
+        assert not run.exists()
+
 
 class TestEval:
     def test_eval_outputs(self, dataset_dir, trained_run, tmp_path, capsys):
@@ -193,6 +205,7 @@ class TestTruncatedFiles:
         "no-arrays": _key_renamed(b"arrays"),
         "no-shape": _key_renamed(b"shape"),
         "header-nested-too-deep": _nested_header(10**5),
+        "first-byte-not-utf8": _byte_set(0, b"\xff"),
     }
 
     @classmethod
@@ -209,6 +222,30 @@ class TestTruncatedFiles:
             data.load_features(bad / data.FEATURES_TRAIN)
         assert main(["train", "--config", str(cfg), "--data", str(bad),
                      "--out", str(tmp_path / "run"), "--epochs", "1"]) == EXIT_DATA
+
+    def test_pose_file(self, dataset_dir, tmp_path):
+        out, cfg = dataset_dir
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        self.damaged(bad / data.POSES_TRAIN, "first-byte-not-utf8")
+        with pytest.raises(ParseError, match=data.POSES_TRAIN):
+            data.load_pose_file(bad / data.POSES_TRAIN)
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--data", str(bad),
+                     "--out", str(run), "--epochs", "1"]) == EXIT_DATA
+        assert not run.exists()
+
+    def test_world_file(self, dataset_dir, tmp_path):
+        out, cfg = dataset_dir
+        world = tmp_path / "world.ini"
+        shutil.copyfile(out / "world.ini", world)
+        self.damaged(world, "first-byte-not-utf8")
+        with pytest.raises(ParseError, match="world.ini"):
+            simworld.load_world_spec(world)
+        gen = tmp_path / "gen"
+        assert main(["gen-world", "--config", str(cfg), "--world-file", str(world),
+                     "--out", str(gen)]) == EXIT_DATA
+        assert not gen.exists()
 
     @pytest.mark.parametrize("how", ["cut", "cut-in-header", "trailing", "header-not-json",
                                      "header-not-utf8", "no-spec", "no-arrays", "no-shape",

@@ -100,14 +100,14 @@ class TestAssemble:
         assert scene.num_anchors == 8
 
     def test_batch_offsets_match_geometry_exactly(self, tiny_samples):
-        from anchorloc.geometry import relative_offsets
         train, test = tiny_samples
         scene = data.from_simworld(train, test, k=7)
         rng = np.random.default_rng(0)
         for batch in (scene.train, scene.test):
             for size in (1, 5, len(batch)):
                 idx = rng.choice(len(batch), size=size, replace=False)
-                expected = np.stack([relative_offsets(batch.positions[i], scene.anchor_map).offsets
+                # each sample's (x, y) in every anchor's origin
+                expected = np.stack([batch.positions[i, :2] - scene.anchor_map.anchors
                                      for i in idx])
                 assert np.array_equal(batch.offsets_at(idx), expected)
 

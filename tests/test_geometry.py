@@ -5,15 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anchorloc.data import SampleBatch
 from anchorloc.errors import DegenerateMapError, InvalidInputError
 from anchorloc.geometry import (AnchorMap, Pose, build_anchor_map, nearest_anchor,
-                                quat_angle_deg, relative_offsets, yaw_quat)
+                                quat_angle_deg, yaw_quat)
 
 from conftest import make_pose, random_unit_quat
 
 
 def line_poses(xs, y=0.0):
     return [make_pose(x, y) for x in xs]
+
+
+def offsets_at(pos, amap):
+    """The (N, 2) ground-truth offsets that training derives for one position."""
+    batch = SampleBatch.build(["p"], [make_pose(*pos)], np.zeros((1, 1)), amap)
+    return batch.offsets_at([0])[0]
 
 
 class TestPose:
@@ -76,13 +83,11 @@ class TestBuildAnchorMap:
 class TestRelativeOffsets:
     def test_change_of_origin(self):
         amap = build_anchor_map(line_poses([0, 10]), 1)
-        table = relative_offsets(np.array([3.0, 4.0, -2.0]), amap)
-        np.testing.assert_allclose(table.offsets, [[3, 4], [-7, 4]])
+        np.testing.assert_allclose(offsets_at([3.0, 4.0, -2.0], amap), [[3, 4], [-7, 4]])
 
     def test_zero_offset_at_coincident_anchor(self):
         amap = build_anchor_map(line_poses([0, 5]), 1)
-        table = relative_offsets(np.array([5.0, 0.0, 1.0]), amap)
-        np.testing.assert_allclose(table.offsets[1], [0, 0])
+        np.testing.assert_allclose(offsets_at([5.0, 0.0, 1.0], amap)[1], [0, 0])
 
     def test_round_trip_100_random(self):
         rng = np.random.default_rng(42)
@@ -91,8 +96,7 @@ class TestRelativeOffsets:
             anchors = rng.uniform(-50, 50, size=(n, 2))
             amap = AnchorMap(anchors=anchors, frame_interval=1)
             pos = rng.uniform(-50, 50, size=3)
-            table = relative_offsets(pos, amap)
-            recon = amap.anchors + table.offsets
+            recon = amap.anchors + offsets_at(pos, amap)
             assert np.abs(recon - pos[:2]).max() < 1e-12
 
 
@@ -157,5 +161,5 @@ def test_offset_round_trip_property(seed):
     anchors = rng.uniform(-100, 100, size=(rng.integers(2, 8), 2))
     amap = AnchorMap(anchors=anchors, frame_interval=1)
     pos = rng.uniform(-100, 100, size=3)
-    recon = amap.anchors + relative_offsets(pos, amap).offsets
+    recon = amap.anchors + offsets_at(pos, amap)
     assert np.abs(recon - pos[:2]).max() < 1e-12

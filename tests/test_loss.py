@@ -1,36 +1,62 @@
 import math
+from collections import namedtuple
 from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
 
 from anchorloc.errors import DegenerateOrientationError, InvalidInputError
-from anchorloc.geometry import OffsetTable
-from anchorloc.loss import (LossWeights, PoseTarget, absolute_loss, absolute_loss_grad,
-                            batch_total_loss, confidences, cross_entropy_grad,
-                            cross_entropy_loss, offset_loss, offset_loss_grad,
-                            total_loss)
-from anchorloc.model import BatchPrediction, PosePrediction
+from anchorloc.loss import (LossWeights, absolute_term, batch_total_loss, confidences,
+                            cross_entropy_term, offset_term)
+from anchorloc.model import BatchPrediction
 
 from conftest import random_unit_quat
 
 getcontext().prec = 60
 
+# ground truth of a batch, in batch_total_loss's argument order
+Target = namedtuple("Target", "offsets z orientation nearest")
+
+
+def one(kernel, *rows):
+    """``kernel`` on a batch of one sample: each input gains a batch axis of
+    length 1 and each output loses it."""
+    return [out[0] for out in kernel(*(np.asarray(r)[None] for r in rows))]
+
+
+def offset_value(logits, offsets, gt_offsets):
+    return one(offset_term, confidences(logits), offsets, gt_offsets)[0]
+
+
+def absolute_value(z, orient, gt_z, gt_orient):
+    return one(absolute_term, z, orient, gt_z, gt_orient)[0]
+
+
+def ce_value(logits, nearest):
+    return one(cross_entropy_term, logits, confidences(logits), nearest)[0]
+
 
 def make_pred(logits, offsets, z=0.0, orient=(1.0, 0.0, 0.0, 0.0)):
-    return PosePrediction(logits=np.asarray(logits, dtype=float),
-                          offsets=np.asarray(offsets, dtype=float),
-                          z_hat=float(z), orient_raw=np.asarray(orient, dtype=float))
+    """The fields of a one-sample BatchPrediction."""
+    return {"logits": np.asarray(logits, dtype=float)[None],
+            "offsets": np.asarray(offsets, dtype=float)[None],
+            "z_hat": np.array([float(z)]),
+            "orient_raw": np.asarray(orient, dtype=float)[None]}
 
 
 def random_case(rng, n=None):
     n = n or int(rng.integers(2, 7))
     pred = make_pred(rng.standard_normal(n), rng.standard_normal((n, 2)),
                      z=rng.standard_normal(), orient=rng.standard_normal(4) + 0.1)
-    target = PoseTarget(offsets=rng.standard_normal((n, 2)), z=rng.standard_normal(),
-                        orientation=random_unit_quat(rng),
-                        nearest_index=int(rng.integers(0, n)))
+    target = Target(offsets=rng.standard_normal((1, n, 2)), z=np.array([rng.standard_normal()]),
+                    orientation=random_unit_quat(rng)[None],
+                    nearest=np.array([rng.integers(0, n)]))
     return pred, target
+
+
+def total(pred, target, weights):
+    """batch_total_loss of one sample given as make_pred fields."""
+    return batch_total_loss(BatchPrediction(**pred), *target, weights)
 
 
 def softmax_decimal(logits):
@@ -72,48 +98,45 @@ class TestConfidences:
 
 class TestOffsetLoss:
     def test_one_hot_reduces_to_single_anchor(self):
-        gt = OffsetTable(np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]]))
-        pred = make_pred([40.0, 0.0, 0.0], np.zeros((3, 2)))
+        gt = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
         expected = 1.0 + 4.0  # residual of anchor 0 only
-        assert offset_loss(pred, gt) == pytest.approx(expected, abs=1e-12)
+        assert offset_value([40.0, 0.0, 0.0], np.zeros((3, 2)), gt) == pytest.approx(
+            expected, abs=1e-12)
 
     def test_perfect_offsets_zero_loss(self):
         rng = np.random.default_rng(2)
         offs = rng.standard_normal((4, 2))
-        pred = make_pred(rng.standard_normal(4), offs)
-        assert offset_loss(pred, OffsetTable(offs)) == 0.0
+        assert offset_value(rng.standard_normal(4), offs, offs) == 0.0
 
     def test_hand_evaluated_case(self):
         # C = [0.5, 0.5], residuals (1,0) and (0,2) -> 0.5*1 + 0.5*4 = 2.5
-        gt = OffsetTable(np.array([[1.0, 0.0], [0.0, 2.0]]))
-        pred = make_pred([0.0, 0.0], np.zeros((2, 2)))
-        assert offset_loss(pred, gt) == pytest.approx(2.5, abs=1e-12)
+        gt = np.array([[1.0, 0.0], [0.0, 2.0]])
+        assert offset_value([0.0, 0.0], np.zeros((2, 2)), gt) == pytest.approx(2.5, abs=1e-12)
 
     def test_convex_combination_bounds(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             pred, target = random_case(rng)
-            r = ((target.offsets - pred.offsets) ** 2).sum(axis=1)
-            value = offset_loss(pred, OffsetTable(target.offsets))
+            r = ((target.offsets - pred["offsets"])[0] ** 2).sum(axis=1)
+            value = offset_value(pred["logits"][0], pred["offsets"][0], target.offsets[0])
             assert r.min() - 1e-12 <= value <= r.max() + 1e-12
 
     def test_anchor_count_mismatch(self):
-        pred = make_pred([0.0, 0.0], np.zeros((2, 2)))
+        pred = BatchPrediction(**make_pred([0.0, 0.0], np.zeros((2, 2))))
         with pytest.raises(InvalidInputError):
-            offset_loss(pred, OffsetTable(np.zeros((3, 2))))
+            batch_total_loss(pred, np.zeros((1, 3, 2)), np.zeros(1),
+                             np.array([[1.0, 0, 0, 0]]), np.zeros(1, dtype=int), LossWeights())
 
 
 class TestAbsoluteLoss:
     def test_scale_invariance_and_zero(self):
         q = random_unit_quat(np.random.default_rng(4))
         for c in (0.3, 1.0, 7.7):
-            pred = make_pred([0.0], np.zeros((1, 2)), z=1.5, orient=c * q)
-            assert absolute_loss(pred, 1.5, q) == pytest.approx(0.0, abs=1e-12)
+            assert absolute_value(1.5, c * q, 1.5, q) == pytest.approx(0.0, abs=1e-12)
 
     def test_negated_quaternion_costs_four(self):
         q = random_unit_quat(np.random.default_rng(5))
-        pred = make_pred([0.0], np.zeros((1, 2)), z=0.0, orient=-q)
-        assert absolute_loss(pred, 0.0, q) == pytest.approx(4.0, abs=1e-12)
+        assert absolute_value(0.0, -q, 0.0, q) == pytest.approx(4.0, abs=1e-12)
 
     def test_matches_independent_evaluation(self):
         rng = np.random.default_rng(6)
@@ -121,25 +144,23 @@ class TestAbsoluteLoss:
             q = random_unit_quat(rng)
             raw = rng.standard_normal(4) * 2 + 0.05
             gz, pz = rng.standard_normal(), rng.standard_normal()
-            pred = make_pred([0.0], np.zeros((1, 2)), z=pz, orient=raw)
             # independent evaluation with plain python floats
             norm = math.sqrt(sum(float(v) ** 2 for v in raw))
             u = [float(v) / norm for v in raw]
             expected = (gz - pz) ** 2 + sum((float(a) - b) ** 2 for a, b in zip(q, u))
-            assert absolute_loss(pred, gz, q) == pytest.approx(expected, rel=1e-12)
+            assert absolute_value(pz, raw, gz, q) == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_orientation_signaled(self):
-        pred = make_pred([0.0], np.zeros((1, 2)), orient=np.zeros(4))
         with pytest.raises(DegenerateOrientationError):
-            absolute_loss(pred, 0.0, np.array([1.0, 0, 0, 0]))
+            absolute_value(0.0, np.zeros(4), 0.0, np.array([1.0, 0, 0, 0]))
 
 
 class TestCrossEntropy:
     def test_correct_with_large_gap(self):
-        assert cross_entropy_loss(np.array([40.0, 0.0, 0.0]), 0) < 1e-15
+        assert ce_value(np.array([40.0, 0.0, 0.0]), 0) < 1e-15
 
     def test_uniform_logits(self):
-        assert cross_entropy_loss(np.zeros(4), 2) == pytest.approx(math.log(4), abs=1e-12)
+        assert ce_value(np.zeros(4), 2) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_matches_decimal_oracle(self):
         rng = np.random.default_rng(7)
@@ -148,32 +169,23 @@ class TestCrossEntropy:
             j = int(rng.integers(0, len(logits)))
             probs = softmax_decimal(logits)
             expected = -float(probs[j].ln())
-            assert cross_entropy_loss(logits, j) == pytest.approx(expected, abs=1e-12)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            cross_entropy_loss(np.zeros(3), 3)
+            assert ce_value(logits, j) == pytest.approx(expected, abs=1e-12)
 
 
-def fd_prediction_gradient(fn, pred, h=1e-5):
-    """Central differences of a scalar loss over every PosePrediction entry."""
+def fd_gradient(fn, fields, h=1e-5):
+    """Central differences of the scalar ``fn(fields)`` over every entry of
+    every array in ``fields``."""
     grads = {}
-    def shifted(field, idx, delta):
-        kw = dict(logits=pred.logits.copy(), offsets=pred.offsets.copy(),
-                  z=pred.z_hat, orient=pred.orient_raw.copy())
-        if field == "z":
-            kw["z"] += delta
-        else:
-            arr = kw[field if field != "orient" else "orient"]
-            arr[idx] += delta
-        return make_pred(kw["logits"], kw["offsets"], kw["z"], kw["orient"])
-    for field, shape in (("logits", pred.logits.shape), ("offsets", pred.offsets.shape),
-                         ("orient", pred.orient_raw.shape)):
-        g = np.zeros(shape)
-        for idx in np.ndindex(shape):
-            g[idx] = (fn(shifted(field, idx, h)) - fn(shifted(field, idx, -h))) / (2 * h)
-        grads[field] = g
-    grads["z"] = (fn(shifted("z", None, h)) - fn(shifted("z", None, -h))) / (2 * h)
+    for name, arr in fields.items():
+        g = np.zeros_like(arr)
+        for idx in np.ndindex(arr.shape):
+            shifted = []
+            for delta in (h, -h):
+                f = {k: v.copy() for k, v in fields.items()}
+                f[name][idx] += delta
+                shifted.append(fn(f))
+            g[idx] = (shifted[0] - shifted[1]) / (2 * h)
+        grads[name] = g
     return grads
 
 
@@ -188,35 +200,37 @@ class TestGradients:
         rng = np.random.default_rng(8)
         for _ in range(10):
             pred, target = random_case(rng)
-            gt = OffsetTable(target.offsets)
-            d_logits, d_offsets = offset_loss_grad(pred, gt)
-            fd = fd_prediction_gradient(lambda p: offset_loss(p, gt), pred)
-            assert_close(d_logits, fd["logits"])
-            assert_close(d_offsets, fd["offsets"])
+            gt = target.offsets[0]
+            _, d_logits, d_offsets = one(offset_term, confidences(pred["logits"][0]),
+                                         pred["offsets"][0], gt)
+            fd = fd_gradient(lambda p: offset_value(p["logits"][0], p["offsets"][0], gt), pred)
+            assert_close(d_logits, fd["logits"][0])
+            assert_close(d_offsets, fd["offsets"][0])
 
     def test_absolute_loss_gradients(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             pred, target = random_case(rng)
-            d_z, d_orient = absolute_loss_grad(pred, target.z, target.orientation)
-            fd = fd_prediction_gradient(
-                lambda p: absolute_loss(p, target.z, target.orientation), pred)
-            assert_close(d_z, fd["z"])
-            assert_close(d_orient, fd["orient"])
+            gt = (target.z[0], target.orientation[0])
+            _, d_z, d_orient = one(absolute_term, pred["z_hat"][0], pred["orient_raw"][0], *gt)
+            fd = fd_gradient(
+                lambda p: absolute_value(p["z_hat"][0], p["orient_raw"][0], *gt), pred)
+            assert_close(d_z, fd["z_hat"][0])
+            assert_close(d_orient, fd["orient_raw"][0])
 
     def test_cross_entropy_gradient(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             logits = rng.standard_normal(5)
             j = int(rng.integers(0, 5))
-            analytic = cross_entropy_grad(logits, j)
+            _, analytic = one(cross_entropy_term, logits, confidences(logits), j)
             h = 1e-5
             fd = np.zeros(5)
             for i in range(5):
                 hi, lo = logits.copy(), logits.copy()
                 hi[i] += h
                 lo[i] -= h
-                fd[i] = (cross_entropy_loss(hi, j) - cross_entropy_loss(lo, j)) / (2 * h)
+                fd[i] = (ce_value(hi, j) - ce_value(lo, j)) / (2 * h)
             assert_close(analytic, fd)
 
     def test_total_loss_gradient(self):
@@ -224,13 +238,10 @@ class TestGradients:
         weights = LossWeights(alpha1=2.0, alpha2=10.0, alpha3=1.0, use_cross_entropy=True)
         for _ in range(10):
             pred, target = random_case(rng)
-            _, grad = total_loss(pred, target, weights)
-            fd = fd_prediction_gradient(
-                lambda p: total_loss(p, target, weights)[0].total, pred)
-            assert_close(grad.d_logits, fd["logits"])
-            assert_close(grad.d_offsets, fd["offsets"])
-            assert_close(grad.d_z, fd["z"])
-            assert_close(grad.d_orient, fd["orient"])
+            _, *grad = total(pred, target, weights)
+            fd = fd_gradient(lambda p: total(p, target, weights)[0].total, pred)
+            for name, g in zip(pred, grad):
+                assert_close(g, fd[name])
 
 
 class TestTotalLoss:
@@ -238,11 +249,11 @@ class TestTotalLoss:
         rng = np.random.default_rng(12)
         pred, target = random_case(rng)
         ce_only = LossWeights(alpha1=3.0, alpha2=0.0, alpha3=0.0, use_cross_entropy=True)
-        breakdown, _ = total_loss(pred, target, ce_only)
+        breakdown = total(pred, target, ce_only)[0]
         assert breakdown.total == pytest.approx(3.0 * breakdown.ce_term, abs=1e-12)
 
         off_only = LossWeights(alpha1=0.0, alpha2=5.0, alpha3=0.0, use_cross_entropy=False)
-        breakdown, _ = total_loss(pred, target, off_only)
+        breakdown = total(pred, target, off_only)[0]
         assert breakdown.total == pytest.approx(5.0 * breakdown.offset_term, abs=1e-12)
 
     def test_zero_residuals_zero_total(self):
@@ -250,15 +261,15 @@ class TestTotalLoss:
         q = random_unit_quat(rng)
         offs = rng.standard_normal((3, 2))
         pred = make_pred(rng.standard_normal(3), offs, z=0.7, orient=2.0 * q)
-        target = PoseTarget(offsets=offs, z=0.7, orientation=q, nearest_index=0)
-        breakdown, _ = total_loss(pred, target, LossWeights(use_cross_entropy=False))
+        target = Target(offs[None], np.array([0.7]), q[None], np.array([0]))
+        breakdown = total(pred, target, LossWeights(use_cross_entropy=False))[0]
         assert breakdown.total == pytest.approx(0.0, abs=1e-12)
 
     def test_alpha_homogeneity(self):
         rng = np.random.default_rng(14)
         pred, target = random_case(rng)
-        b1, _ = total_loss(pred, target, LossWeights(alpha2=10.0, alpha3=0.0))
-        b2, _ = total_loss(pred, target, LossWeights(alpha2=20.0, alpha3=0.0))
+        b1 = total(pred, target, LossWeights(alpha2=10.0, alpha3=0.0))[0]
+        b2 = total(pred, target, LossWeights(alpha2=20.0, alpha3=0.0))[0]
         assert b2.total == pytest.approx(2.0 * b1.total, rel=1e-15)
 
     def test_breakdown_composition(self):
@@ -266,7 +277,7 @@ class TestTotalLoss:
         w = LossWeights(alpha1=1.5, alpha2=4.0, alpha3=0.5, use_cross_entropy=True)
         for _ in range(10):
             pred, target = random_case(rng)
-            b, _ = total_loss(pred, target, w)
+            b = total(pred, target, w)[0]
             expected = w.alpha1 * b.ce_term + w.alpha2 * b.offset_term + w.alpha3 * b.absolute_term
             assert b.total == pytest.approx(expected, abs=1e-12)
             assert b.offset_term >= 0 and b.absolute_term >= 0 and b.ce_term >= 0
@@ -278,56 +289,32 @@ class TestBatchPath:
         n, B = 4, 7
         w = LossWeights(alpha1=2.0, alpha2=10.0, alpha3=1.0, use_cross_entropy=True)
         preds, targets = zip(*(random_case(rng, n=n) for _ in range(B)))
-        bpred = BatchPrediction(
-            logits=np.stack([p.logits for p in preds]),
-            offsets=np.stack([p.offsets for p in preds]),
-            z_hat=np.array([p.z_hat for p in preds]),
-            orient_raw=np.stack([p.orient_raw for p in preds]))
-        gt_off = np.stack([t.offsets for t in targets])
-        gt_z = np.array([t.z for t in targets])
-        gt_q = np.stack([t.orientation for t in targets])
-        near = np.array([t.nearest_index for t in targets])
+        bpred = BatchPrediction(**{k: np.concatenate([p[k] for p in preds]) for k in preds[0]})
+        gt = [np.concatenate(field) for field in zip(*targets)]
 
-        breakdown, d_logits, d_offsets, d_z, d_orient = batch_total_loss(
-            bpred, gt_off, gt_z, gt_q, near, w)
+        breakdown, d_logits, d_offsets, d_z, d_orient = batch_total_loss(bpred, *gt, w)
 
-        singles = [total_loss(p, t, w) for p, t in zip(preds, targets)]
+        singles = [total(p, t, w) for p, t in zip(preds, targets)]
         assert breakdown.total == pytest.approx(
             np.mean([s[0].total for s in singles]), rel=1e-12)
-        for i, (_, g) in enumerate(singles):
-            np.testing.assert_allclose(d_logits[i], g.d_logits / B, atol=1e-14)
-            np.testing.assert_allclose(d_offsets[i], g.d_offsets / B, atol=1e-14)
-            assert d_z[i] == pytest.approx(g.d_z / B, abs=1e-14)
-            np.testing.assert_allclose(d_orient[i], g.d_orient / B, atol=1e-14)
+        for i, (_, g_logits, g_offsets, g_z, g_orient) in enumerate(singles):
+            np.testing.assert_allclose(d_logits[i], g_logits[0] / B, atol=1e-14)
+            np.testing.assert_allclose(d_offsets[i], g_offsets[0] / B, atol=1e-14)
+            assert d_z[i] == pytest.approx(g_z[0] / B, abs=1e-14)
+            np.testing.assert_allclose(d_orient[i], g_orient[0] / B, atol=1e-14)
 
     def test_batch_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
         n, B = 4, 3
         w = LossWeights(alpha1=1.5, alpha2=4.0, alpha3=0.7, use_cross_entropy=True)
         preds, targets = zip(*(random_case(rng, n=n) for _ in range(B)))
-        fields = {"logits": np.stack([p.logits for p in preds]),
-                  "offsets": np.stack([p.offsets for p in preds]),
-                  "z_hat": np.array([p.z_hat for p in preds]),
-                  "orient_raw": np.stack([p.orient_raw for p in preds])}
-        gt = (np.stack([t.offsets for t in targets]), np.array([t.z for t in targets]),
-              np.stack([t.orientation for t in targets]),
-              np.array([t.nearest_index for t in targets]))
+        fields = {k: np.concatenate([p[k] for p in preds]) for k in preds[0]}
+        gt = Target(*(np.concatenate(field) for field in zip(*targets)))
 
-        def total(f):
-            return batch_total_loss(BatchPrediction(**f), *gt, w)[0].total
-
-        _, *analytic = batch_total_loss(BatchPrediction(**fields), *gt, w)
-        h = 1e-5
+        _, *analytic = total(fields, gt, w)
+        fd = fd_gradient(lambda f: total(f, gt, w)[0].total, fields)
         for name, grad in zip(fields, analytic):
-            fd = np.zeros_like(fields[name])
-            for idx in np.ndindex(fd.shape):
-                shifted = []
-                for delta in (h, -h):
-                    f = {k: v.copy() for k, v in fields.items()}
-                    f[name][idx] += delta
-                    shifted.append(total(f))
-                fd[idx] = (shifted[0] - shifted[1]) / (2 * h)
-            assert_close(grad, fd)
+            assert_close(grad, fd[name])
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -5,7 +5,7 @@ import pytest
 
 from anchorloc import model
 from anchorloc.errors import InvalidInputError, InvalidSpecError
-from anchorloc.model import NetworkSpec, PredGradient
+from anchorloc.model import NetworkSpec
 
 
 def small_spec(**kw):
@@ -36,14 +36,20 @@ def forward_reference(spec, params, x):
 
 
 def scalar_loss_and_grad(pred):
-    """Arbitrary smooth scalar of all heads, plus its gradient."""
+    """Arbitrary smooth scalar of all heads of a BatchPrediction, plus its
+    gradient as backward_batch's upstream arguments."""
     value = (np.sin(pred.logits).sum() + (pred.offsets ** 2).sum()
-             + 3.0 * pred.z_hat + np.cos(pred.orient_raw).sum())
-    grad = PredGradient(d_logits=np.cos(pred.logits),
-                        d_offsets=2.0 * pred.offsets,
-                        d_z=3.0,
-                        d_orient=-np.sin(pred.orient_raw))
+             + 3.0 * pred.z_hat.sum() + np.cos(pred.orient_raw).sum())
+    grad = (np.cos(pred.logits), 2.0 * pred.offsets, np.full_like(pred.z_hat, 3.0),
+            -np.sin(pred.orient_raw))
     return value, grad
+
+
+def backward_one(spec, params, x, upstream):
+    """backward_batch for one feature vector, after the forward pass that
+    produces its cache."""
+    _, cache = model.forward_batch(spec, params, x[None], with_cache=True)
+    return model.backward_batch(spec, params, cache, *upstream)
 
 
 class TestInit:
@@ -127,46 +133,40 @@ class TestBackward:
     def test_zero_upstream_zero_gradient(self):
         spec = small_spec()
         params = model.init(spec)
-        upstream = PredGradient(d_logits=np.zeros(3), d_offsets=np.zeros((3, 2)),
-                                d_z=0.0, d_orient=np.zeros(4))
-        grad = model.backward(spec, params, np.ones(spec.input_dim), upstream)
+        upstream = (np.zeros((1, 3)), np.zeros((1, 3, 2)), np.zeros(1), np.zeros((1, 4)))
+        grad = backward_one(spec, params, np.ones(spec.input_dim), upstream)
         assert np.all(grad == 0)
 
     def test_linearity(self):
         spec = small_spec()
         params = model.init(spec)
         x = np.linspace(-1, 1, spec.input_dim)
-        pred = model.forward(spec, params, x)
-        _, g = scalar_loss_and_grad(pred)
-        g2 = PredGradient(d_logits=2 * g.d_logits, d_offsets=2 * g.d_offsets,
-                          d_z=2 * g.d_z, d_orient=2 * g.d_orient)
-        grad1 = model.backward(spec, params, x, g)
-        grad2 = model.backward(spec, params, x, g2)
+        _, g = scalar_loss_and_grad(model.forward_batch(spec, params, x[None]))
+        grad1 = backward_one(spec, params, x, g)
+        grad2 = backward_one(spec, params, x, [2 * d for d in g])
         assert np.abs(grad2 - 2 * grad1).max() < 1e-12
 
     def test_malformed_upstream_rejected(self):
         spec = small_spec()
         params = model.init(spec)
-        bad = PredGradient(d_logits=np.zeros(spec.num_anchors + 1),
-                           d_offsets=np.zeros((spec.num_anchors, 2)),
-                           d_z=0.0, d_orient=np.zeros(4))
-        with pytest.raises(InvalidInputError):
-            model.backward(spec, params, np.ones(spec.input_dim), bad)
+        bad = (np.zeros((2, spec.num_anchors)), np.zeros((1, spec.num_anchors, 2)),
+               np.zeros(1), np.zeros((1, 4)))
+        with pytest.raises(InvalidInputError, match="batch sizes disagree"):
+            backward_one(spec, params, np.ones(spec.input_dim), bad)
 
     def test_matches_finite_differences(self):
         spec = small_spec(activation="tanh")
         rng = np.random.default_rng(9)
         params = model.init(spec)
         x = rng.standard_normal(spec.input_dim)
-        pred = model.forward(spec, params, x)
-        _, upstream = scalar_loss_and_grad(pred)
-        analytic = model.backward(spec, params, x, upstream)
+        _, upstream = scalar_loss_and_grad(model.forward_batch(spec, params, x[None]))
+        analytic = backward_one(spec, params, x, upstream)
         h = 1e-5
         for idx in rng.choice(params.size, size=40, replace=False):
             for sign, store in ((+1, "hi"), (-1, "lo")):
                 p = params.copy()
                 p[idx] += sign * h
-                v, _ = scalar_loss_and_grad(model.forward(spec, p, x))
+                v, _ = scalar_loss_and_grad(model.forward_batch(spec, p, x[None]))
                 if sign > 0:
                     hi = v
                 else:

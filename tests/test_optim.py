@@ -79,6 +79,26 @@ class TestAdamStep:
             ref = oracle.step(ref, 2.0 * ref)
             assert theta[0] == pytest.approx(ref, abs=1e-10)
 
+    def test_vector_matches_scalar_oracle_bit_for_bit(self):
+        # one independent scalar Adam per parameter; both sides run the same
+        # IEEE operations in the same order, so they agree exactly
+        rng = np.random.default_rng(21)
+        params = rng.standard_normal(7)
+        state = AdamState.initial(7)
+        oracles = [ScalarAdam(lr=1e-2) for _ in range(7)]
+        ref = params.tolist()
+        for step in range(80):
+            lr = 1e-2 * 0.5 ** (step // 40)
+            g = rng.choice([-1.0, 1.0], size=7) * 10.0 ** rng.uniform(-6, 2, size=7)
+            params, state = adam_step(params, g, state, lr)
+            for i, oracle in enumerate(oracles):
+                oracle.lr = lr
+                ref[i] = oracle.step(ref[i], float(g[i]))
+            assert params.tolist() == ref
+            assert state.m.tolist() == [o.m for o in oracles]
+            assert state.v.tolist() == [o.v for o in oracles]
+            assert state.t == step + 1
+
     def test_inputs_not_mutated(self):
         params = np.array([1.0, 2.0])
         g = np.array([0.5, -0.5])
