@@ -180,8 +180,7 @@ def cmd_train(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "training_log.csv")
-    log = open(log_path, "w", newline="\n")
-    log.write("epoch,lr,total,offset,absolute,ce\n")
+    log_tmp = f"{log_path}.tmp"
 
     def on_epoch(stats, params, state):
         log.write(f"{stats.epoch},{stats.lr:.17g},{stats.total:.17g},"
@@ -192,10 +191,16 @@ def cmd_train(args) -> int:
                 spec, params, state, epoch=stats.epoch + 1,
                 meta={"frame_interval": k, "scene": scene.name})
 
+    # the log appears only once training has finished, like the checkpoint
     try:
-        report = optim.train(scene.train, spec, train_cfg, epoch_callback=on_epoch)
-    finally:
-        log.close()
+        with open(log_tmp, "w", newline="\n") as log:
+            log.write("epoch,lr,total,offset,absolute,ce\n")
+            report = optim.train(scene.train, spec, train_cfg, epoch_callback=on_epoch)
+        os.replace(log_tmp, log_path)
+    except BaseException:
+        if os.path.exists(log_tmp):
+            os.remove(log_tmp)
+        raise
 
     ckpt = os.path.join(args.out, "checkpoint.bin")
     optim.save_training_checkpoint(ckpt, spec, report.params, report.adam_state,

@@ -33,6 +33,10 @@ QUAT_NORM_TOL = 1e-3
 _FEAT_MAGIC = b"ALFT"
 _FEAT_VERSION = 1
 
+# Elements of the (rows, N) squared-distance table that SampleBatch.build
+# holds at a time (1 MB); each row's argmin is the same as over the whole table.
+_NEAREST_BLOCK = 2**17
+
 POSES_TRAIN = "poses_train.txt"
 POSES_TEST = "poses_test.txt"
 FEATURES_TRAIN = "features_train.bin"
@@ -180,8 +184,12 @@ class SampleBatch:
         positions = np.array([p.position for p in poses]).reshape(n, 3)
         orientations = np.array([p.orientation for p in poses]).reshape(n, 4)
         ax, ay = anchor_map.anchors.T
-        d2 = (ax - positions[:, 0, None]) ** 2 + (ay - positions[:, 1, None]) ** 2
-        nearest = d2.argmin(axis=1)
+        rows = max(1, _NEAREST_BLOCK // len(anchor_map))
+        nearest = np.empty(n, dtype=np.intp)
+        for s in range(0, n, rows):
+            px, py = positions[s:s + rows, 0, None], positions[s:s + rows, 1, None]
+            d2 = (ax - px) ** 2 + (ay - py) ** 2
+            nearest[s:s + rows] = d2.argmin(axis=1)
         return cls(frame_ids=list(frame_ids), features=feats, positions=positions,
                    orientations=orientations, anchor_map=anchor_map, nearest=nearest,
                    visible_sets=visible_sets)

@@ -88,9 +88,9 @@ class AnchorMap:
 def build_anchor_map(poses: list[Pose], k: int) -> AnchorMap:
     """Subsample every k-th pose position into an anchor list.
 
-    Anchors are the (x, y) of poses at indices 0, k, 2k, ...; positions that
-    repeat within ``ANCHOR_DEDUP_TOL`` are dropped, keeping the first
-    occurrence so anchor indices stay reproducible.
+    Anchors are the (x, y) of poses at indices 0, k, 2k, ...; in that order,
+    a candidate within ``ANCHOR_DEDUP_TOL`` of an anchor already kept is
+    dropped, keeping the first occurrence so anchor indices stay reproducible.
     """
     if len(poses) == 0:
         raise InvalidInputError("cannot build an anchor map from an empty pose list")
@@ -98,18 +98,48 @@ def build_anchor_map(poses: list[Pose], k: int) -> AnchorMap:
         raise InvalidInputError(f"frame interval must be >= 1, got {k}")
 
     candidates = np.array([p.xy for p in poses[::k]], dtype=np.float64)
-    kept = np.empty_like(candidates)
-    m = 0
-    for cand in candidates:
-        if m > 0:
-            d2 = ((kept[:m] - cand) ** 2).sum(axis=1)
-            if (d2 < ANCHOR_DEDUP_TOL**2).any():
-                continue
-        kept[m] = cand
-        m += 1
-    if m == 1:
+    order = np.lexsort((candidates[:, 1], candidates[:, 0]))  # x, then y, then index
+    srt = candidates[order]
+    # A repeat of an earlier candidate's exact (x, y) is always dropped: what
+    # keeps or drops the first occurrence drops the repeat too, and a dropped
+    # candidate decides nothing.
+    repeat = np.r_[False, (srt[1:] == srt[:-1]).all(axis=1)]
+    keep = np.ones(len(candidates), dtype=bool)
+    keep[order[repeat]] = False
+    # The others run the greedy rule over their close pairs only. Pairs come
+    # sorted by the later index, so an earlier candidate is settled when read.
+    for i, j in zip(*_close_pairs(candidates, order[~repeat])):
+        if keep[i]:
+            keep[j] = False
+    if keep.sum() == 1:
         raise DegenerateMapError("all anchors collapse to a single point")
-    return AnchorMap(anchors=kept[:m].copy(), frame_interval=k)
+    return AnchorMap(anchors=candidates[keep], frame_interval=k)
+
+
+def _close_pairs(xy: np.ndarray, idx: np.ndarray) -> tuple[list[int], list[int]]:
+    """Pairs (earlier, later) of the rows ``idx`` of ``xy``, given in order of
+    x, whose squared distance is below ``ANCHOR_DEDUP_TOL**2``; sorted by the
+    later index.
+
+    The rows split into bands wherever x jumps by more than 2 tol, so a
+    close pair never straddles two bands; only pairs in one band and within
+    2 tol in y are tested. A complex number sorts by its real part, then its
+    imaginary part, so ``band + 1j * y`` orders the rows by band, then y.
+    """
+    x, y = xy[idx, 0], xy[idx, 1]
+    band = np.r_[0, np.cumsum(np.diff(x) > 2 * ANCHOR_DEDUP_TOL)]
+    key = band + 1j * y
+    order = np.argsort(key, kind="stable")
+    key, idx = key[order], idx[order]
+    ends = np.searchsorted(key, key + 2j * ANCHOR_DEDUP_TOL, side="right")
+    counts = ends - np.arange(len(idx)) - 1
+    lo = np.repeat(np.arange(len(idx)), counts)
+    hi = lo + 1 + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    earlier = np.minimum(idx[lo], idx[hi])
+    later = np.maximum(idx[lo], idx[hi])
+    close = ((xy[earlier] - xy[later]) ** 2).sum(axis=1) < ANCHOR_DEDUP_TOL**2
+    by_later = np.argsort(later[close], kind="stable")
+    return earlier[close][by_later].tolist(), later[close][by_later].tolist()
 
 
 def nearest_anchor(position: np.ndarray, anchor_map: AnchorMap) -> int:

@@ -99,7 +99,8 @@ class _InPlaceAdam:
     """Adam (Kingma & Ba, Alg. 1) on parameter, moment and gradient buffers
     that one training run owns. Every operation writes into a buffer with
     ``out=`` or in place, so a step allocates nothing the size of the
-    parameter vector."""
+    parameter vector. ``step`` uses ``grad`` as scratch once ``v`` is
+    updated, so after a step it no longer holds the gradient."""
 
     def __init__(self, params: np.ndarray, state: AdamState):
         self.params = np.array(params, dtype=np.float64)
@@ -108,11 +109,10 @@ class _InPlaceAdam:
         self.t = state.t
         self.grad = np.zeros_like(self.params)
         self._s1 = np.empty_like(self.params)
-        self._s2 = np.empty_like(self.params)
         self._finite = np.empty(self.params.shape, dtype=bool)
 
     def step(self, lr: float) -> None:
-        g, m, v, s1, s2 = self.grad, self.m, self.v, self._s1, self._s2
+        g, m, v, s1 = self.grad, self.m, self.v, self._s1
         if not np.isfinite(g, out=self._finite).all():
             raise TrainingDivergenceError("non-finite gradient in Adam step")
         self.t += 1
@@ -124,10 +124,10 @@ class _InPlaceAdam:
         v += s1
         np.divide(m, 1.0 - BETA1 ** self.t, out=s1)  # m_hat
         s1 *= lr
-        np.divide(v, 1.0 - BETA2 ** self.t, out=s2)  # v_hat
-        np.sqrt(s2, out=s2)
-        s2 += EPS
-        s1 /= s2
+        np.divide(v, 1.0 - BETA2 ** self.t, out=g)  # v_hat; g is spent
+        np.sqrt(g, out=g)
+        g += EPS
+        s1 /= g
         self.params -= s1
 
     def snapshot(self) -> tuple[np.ndarray, AdamState]:

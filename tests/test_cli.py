@@ -105,6 +105,7 @@ class TestTrain:
                    "--out", str(tmp_path / "div")])
         assert rc == EXIT_DIVERGENCE
         assert "epoch" in capsys.readouterr().err
+        assert not (tmp_path / "div" / "training_log.csv.tmp").exists()
 
 
 class TestConfigValues:

@@ -120,6 +120,28 @@ class TestAssemble:
                 assert batch.nearest[i] == nearest_anchor(
                     batch.positions[i], scene.anchor_map)
 
+    def test_nearest_labels_across_row_blocks(self):
+        from anchorloc.geometry import AnchorMap, nearest_anchor
+        # a 200 x 100 grid of anchors in shuffled index order
+        rng = np.random.default_rng(3)
+        gx, gy = np.meshgrid(np.arange(200.0), np.arange(100.0))
+        anchors = rng.permutation(np.c_[gx.ravel(), gy.ravel()])
+        amap = AnchorMap(anchors=anchors, frame_interval=1)
+        rows = max(1, data._NEAREST_BLOCK // len(amap))
+        n = 3 * rows + rows // 2
+        assert n % rows and n // rows >= 3
+        # midway between two anchors, equidistant from four, and anywhere
+        xy = np.floor(rng.uniform(0, [199, 99], size=(n, 2)))
+        xy[0::3, 0] += 0.5
+        xy[1::3] += 0.5
+        xy[2::3] += rng.uniform(0, 1, size=xy[2::3].shape)
+        poses = [make_pose(x, y) for x, y in xy]
+        batch = data.SampleBatch.build([str(i) for i in range(n)], poses,
+                                       np.zeros((n, 1)), amap)
+        expected = [nearest_anchor(p.position, amap) for p in poses]
+        assert batch.nearest.dtype == np.intp
+        assert batch.nearest.tolist() == expected
+
     def test_anchor_count_by_index_rule(self, tiny_samples):
         train, test = tiny_samples
         k = 10

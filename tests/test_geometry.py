@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anchorloc.data import SampleBatch
 from anchorloc.errors import DegenerateMapError, InvalidInputError
-from anchorloc.geometry import (AnchorMap, Pose, build_anchor_map, nearest_anchor,
-                                quat_angle_deg, yaw_quat)
+from anchorloc.geometry import (ANCHOR_DEDUP_TOL, AnchorMap, Pose, build_anchor_map,
+                                nearest_anchor, quat_angle_deg, yaw_quat)
 
 from conftest import make_pose, random_unit_quat
 
@@ -78,6 +78,74 @@ class TestBuildAnchorMap:
         counts = [len(build_anchor_map(poses, k)) for k in (1, 2, 3, 5, 10)]
         assert counts == sorted(counts, reverse=True)
         assert counts[0] == 60  # distinct random positions, k = 1
+
+
+def greedy_dedup(candidates):
+    """Oracle: the all-pairs greedy loop that anchor dedup once ran. Each
+    candidate, in order, is tested against every anchor kept so far."""
+    kept = np.empty_like(candidates)
+    m = 0
+    for cand in candidates:
+        if m > 0:
+            d2 = ((kept[:m] - cand) ** 2).sum(axis=1)
+            if (d2 < ANCHOR_DEDUP_TOL**2).any():
+                continue
+        kept[m] = cand
+        m += 1
+    if m == 1:
+        raise DegenerateMapError("all anchors collapse to a single point")
+    return kept[:m].copy()
+
+
+# Cluster centres share x values (0.0, 1e6 + 0.5) so that different clusters
+# line up in x; at 1e6 + 0.5 the tolerance is only about 9 ulps of x.
+_CENTRE = st.sampled_from([0.0, -3.25, 1e6 + 0.5]) | st.floats(-100, 100)
+
+
+@st.composite
+def near_duplicate_clusters(draw):
+    """2-40 points around 1-4 centres. A point is its centre plus jitter
+    times small integers, so points share x with different y and sit exactly
+    one tolerance apart; a chain is a run of points one step apart, with
+    0.5 tol < step < tol, so neighbours are close but the ends are not."""
+    centres = draw(st.lists(st.tuples(_CENTRE, _CENTRE), min_size=1, max_size=4))
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        cx, cy = draw(st.sampled_from(centres))
+        if draw(st.booleans()):
+            step = draw(st.floats(0.5, 0.99)) * ANCHOR_DEDUP_TOL
+            dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (0.6, 0.8)]))
+            points += [(cx + i * step * dx, cy + i * step * dy)
+                       for i in range(draw(st.integers(2, 6)))]
+        else:
+            jitter = draw(st.sampled_from([0.0, 3e-10, 1e-9, 2e-9]))
+            units = st.integers(-3, 3)
+            points += [(cx + jitter * draw(units), cy + jitter * draw(units))
+                       for _ in range(draw(st.integers(1, 8)))]
+    points = draw(st.permutations(points))[:40]
+    assume(len(points) >= 2)
+    return np.array(points)
+
+
+class TestDedupOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(near_duplicate_clusters())
+    def test_matches_greedy_oracle(self, points):
+        poses = [make_pose(x, y) for x, y in points]
+        try:
+            expected = greedy_dedup(points)
+        except DegenerateMapError:
+            with pytest.raises(DegenerateMapError):
+                build_anchor_map(poses, 1)
+            return
+        assert build_anchor_map(poses, 1).anchors.tobytes() == expected.tobytes()
+
+    def test_chain_keeps_both_ends(self):
+        step = 0.75 * ANCHOR_DEDUP_TOL
+        points = np.array([[0.0, 0.0], [step, 0.0], [2 * step, 0.0], [5.0, 5.0]])
+        anchors = build_anchor_map([make_pose(x, y) for x, y in points], 1).anchors
+        assert np.array_equal(anchors, points[[0, 2, 3]])
+        assert np.array_equal(anchors, greedy_dedup(points))
 
 
 class TestRelativeOffsets:
