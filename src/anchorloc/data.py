@@ -19,6 +19,7 @@ A dataset directory holds ``poses_train.txt``, ``poses_test.txt``,
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -61,7 +62,7 @@ def parse_pose_line(line: str, line_number: int | None = None) -> tuple[str, Pos
     except ValueError as err:
         raise ParseError(f"bad float field: {err}", line_number) from None
     quat = np.array(values[3:])
-    norm = float(np.linalg.norm(quat))
+    norm = math.sqrt(quat.dot(quat))
     if abs(norm - 1.0) > QUAT_NORM_TOL:
         raise DataIntegrityError(
             f"line {line_number}: quaternion norm {norm:.6g} is more than "

@@ -48,9 +48,10 @@ class Pose:
             raise InvalidInputError(f"position must be a 3-vector, got shape {pos.shape}")
         if quat.shape != (4,):
             raise InvalidInputError(f"orientation must be a 4-vector, got shape {quat.shape}")
-        if not np.isfinite(pos).all() or not np.isfinite(quat).all():
+        if not all(map(math.isfinite, pos.tolist() + quat.tolist())):
             raise InvalidInputError("pose components must be finite")
-        norm = float(np.linalg.norm(quat))
+        # the same sum and root that np.linalg.norm takes for a 1-D float64 vector
+        norm = math.sqrt(quat.dot(quat))
         if norm < 1e-12:
             raise InvalidInputError("orientation quaternion has zero norm")
         # idempotent normalization keeps parse/serialize cycles bit-stable

@@ -57,6 +57,10 @@ class WorldSpec:
             raise InvalidSpecError("route must be an ordered (W, 2) list with W >= 2")
         if not np.isfinite(route).all():
             raise InvalidSpecError("route waypoints must be finite")
+        for name in ("fov_half_angle", "z_base", "z_noise_amp", "noise_sigma",
+                     "lateral_jitter", "heading_jitter_deg"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpecError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.fov_half_angle < 180.0:
             raise InvalidSpecError("fov_half_angle must be in (0, 180) degrees")
         lm = tuple((str(name), (float(p[0]), float(p[1]))) for name, p in self.landmarks)
@@ -65,6 +69,12 @@ class WorldSpec:
             raise InvalidSpecError("landmark identifiers must be unique")
         obs = tuple(((float(a[0]), float(a[1])), (float(b[0]), float(b[1])))
                     for a, b in self.obstacles)
+        for name, p in lm:
+            if not all(map(math.isfinite, p)):
+                raise InvalidSpecError(f"landmark {name!r} coordinates must be finite, got {p}")
+        for j, (a, b) in enumerate(obs):
+            if not all(map(math.isfinite, a + b)):
+                raise InvalidSpecError(f"obstacle {j} coordinates must be finite, got {a + b}")
         route = route.copy()
         route.setflags(write=False)
         object.__setattr__(self, "route", route)
@@ -99,22 +109,30 @@ class _Route:
         nz = self.seg_len > 0
         self.seg_dir[nz] = seg[nz] / self.seg_len[nz, None]
 
-    def locate(self, s: float) -> tuple[np.ndarray, float]:
-        """Position and tangent angle at arc length ``s`` (clamped to the end)."""
-        s = min(max(s, 0.0), self.length)
-        i = int(np.searchsorted(self.cum, s, side="right") - 1)
-        i = min(i, len(self.seg_len) - 1)
-        while self.seg_len[i] == 0 and i > 0:
-            i -= 1
-        pos = self.pts[i] + (s - self.cum[i]) * self.seg_dir[i]
-        angle = math.atan2(self.seg_dir[i][1], self.seg_dir[i][0])
-        return pos, angle
+    def locate(self, s: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        """(n, 2) positions and n tangent angles at arc lengths ``s``, each
+        clamped to the route. A point on a zero-length segment takes the last
+        non-zero segment before it (the first segment if there is none)."""
+        # as Python's min(max(s, 0.0), length), which keeps s = -0.0
+        s = np.where(s < 0.0, 0.0, s)
+        s = np.where(s > self.length, self.length, s)
+        nseg = len(self.seg_len)
+        i = np.minimum(np.searchsorted(self.cum, s, side="right") - 1, nseg - 1)
+        i = np.maximum.accumulate(np.where(self.seg_len > 0, np.arange(nseg), 0))[i]
+        pos = self.pts[i] + (s - self.cum[i])[:, None] * self.seg_dir[i]
+        angles = [math.atan2(dy, dx) for dx, dy in self.seg_dir.tolist()]
+        return pos, [angles[j] for j in i.tolist()]
 
 
 # --- visibility ----------------------------------------------------------------
 
 def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _on_segment(a, b, c) -> bool:
+    return (min(a[0], b[0]) - GRAZE_EPS <= c[0] <= max(a[0], b[0]) + GRAZE_EPS and
+            min(a[1], b[1]) - GRAZE_EPS <= c[1] <= max(a[1], b[1]) + GRAZE_EPS)
 
 
 def segments_intersect(p1, p2, q1, q2) -> bool:
@@ -126,24 +144,19 @@ def segments_intersect(p1, p2, q1, q2) -> bool:
     if ((d1 > GRAZE_EPS and d2 < -GRAZE_EPS) or (d1 < -GRAZE_EPS and d2 > GRAZE_EPS)) and \
        ((d3 > GRAZE_EPS and d4 < -GRAZE_EPS) or (d3 < -GRAZE_EPS and d4 > GRAZE_EPS)):
         return True
-
-    def on_segment(a, b, c):
-        return (min(a[0], b[0]) - GRAZE_EPS <= c[0] <= max(a[0], b[0]) + GRAZE_EPS and
-                min(a[1], b[1]) - GRAZE_EPS <= c[1] <= max(a[1], b[1]) + GRAZE_EPS)
-
-    if abs(d1) <= GRAZE_EPS and on_segment(q1, q2, p1):
+    if abs(d1) <= GRAZE_EPS and _on_segment(q1, q2, p1):
         return True
-    if abs(d2) <= GRAZE_EPS and on_segment(q1, q2, p2):
+    if abs(d2) <= GRAZE_EPS and _on_segment(q1, q2, p2):
         return True
-    if abs(d3) <= GRAZE_EPS and on_segment(p1, p2, q1):
+    if abs(d3) <= GRAZE_EPS and _on_segment(p1, p2, q1):
         return True
-    if abs(d4) <= GRAZE_EPS and on_segment(p1, p2, q2):
+    if abs(d4) <= GRAZE_EPS and _on_segment(p1, p2, q2):
         return True
     return False
 
 
 def _yaw_of(pose: Pose) -> float:
-    w, x, y, z = pose.orientation
+    w, x, y, z = pose.orientation.tolist()
     return math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
 
 
@@ -158,17 +171,17 @@ def visibility(pose: Pose, landmark: tuple[float, float] | np.ndarray,
     Visible means within the field of view AND the sight line touches no
     obstacle segment. Grazing contact is conservatively treated as occluded.
     """
-    cam = pose.xy
-    lm = np.asarray(landmark, dtype=np.float64)
-    delta = lm - cam
-    distance = float(np.hypot(delta[0], delta[1]))
+    cam = pose.position[:2].tolist()
+    lm = (float(landmark[0]), float(landmark[1]))
+    dx, dy = lm[0] - cam[0], lm[1] - cam[1]
+    distance = float(np.hypot(dx, dy))
     if distance < 1e-12:
         return True, 0.0, 0.0
-    bearing = _wrap_angle(math.atan2(delta[1], delta[0]) - _yaw_of(pose))
+    bearing = _wrap_angle(math.atan2(dy, dx) - _yaw_of(pose))
     if abs(bearing) > math.radians(spec.fov_half_angle):
         return False, bearing, distance
     for a, b in spec.obstacles:
-        if segments_intersect(cam, lm, np.asarray(a), np.asarray(b)):
+        if segments_intersect(cam, lm, a, b):
             return False, bearing, distance
     return True, bearing, distance
 
@@ -189,20 +202,20 @@ def decode_distance(enc: float) -> float:
 def sample_features(pose: Pose, spec: WorldSpec,
                     noise: np.ndarray | None = None) -> tuple[np.ndarray, frozenset[str]]:
     """Feature vector (3 channels per landmark) and the exact visible set."""
-    feat = np.zeros(spec.feature_dim)
+    feat = [0.0] * spec.feature_dim
     visible: set[str] = set()
+    if noise is not None:
+        noise = noise.tolist()
     for i, (name, lm) in enumerate(spec.landmarks):
         vis, bearing, dist = visibility(pose, lm, spec)
         if vis:
             visible.add(name)
             b, e = bearing, encode_distance(dist)
             if noise is not None:
-                b += spec.noise_sigma * noise[i, 0]
-                e += spec.noise_sigma * noise[i, 1]
-            feat[3 * i] = 1.0
-            feat[3 * i + 1] = b
-            feat[3 * i + 2] = e
-    return feat, frozenset(visible)
+                b += spec.noise_sigma * noise[i][0]
+                e += spec.noise_sigma * noise[i][1]
+            feat[3 * i:3 * i + 3] = 1.0, b, e
+    return np.array(feat), frozenset(visible)
 
 
 # --- sampling -------------------------------------------------------------------
@@ -218,8 +231,9 @@ def _z_profile(fracs: np.ndarray, spec: WorldSpec) -> np.ndarray:
     return spec.z_base + spec.z_noise_amp * wave
 
 
-def _route_poses(spec: WorldSpec, n: int, stream: int, ordered: bool) -> list[Pose]:
-    """Jittered camera poses along the route; ordered=True mimics a video pass."""
+def _camera_path(spec: WorldSpec, n: int, stream: int, ordered: bool):
+    """Lists of x, y, z and yaw of n jittered camera poses along the route;
+    ordered=True mimics a video pass."""
     route = _Route(spec.route)
     if route.length <= 0.0:
         raise InvalidSpecError("route has zero length")
@@ -232,15 +246,13 @@ def _route_poses(spec: WorldSpec, n: int, stream: int, ordered: bool) -> list[Po
     hjit = np.radians(rng.uniform(-spec.heading_jitter_deg, spec.heading_jitter_deg, size=n))
     z = _z_profile(s / route.length, spec)
 
-    poses = []
-    for i in range(n):
-        base, tangent = route.locate(float(s[i]))
-        normal = np.array([-math.sin(tangent), math.cos(tangent)])
-        xy = base + lateral[i] * normal
-        yaw = tangent + float(hjit[i])
-        poses.append(Pose(position=np.array([xy[0], xy[1], z[i]]),
-                          orientation=yaw_quat(yaw)))
-    return poses
+    base, tangent = route.locate(s)
+    xs, ys = [], []
+    for (bx, by), t, lat in zip(base.tolist(), tangent, lateral.tolist()):
+        xs.append(bx + lat * -math.sin(t))
+        ys.append(by + lat * math.cos(t))
+    yaws = [t + h for t, h in zip(tangent, hjit.tolist())]
+    return xs, ys, z.tolist(), yaws
 
 
 def generate(spec: WorldSpec, n_train: int, n_test: int) -> tuple[list[Sample], list[Sample]]:
@@ -251,7 +263,8 @@ def generate(spec: WorldSpec, n_train: int, n_test: int) -> tuple[list[Sample], 
     for n, pose_stream, noise_stream, ordered in (
             (n_train, _STREAM_TRAIN, _STREAM_TRAIN_NOISE, True),
             (n_test, _STREAM_TEST, _STREAM_TEST_NOISE, False)):
-        poses = _route_poses(spec, n, pose_stream, ordered)
+        poses = [Pose(position=np.array([x, y, z]), orientation=yaw_quat(yaw))
+                 for x, y, z, yaw in zip(*_camera_path(spec, n, pose_stream, ordered))]
         nrng = np.random.default_rng([spec.seed & 0xFFFFFFFFFFFFFFFF, noise_stream])
         noise = nrng.standard_normal((n, len(spec.landmarks), 2))
         samples = []
@@ -299,11 +312,9 @@ def default_world(seed: int = 7, noise_sigma: float = 0.02) -> WorldSpec:
     """
     bare = WorldSpec(route=stadium_route(), landmarks=(), obstacles=_DEFAULT_OBSTACLES,
                      noise_sigma=noise_sigma, seed=seed)
-    poses = _route_poses(bare, DEFAULT_N_TRAIN, _STREAM_TRAIN, ordered=True)
-    landmarks = tuple(
-        (f"lm{frame // DEFAULT_FRAME_INTERVAL:02d}",
-         (float(poses[frame].position[0]), float(poses[frame].position[1])))
-        for frame in _DEFAULT_LANDMARK_FRAMES)
+    xs, ys, _, _ = _camera_path(bare, DEFAULT_N_TRAIN, _STREAM_TRAIN, ordered=True)
+    landmarks = tuple((f"lm{frame // DEFAULT_FRAME_INTERVAL:02d}", (xs[frame], ys[frame]))
+                      for frame in _DEFAULT_LANDMARK_FRAMES)
     return WorldSpec(route=stadium_route(), landmarks=landmarks,
                      obstacles=_DEFAULT_OBSTACLES, noise_sigma=noise_sigma, seed=seed)
 

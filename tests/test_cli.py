@@ -1,12 +1,15 @@
 import json
+import re
 import shutil
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anchorloc import data, evaluation, model, optim, simworld
 from anchorloc.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
-from anchorloc.errors import ParseError
+from anchorloc.errors import AnchorLocError, ParseError
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +279,95 @@ class TestNonFiniteFeatures:
                      "--out", str(run), "--epochs", "1"]) == EXIT_DATA
         assert ids[5] in capsys.readouterr().err
         assert not run.exists()
+
+
+class TestNonFiniteWorldSpec:
+    @pytest.mark.parametrize("pattern,value,field", [
+        (r"^lateral_jitter = .*$", "lateral_jitter = inf", "lateral_jitter"),
+        (r"^lateral_jitter = .*$", "lateral_jitter = nan", "lateral_jitter"),
+        (r"^heading_jitter_deg = .*$", "heading_jitter_deg = nan", "heading_jitter_deg"),
+        (r"^noise_sigma = .*$", "noise_sigma = inf", "noise_sigma"),
+        (r"^(landmarks = [^:]+:)[^,]+", r"\1nan", "landmark 'lm00'"),
+        (r"^(obstacles = )[^,]+", r"\1nan", "obstacle 0")],
+        ids=["jitter-inf", "jitter-nan", "heading-nan", "noise-inf", "landmark-nan",
+             "obstacle-nan"])
+    def test_is_a_data_error(self, dataset_dir, tmp_path, capsys, pattern, value, field):
+        out, cfg = dataset_dir
+        world = tmp_path / "world.ini"
+        text, edits = re.subn(pattern, value, (out / "world.ini").read_text(), flags=re.M)
+        assert edits == 1
+        world.write_text(text)
+        gen = tmp_path / "gen"
+        assert main(["gen-world", "--config", str(cfg), "--world-file", str(world),
+                     "--out", str(gen)]) == EXIT_DATA
+        assert f"{field} " in capsys.readouterr().err
+        assert not gen.exists()
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "ds"
+    cfg = out.parent / "small.ini"
+    cfg.write_text("[world]\nn_train = 40\nn_test = 10\n\n[data]\nframe_interval = 10\n")
+    assert main(["gen-world", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    return out, cfg
+
+
+_BYTE = st.sampled_from(b"\n\r\t #-+.,;:=_e0159") | st.integers(0, 255)
+
+
+@st.composite
+def damaged(draw, raw: bytes) -> bytes:
+    """``raw`` cut short, or with one byte replaced by another value."""
+    at = draw(st.integers(0, len(raw) - 1))
+    if draw(st.booleans()):
+        return raw[:at]
+    return raw[:at] + bytes([draw(_BYTE.filter(lambda v: v != raw[at]))]) + raw[at + 1:]
+
+
+class TestFuzzedFiles:
+    """Only package errors may escape the pose and world parsers, and the CLI
+    turns them into exit 2 without writing output."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(fuzz=st.data())
+    def test_pose_file(self, small_dataset, tmp_path_factory, fuzz):
+        out, cfg = small_dataset
+        bad = tmp_path_factory.mktemp("fuzz-poses") / "ds"
+        shutil.copytree(out, bad)
+        (bad / data.POSES_TRAIN).write_bytes(fuzz.draw(damaged((out / data.POSES_TRAIN).read_bytes())))
+        try:
+            data.load_pose_file(bad / data.POSES_TRAIN)
+            parsed = True
+        except AnchorLocError:
+            parsed = False
+        run = bad.parent / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(bad), "--out", str(run),
+                   "--epochs", "1"])
+        if parsed:
+            assert rc in (EXIT_OK, EXIT_DATA, EXIT_DIVERGENCE)
+        else:
+            assert rc == EXIT_DATA and not run.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(fuzz=st.data())
+    def test_world_file(self, small_dataset, tmp_path_factory, fuzz):
+        out, cfg = small_dataset
+        world = tmp_path_factory.mktemp("fuzz-world") / "world.ini"
+        world.write_bytes(fuzz.draw(damaged((out / "world.ini").read_bytes())))
+        try:
+            simworld.load_world_spec(world)
+            parsed = True
+        except AnchorLocError:
+            parsed = False
+        gen = world.parent / "gen"
+        rc = main(["gen-world", "--config", str(cfg), "--world-file", str(world),
+                   "--out", str(gen)])
+        if parsed:
+            assert rc in (EXIT_OK, EXIT_DATA)
+        else:
+            assert rc == EXIT_DATA and not gen.exists()
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,6 +41,58 @@ class TestPose:
         p = make_pose(1.0, 2.0)
         with pytest.raises(ValueError):
             p.position[0] = 5.0
+
+
+def pose_checks_oracle(position, orientation):
+    """Oracle: ``Pose.__post_init__`` as it checked on numpy before it moved to
+    Python floats; the stored (position, orientation), or the error raised."""
+    pos = np.asarray(position, dtype=np.float64).reshape(-1)
+    quat = np.asarray(orientation, dtype=np.float64).reshape(-1)
+    if pos.shape != (3,):
+        raise InvalidInputError(f"position must be a 3-vector, got shape {pos.shape}")
+    if quat.shape != (4,):
+        raise InvalidInputError(f"orientation must be a 4-vector, got shape {quat.shape}")
+    if not np.isfinite(pos).all() or not np.isfinite(quat).all():
+        raise InvalidInputError("pose components must be finite")
+    norm = float(np.linalg.norm(quat))
+    if norm < 1e-12:
+        raise InvalidInputError("orientation quaternion has zero norm")
+    if abs(norm - 1.0) > 1e-12:
+        quat = quat / norm
+    return pos, quat
+
+
+_SLOT = (st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 1e-200, 1e200])
+         | st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def near_unit_quats(draw):
+    """Unit quaternions scaled to a norm at, or a few ulps from, 1 +- 1e-12."""
+    q = draw(st.lists(st.floats(-1, 1), min_size=4, max_size=4))
+    norm = math.sqrt(sum(c * c for c in q))
+    assume(norm > 1e-3)
+    scale = draw(st.sampled_from([1.0, 1 + 1e-12, 1 - 1e-12, 0.5, 3.0])) * \
+        (1.0 + draw(st.integers(-4, 4)) * 2.0**-52)
+    return [c / norm * scale for c in q]
+
+
+class TestPoseOracle:
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_SLOT, min_size=3, max_size=4),
+           st.lists(_SLOT, min_size=3, max_size=4) | near_unit_quats())
+    def test_matches_numpy_checks(self, position, orientation):
+        try:
+            want = pose_checks_oracle(np.array(position), np.array(orientation))
+        except InvalidInputError as err:
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                Pose(position=np.array(position), orientation=np.array(orientation))
+            return
+        pose = Pose(position=np.array(position), orientation=np.array(orientation))
+        assert pose.position.tobytes() == want[0].tobytes()
+        assert pose.orientation.tobytes() == want[1].tobytes()
+        assert not pose.position.flags.writeable and not pose.orientation.flags.writeable
 
 
 class TestBuildAnchorMap:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracle_simworld as oracle
 from anchorloc import geometry, simworld
 from anchorloc.errors import InvalidInputError, InvalidSpecError
 from anchorloc.simworld import (WorldSpec, decode_distance,
@@ -254,3 +257,93 @@ class TestDefaultWorld:
         assert 0.1 < fraction < 0.9
         # frozen fixture measurement (seed 7): 50 of 97
         assert (occluded, have) == (50, 97)
+
+
+# --- bit-identity against the numpy-scalar oracle ------------------------------
+
+_COORD = st.sampled_from([0.0, -0.0, -2.5, 3.0]) | st.floats(-20, 20)
+
+
+@st.composite
+def routes_with_repeats(draw):
+    """2-6 waypoints plus 0-2 repeats, each right beside its original, so the
+    route has zero-length segments, at its start or end too."""
+    pts = draw(st.lists(st.tuples(_COORD, _COORD), min_size=2, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, len(pts) - 1))
+        pts.insert(j, pts[j])
+    return np.array(pts)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestLocateOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(routes_with_repeats(), st.lists(st.floats(-0.2, 1.2), max_size=10))
+    def test_matches_scalar_locate(self, waypoints, fracs):
+        ref = oracle.Route(waypoints)
+        cum = ref.cum
+        s = np.concatenate([cum, np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf),
+                            [0.0, -0.0, ref.length, -1.0, ref.length + 1.0],
+                            np.array(fracs) * ref.length])
+        pos, angles = simworld._Route(waypoints).locate(s)
+        expected = [ref.locate(float(v)) for v in s]
+        assert pos.tobytes() == _bits([p for p, _ in expected])
+        assert _bits(angles) == _bits([a for _, a in expected])
+
+
+_N_TRAIN, _N_TEST = 12, 5
+
+
+@st.composite
+def small_worlds(draw):
+    """A random route with 1-4 landmarks, some exactly at a training camera's
+    position, and 0-3 obstacles, some collinear with a camera's sight line."""
+    route = draw(routes_with_repeats())
+    assume(oracle.Route(route).length > 0.0)
+    params = dict(fov_half_angle=draw(st.sampled_from([30.0, 60.0, 120.0, 179.0])),
+                  z_noise_amp=draw(st.sampled_from([0.0, 0.25])),
+                  noise_sigma=draw(st.sampled_from([0.0, 0.02, 0.5])),
+                  lateral_jitter=draw(st.sampled_from([0.0, 0.1, 0.7])),
+                  heading_jitter_deg=draw(st.sampled_from([0.0, 3.0, 40.0])),
+                  seed=draw(st.integers(0, 2**64)))
+    bare = WorldSpec(route=route, landmarks=(), **params)
+    cams = [p.position[:2].tolist() for p in
+            oracle.route_poses(bare, _N_TRAIN, simworld._STREAM_TRAIN, ordered=True)]
+    at_camera = st.sampled_from(cams)
+    points = draw(st.lists(at_camera | st.tuples(_COORD, _COORD), min_size=1, max_size=4))
+    landmarks = tuple((f"l{i}", tuple(p)) for i, p in enumerate(points))
+    obstacles = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            c, lm = np.array(draw(at_camera)), np.array(draw(st.sampled_from(points)))
+            t0, t1 = draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5]),
+                                   min_size=2, max_size=2))
+            obstacles.append((tuple(c + t0 * (lm - c)), tuple(c + t1 * (lm - c))))
+        else:
+            obstacles.append((draw(st.tuples(_COORD, _COORD)), draw(st.tuples(_COORD, _COORD))))
+    return WorldSpec(route=route, landmarks=landmarks, obstacles=tuple(obstacles), **params)
+
+
+class TestGenerateOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(small_worlds())
+    def test_matches_scalar_generate(self, spec):
+        got = generate(spec, _N_TRAIN, _N_TEST)
+        want = oracle.generate(spec, _N_TRAIN, _N_TEST)
+        for new, ref in zip(got[0] + got[1], want[0] + want[1]):
+            assert new.feature.tobytes() == ref.feature.tobytes()
+            assert new.pose.position.tobytes() == ref.pose.position.tobytes()
+            assert new.pose.orientation.tobytes() == ref.pose.orientation.tobytes()
+            assert new.visible_set == ref.visible_set
+
+    def test_default_world_matches_scalar_route(self):
+        for seed in (7, 11):
+            poses = oracle.route_poses(WorldSpec(route=stadium_route(), landmarks=(), seed=seed),
+                                       simworld.DEFAULT_N_TRAIN, simworld._STREAM_TRAIN,
+                                       ordered=True)
+            landmarks = default_world(seed).landmarks
+            for (_, xy), frame in zip(landmarks, simworld._DEFAULT_LANDMARK_FRAMES):
+                assert _bits(xy) == poses[frame].position[:2].tobytes()
