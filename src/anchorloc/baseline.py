@@ -2,8 +2,9 @@
 (x, y, z plus unnormalized quaternion), no anchors.
 
 This is the comparison model used to show that the anchor mechanism, not the
-trunk, is responsible for localization accuracy. Training reuses the same
-Adam loop, schedule and shuffling as the anchor model so runs differ only in
+trunk, is responsible for localization accuracy. It is a spec plus a loss:
+``model.Bound`` runs its network pass and ``optim``'s loop trains it with the
+same Adam, schedule and shuffling as the anchor model, so runs differ only in
 the head and loss.
 """
 
@@ -16,7 +17,6 @@ import numpy as np
 from . import model as modelmod
 from . import optim as optimmod
 from .data import SampleBatch
-from .errors import InvalidInputError
 from .evaluation import EvalReport, report_from_poses
 from .loss import LossBreakdown, LossWeights, absolute_term, unit_orientation
 from .optim import TrainConfig, TrainReport
@@ -39,20 +39,13 @@ class DirectSpec:
         return {"pose": 7}  # x, y, z, quaternion
 
 
-init = modelmod.init
-param_count = modelmod.param_count
-
-
-def forward_batch(spec: DirectSpec, params: np.ndarray, features: np.ndarray,
-                  with_cache: bool = False):
-    heads, cache = modelmod.forward_heads(spec, params, features)
-    if with_cache:
-        return heads["pose"], cache
-    return heads["pose"]
+def forward_batch(spec: DirectSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
+    return modelmod.Bound(spec, params).forward(features)[0]["pose"]
 
 
 def backward_batch(spec: DirectSpec, params: np.ndarray, cache, d_pose: np.ndarray) -> np.ndarray:
-    return modelmod.backward_heads(spec, params, cache, {"pose": d_pose})
+    return modelmod.Bound(spec, params, np.zeros(modelmod.param_count(spec))).backward(
+        cache, {"pose": d_pose})
 
 
 def direct_loss_batch(pose_out: np.ndarray, gt_xyz: np.ndarray, gt_orient: np.ndarray,
@@ -83,27 +76,14 @@ def direct_loss_batch(pose_out: np.ndarray, gt_xyz: np.ndarray, gt_orient: np.nd
 
 def train_direct(samples: SampleBatch, spec: DirectSpec, config: TrainConfig) -> TrainReport:
     """Same loop, schedule and shuffles as optim.train, different head/loss."""
-    feats = samples.features
-    gt_xyz = samples.positions
-    gt_orient = samples.orientations
-    if feats.shape[0] == 0:
-        raise InvalidInputError("training requires a non-empty sample list")
+    gt_xyz, gt_orient = samples.positions, samples.orientations
 
-    params = init(spec)
-    state = optimmod.AdamState.initial(params.size)
+    def batch_loss(heads, idx):
+        breakdown, d_pose = direct_loss_batch(heads["pose"], gt_xyz[idx], gt_orient[idx],
+                                              config.weights)
+        return breakdown, {"pose": d_pose}
 
-    def bind_step(p, grad):
-        net = modelmod.Bound(spec, p, grad)
-
-        def step(idx):
-            heads, cache = net.forward(feats[idx])
-            breakdown, d_pose = direct_loss_batch(heads["pose"], gt_xyz[idx], gt_orient[idx],
-                                                  config.weights)
-            net.backward(cache, {"pose": d_pose})
-            return breakdown
-        return step
-
-    return optimmod._train_loop(feats.shape[0], params, state, config, bind_step)
+    return optimmod._train_loop(samples, spec, config, batch_loss)
 
 
 def evaluate_direct(spec: DirectSpec, params: np.ndarray, batch: SampleBatch) -> EvalReport:

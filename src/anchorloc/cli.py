@@ -215,7 +215,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     spec, params, _, _, meta = optim.load_training_checkpoint(args.checkpoint)
-    k = int(meta.get("frame_interval", simworld.DEFAULT_FRAME_INTERVAL))
+    k = meta.get("frame_interval", simworld.DEFAULT_FRAME_INTERVAL)
     scene = data.load_dataset_dir(args.data, k)
     if scene.num_anchors != spec.num_anchors:
         raise InvalidInputError(

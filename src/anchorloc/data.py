@@ -19,14 +19,13 @@ A dataset directory holds ``poses_train.txt``, ``poses_test.txt``,
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataIntegrityError, InvalidInputError, ParseError
-from .geometry import AnchorMap, Pose, build_anchor_map
+from .geometry import AnchorMap, Pose, build_anchor_map, quat_norm
 from .simworld import Sample, _fmt
 
 QUAT_NORM_TOL = 1e-3
@@ -62,7 +61,7 @@ def parse_pose_line(line: str, line_number: int | None = None) -> tuple[str, Pos
     except ValueError as err:
         raise ParseError(f"bad float field: {err}", line_number) from None
     quat = np.array(values[3:])
-    norm = math.sqrt(quat.dot(quat))
+    norm = quat_norm(quat, values[3:])
     if abs(norm - 1.0) > QUAT_NORM_TOL:
         raise DataIntegrityError(
             f"line {line_number}: quaternion norm {norm:.6g} is more than "

@@ -23,6 +23,10 @@ from .errors import DegenerateMapError, InvalidInputError
 # Two anchors closer than this are considered the same point and deduplicated.
 ANCHOR_DEDUP_TOL = 1e-9
 
+# A 4-vector shorter than this has a squared norm, and partial sums of its
+# squares, below about 2**1022: far from overflow.
+_NORM_SAFE = 2.0 ** 511
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -35,7 +39,8 @@ class Pose:
     """A 6-DOF camera state: position plus unit-quaternion orientation.
 
     The orientation is renormalized on construction; a quaternion with
-    (near-)zero norm or a non-finite position is rejected.
+    (near-)zero norm, or one whose squared norm overflows, or a non-finite
+    component is rejected.
     """
 
     position: np.ndarray
@@ -48,10 +53,12 @@ class Pose:
             raise InvalidInputError(f"position must be a 3-vector, got shape {pos.shape}")
         if quat.shape != (4,):
             raise InvalidInputError(f"orientation must be a 4-vector, got shape {quat.shape}")
-        if not all(map(math.isfinite, pos.tolist() + quat.tolist())):
+        q = quat.tolist()
+        if not all(map(math.isfinite, pos.tolist() + q)):
             raise InvalidInputError("pose components must be finite")
-        # the same sum and root that np.linalg.norm takes for a 1-D float64 vector
-        norm = math.sqrt(quat.dot(quat))
+        norm = quat_norm(quat, q)
+        if norm == math.inf:
+            raise InvalidInputError("orientation quaternion norm overflows")
         if norm < 1e-12:
             raise InvalidInputError("orientation quaternion has zero norm")
         # idempotent normalization keeps parse/serialize cycles bit-stable
@@ -63,6 +70,17 @@ class Pose:
     @property
     def xy(self) -> np.ndarray:
         return self.position[:2]
+
+
+def quat_norm(quat: np.ndarray, comps: list[float]) -> float:
+    """Norm of a float64 4-vector: the same sum and root that np.linalg.norm
+    takes for a 1-D float64 vector, or inf, without a warning, where the
+    squared norm overflows. ``comps`` is ``quat.tolist()``, which callers
+    already hold."""
+    if math.hypot(*comps) < _NORM_SAFE:  # hypot itself never overflows
+        return math.sqrt(quat.dot(quat))
+    with np.errstate(over="ignore"):
+        return math.sqrt(quat.dot(quat))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ the network shape (trunk layers in order, then the logits / offsets /
 absolute heads), so checkpoints round-trip bit-exactly. Layout, trunk and
 heads are driven by a spec's ``head_dims()`` table, so the direct-regression
 control in ``baseline`` runs on the same code with its own head.
+:class:`Bound` is the one forward and backward pass; ``forward_batch``,
+``forward`` and ``backward_batch`` are calls into it.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ def init(spec: NetworkSpec) -> np.ndarray:
     return flat
 
 
-# --- forward / backward ------------------------------------------------------
+# --- the network pass --------------------------------------------------------
 
 def _act_(a: np.ndarray, kind: str) -> np.ndarray:
     """The activation, applied in place."""
@@ -165,92 +167,74 @@ def _act_grad_from_output(h: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - h * h
 
 
-def _forward(spec, views: _Views, features: np.ndarray):
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != spec.input_dim:
-        raise InvalidInputError(
-            f"features must be (B, {spec.input_dim}), got shape {X.shape}")
-    h = X
-    cache = [h]
-    for i in range(len(spec.hidden_layers)):
-        a = h @ views.W[f"trunk{i}"].T
-        a += views.b[f"trunk{i}"]
-        h = _act_(a, spec.activation)
-        cache.append(h)
-    heads = {}
-    for name in spec.head_dims():
-        out = h @ views.W[name].T
-        out += views.b[name]
-        heads[name] = out
-    return heads, cache
-
-
-def _backward(spec, views: _Views, gviews: _Views, cache: list[np.ndarray],
-              d_heads: dict[str, np.ndarray]) -> None:
-    """Write the gradient into ``gviews``; every weight and bias is overwritten."""
-    h = cache[-1]
-    dh = None
-    for name, d in d_heads.items():
-        np.matmul(d.T, h, out=gviews.W[name])
-        np.add.reduce(d, axis=0, out=gviews.b[name])
-        dh_head = d @ views.W[name]
-        if dh is None:
-            dh = dh_head
-        else:
-            dh += dh_head
-
-    for i in reversed(range(len(spec.hidden_layers))):
-        dh *= _act_grad_from_output(cache[i + 1], spec.activation)
-        np.matmul(dh.T, cache[i], out=gviews.W[f"trunk{i}"])
-        np.add.reduce(dh, axis=0, out=gviews.b[f"trunk{i}"])
-        if i:  # no gradient w.r.t. the input features is needed
-            dh = dh @ views.W[f"trunk{i}"]
-
-
-def forward_heads(spec, params: np.ndarray, features: np.ndarray):
-    """Trunk plus every head of ``spec.head_dims()`` for features (B, input_dim).
-
-    Returns ({head name: (B, width)}, cache), where the cache holds the
-    per-layer activations :func:`backward_heads` needs.
-    """
-    return _forward(spec, _Views(spec, np.asarray(params, dtype=np.float64)), features)
-
-
-def backward_heads(spec, params: np.ndarray, cache: list[np.ndarray],
-                   d_heads: dict[str, np.ndarray]) -> np.ndarray:
-    """Reverse-mode gradient over the flat parameter vector, given upstream
-    gradients (B, width) for the heads in ``spec.head_dims()`` order.
-
-    Sample contributions are summed (scale the upstream values for mean
-    reduction).
-    """
-    params = np.asarray(params, dtype=np.float64)
-    grad = np.zeros_like(params)
-    _backward(spec, _Views(spec, params), _Views(spec, grad), cache, d_heads)
-    return grad
-
-
 class Bound:
-    """A spec's trunk and heads over one parameter vector and one gradient
-    vector, each sliced into weight/bias views once, for a whole training run.
+    """The network pass: a spec's trunk and heads over one parameter vector,
+    sliced into weight/bias views once.
 
     :meth:`forward` reads the parameters as they are when it is called, so an
-    optimizer that updates the vector in place needs no rebinding;
-    :meth:`backward` overwrites the gradient vector.
+    optimizer that updates the vector in place needs no rebinding.
+    :meth:`backward` overwrites the bound gradient vector; only a Bound made
+    with ``grad`` can run it.
     """
 
-    def __init__(self, spec, params: np.ndarray, grad: np.ndarray):
+    def __init__(self, spec, params: np.ndarray, grad: np.ndarray | None = None):
         self.spec = spec
-        self._views = _Views(spec, params)
-        self._gviews = _Views(spec, grad)
+        self._views = _Views(spec, np.asarray(params, dtype=np.float64))
+        self.grad = grad
+        self._gviews = None if grad is None else _Views(spec, grad)
 
     def forward(self, features: np.ndarray):
-        """:func:`forward_heads` on the bound parameters."""
-        return _forward(self.spec, self._views, features)
+        """Trunk plus every head of ``spec.head_dims()`` for features (B, input_dim).
 
-    def backward(self, cache: list[np.ndarray], d_heads: dict[str, np.ndarray]) -> None:
-        """:func:`backward_heads` written into the bound gradient."""
-        _backward(self.spec, self._views, self._gviews, cache, d_heads)
+        Returns ({head name: (B, width)}, cache), where the cache holds the
+        per-layer activations :meth:`backward` needs.
+        """
+        spec, views = self.spec, self._views
+        X = np.asarray(features, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != spec.input_dim:
+            raise InvalidInputError(
+                f"features must be (B, {spec.input_dim}), got shape {X.shape}")
+        h = X
+        cache = [h]
+        for i in range(len(spec.hidden_layers)):
+            a = h @ views.W[f"trunk{i}"].T
+            a += views.b[f"trunk{i}"]
+            h = _act_(a, spec.activation)
+            cache.append(h)
+        heads = {}
+        for name in spec.head_dims():
+            out = h @ views.W[name].T
+            out += views.b[name]
+            heads[name] = out
+        return heads, cache
+
+    def backward(self, cache: list[np.ndarray], d_heads: dict[str, np.ndarray]) -> np.ndarray:
+        """Reverse-mode gradient over the flat parameter vector, given upstream
+        gradients (B, width) for the heads in ``spec.head_dims()`` order.
+
+        Every entry of the bound gradient is overwritten, and it is returned.
+        Sample contributions are summed (scale the upstream values for mean
+        reduction).
+        """
+        spec, views, gviews = self.spec, self._views, self._gviews
+        h = cache[-1]
+        dh = None
+        for name, d in d_heads.items():
+            np.matmul(d.T, h, out=gviews.W[name])
+            np.add.reduce(d, axis=0, out=gviews.b[name])
+            dh_head = d @ views.W[name]
+            if dh is None:
+                dh = dh_head
+            else:
+                dh += dh_head
+
+        for i in reversed(range(len(spec.hidden_layers))):
+            dh *= _act_grad_from_output(cache[i + 1], spec.activation)
+            np.matmul(dh.T, cache[i], out=gviews.W[f"trunk{i}"])
+            np.add.reduce(dh, axis=0, out=gviews.b[f"trunk{i}"])
+            if i:  # no gradient w.r.t. the input features is needed
+                dh = dh @ views.W[f"trunk{i}"]
+        return self.grad
 
 
 def prediction(spec: NetworkSpec, heads: dict[str, np.ndarray]) -> BatchPrediction:
@@ -264,7 +248,7 @@ def prediction(spec: NetworkSpec, heads: dict[str, np.ndarray]) -> BatchPredicti
 def head_grads(d_logits: np.ndarray, d_offsets: np.ndarray, d_z: np.ndarray,
                d_orient: np.ndarray) -> dict[str, np.ndarray]:
     """Upstream gradients w.r.t. a BatchPrediction as the per-head table that
-    :func:`backward_heads` takes."""
+    :meth:`Bound.backward` takes."""
     B = d_logits.shape[0]
     if d_offsets.shape[0] != B or d_z.shape[0] != B or d_orient.shape[0] != B:
         raise InvalidInputError("upstream gradient batch sizes disagree")
@@ -272,18 +256,9 @@ def head_grads(d_logits: np.ndarray, d_offsets: np.ndarray, d_z: np.ndarray,
     return {"logits": d_logits, "offsets": d_offsets.reshape(B, -1), "absolute": d_abs}
 
 
-def forward_batch(spec: NetworkSpec, params: np.ndarray, features: np.ndarray,
-                  with_cache: bool = False):
-    """Batched forward pass. ``features`` is (B, input_dim).
-
-    With ``with_cache`` the per-layer activations needed by
-    :func:`backward_batch` are returned as a second value.
-    """
-    heads, cache = forward_heads(spec, params, features)
-    pred = prediction(spec, heads)
-    if with_cache:
-        return pred, cache
-    return pred
+def forward_batch(spec: NetworkSpec, params: np.ndarray, features: np.ndarray) -> BatchPrediction:
+    """Batched forward pass. ``features`` is (B, input_dim)."""
+    return prediction(spec, Bound(spec, params).forward(features)[0])
 
 
 def forward(spec: NetworkSpec, params: np.ndarray, feature: np.ndarray) -> PosePrediction:
@@ -296,12 +271,10 @@ def forward(spec: NetworkSpec, params: np.ndarray, feature: np.ndarray) -> PoseP
 def backward_batch(spec: NetworkSpec, params: np.ndarray, cache: list[np.ndarray],
                    d_logits: np.ndarray, d_offsets: np.ndarray,
                    d_z: np.ndarray, d_orient: np.ndarray) -> np.ndarray:
-    """Reverse-mode gradient over the flat parameter vector.
-
-    Upstream gradients are w.r.t. the batched head outputs; the result sums
-    sample contributions (scale the upstream values for mean reduction).
-    """
-    return backward_heads(spec, params, cache, head_grads(d_logits, d_offsets, d_z, d_orient))
+    """:meth:`Bound.backward` into a new gradient vector, given upstream
+    gradients w.r.t. the batched head outputs."""
+    return Bound(spec, params, np.zeros(param_count(spec))).backward(
+        cache, head_grads(d_logits, d_offsets, d_z, d_orient))
 
 
 # --- checkpoint container ----------------------------------------------------

@@ -1,5 +1,10 @@
 """Adam optimizer, stepped learning-rate schedule and the mini-batch loop.
 
+The loop runs every model's training step: forward through ``model.Bound``,
+the model's loss, backward, then Adam. ``train`` (the anchor model) and
+``baseline.train_direct`` (the direct control) supply only their input checks
+and a loss.
+
 Training is deterministic given the two seeds involved (network init seed and
 shuffle seed): per-epoch permutations come from a generator keyed on
 (shuffle_seed, epoch), so a run resumed from a checkpoint replays exactly the
@@ -15,7 +20,7 @@ import numpy as np
 from . import loss as lossmod
 from . import model as modelmod
 from .data import SampleBatch
-from .errors import InvalidInputError, TrainingDivergenceError
+from .errors import InvalidInputError, ParseError, TrainingDivergenceError
 from .loss import LossWeights
 from .model import NetworkSpec
 
@@ -135,19 +140,26 @@ class _InPlaceAdam:
         return self.params.copy(), AdamState(m=self.m.copy(), v=self.v.copy(), t=self.t)
 
 
-def _train_loop(n_samples: int, params: np.ndarray, state: AdamState,
-                config: TrainConfig, bind_step, start_epoch: int = 0,
-                epoch_callback=None) -> TrainReport:
-    """Shared mini-batch loop over copies of ``params`` and ``state``.
+def _train_loop(samples: SampleBatch, spec, config: TrainConfig, loss,
+                init_params: np.ndarray | None = None, init_state: AdamState | None = None,
+                start_epoch: int = 0, epoch_callback=None) -> TrainReport:
+    """The mini-batch loop every model trains with: forward, ``loss``,
+    backward and Adam on one :class:`model.Bound` over the run's buffers.
 
-    ``bind_step(params, grad)`` is called once with the run's parameter and
-    gradient buffers and returns ``step(idx)``, which writes the gradient of
-    the batch-mean loss over rows ``idx`` into ``grad`` and returns the
-    LossBreakdown of batch means. Adam then updates ``params`` in place.
+    ``loss(heads, idx)`` gets the head outputs for rows ``idx`` and returns
+    the LossBreakdown of batch means and the upstream gradient per head of
+    the batch-mean loss. Parameters start from ``model.init(spec)`` or copies
+    of ``init_params``, the Adam state from zero or a copy of ``init_state``.
     ``epoch_callback`` gets snapshots, not the buffers.
     """
-    adam = _InPlaceAdam(params, state)
-    step = bind_step(adam.params, adam.grad)
+    feats = samples.features
+    n_samples = feats.shape[0]
+    if n_samples == 0:
+        raise InvalidInputError("training requires a non-empty sample list")
+    params = modelmod.init(spec) if init_params is None else init_params
+    adam = _InPlaceAdam(params, AdamState.initial(params.size) if init_state is None
+                        else init_state)
+    net = modelmod.Bound(spec, adam.params, adam.grad)
     history: list[EpochStats] = []
     for epoch in range(start_epoch, config.epochs):
         lr = lr_at(epoch, config)
@@ -155,11 +167,12 @@ def _train_loop(n_samples: int, params: np.ndarray, state: AdamState,
         sums = np.zeros(4)  # total, offset, absolute, ce weighted by batch size
         for bstart in range(0, n_samples, config.batch_size):
             idx = perm[bstart:bstart + config.batch_size]
-            breakdown = step(idx)
-            if not np.isfinite(breakdown.total):
-                raise TrainingDivergenceError(
-                    "loss became non-finite", epoch=epoch, batch=bstart // config.batch_size)
+            heads, cache = net.forward(feats[idx])
+            breakdown, d_heads = loss(heads, idx)
+            net.backward(cache, d_heads)
             try:
+                if not np.isfinite(breakdown.total):
+                    raise TrainingDivergenceError("loss became non-finite")
                 adam.step(lr)
             except TrainingDivergenceError as err:
                 raise TrainingDivergenceError(
@@ -189,8 +202,6 @@ def train(samples: SampleBatch, spec: NetworkSpec, config: TrainConfig, *,
     checkpoint and reproduces the uninterrupted trajectory exactly.
     """
     feats = samples.features
-    if feats.shape[0] == 0:
-        raise InvalidInputError("training requires a non-empty sample list")
     if feats.shape[1] != spec.input_dim:
         raise InvalidInputError(
             f"feature dim {feats.shape[1]} does not match spec input_dim {spec.input_dim}")
@@ -199,23 +210,14 @@ def train(samples: SampleBatch, spec: NetworkSpec, config: TrainConfig, *,
             f"anchor map has {len(samples.anchor_map)} anchors, spec expects {spec.num_anchors}")
     gt_z = samples.positions[:, 2]
 
-    params = modelmod.init(spec) if init_params is None else init_params
-    state = AdamState.initial(params.size) if init_state is None else init_state
+    def batch_loss(heads, idx):
+        breakdown, *d = lossmod.batch_total_loss_inplace(
+            modelmod.prediction(spec, heads), samples.offsets_at(idx), gt_z[idx],
+            samples.orientations[idx], samples.nearest[idx], config.weights)
+        return breakdown, modelmod.head_grads(*d)
 
-    def bind_step(p, grad):
-        net = modelmod.Bound(spec, p, grad)
-
-        def step(idx):
-            heads, cache = net.forward(feats[idx])
-            breakdown, *d = lossmod.batch_total_loss_inplace(
-                modelmod.prediction(spec, heads), samples.offsets_at(idx), gt_z[idx],
-                samples.orientations[idx], samples.nearest[idx], config.weights)
-            net.backward(cache, modelmod.head_grads(*d))
-            return breakdown
-        return step
-
-    return _train_loop(feats.shape[0], params, state, config, bind_step,
-                       start_epoch=start_epoch, epoch_callback=epoch_callback)
+    return _train_loop(samples, spec, config, batch_loss, init_params, init_state,
+                       start_epoch, epoch_callback)
 
 
 def save_training_checkpoint(path, spec: NetworkSpec, params: np.ndarray,
@@ -230,10 +232,23 @@ def save_training_checkpoint(path, spec: NetworkSpec, params: np.ndarray,
 
 
 def load_training_checkpoint(path):
-    """Returns (spec, params, AdamState, epoch, meta)."""
+    """Returns (spec, params, AdamState, epoch, meta).
+
+    Adam's moments must both be there, shaped like ``params`` and with an
+    ``adam_t``, or both be absent; ``adam_t``, ``epoch`` and
+    ``frame_interval``, where present, must be integers. Otherwise
+    ParseError.
+    """
     spec, params, arrays, meta = modelmod.load_checkpoint(path)
-    if "adam_m" in arrays:
-        state = AdamState(m=arrays["adam_m"], v=arrays["adam_v"], t=int(meta["adam_t"]))
-    else:
+    for key in ("adam_t", "epoch", "frame_interval"):
+        if key in meta and type(meta[key]) is not int:
+            raise ParseError(f"{path}: meta {key!r} is not an integer: {meta[key]!r}")
+    m, v = arrays.get("adam_m"), arrays.get("adam_v")
+    if m is None and v is None:
         state = AdamState.initial(params.size)
-    return spec, params, state, int(meta.get("epoch", 0)), meta
+    elif m is None or v is None or not m.shape == v.shape == params.shape or "adam_t" not in meta:
+        raise ParseError(f"{path}: adam_m and adam_v must come together, shaped like "
+                         "params and with adam_t")
+    else:
+        state = AdamState(m=m, v=v, t=meta["adam_t"])
+    return spec, params, state, meta.get("epoch", 0), meta

@@ -61,6 +61,10 @@ class WorldSpec:
                      "lateral_jitter", "heading_jitter_deg"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidSpecError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("lateral_jitter", "heading_jitter_deg"):  # drawn from [-v, v]
+            if not 0.0 <= 2.0 * getattr(self, name) < math.inf:
+                raise InvalidSpecError(f"{name} must be >= 0 and span a finite range, got "
+                                       f"{getattr(self, name)}")
         if not 0.0 < self.fov_half_angle < 180.0:
             raise InvalidSpecError("fov_half_angle must be in (0, 180) degrees")
         lm = tuple((str(name), (float(p[0]), float(p[1]))) for name, p in self.landmarks)

@@ -185,7 +185,8 @@ def test_criterion_1_gradient_correctness():
     start = time.time()
     for _ in range(100):
         spec, params, x, target = random_gradient_case(rng)
-        pred, cache = model.forward_batch(spec, params, x[None], with_cache=True)
+        heads, cache = model.Bound(spec, params).forward(x[None])
+        pred = model.prediction(spec, heads)
         grads = loss_grads(pred, target, weights)
 
         # gradients w.r.t. every BatchPrediction entry

@@ -12,12 +12,12 @@ from conftest import random_unit_quat
 
 def test_parameter_count():
     spec = DirectSpec(input_dim=6, hidden_layers=(10,), seed=0)
-    assert baseline.param_count(spec) == (6 * 10 + 10) + (10 * 7 + 7)
+    assert model.param_count(spec) == (6 * 10 + 10) + (10 * 7 + 7)
 
 
 def test_forward_shapes_and_determinism():
     spec = DirectSpec(input_dim=4, hidden_layers=(5,), seed=1)
-    params = baseline.init(spec)
+    params = model.init(spec)
     X = np.random.default_rng(0).standard_normal((3, 4))
     a = baseline.forward_batch(spec, params, X)
     b = baseline.forward_batch(spec, params, X)
@@ -28,13 +28,14 @@ def test_forward_shapes_and_determinism():
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     spec = DirectSpec(input_dim=4, hidden_layers=(6,), activation="tanh", seed=2)
-    params = baseline.init(spec)
+    params = model.init(spec)
     X = rng.standard_normal((3, 4))
     gt_xyz = rng.standard_normal((3, 3))
     gt_q = np.stack([random_unit_quat(rng) for _ in range(3)])
     w = LossWeights(alpha2=10.0, alpha3=1.0)
 
-    pose, cache = baseline.forward_batch(spec, params, X, with_cache=True)
+    heads, cache = model.Bound(spec, params).forward(X)
+    pose = heads["pose"]
     _, d_pose = direct_loss_batch(pose, gt_xyz, gt_q, w)
     analytic = baseline.backward_batch(spec, params, cache, d_pose)
 
@@ -72,7 +73,7 @@ def test_degenerate_orientation_is_a_numerical_error(tiny_samples):
     train_s, test_s = tiny_samples
     scene = data.from_simworld(train_s, test_s, k=10)
     spec = DirectSpec(input_dim=scene.train.features.shape[1], hidden_layers=(4,), seed=0)
-    params = baseline.init(spec)
+    params = model.init(spec)
     views = model._Views(spec, params)
     views.W["pose"][3:] = 0.0  # orientation rows of the head
     with pytest.raises(DegenerateOrientationError):

@@ -2,6 +2,7 @@ import json
 import re
 import shutil
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +266,47 @@ class TestTruncatedFiles:
                      "--out", str(tmp_path / "ev")]) == EXIT_DATA
 
 
+def _meta_set(key, value):
+    return lambda arrays, meta: meta.__setitem__(key, value)
+
+
+def _dropped(key):
+    """Removes the array or the meta key ``key``."""
+    def edit(arrays, meta):
+        (arrays if key in arrays else meta).pop(key)
+    return edit
+
+
+class TestCheckpointMeta:
+    EDITS = {
+        "adam_t-text": _meta_set("adam_t", "seven"),
+        "adam_t-float": _meta_set("adam_t", 7.0),
+        "frame_interval-list": _meta_set("frame_interval", [1]),
+        "frame_interval-bool": _meta_set("frame_interval", True),
+        "epoch-null": _meta_set("epoch", None),
+        "epoch-text": _meta_set("epoch", "3"),
+        "no-adam_t": _dropped("adam_t"),
+        "no-adam_m": _dropped("adam_m"),
+        "no-adam_v": _dropped("adam_v"),
+        "adam_v-short": lambda arrays, meta: arrays.__setitem__("adam_v", arrays["adam_v"][1:]),
+    }
+
+    @pytest.mark.parametrize("how", EDITS)
+    def test_is_a_data_error(self, dataset_dir, trained_run, tmp_path, capsys, how):
+        out, _ = dataset_dir
+        spec, params, arrays, meta = model.load_checkpoint(trained_run / "checkpoint.bin")
+        self.EDITS[how](arrays, meta)
+        ckpt = tmp_path / "checkpoint.bin"
+        model.save_checkpoint(ckpt, spec, params, extra_arrays=arrays, meta=meta)
+        with pytest.raises(ParseError, match="checkpoint.bin"):
+            optim.load_training_checkpoint(ckpt)
+        ev = tmp_path / "ev"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(out),
+                     "--out", str(ev)]) == EXIT_DATA
+        assert "checkpoint.bin" in capsys.readouterr().err
+        assert not ev.exists()
+
+
 class TestNonFiniteFeatures:
     def test_nan_feature_is_a_data_error(self, dataset_dir, tmp_path, capsys):
         out, cfg = dataset_dir
@@ -286,10 +328,14 @@ class TestNonFiniteWorldSpec:
         (r"^lateral_jitter = .*$", "lateral_jitter = inf", "lateral_jitter"),
         (r"^lateral_jitter = .*$", "lateral_jitter = nan", "lateral_jitter"),
         (r"^heading_jitter_deg = .*$", "heading_jitter_deg = nan", "heading_jitter_deg"),
+        (r"^lateral_jitter = .*$", "lateral_jitter = 1e308", "lateral_jitter"),
+        (r"^heading_jitter_deg = .*$", "heading_jitter_deg = 1e308", "heading_jitter_deg"),
+        (r"^lateral_jitter = .*$", "lateral_jitter = -0.1", "lateral_jitter"),
         (r"^noise_sigma = .*$", "noise_sigma = inf", "noise_sigma"),
         (r"^(landmarks = [^:]+:)[^,]+", r"\1nan", "landmark 'lm00'"),
         (r"^(obstacles = )[^,]+", r"\1nan", "obstacle 0")],
-        ids=["jitter-inf", "jitter-nan", "heading-nan", "noise-inf", "landmark-nan",
+        ids=["jitter-inf", "jitter-nan", "heading-nan", "jitter-range-overflows",
+             "heading-range-overflows", "jitter-negative", "noise-inf", "landmark-nan",
              "obstacle-nan"])
     def test_is_a_data_error(self, dataset_dir, tmp_path, capsys, pattern, value, field):
         out, cfg = dataset_dir
@@ -313,6 +359,15 @@ def small_dataset(tmp_path_factory):
     return out, cfg
 
 
+@pytest.fixture(scope="module")
+def small_checkpoint(small_dataset, tmp_path_factory):
+    out, cfg = small_dataset
+    run = tmp_path_factory.mktemp("fuzz-run") / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(out), "--out", str(run),
+                 "--epochs", "1"]) == EXIT_OK
+    return run / "checkpoint.bin"
+
+
 _BYTE = st.sampled_from(b"\n\r\t #-+.,;:=_e0159") | st.integers(0, 255)
 
 
@@ -325,11 +380,19 @@ def damaged(draw, raw: bytes) -> bytes:
     return raw[:at] + bytes([draw(_BYTE.filter(lambda v: v != raw[at]))]) + raw[at + 1:]
 
 
-class TestFuzzedFiles:
-    """Only package errors may escape the pose and world parsers, and the CLI
-    turns them into exit 2 without writing output."""
+def main_overflow_quiet(argv) -> int:
+    """``main(argv)`` with numpy's RuntimeWarnings ignored. A damaged feature
+    or parameter can be finite but huge, and training or evaluation on it
+    overflows on its way to an exit code."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return main(argv)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+
+class TestFuzzedFiles:
+    """Only package errors may escape the pose, world, feature and checkpoint
+    loaders, and the CLI turns them into exit 2 without writing output."""
+
     @settings(max_examples=100, deadline=None)
     @given(fuzz=st.data())
     def test_pose_file(self, small_dataset, tmp_path_factory, fuzz):
@@ -368,6 +431,45 @@ class TestFuzzedFiles:
             assert rc in (EXIT_OK, EXIT_DATA)
         else:
             assert rc == EXIT_DATA and not gen.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(fuzz=st.data())
+    def test_feature_file(self, small_dataset, tmp_path_factory, fuzz):
+        out, cfg = small_dataset
+        bad = tmp_path_factory.mktemp("fuzz-features") / "ds"
+        shutil.copytree(out, bad)
+        raw = (out / data.FEATURES_TRAIN).read_bytes()
+        (bad / data.FEATURES_TRAIN).write_bytes(fuzz.draw(damaged(raw)))
+        try:
+            data.load_features(bad / data.FEATURES_TRAIN)
+            parsed = True
+        except AnchorLocError:
+            parsed = False
+        run = bad.parent / "run"
+        argv = ["train", "--config", str(cfg), "--data", str(bad), "--out", str(run),
+                "--epochs", "1"]
+        if parsed:
+            assert main_overflow_quiet(argv) in (EXIT_OK, EXIT_DATA, EXIT_DIVERGENCE)
+        else:
+            assert main(argv) == EXIT_DATA and not run.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(fuzz=st.data())
+    def test_checkpoint(self, small_dataset, small_checkpoint, tmp_path_factory, fuzz):
+        out, _ = small_dataset
+        ckpt = tmp_path_factory.mktemp("fuzz-ckpt") / "checkpoint.bin"
+        ckpt.write_bytes(fuzz.draw(damaged(small_checkpoint.read_bytes())))
+        try:
+            optim.load_training_checkpoint(ckpt)
+            parsed = True
+        except AnchorLocError:
+            parsed = False
+        ev = ckpt.parent / "ev"
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(out), "--out", str(ev)]
+        if parsed:
+            assert main_overflow_quiet(argv) in (EXIT_OK, EXIT_DATA, EXIT_DIVERGENCE)
+        else:
+            assert main(argv) == EXIT_DATA and not ev.exists()
 
 
 class TestSweep:

@@ -32,6 +32,10 @@ class TestPoseLines:
         with pytest.raises(DataIntegrityError):
             data.parse_pose_line("f0 0 0 0 1.5 0 0 0", line_number=2)
 
+    def test_overflowing_norm_is_far_from_unit(self):
+        with pytest.raises(DataIntegrityError, match="norm inf"):
+            data.parse_pose_line("f0 0 0 0 1e200 0 0 0", line_number=2)
+
     def test_format_parse_round_trip_is_exact(self):
         rng = np.random.default_rng(1)
         for _ in range(200):

@@ -37,6 +37,11 @@ class TestPose:
         with pytest.raises(InvalidInputError):
             Pose(position=np.zeros(3), orientation=np.zeros(4))
 
+    def test_rejects_quaternion_whose_squared_norm_overflows(self):
+        # its norm would be inf, and dividing by it the zero quaternion
+        with pytest.raises(InvalidInputError, match="overflows"):
+            Pose(position=np.zeros(3), orientation=np.array([1e200, 0.0, 0.0, 0.0]))
+
     def test_arrays_immutable(self):
         p = make_pose(1.0, 2.0)
         with pytest.raises(ValueError):
@@ -45,7 +50,8 @@ class TestPose:
 
 def pose_checks_oracle(position, orientation):
     """Oracle: ``Pose.__post_init__`` as it checked on numpy before it moved to
-    Python floats; the stored (position, orientation), or the error raised."""
+    Python floats, plus the rejection of a squared norm that overflows; the
+    stored (position, orientation), or the error raised."""
     pos = np.asarray(position, dtype=np.float64).reshape(-1)
     quat = np.asarray(orientation, dtype=np.float64).reshape(-1)
     if pos.shape != (3,):
@@ -54,7 +60,10 @@ def pose_checks_oracle(position, orientation):
         raise InvalidInputError(f"orientation must be a 4-vector, got shape {quat.shape}")
     if not np.isfinite(pos).all() or not np.isfinite(quat).all():
         raise InvalidInputError("pose components must be finite")
-    norm = float(np.linalg.norm(quat))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(quat))
+    if norm == math.inf:
+        raise InvalidInputError("orientation quaternion norm overflows")
     if norm < 1e-12:
         raise InvalidInputError("orientation quaternion has zero norm")
     if abs(norm - 1.0) > 1e-12:
@@ -78,7 +87,6 @@ def near_unit_quats(draw):
 
 
 class TestPoseOracle:
-    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
     @settings(max_examples=500, deadline=None)
     @given(st.lists(_SLOT, min_size=3, max_size=4),
            st.lists(_SLOT, min_size=3, max_size=4) | near_unit_quats())

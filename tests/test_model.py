@@ -48,7 +48,7 @@ def scalar_loss_and_grad(pred):
 def backward_one(spec, params, x, upstream):
     """backward_batch for one feature vector, after the forward pass that
     produces its cache."""
-    _, cache = model.forward_batch(spec, params, x[None], with_cache=True)
+    _, cache = model.Bound(spec, params).forward(x[None])
     return model.backward_batch(spec, params, cache, *upstream)
 
 

@@ -208,18 +208,18 @@ def reference_loop(samples, params, state, config, loss_grad, start_epoch=0):
 
 def anchor_loss_grad(samples, spec, weights):
     def loss_grad(params, idx):
-        pred, cache = model.forward_batch(spec, params, samples.features[idx], with_cache=True)
-        b, *d = loss.batch_total_loss(pred, samples.offsets_at(idx), samples.positions[idx, 2],
-                                      samples.orientations[idx], samples.nearest[idx], weights)
+        heads, cache = model.Bound(spec, params).forward(samples.features[idx])
+        b, *d = loss.batch_total_loss(model.prediction(spec, heads), samples.offsets_at(idx),
+                                      samples.positions[idx, 2], samples.orientations[idx],
+                                      samples.nearest[idx], weights)
         return b, model.backward_batch(spec, params, cache, *d)
     return loss_grad
 
 
 def direct_loss_grad(samples, spec, weights):
     def loss_grad(params, idx):
-        pose, cache = baseline.forward_batch(spec, params, samples.features[idx],
-                                             with_cache=True)
-        b, d_pose = baseline.direct_loss_batch(pose, samples.positions[idx],
+        heads, cache = model.Bound(spec, params).forward(samples.features[idx])
+        b, d_pose = baseline.direct_loss_batch(heads["pose"], samples.positions[idx],
                                                samples.orientations[idx], weights)
         return b, baseline.backward_batch(spec, params, cache, d_pose)
     return loss_grad
@@ -254,8 +254,8 @@ class TestInPlaceStep:
                           seed=4)
         cfg = TrainConfig(epochs=3, batch_size=9, lr=1e-2, shuffle_seed=6)
         report = baseline.train_direct(tiny_scene.train, spec, cfg)
-        ref = reference_loop(tiny_scene.train, baseline.init(spec), AdamState.initial(
-            baseline.param_count(spec)), cfg, direct_loss_grad(tiny_scene.train, spec,
+        ref = reference_loop(tiny_scene.train, model.init(spec), AdamState.initial(
+            model.param_count(spec)), cfg, direct_loss_grad(tiny_scene.train, spec,
                                                                cfg.weights))
         assert_same_run(report, *ref)
 
