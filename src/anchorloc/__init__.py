@@ -10,6 +10,6 @@ __version__ = "0.1.0"
 
 from .geometry import AnchorMap, Pose  # noqa: F401
 from .loss import LossBreakdown, LossWeights  # noqa: F401
-from .model import NetworkSpec, PosePrediction  # noqa: F401
+from .model import NetworkSpec  # noqa: F401
 from .optim import TrainConfig  # noqa: F401
 from .simworld import Sample, WorldSpec  # noqa: F401

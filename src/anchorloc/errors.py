@@ -22,7 +22,7 @@ class DegenerateMapError(AnchorLocError, ValueError):
 
 
 class DegenerateOrientationError(AnchorLocError, ValueError):
-    """Raw orientation output has (near-)zero norm; normalization undefined."""
+    """Raw orientation norm is (near-)zero or not finite; normalization undefined."""
 
 
 class ParseError(AnchorLocError, ValueError):

@@ -20,7 +20,7 @@ from .data import SampleBatch, assemble
 from .errors import InvalidInputError, UndefinedRateError
 from .geometry import ANCHOR_DEDUP_TOL, AnchorMap, Pose, quat_angle_deg
 from .loss import confidences, unit_orientation
-from .model import NetworkSpec, PosePrediction
+from .model import BatchPrediction, NetworkSpec
 from .simworld import _fmt
 
 ACCURACY_TRANSLATION_M = 2.0
@@ -57,14 +57,34 @@ class EvalReport:
         }
 
 
-def reconstruct_pose(pred: PosePrediction, anchor_map: AnchorMap) -> Pose:
-    """Pose from network outputs: the highest-confidence anchor plus its offset."""
-    if pred.logits.shape[0] != len(anchor_map):
+def reconstruct(pred: BatchPrediction, anchor_map: AnchorMap, mode: str = "argmax"):
+    """Poses from network outputs -> (positions (B, 3), unit quaternions, argmax
+    anchors). (x, y) is the argmax anchor plus its offset (ties take the lowest
+    index), or in weighted mode the confidence-weighted mean of the two."""
+    B, N = pred.logits.shape
+    if N != len(anchor_map):
         raise InvalidInputError("prediction/anchor-map size mismatch")
-    u, _ = unit_orientation(pred.orient_raw)
-    j = int(np.argmax(pred.logits))  # ties resolve to the lowest index
-    xy = anchor_map.anchors[j] + pred.offsets[j]
-    return Pose(position=np.array([xy[0], xy[1], pred.z_hat]), orientation=u)
+    quats, _ = unit_orientation(pred.orient_raw)
+    j = pred.logits.argmax(axis=1)
+    pos = np.empty((B, 3))
+    pos[:, 2] = pred.z_hat
+    if mode == "argmax":  # one index per row of the (B*N, 2) offsets: cheapest at B=1
+        np.add(anchor_map.anchors.take(j, axis=0),
+               pred.offsets.reshape(-1, 2).take(np.arange(0, B * N, N) + j, axis=0),
+               out=pos[:, :2])
+    elif mode == "weighted":
+        c = confidences(pred.logits)
+        pos[:, :2] = (c[:, :, None] * (anchor_map.anchors[None] + pred.offsets)).sum(axis=1)
+    else:
+        raise InvalidInputError(f"unknown reconstruction mode {mode!r}")
+    return pos, quats, j
+
+
+def reconstruct_pose(pred: BatchPrediction, anchor_map: AnchorMap) -> Pose:
+    """The Pose of a batch-of-one prediction, by argmax :func:`reconstruct`; the
+    Pose's shape checks reject any other batch size (InvalidInputError)."""
+    pos, quats, _ = reconstruct(pred, anchor_map)
+    return Pose(position=pos, orientation=quats)
 
 
 def report_from_poses(pred_xyz: np.ndarray, pred_quats: np.ndarray,
@@ -86,20 +106,13 @@ def report_from_poses(pred_xyz: np.ndarray, pred_quats: np.ndarray,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite orientation raises
 def evaluate(spec: NetworkSpec, params: np.ndarray, batch: SampleBatch,
              anchor_map: AnchorMap, mode: str = "argmax") -> EvalReport:
     """Per-sample errors and metrics on a test batch; weighted mode averages by confidence."""
     pred = modelmod.forward_batch(spec, params, batch.features)
-    quats, _ = unit_orientation(pred.orient_raw)
-    j = pred.logits.argmax(axis=1)
-    if mode == "argmax":
-        xy = anchor_map.anchors[j] + pred.offsets[np.arange(len(j)), j]
-    elif mode == "weighted":
-        c = confidences(pred.logits)
-        xy = (c[:, :, None] * (anchor_map.anchors[None] + pred.offsets)).sum(axis=1)
-    else:
-        raise InvalidInputError(f"unknown reconstruction mode {mode!r}")
-    return report_from_poses(np.column_stack([xy, pred.z_hat]), quats, batch, j)
+    pos, quats, j = reconstruct(pred, anchor_map, mode)
+    return report_from_poses(pos, quats, batch, j)
 
 
 # --- anchor discovery -----------------------------------------------------------

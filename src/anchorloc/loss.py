@@ -13,12 +13,13 @@ Three components:
 
 The total is an alpha-weighted sum. Each term is one batched kernel and
 :func:`batch_total_loss` combines them; a single sample is a batch of one.
-All functions are pure except :func:`batch_total_loss_inplace`, which works
-in the ground-truth array its caller hands over.
+:func:`offset_term` and :func:`batch_total_loss` work in the residual or
+ground-truth offsets array their caller hands over; everything else is pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,22 +64,20 @@ def confidences(logits: np.ndarray) -> np.ndarray:
 def unit_orientation(orient_raw: np.ndarray, gt_orient: np.ndarray | None = None,
                      scale: float = 1.0):
     """Unit quaternions ``u = P/||P||`` of raw orientation outputs P, one per
-    row of a (B, 4) array or a single (4,) vector.
+    row of a (B, 4) array.
 
     Given unit targets q of the same shape, also returns the gradient of
     ``scale * ||q - u||^2`` w.r.t. P through the normalization Jacobian,
     ``scale * 2(u(u.q) - q)/||P||`` (else None). A norm of at most
-    ORIENT_NORM_FLOOR cannot be normalized and raises
-    DegenerateOrientationError.
+    ORIENT_NORM_FLOOR, or one that is not finite (an overflowed square, a nan),
+    cannot be normalized and raises DegenerateOrientationError.
     """
-    # np.linalg.norm(orient_raw, axis=-1) without its dispatch, which
-    # dominates on the single-sample query path
+    # np.linalg.norm without its dispatch, checked on plain floats (cheapest at B=1)
     norms = np.sqrt(np.add.reduce(orient_raw * orient_raw, axis=-1, keepdims=True))
-    small = norms <= ORIENT_NORM_FLOOR
-    if small.any():
-        bad = int(np.argmax(small))  # the first such row
-        raise DegenerateOrientationError(
-            f"raw orientation norm {norms.flat[bad]:g} in row {bad} is too small to normalize")
+    for row, norm in enumerate(norms.ravel().tolist()):
+        if not ORIENT_NORM_FLOOR < norm < math.inf:
+            raise DegenerateOrientationError(
+                f"raw orientation norm {norm:g} in row {row} cannot be normalized")
     u = orient_raw / norms
     if gt_orient is None:
         return u, None
@@ -90,20 +89,13 @@ def unit_orientation(orient_raw: np.ndarray, gt_orient: np.ndarray | None = None
 # Each returns the per-sample term (B,) and its gradients multiplied by
 # ``scale`` (the term's alpha); callers apply 1/B for the batch mean.
 
-def offset_term(c: np.ndarray, offsets: np.ndarray, gt_offsets: np.ndarray,
-                scale: float = 1.0):
+def offset_term(c: np.ndarray, resid: np.ndarray, scale: float = 1.0):
     """Confidence-weighted squared offset residuals -> (per, d_logits, d_offsets).
 
-    ``c`` is the softmax of the logits (B, N); offsets are (B, N, 2).
-    """
-    return _offset_term(c, gt_offsets - offsets, scale)
-
-
-def _offset_term(c: np.ndarray, resid: np.ndarray, scale: float):
-    """:func:`offset_term` of the residual ``gt_offsets - offsets``, which it
-    overwrites with d_offsets. The products are taken in the order of
-    ``scale * (-2 resid c)``; ``c`` multiplies one coordinate at a time (a
-    broadcast over the length-2 axis takes about twice as long)."""
+    ``c`` is the softmax of the logits (B, N). The residual ``gt_offsets -
+    offsets`` (B, N, 2) is overwritten with d_offsets, ``scale * (-2 resid c)``
+    in that order, with ``c`` applied one coordinate at a time (twice as fast
+    as a broadcast over the length-2 axis)."""
     x, y = resid[:, :, 0], resid[:, :, 1]
     r = np.square(x)
     rc = np.square(y)
@@ -144,39 +136,19 @@ def cross_entropy_term(logits: np.ndarray, c: np.ndarray, nearest: np.ndarray,
 
 def batch_total_loss(pred: BatchPrediction, gt_offsets: np.ndarray, gt_z: np.ndarray,
                      gt_orient: np.ndarray, nearest: np.ndarray, weights: LossWeights):
-    """Mean loss over a batch plus upstream gradients for backward_batch.
-
-    The returned gradients are already scaled by 1/B so the parameter
-    gradient is the mean of per-sample gradients.
+    """Mean loss over a batch plus upstream gradients for backward_batch,
+    computed in ``gt_offsets``: on return it holds the returned d_offsets.
+    The gradients are already scaled by 1/B, so the parameter gradient is the
+    mean of per-sample gradients.
 
     Returns (LossBreakdown of means, d_logits, d_offsets, d_z, d_orient).
     """
-    _check_offsets(pred, gt_offsets)
-    return _batch_loss(pred, gt_offsets - pred.offsets, gt_z, gt_orient, nearest, weights)
-
-
-def batch_total_loss_inplace(pred: BatchPrediction, gt_offsets: np.ndarray,
-                             gt_z: np.ndarray, gt_orient: np.ndarray, nearest: np.ndarray,
-                             weights: LossWeights):
-    """:func:`batch_total_loss` computed in ``gt_offsets``, an array the caller
-    hands over: on return it holds the returned d_offsets."""
-    _check_offsets(pred, gt_offsets)
-    resid = np.subtract(gt_offsets, pred.offsets, out=gt_offsets)
-    return _batch_loss(pred, resid, gt_z, gt_orient, nearest, weights)
-
-
-def _check_offsets(pred: BatchPrediction, gt_offsets: np.ndarray) -> None:
     if gt_offsets.shape != (*pred.logits.shape, 2):
         raise InvalidInputError("ground-truth offsets shape mismatch")
-
-
-def _batch_loss(pred: BatchPrediction, resid: np.ndarray, gt_z: np.ndarray,
-                gt_orient: np.ndarray, nearest: np.ndarray, weights: LossWeights):
-    """batch_total_loss given the residual ``gt_offsets - offsets``, which it
-    overwrites with d_offsets."""
     B = pred.logits.shape[0]
     c = confidences(pred.logits)
-    off_per, d_logits, d_offsets = _offset_term(c, resid, weights.alpha2)
+    off_per, d_logits, d_offsets = offset_term(
+        c, np.subtract(gt_offsets, pred.offsets, out=gt_offsets), weights.alpha2)
     abs_per, d_z, d_orient = absolute_term(pred.z_hat, pred.orient_raw, gt_z, gt_orient,
                                            weights.alpha3)
     inv_b = 1.0 / B

@@ -80,16 +80,6 @@ class NetworkSpec:
         )
 
 
-@dataclass(frozen=True)
-class PosePrediction:
-    """Single-sample network outputs: logits, offsets, z and raw orientation."""
-
-    logits: np.ndarray      # (N,)
-    offsets: np.ndarray     # (N, 2)
-    z_hat: float
-    orient_raw: np.ndarray  # (4,)
-
-
 @dataclass
 class BatchPrediction:
     """Stacked outputs for a batch; row i is sample i."""
@@ -261,11 +251,9 @@ def forward_batch(spec: NetworkSpec, params: np.ndarray, features: np.ndarray) -
     return prediction(spec, Bound(spec, params).forward(features)[0])
 
 
-def forward(spec: NetworkSpec, params: np.ndarray, feature: np.ndarray) -> PosePrediction:
-    """Single-sample forward pass."""
-    pred = forward_batch(spec, params, np.reshape(feature, (1, -1)))
-    return PosePrediction(logits=pred.logits[0], offsets=pred.offsets[0],
-                          z_hat=float(pred.z_hat[0]), orient_raw=pred.orient_raw[0])
+def forward(spec: NetworkSpec, params: np.ndarray, feature: np.ndarray) -> BatchPrediction:
+    """Single-sample forward pass: :func:`forward_batch` on a batch of one."""
+    return forward_batch(spec, params, np.reshape(feature, (1, -1)))
 
 
 def backward_batch(spec: NetworkSpec, params: np.ndarray, cache: list[np.ndarray],

@@ -20,7 +20,8 @@ import numpy as np
 from . import loss as lossmod
 from . import model as modelmod
 from .data import SampleBatch
-from .errors import InvalidInputError, ParseError, TrainingDivergenceError
+from .errors import (DegenerateOrientationError, InvalidInputError, ParseError,
+                     TrainingDivergenceError)
 from .loss import LossWeights
 from .model import NetworkSpec
 
@@ -140,6 +141,7 @@ class _InPlaceAdam:
         return self.params.copy(), AdamState(m=self.m.copy(), v=self.v.copy(), t=self.t)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the inf or nan left raises below
 def _train_loop(samples: SampleBatch, spec, config: TrainConfig, loss,
                 init_params: np.ndarray | None = None, init_state: AdamState | None = None,
                 start_epoch: int = 0, epoch_callback=None) -> TrainReport:
@@ -168,13 +170,13 @@ def _train_loop(samples: SampleBatch, spec, config: TrainConfig, loss,
         for bstart in range(0, n_samples, config.batch_size):
             idx = perm[bstart:bstart + config.batch_size]
             heads, cache = net.forward(feats[idx])
-            breakdown, d_heads = loss(heads, idx)
-            net.backward(cache, d_heads)
             try:
+                breakdown, d_heads = loss(heads, idx)
+                net.backward(cache, d_heads)
                 if not np.isfinite(breakdown.total):
                     raise TrainingDivergenceError("loss became non-finite")
                 adam.step(lr)
-            except TrainingDivergenceError as err:
+            except (TrainingDivergenceError, DegenerateOrientationError) as err:
                 raise TrainingDivergenceError(
                     str(err), epoch=epoch, batch=bstart // config.batch_size) from None
             sums += len(idx) * np.array([breakdown.total, breakdown.offset_term,
@@ -211,7 +213,7 @@ def train(samples: SampleBatch, spec: NetworkSpec, config: TrainConfig, *,
     gt_z = samples.positions[:, 2]
 
     def batch_loss(heads, idx):
-        breakdown, *d = lossmod.batch_total_loss_inplace(
+        breakdown, *d = lossmod.batch_total_loss(
             modelmod.prediction(spec, heads), samples.offsets_at(idx), gt_z[idx],
             samples.orientations[idx], samples.nearest[idx], config.weights)
         return breakdown, modelmod.head_grads(*d)

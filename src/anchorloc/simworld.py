@@ -175,13 +175,17 @@ def visibility(pose: Pose, landmark: tuple[float, float] | np.ndarray,
     Visible means within the field of view AND the sight line touches no
     obstacle segment. Grazing contact is conservatively treated as occluded.
     """
-    cam = pose.position[:2].tolist()
+    return _sighting(pose.position[:2].tolist(), _yaw_of(pose), landmark, spec)
+
+
+def _sighting(cam: list[float], yaw: float, landmark, spec: WorldSpec):
+    """:func:`visibility` from a camera at (x, y) ``cam`` with heading ``yaw``."""
     lm = (float(landmark[0]), float(landmark[1]))
     dx, dy = lm[0] - cam[0], lm[1] - cam[1]
     distance = float(np.hypot(dx, dy))
     if distance < 1e-12:
         return True, 0.0, 0.0
-    bearing = _wrap_angle(math.atan2(dy, dx) - _yaw_of(pose))
+    bearing = _wrap_angle(math.atan2(dy, dx) - yaw)
     if abs(bearing) > math.radians(spec.fov_half_angle):
         return False, bearing, distance
     for a, b in spec.obstacles:
@@ -210,8 +214,9 @@ def sample_features(pose: Pose, spec: WorldSpec,
     visible: set[str] = set()
     if noise is not None:
         noise = noise.tolist()
+    cam, yaw = pose.position[:2].tolist(), _yaw_of(pose)
     for i, (name, lm) in enumerate(spec.landmarks):
-        vis, bearing, dist = visibility(pose, lm, spec)
+        vis, bearing, dist = _sighting(cam, yaw, lm, spec)
         if vis:
             visible.add(name)
             b, e = bearing, encode_distance(dist)

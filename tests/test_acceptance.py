@@ -138,10 +138,10 @@ def loss_grads(pred, target, weights):
     as backward_batch's upstream arguments."""
     gt_off, gt_z, gt_q, nearest = target
     c = confidences(pred.logits)
-    _, d_lo, d_off = offset_term(c, pred.offsets, gt_off)
+    _, d_lo, d_off = offset_term(c, gt_off - pred.offsets)
     _, d_z, d_or = absolute_term(pred.z_hat, pred.orient_raw, gt_z, gt_q)
     _, d_ce = cross_entropy_term(pred.logits, c, nearest)
-    _, *total_grad = batch_total_loss(pred, *target, weights)
+    _, *total_grad = batch_total_loss(pred, gt_off.copy(), gt_z, gt_q, nearest, weights)
     zero_lo, zero_off, zero_z, zero_or = (np.zeros_like(a) for a in (
         pred.logits, pred.offsets, pred.z_hat, pred.orient_raw))
     return {
@@ -155,12 +155,12 @@ def loss_grads(pred, target, weights):
 def loss_value(name, pred, target, weights):
     gt_off, gt_z, gt_q, nearest = target
     if name == "offset":
-        return offset_term(confidences(pred.logits), pred.offsets, gt_off)[0][0]
+        return offset_term(confidences(pred.logits), gt_off - pred.offsets)[0][0]
     if name == "absolute":
         return absolute_term(pred.z_hat, pred.orient_raw, gt_z, gt_q)[0][0]
     if name == "ce":
         return cross_entropy_term(pred.logits, confidences(pred.logits), nearest)[0][0]
-    return batch_total_loss(pred, *target, weights)[0].total
+    return batch_total_loss(pred, gt_off.copy(), gt_z, gt_q, nearest, weights)[0].total
 
 
 PRED_FIELDS = ("logits", "offsets", "z_hat", "orient_raw")
@@ -237,14 +237,14 @@ def test_criterion_2_loss_degenerations():
     gt = rng.standard_normal((4, 2))
     logits = np.array([40.0, 0.0, 0.0, 0.0])
     single = (gt[0] ** 2).sum()
-    ok &= abs(offset_term(confidences(logits[None]), np.zeros((1, 4, 2)), gt[None])[0][0]
+    ok &= abs(offset_term(confidences(logits[None]), gt[None] - np.zeros((1, 4, 2)))[0][0]
               - single) < 1e-12
 
     # zero residuals -> zero loss
     q = random_unit_quat(rng)
     offs = rng.standard_normal((3, 2))
     perfect = one_sample(rng.standard_normal(3), offs, 0.3, 1.7 * q)
-    target = (offs[None], np.array([0.3]), q[None], np.array([1]))
+    target = (offs[None].copy(), np.array([0.3]), q[None], np.array([1]))
     breakdown = batch_total_loss(perfect, *target, LossWeights(use_cross_entropy=False))[0]
     ok &= abs(breakdown.total) < 1e-12
 
@@ -255,7 +255,7 @@ def test_criterion_2_loss_degenerations():
     for alphas, term in ((dict(alpha1=3.0, alpha2=0.0, alpha3=0.0, use_cross_entropy=True), "ce_term"),
                          (dict(alpha1=0.0, alpha2=7.0, alpha3=0.0), "offset_term"),
                          (dict(alpha1=0.0, alpha2=0.0, alpha3=2.5), "absolute_term")):
-        b = batch_total_loss(pred2, *target2, LossWeights(**alphas))[0]
+        b = batch_total_loss(pred2, target2[0].copy(), *target2[1:], LossWeights(**alphas))[0]
         scale = max(alphas["alpha1"], alphas["alpha2"], alphas["alpha3"])
         ok &= abs(b.total - scale * getattr(b, term)) < 1e-12
 

@@ -2,14 +2,14 @@ import json
 import re
 import shutil
 import time
-import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorloc import data, evaluation, model, optim, simworld
-from anchorloc.cli import EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, main
+from anchorloc.cli import (EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, load_config,
+                           main)
 from anchorloc.errors import AnchorLocError, ParseError
 
 
@@ -99,7 +99,6 @@ class TestTrain:
         assert rc == EXIT_DATA
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, dataset_dir, tmp_path, capsys):
         out, _ = dataset_dir
         cfg = tmp_path / "bad.ini"
@@ -180,6 +179,21 @@ class TestEval:
         expected = evaluation.evaluate(spec, params, scene.test, scene.anchor_map,
                                        mode="weighted")
         assert json.loads((ev / "eval_report.json").read_text()) == expected.to_dict()
+
+    @pytest.mark.parametrize("entry", [0, 5, -1], ids=["first", "sixth", "last"])
+    def test_overflowing_parameter_is_a_numerical_error(self, dataset_dir, trained_run,
+                                                        tmp_path, capsys, entry):
+        # the raw orientation's squared norm overflows: no warning, exit 3
+        out, _ = dataset_dir
+        spec, params, arrays, meta = model.load_checkpoint(trained_run / "checkpoint.bin")
+        params[entry] = 1e300
+        ckpt = tmp_path / "checkpoint.bin"
+        model.save_checkpoint(ckpt, spec, params, extra_arrays=arrays, meta=meta)
+        ev = tmp_path / "ev"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(out),
+                     "--out", str(ev)]) == EXIT_DIVERGENCE
+        assert "raw orientation norm" in capsys.readouterr().err
+        assert not ev.exists()
 
 
 def _byte_set(offset, value):
@@ -322,6 +336,19 @@ class TestNonFiniteFeatures:
         assert ids[5] in capsys.readouterr().err
         assert not run.exists()
 
+    def test_huge_feature_is_a_numerical_error(self, dataset_dir, tmp_path, capsys):
+        # finite, but training on it overflows: no warning, exit 3
+        out, cfg = dataset_dir
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        ids, feats = data.load_features(bad / data.FEATURES_TRAIN)
+        feats[5, 3] = 1e300
+        data.save_features(bad / data.FEATURES_TRAIN, ids, feats)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--data", str(bad),
+                     "--out", str(tmp_path / "run"), "--epochs", "1"]) == EXIT_DIVERGENCE
+        assert "epoch 0" in capsys.readouterr().err
+
 
 class TestNonFiniteWorldSpec:
     @pytest.mark.parametrize("pattern,value,field", [
@@ -368,6 +395,12 @@ def small_checkpoint(small_dataset, tmp_path_factory):
     return run / "checkpoint.bin"
 
 
+# every section train reads, with values small enough that any damaged
+# variant trains in well under a second
+SMALL_TRAIN_CONFIG = (b"[data]\nframe_interval = 10\n\n[network]\nhidden_layers = 8\n"
+                      b"activation = tanh\nseed = 3\n\n[train]\nlr = 0.001\nbatch_size = 16\n"
+                      b"epochs = 2\n\n[loss]\nalpha2 = 10.0\nuse_cross_entropy = true\n")
+
 _BYTE = st.sampled_from(b"\n\r\t #-+.,;:=_e0159") | st.integers(0, 255)
 
 
@@ -380,18 +413,9 @@ def damaged(draw, raw: bytes) -> bytes:
     return raw[:at] + bytes([draw(_BYTE.filter(lambda v: v != raw[at]))]) + raw[at + 1:]
 
 
-def main_overflow_quiet(argv) -> int:
-    """``main(argv)`` with numpy's RuntimeWarnings ignored. A damaged feature
-    or parameter can be finite but huge, and training or evaluation on it
-    overflows on its way to an exit code."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return main(argv)
-
-
 class TestFuzzedFiles:
-    """Only package errors may escape the pose, world, feature and checkpoint
-    loaders, and the CLI turns them into exit 2 without writing output."""
+    """Only package errors may escape the pose, world, feature, checkpoint and
+    config loaders, and the CLI turns them into exit 2 without writing output."""
 
     @settings(max_examples=100, deadline=None)
     @given(fuzz=st.data())
@@ -449,7 +473,7 @@ class TestFuzzedFiles:
         argv = ["train", "--config", str(cfg), "--data", str(bad), "--out", str(run),
                 "--epochs", "1"]
         if parsed:
-            assert main_overflow_quiet(argv) in (EXIT_OK, EXIT_DATA, EXIT_DIVERGENCE)
+            assert main(argv) in (EXIT_OK, EXIT_DATA, EXIT_DIVERGENCE)
         else:
             assert main(argv) == EXIT_DATA and not run.exists()
 
@@ -467,9 +491,27 @@ class TestFuzzedFiles:
         ev = ckpt.parent / "ev"
         argv = ["eval", "--checkpoint", str(ckpt), "--data", str(out), "--out", str(ev)]
         if parsed:
-            assert main_overflow_quiet(argv) in (EXIT_OK, EXIT_DATA, EXIT_DIVERGENCE)
+            assert main(argv) in (EXIT_OK, EXIT_DATA, EXIT_DIVERGENCE)
         else:
             assert main(argv) == EXIT_DATA and not ev.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(fuzz=st.data())
+    def test_config_file(self, small_dataset, tmp_path_factory, fuzz):
+        out, _ = small_dataset
+        cfg = tmp_path_factory.mktemp("fuzz-config") / "config.ini"
+        cfg.write_bytes(fuzz.draw(damaged(SMALL_TRAIN_CONFIG)))
+        try:
+            load_config(str(cfg))
+            parsed = True
+        except AnchorLocError:
+            parsed = False
+        run = cfg.parent / "run"
+        rc = main(["train", "--config", str(cfg), "--data", str(out), "--out", str(run)])
+        if parsed:
+            assert rc in (EXIT_OK, EXIT_DATA, EXIT_DIVERGENCE)
+        else:
+            assert rc == EXIT_DATA and not run.exists()
 
 
 class TestSweep:

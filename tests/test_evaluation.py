@@ -7,21 +7,23 @@ from anchorloc import data, evaluation, model, optim
 from anchorloc.errors import (DegenerateOrientationError, InvalidInputError,
                               UndefinedRateError)
 from anchorloc.evaluation import (co_located_anchors, discovery_rate,
-                                  discovery_stats, evaluate, median, reconstruct_pose,
-                                  report_from_poses, sweep_anchor_interval,
-                                  sweep_csv_text)
+                                  discovery_stats, evaluate, median, reconstruct,
+                                  reconstruct_pose, report_from_poses,
+                                  sweep_anchor_interval, sweep_csv_text)
 from anchorloc.geometry import AnchorMap, yaw_quat
 from anchorloc.loss import LossWeights
-from anchorloc.model import NetworkSpec, PosePrediction
+from anchorloc.model import BatchPrediction, NetworkSpec
 from anchorloc.optim import TrainConfig
 
 from conftest import make_pose
 
 
 def pred_with(logits, offsets, z=0.0, orient=(1, 0, 0, 0)):
-    return PosePrediction(logits=np.asarray(logits, dtype=float),
-                          offsets=np.asarray(offsets, dtype=float),
-                          z_hat=float(z), orient_raw=np.asarray(orient, dtype=float))
+    """A batch-of-one BatchPrediction."""
+    return BatchPrediction(logits=np.asarray(logits, dtype=float)[None],
+                           offsets=np.asarray(offsets, dtype=float)[None],
+                           z_hat=np.array([float(z)]),
+                           orient_raw=np.asarray(orient, dtype=float)[None])
 
 
 class TestMedian:
@@ -60,14 +62,37 @@ class TestReconstructPose:
             pred = pred_with(rng.standard_normal(n), rng.standard_normal((n, 2)),
                              z=rng.standard_normal(), orient=rng.standard_normal(4) + 0.2)
             pose = reconstruct_pose(pred, amap)
-            j = max(range(n), key=lambda i: pred.logits[i])
-            expected = amap.anchors[j] + pred.offsets[j]
+            j = max(range(n), key=lambda i: pred.logits[0, i])
+            expected = amap.anchors[j] + pred.offsets[0, j]
             np.testing.assert_allclose(pose.position[:2], expected, atol=1e-12)
 
     def test_degenerate_orientation_raises(self):
         amap = AnchorMap(anchors=np.zeros((1, 2)), frame_interval=1)
         pred = pred_with([1.0], [[0.0, 0.0]], orient=np.zeros(4))
         with pytest.raises(DegenerateOrientationError):
+            reconstruct_pose(pred, amap)
+
+    def test_batch_rows_match_batches_of_one(self):
+        rng = np.random.default_rng(2)
+        n, B = 6, 9
+        amap = AnchorMap(anchors=rng.uniform(-5, 5, (n, 2)), frame_interval=1)
+        pred = BatchPrediction(logits=rng.standard_normal((B, n)),
+                               offsets=rng.standard_normal((B, n, 2)),
+                               z_hat=rng.standard_normal(B),
+                               orient_raw=rng.standard_normal((B, 4)) + 0.2)
+        pos, quats, j = reconstruct(pred, amap)
+        for i in range(B):
+            pose = reconstruct_pose(pred_with(pred.logits[i], pred.offsets[i], pred.z_hat[i],
+                                              pred.orient_raw[i]), amap)
+            assert pose.position.tobytes() == pos[i].tobytes()
+            assert pose.orientation.tobytes() == quats[i].tobytes()
+            assert j[i] == pred.logits[i].argmax()
+
+    def test_batch_of_more_than_one_rejected(self):
+        amap = AnchorMap(anchors=np.zeros((1, 2)), frame_interval=1)
+        pred = BatchPrediction(logits=np.zeros((2, 1)), offsets=np.zeros((2, 1, 2)),
+                               z_hat=np.zeros(2), orient_raw=np.ones((2, 4)))
+        with pytest.raises(InvalidInputError):
             reconstruct_pose(pred, amap)
 
 

@@ -25,7 +25,7 @@ def one(kernel, *rows):
 
 
 def offset_value(logits, offsets, gt_offsets):
-    return one(offset_term, confidences(logits), offsets, gt_offsets)[0]
+    return one(offset_term, confidences(logits), np.subtract(gt_offsets, offsets))[0]
 
 
 def absolute_value(z, orient, gt_z, gt_orient):
@@ -55,8 +55,9 @@ def random_case(rng, n=None):
 
 
 def total(pred, target, weights):
-    """batch_total_loss of one sample given as make_pred fields."""
-    return batch_total_loss(BatchPrediction(**pred), *target, weights)
+    """batch_total_loss of make_pred fields; it works in a copy of the target
+    offsets, so ``target`` can be reused."""
+    return batch_total_loss(BatchPrediction(**pred), target.offsets.copy(), *target[1:], weights)
 
 
 def softmax_decimal(logits):
@@ -202,7 +203,7 @@ class TestGradients:
             pred, target = random_case(rng)
             gt = target.offsets[0]
             _, d_logits, d_offsets = one(offset_term, confidences(pred["logits"][0]),
-                                         pred["offsets"][0], gt)
+                                         gt - pred["offsets"][0])
             fd = fd_gradient(lambda p: offset_value(p["logits"][0], p["offsets"][0], gt), pred)
             assert_close(d_logits, fd["logits"][0])
             assert_close(d_offsets, fd["offsets"][0])

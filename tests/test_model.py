@@ -87,7 +87,7 @@ class TestForward:
         params = np.zeros(model.param_count(spec))
         pred = model.forward(spec, params, np.ones(spec.input_dim))
         assert np.all(pred.logits == 0) and np.all(pred.offsets == 0)
-        assert pred.z_hat == 0 and np.all(pred.orient_raw == 0)
+        assert np.all(pred.z_hat == 0) and np.all(pred.orient_raw == 0)
 
     def test_purity(self):
         spec = small_spec()
@@ -106,10 +106,10 @@ class TestForward:
             x = rng.standard_normal(spec.input_dim)
             pred = model.forward(spec, params, x)
             ref = forward_reference(spec, params, x)
-            assert np.abs(pred.logits - ref["logits"]).max() < 1e-12
-            assert np.abs(pred.offsets.ravel() - ref["offsets"]).max() < 1e-12
-            assert abs(pred.z_hat - ref["absolute"][0]) < 1e-12
-            assert np.abs(pred.orient_raw - ref["absolute"][1:]).max() < 1e-12
+            assert np.abs(pred.logits[0] - ref["logits"]).max() < 1e-12
+            assert np.abs(pred.offsets[0].ravel() - ref["offsets"]).max() < 1e-12
+            assert abs(pred.z_hat[0] - ref["absolute"][0]) < 1e-12
+            assert np.abs(pred.orient_raw[0] - ref["absolute"][1:]).max() < 1e-12
 
     def test_batch_matches_single(self):
         spec = small_spec()
@@ -119,9 +119,9 @@ class TestForward:
         for i in range(6):
             single = model.forward(spec, params, X[i])
             # BLAS may pick different kernels per shape; agreement to 1e-12
-            np.testing.assert_allclose(batch.logits[i], single.logits, atol=1e-12)
-            np.testing.assert_allclose(batch.offsets[i], single.offsets, atol=1e-12)
-            assert batch.z_hat[i] == pytest.approx(single.z_hat, abs=1e-12)
+            np.testing.assert_allclose(batch.logits[i], single.logits[0], atol=1e-12)
+            np.testing.assert_allclose(batch.offsets[i], single.offsets[0], atol=1e-12)
+            assert batch.z_hat[i] == pytest.approx(single.z_hat[0], abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         spec = small_spec()

@@ -152,7 +152,6 @@ class TestTrain:
         report = train(tiny_scene.train, tiny_net, cfg)
         assert [s.lr for s in report.epochs] == [lr_at(e, cfg) for e in range(8)]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_location(self, tiny_scene, tiny_net):
         # an absurd alpha makes activations overflow within a few steps
         cfg = TrainConfig(epochs=4, lr=1e250,
