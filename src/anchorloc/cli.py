@@ -178,6 +178,7 @@ def cmd_train(args) -> int:
     spec = _network_spec(cfg, scene.num_anchors)
     train_cfg = _train_config(cfg)
 
+    created = not os.path.exists(args.out)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "training_log.csv")
     log_tmp = f"{log_path}.tmp"
@@ -191,7 +192,8 @@ def cmd_train(args) -> int:
                 spec, params, state, epoch=stats.epoch + 1,
                 meta={"frame_interval": k, "scene": scene.name})
 
-    # the log appears only once training has finished, like the checkpoint
+    # the log appears only once training has finished, like the checkpoint; a
+    # failed run leaves its periodic checkpoints, or no directory it created
     try:
         with open(log_tmp, "w", newline="\n") as log:
             log.write("epoch,lr,total,offset,absolute,ce\n")
@@ -200,6 +202,8 @@ def cmd_train(args) -> int:
     except BaseException:
         if os.path.exists(log_tmp):
             os.remove(log_tmp)
+        if created and not os.listdir(args.out):
+            os.rmdir(args.out)
         raise
 
     ckpt = os.path.join(args.out, "checkpoint.bin")

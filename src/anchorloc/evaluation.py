@@ -81,10 +81,13 @@ def reconstruct(pred: BatchPrediction, anchor_map: AnchorMap, mode: str = "argma
 
 
 def reconstruct_pose(pred: BatchPrediction, anchor_map: AnchorMap) -> Pose:
-    """The Pose of a batch-of-one prediction, by argmax :func:`reconstruct`; the
-    Pose's shape checks reject any other batch size (InvalidInputError)."""
+    """The Pose of a batch-of-one prediction, by argmax :func:`reconstruct`,
+    built from the views of row 0; any other batch size is InvalidInputError."""
+    if pred.logits.shape[0] != 1:
+        raise InvalidInputError(
+            f"reconstruct_pose takes a batch of one, got {pred.logits.shape[0]} rows")
     pos, quats, _ = reconstruct(pred, anchor_map)
-    return Pose(position=pos, orientation=quats)
+    return Pose(position=pos[0], orientation=quats[0])
 
 
 def report_from_poses(pred_xyz: np.ndarray, pred_quats: np.ndarray,

@@ -47,8 +47,9 @@ class Pose:
     orientation: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=np.float64).reshape(-1)
-        quat = np.asarray(self.orientation, dtype=np.float64).reshape(-1)
+        # contiguous float64 1-D views (copies only where the input is not)
+        pos = np.ascontiguousarray(self.position, dtype=np.float64).reshape(-1)
+        quat = np.ascontiguousarray(self.orientation, dtype=np.float64).reshape(-1)
         if pos.shape != (3,):
             raise InvalidInputError(f"position must be a 3-vector, got shape {pos.shape}")
         if quat.shape != (4,):
@@ -64,8 +65,10 @@ class Pose:
         # idempotent normalization keeps parse/serialize cycles bit-stable
         if abs(norm - 1.0) > 1e-12:
             quat = quat / norm
-        object.__setattr__(self, "position", _readonly(pos))
-        object.__setattr__(self, "orientation", _readonly(quat))
+        pos.setflags(write=False)
+        quat.setflags(write=False)
+        object.__setattr__(self, "position", pos)
+        object.__setattr__(self, "orientation", quat)
 
     @property
     def xy(self) -> np.ndarray:

@@ -12,7 +12,9 @@ absolute heads), so checkpoints round-trip bit-exactly. Layout, trunk and
 heads are driven by a spec's ``head_dims()`` table, so the direct-regression
 control in ``baseline`` runs on the same code with its own head.
 :class:`Bound` is the one forward and backward pass; ``forward_batch``,
-``forward`` and ``backward_batch`` are calls into it.
+``forward`` and ``backward_batch`` are calls into it. ``forward_batch`` (and
+so every single-sample ``forward``) reuses the Bound of the last parameter
+vector it served, so a stream of queries does not rebind the network.
 """
 
 from __future__ import annotations
@@ -112,21 +114,30 @@ def param_count(spec: NetworkSpec) -> int:
     return sum(o * i + o for _, o, i in _layer_shapes(spec))
 
 
+def _layer_table(spec, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views into a flat parameter (or gradient) vector for every
+    layer, in storage order."""
+    table = []
+    off = 0
+    for _, out, inp in _layer_shapes(spec):
+        W = flat[off:off + out * inp].reshape(out, inp)
+        off += out * inp
+        table.append((W, flat[off:off + out]))
+        off += out
+    if off != flat.size:
+        raise InvalidInputError(
+            f"parameter vector has {flat.size} entries, spec requires {off}")
+    return table
+
+
 class _Views:
-    """Weight/bias views into a flat parameter (or gradient) vector."""
+    """Weight/bias views into a flat parameter (or gradient) vector, by layer name."""
 
     def __init__(self, spec: NetworkSpec, flat: np.ndarray):
-        self.W: dict[str, np.ndarray] = {}
-        self.b: dict[str, np.ndarray] = {}
-        off = 0
-        for name, out, inp in _layer_shapes(spec):
-            self.W[name] = flat[off:off + out * inp].reshape(out, inp)
-            off += out * inp
-            self.b[name] = flat[off:off + out]
-            off += out
-        if off != flat.size:
-            raise InvalidInputError(
-                f"parameter vector has {flat.size} entries, spec requires {off}")
+        names = [name for name, _, _ in _layer_shapes(spec)]
+        table = _layer_table(spec, flat)
+        self.W: dict[str, np.ndarray] = {n: W for n, (W, _) in zip(names, table)}
+        self.b: dict[str, np.ndarray] = {n: b for n, (_, b) in zip(names, table)}
 
 
 def init(spec: NetworkSpec) -> np.ndarray:
@@ -159,19 +170,28 @@ def _act_grad_from_output(h: np.ndarray, kind: str) -> np.ndarray:
 
 class Bound:
     """The network pass: a spec's trunk and heads over one parameter vector,
-    sliced into weight/bias views once.
+    sliced into per-layer weight/bias tables once.
 
     :meth:`forward` reads the parameters as they are when it is called, so an
-    optimizer that updates the vector in place needs no rebinding.
+    optimizer that updates the vector in place needs no rebinding. The tables
+    hold each weight view transposed (``Wt``), as the forward pass multiplies
+    by it, and each bias as a (1, width) row, which a batch of one adds
+    without broadcasting.
     :meth:`backward` overwrites the bound gradient vector; only a Bound made
     with ``grad`` can run it.
     """
 
     def __init__(self, spec, params: np.ndarray, grad: np.ndarray | None = None):
         self.spec = spec
-        self._views = _Views(spec, np.asarray(params, dtype=np.float64))
         self.grad = grad
-        self._gviews = None if grad is None else _Views(spec, grad)
+        depth = len(spec.hidden_layers)
+        flat = np.asarray(params, dtype=np.float64)
+        layers = [(W.T, b[None]) for W, b in _layer_table(spec, flat)]
+        self._trunk = layers[:depth]
+        self._heads = list(zip(spec.head_dims(), layers[depth:]))
+        if grad is not None:
+            glayers = _layer_table(spec, grad)
+            self._gtrunk, self._gheads = glayers[:depth], glayers[depth:]
 
     def forward(self, features: np.ndarray):
         """Trunk plus every head of ``spec.head_dims()`` for features (B, input_dim).
@@ -179,51 +199,53 @@ class Bound:
         Returns ({head name: (B, width)}, cache), where the cache holds the
         per-layer activations :meth:`backward` needs.
         """
-        spec, views = self.spec, self._views
+        spec = self.spec
+        act = spec.activation
         X = np.asarray(features, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != spec.input_dim:
             raise InvalidInputError(
                 f"features must be (B, {spec.input_dim}), got shape {X.shape}")
         h = X
         cache = [h]
-        for i in range(len(spec.hidden_layers)):
-            a = h @ views.W[f"trunk{i}"].T
-            a += views.b[f"trunk{i}"]
-            h = _act_(a, spec.activation)
+        for Wt, b in self._trunk:
+            a = h @ Wt
+            a += b
+            h = _act_(a, act)
             cache.append(h)
         heads = {}
-        for name in spec.head_dims():
-            out = h @ views.W[name].T
-            out += views.b[name]
+        for name, (Wt, b) in self._heads:
+            out = h @ Wt
+            out += b
             heads[name] = out
         return heads, cache
 
     def backward(self, cache: list[np.ndarray], d_heads: dict[str, np.ndarray]) -> np.ndarray:
         """Reverse-mode gradient over the flat parameter vector, given upstream
-        gradients (B, width) for the heads in ``spec.head_dims()`` order.
+        gradients (B, width) for every head in ``spec.head_dims()``.
 
         Every entry of the bound gradient is overwritten, and it is returned.
         Sample contributions are summed (scale the upstream values for mean
         reduction).
         """
-        spec, views, gviews = self.spec, self._views, self._gviews
         h = cache[-1]
         dh = None
-        for name, d in d_heads.items():
-            np.matmul(d.T, h, out=gviews.W[name])
-            np.add.reduce(d, axis=0, out=gviews.b[name])
-            dh_head = d @ views.W[name]
+        for (name, (Wt, _)), (gW, gb) in zip(self._heads, self._gheads):
+            d = d_heads[name]
+            np.matmul(d.T, h, out=gW)
+            np.add.reduce(d, axis=0, out=gb)
+            dh_head = d @ Wt.T
             if dh is None:
                 dh = dh_head
             else:
                 dh += dh_head
 
-        for i in reversed(range(len(spec.hidden_layers))):
-            dh *= _act_grad_from_output(cache[i + 1], spec.activation)
-            np.matmul(dh.T, cache[i], out=gviews.W[f"trunk{i}"])
-            np.add.reduce(dh, axis=0, out=gviews.b[f"trunk{i}"])
+        for i in reversed(range(len(self._trunk))):
+            gW, gb = self._gtrunk[i]
+            dh *= _act_grad_from_output(cache[i + 1], self.spec.activation)
+            np.matmul(dh.T, cache[i], out=gW)
+            np.add.reduce(dh, axis=0, out=gb)
             if i:  # no gradient w.r.t. the input features is needed
-                dh = dh @ views.W[f"trunk{i}"]
+                dh = dh @ self._trunk[i][0].T
         return self.grad
 
 
@@ -246,14 +268,34 @@ def head_grads(d_logits: np.ndarray, d_offsets: np.ndarray, d_z: np.ndarray,
     return {"logits": d_logits, "offsets": d_offsets.reshape(B, -1), "absolute": d_abs}
 
 
+# The Bound of the last parameter vector forward_batch served, as (spec,
+# params, Bound). The strong references keep both ids from being reused.
+_served = None
+
+
+def _bound(spec, params) -> Bound:
+    """A Bound of (spec, params) for a forward pass: the last one again when
+    both are the same objects as last time and its views alias ``params``
+    (a C-contiguous float64 ndarray), so in-place updates are seen; any other
+    input is bound fresh."""
+    global _served
+    last = _served
+    if last is not None and last[0] is spec and last[1] is params:
+        return last[2]
+    bound = Bound(spec, params)
+    if type(params) is np.ndarray and params.dtype == np.float64 and params.flags.c_contiguous:
+        _served = (spec, params, bound)
+    return bound
+
+
 def forward_batch(spec: NetworkSpec, params: np.ndarray, features: np.ndarray) -> BatchPrediction:
     """Batched forward pass. ``features`` is (B, input_dim)."""
-    return prediction(spec, Bound(spec, params).forward(features)[0])
+    return prediction(spec, _bound(spec, params).forward(features)[0])
 
 
 def forward(spec: NetworkSpec, params: np.ndarray, feature: np.ndarray) -> BatchPrediction:
     """Single-sample forward pass: :func:`forward_batch` on a batch of one."""
-    return forward_batch(spec, params, np.reshape(feature, (1, -1)))
+    return forward_batch(spec, params, np.asarray(feature).reshape(1, -1))
 
 
 def backward_batch(spec: NetworkSpec, params: np.ndarray, cache: list[np.ndarray],

@@ -336,18 +336,38 @@ class TestNonFiniteFeatures:
         assert ids[5] in capsys.readouterr().err
         assert not run.exists()
 
-    def test_huge_feature_is_a_numerical_error(self, dataset_dir, tmp_path, capsys):
-        # finite, but training on it overflows: no warning, exit 3
+    @staticmethod
+    def huge_feature_dir(dataset_dir, tmp_path):
+        """A copy of the dataset with one training feature at 1e300: finite,
+        but training on it overflows."""
         out, cfg = dataset_dir
         bad = tmp_path / "bad"
         shutil.copytree(out, bad)
         ids, feats = data.load_features(bad / data.FEATURES_TRAIN)
         feats[5, 3] = 1e300
         data.save_features(bad / data.FEATURES_TRAIN, ids, feats)
+        return bad, cfg
+
+    def test_huge_feature_is_a_numerical_error(self, dataset_dir, tmp_path, capsys):
+        # no warning, exit 3
+        bad, cfg = self.huge_feature_dir(dataset_dir, tmp_path)
         capsys.readouterr()
         assert main(["train", "--config", str(cfg), "--data", str(bad),
                      "--out", str(tmp_path / "run"), "--epochs", "1"]) == EXIT_DIVERGENCE
         assert "epoch 0" in capsys.readouterr().err
+
+    def test_numerical_error_removes_only_the_directory_it_created(self, dataset_dir,
+                                                                   tmp_path):
+        # like a data error, which exits before any output, but a directory
+        # that was there before the run stays
+        bad, cfg = self.huge_feature_dir(dataset_dir, tmp_path)
+        run, kept = tmp_path / "run", tmp_path / "kept"
+        kept.mkdir()
+        for out in (run, kept):
+            assert main(["train", "--config", str(cfg), "--data", str(bad),
+                         "--out", str(out), "--epochs", "1"]) == EXIT_DIVERGENCE
+        assert not run.exists()
+        assert kept.is_dir() and not any(kept.iterdir())
 
 
 class TestNonFiniteWorldSpec:

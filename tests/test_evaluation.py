@@ -88,6 +88,19 @@ class TestReconstructPose:
             assert pose.orientation.tobytes() == quats[i].tobytes()
             assert j[i] == pred.logits[i].argmax()
 
+    @pytest.mark.parametrize("field", ["z_hat", "argmax_offset"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_output_rejected(self, field, value):
+        # the Pose's finite check stands on the query path
+        amap = AnchorMap(anchors=np.array([[0.0, 0.0], [10.0, 0.0]]), frame_interval=1)
+        pred = pred_with([0.0, 3.0], [[0.0, 0.0], [1.0, 2.0]], z=1.0)
+        if field == "z_hat":
+            pred.z_hat[0] = value
+        else:
+            pred.offsets[0, 1, 0] = value
+        with pytest.raises(InvalidInputError, match="finite"):
+            reconstruct_pose(pred, amap)
+
     def test_batch_of_more_than_one_rejected(self):
         amap = AnchorMap(anchors=np.zeros((1, 2)), frame_interval=1)
         pred = BatchPrediction(logits=np.zeros((2, 1)), offsets=np.zeros((2, 1, 2)),

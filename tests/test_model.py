@@ -1,4 +1,6 @@
 import errno
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -127,6 +129,96 @@ class TestForward:
         spec = small_spec()
         with pytest.raises(InvalidInputError):
             model.forward(spec, model.init(spec), np.zeros(spec.input_dim + 1))
+
+
+def pred_bytes(pred):
+    return [a.tobytes() for a in (pred.logits, pred.offsets, pred.z_hat, pred.orient_raw)]
+
+
+def fresh_forward(spec, params, x):
+    """The forward pass of a new binding of ``params``."""
+    return model.prediction(spec, model.Bound(spec, params).forward(x[None])[0])
+
+
+class TestServedBinding:
+    """model.forward reuses the binding of the last parameter vector it served;
+    it must never answer from parameters the caller has since changed."""
+
+    def test_in_place_update_is_seen(self):
+        spec = small_spec()
+        params = model.init(spec)
+        x = np.linspace(-1, 1, spec.input_dim)
+        before = pred_bytes(model.forward(spec, params, x))
+        params *= 1.5
+        params[-1] += 0.25
+        after = pred_bytes(model.forward(spec, params, x))
+        assert after == pred_bytes(fresh_forward(spec, params, x))
+        assert after != before
+
+    def test_alternating_vectors_and_specs(self):
+        relu, tanh = small_spec(activation="relu"), small_spec(activation="tanh")
+        vectors = (model.init(relu), -2.0 * model.init(relu))
+        x = np.linspace(-1, 1, relu.input_dim)
+        expected = {(s, i): pred_bytes(fresh_forward(s, v, x))
+                    for s in (relu, tanh) for i, v in enumerate(vectors)}
+        assert len({tuple(e) for e in expected.values()}) == 4
+        pairs = [(s, i) for s in (relu, tanh) for i in range(2)]
+        for spec, i in pairs + sorted(pairs, key=lambda p: p[1]) + pairs[::-1]:
+            assert pred_bytes(model.forward(spec, vectors[i], x)) == expected[spec, i]
+
+    @pytest.mark.parametrize("kind", ["float32", "strided", "list"])
+    def test_converted_params_are_never_served_stale(self, kind):
+        spec = small_spec()
+        base = model.init(spec)
+        make = {"float32": lambda p: p.astype(np.float32),
+                "strided": lambda p: np.repeat(p, 2)[::2],
+                "list": lambda p: p.tolist()}[kind]
+        x = np.linspace(-1, 1, spec.input_dim)
+        params = make(base)
+        before = pred_bytes(model.forward(spec, params, x))
+        params[:] = make(1.5 * base)
+        after = pred_bytes(model.forward(spec, params, x))
+        assert after == pred_bytes(fresh_forward(spec, params, x))
+        assert after != before
+
+    def test_threads_each_get_their_own_answers(self):
+        # the one served binding is shared by every thread in the process
+        specs = [small_spec(activation=a) for a in ("relu", "tanh")]
+        x = np.linspace(-1, 1, specs[0].input_dim)
+        work = [(specs[i % 2], model.init(specs[0]) * (1.0 + i)) for i in range(6)]
+        expected = [pred_bytes(fresh_forward(spec, params, x)) for spec, params in work]
+        wrong = []
+
+        def serve(i):
+            spec, params = work[i]
+            for _ in range(300):
+                if pred_bytes(model.forward(spec, params, x)) != expected[i]:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve, args=(i,)) for i in range(len(work))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_new_vector_where_a_freed_one_was(self):
+        # converted inputs are not held, so a new one may take a freed one's id
+        spec = small_spec()
+        base = model.init(spec)
+        x = np.linspace(-1, 1, spec.input_dim)
+        for i in range(20):
+            params = base.astype(np.float32)
+            params += np.float32(0.01 * i)
+            assert pred_bytes(model.forward(spec, params, x)) == pred_bytes(
+                fresh_forward(spec, params, x))
+            del params
 
 
 class TestBackward:

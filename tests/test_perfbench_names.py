@@ -5,6 +5,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from anchorloc import evaluation, model
+from anchorloc.geometry import AnchorMap
+from anchorloc.model import NetworkSpec
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -18,3 +24,25 @@ def test_every_traced_name_is_a_package_function():
         if not callable(getattr(importlib.import_module(f"anchorloc.{module}"), attr, None)):
             missing.append(name)
     assert spans.TRACED and missing == []
+
+
+def test_query_path_calls_spanned_functions_by_name(monkeypatch):
+    # the model.forward_batch span counts queries only while model.forward and
+    # reconstruct_pose look these up as module globals
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(model, "forward_batch",
+                        counting("forward_batch", model.forward_batch))
+    monkeypatch.setattr(evaluation, "reconstruct", counting("reconstruct", evaluation.reconstruct))
+    spec = NetworkSpec(input_dim=4, hidden_layers=(6,), num_anchors=3, seed=1)
+    params = model.init(spec)
+    amap = AnchorMap(anchors=np.arange(6.0).reshape(3, 2), frame_interval=1)
+    for i in range(3):
+        evaluation.reconstruct_pose(model.forward(spec, params, np.full(4, i + 0.5)), amap)
+    assert calls == ["forward_batch", "reconstruct"] * 3
