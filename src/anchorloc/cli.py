@@ -117,6 +117,14 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(w) for w in text.split(",") if w.strip())
 
 
+def _bool(text: str) -> bool:
+    """configparser's boolean words: 1/yes/true/on and 0/no/false/off."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
 def _network_spec(cfg, num_anchors: int) -> NetworkSpec:
     return NetworkSpec(input_dim=_value(cfg, "network", "input_dim", int),
                        hidden_layers=_value(cfg, "network", "hidden_layers", _int_list),
@@ -125,10 +133,10 @@ def _network_spec(cfg, num_anchors: int) -> NetworkSpec:
 
 
 def _loss_weights(cfg) -> LossWeights:
-    use_ce = cfg["loss"]["use_cross_entropy"].lower() in ("1", "true", "yes")
     return LossWeights(alpha1=_value(cfg, "loss", "alpha1", float),
                        alpha2=_value(cfg, "loss", "alpha2", float),
-                       alpha3=_value(cfg, "loss", "alpha3", float), use_cross_entropy=use_ce)
+                       alpha3=_value(cfg, "loss", "alpha3", float),
+                       use_cross_entropy=_value(cfg, "loss", "use_cross_entropy", _bool))
 
 
 def _train_config(cfg) -> TrainConfig:
@@ -152,7 +160,6 @@ def cmd_gen_world(args) -> int:
         spec = simworld.default_world(seed=_value(cfg, "world", "seed", int),
                                       noise_sigma=_value(cfg, "world", "noise_sigma", float))
     train, test = simworld.generate(spec, n_train, n_test)
-    os.makedirs(args.out, exist_ok=True)
     data.export_dataset(args.out, train, test)
     simworld.save_world_spec(os.path.join(args.out, "world.ini"), spec)
     write_config_snapshot(os.path.join(args.out, "config.ini"), cfg)
@@ -227,7 +234,6 @@ def cmd_eval(args) -> int:
             f"dataset yields {scene.num_anchors} at interval {k}; regenerate or retrain")
     mode = "weighted" if args.weighted else "argmax"
     report = evaluation.evaluate(spec, params, scene.test, scene.anchor_map, mode=mode)
-    os.makedirs(args.out, exist_ok=True)
     evaluation.write_eval_report(args.out, report)
     print(f"median_m={report.median_translation_m:.17g}")
     print(f"mean_m={report.mean_translation_m:.17g}")
@@ -242,11 +248,7 @@ def cmd_sweep(args) -> int:
         cfg["network"]["seed"] = str(args.seed)
     if args.epochs is not None:
         cfg["train"]["epochs"] = str(args.epochs)
-    try:
-        k_values = [int(v) for v in args.k.split(",") if v.strip()]
-    except ValueError:
-        raise _UsageError(f"bad --k list: {args.k!r}")
-    if not k_values:
+    if not args.k:
         raise _UsageError("--k needs at least one value")
 
     train_poses, train_feats, test_poses, test_feats = data.load_dataset_files(args.data)
@@ -256,7 +258,7 @@ def cmd_sweep(args) -> int:
     train_cfg = _train_config(cfg)
 
     rows = evaluation.sweep_anchor_interval(train_poses, train_feats, test_poses,
-                                            test_feats, k_values, spec_template,
+                                            test_feats, args.k, spec_template,
                                             train_cfg)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
@@ -306,7 +308,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", required=True, help="comma-separated interval list")
+    p.add_argument("--k", required=True, type=_int_list, help="comma-separated interval list")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.set_defaults(func=cmd_sweep)

@@ -124,7 +124,10 @@ def load_features(path) -> tuple[list[str], np.ndarray]:
     if count * (4 + 8 * dim) > len(raw) - 24:
         raise ParseError(f"{path}: {count} rows of dim {dim} do not fit in {len(raw)} bytes")
     ids = []
-    feats = np.empty((count, dim))
+    try:  # zero rows pass the size check above with any dim
+        feats = np.empty((count, dim))
+    except ValueError as err:
+        raise ParseError(f"{path}: {count} rows of dim {dim}: {err}") from None
     off = 24
     for i in range(count):
         idlen = int.from_bytes(raw[off:off + 4], "little")
@@ -208,34 +211,20 @@ class SceneDataset:
 
 
 def assemble(poses: list[tuple[str, Pose]], features: np.ndarray, k: int,
-             *, test_poses: list[tuple[str, Pose]] | None = None,
-             test_features: np.ndarray | None = None,
-             name: str = "scene",
-             train_visible=None, test_visible=None) -> SceneDataset:
+             test_poses: list[tuple[str, Pose]], test_features: np.ndarray, *,
+             name: str = "scene", train_visible=None, test_visible=None) -> SceneDataset:
     """Build a SceneDataset; the anchor map comes from training poses ONLY.
 
-    Nearest-anchor labels are materialized for both splits; the test split
-    never contributes anchors.
+    :meth:`SampleBatch.build` converts each split's features, checks that
+    they have one row per pose and labels nearest anchors; the test split
+    (which may be empty) never contributes anchors.
     """
     pose_objs = [p for _, p in poses]
-    feats = np.asarray(features, dtype=np.float64)
-    if len(pose_objs) != feats.shape[0]:
-        raise InvalidInputError(
-            f"{len(pose_objs)} training poses but {feats.shape[0]} feature rows")
     anchor_map = build_anchor_map(pose_objs, k)
-
-    train = SampleBatch.build([fid for fid, _ in poses], pose_objs, feats,
+    train = SampleBatch.build([fid for fid, _ in poses], pose_objs, features,
                               anchor_map, visible_sets=train_visible)
-    if test_poses is None:
-        test_poses = []
-        test_features = np.zeros((0, feats.shape[1] if feats.ndim == 2 else 0))
-    tfeats = np.asarray(test_features, dtype=np.float64)
-    if len(test_poses) != tfeats.shape[0]:
-        raise InvalidInputError(
-            f"{len(test_poses)} test poses but {tfeats.shape[0]} feature rows")
-    test = SampleBatch.build([fid for fid, _ in test_poses],
-                             [p for _, p in test_poses], tfeats, anchor_map,
-                             visible_sets=test_visible)
+    test = SampleBatch.build([fid for fid, _ in test_poses], [p for _, p in test_poses],
+                             test_features, anchor_map, visible_sets=test_visible)
     return SceneDataset(name=name, anchor_map=anchor_map, train=train, test=test)
 
 
@@ -255,8 +244,7 @@ def from_simworld(train_samples: list[Sample], test_samples: list[Sample], k: in
     """Assemble directly from in-memory world samples, keeping visibility
     ground truth for discovery analysis."""
     train_recs, tf, test_recs, ef = _stack_splits(train_samples, test_samples)
-    return assemble(train_recs, tf, k, test_poses=test_recs, test_features=ef,
-                    name="simworld",
+    return assemble(train_recs, tf, k, test_recs, ef, name="simworld",
                     train_visible=[s.visible_set for s in train_samples],
                     test_visible=[s.visible_set for s in test_samples])
 
@@ -289,6 +277,5 @@ def load_dataset_files(data_dir):
 def load_dataset_dir(data_dir, k: int) -> SceneDataset:
     """Load the standard dataset directory layout and assemble with interval k."""
     train_poses, train_feats, test_poses, test_feats = load_dataset_files(data_dir)
-    return assemble(train_poses, train_feats, k, test_poses=test_poses,
-                    test_features=test_feats,
+    return assemble(train_poses, train_feats, k, test_poses, test_feats,
                     name=os.path.basename(os.path.normpath(str(data_dir))))

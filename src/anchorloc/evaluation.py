@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,18 +26,6 @@ from .simworld import _fmt
 
 ACCURACY_TRANSLATION_M = 2.0
 ACCURACY_ROTATION_DEG = 5.0
-
-
-def median(values) -> float:
-    """Sorted median; even-length lists average the two middle values."""
-    v = sorted(float(x) for x in values)
-    if not v:
-        raise InvalidInputError("median of an empty sequence")
-    n = len(v)
-    mid = n // 2
-    if n % 2 == 1:
-        return v[mid]
-    return 0.5 * (v[mid - 1] + v[mid])
 
 
 @dataclass
@@ -101,9 +90,9 @@ def report_from_poses(pred_xyz: np.ndarray, pred_quats: np.ndarray,
     per_sample = [(float(t), float(r), int(a), int(n))
                   for t, r, a, n in zip(terr, rerr, pred_anchor, batch.nearest)]
     return EvalReport(
-        median_translation_m=median(terr),
+        median_translation_m=statistics.median(terr.tolist()),
         mean_translation_m=float(terr.mean()),
-        median_rotation_deg=median(rerr),
+        median_rotation_deg=statistics.median(rerr.tolist()),
         accuracy_2m_5deg=float(correct.mean()),
         per_sample=per_sample,
     )
@@ -189,8 +178,7 @@ def sweep_anchor_interval(train_poses, train_features, test_poses, test_features
         raise InvalidInputError("need at least one k value")
     rows = []
     for k in k_values:
-        scene = assemble(train_poses, train_features, int(k),
-                         test_poses=test_poses, test_features=test_features)
+        scene = assemble(train_poses, train_features, int(k), test_poses, test_features)
         spec = replace(spec_template, num_anchors=scene.num_anchors)
         report = optimmod.train(scene.train, spec, config)
         ev = evaluate(spec, report.params, scene.test, scene.anchor_map)

@@ -28,12 +28,6 @@ ANCHOR_DEDUP_TOL = 1e-9
 _NORM_SAFE = 2.0 ** 511
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class Pose:
     """A 6-DOF camera state: position plus unit-quaternion orientation.
@@ -88,20 +82,18 @@ def quat_norm(quat: np.ndarray, comps: list[float]) -> float:
 
 @dataclass(frozen=True)
 class AnchorMap:
-    """Ordered anchor coordinates plus the frame interval that produced them."""
+    """Ordered, finite anchor coordinates in the (x, y) plane."""
 
     anchors: np.ndarray  # (N, 2)
-    frame_interval: int
 
     def __post_init__(self):
-        a = np.asarray(self.anchors, dtype=np.float64)
+        a = np.ascontiguousarray(self.anchors, dtype=np.float64)
         if a.ndim != 2 or a.shape[1] != 2 or a.shape[0] == 0:
             raise InvalidInputError(f"anchors must be a non-empty (N, 2) array, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise InvalidInputError("anchor coordinates must be finite")
-        if self.frame_interval < 1:
-            raise InvalidInputError("frame_interval must be >= 1")
-        object.__setattr__(self, "anchors", _readonly(a))
+        a.setflags(write=False)
+        object.__setattr__(self, "anchors", a)
 
     def __len__(self) -> int:
         return self.anchors.shape[0]
@@ -135,7 +127,7 @@ def build_anchor_map(poses: list[Pose], k: int) -> AnchorMap:
             keep[j] = False
     if keep.sum() == 1:
         raise DegenerateMapError("all anchors collapse to a single point")
-    return AnchorMap(anchors=candidates[keep], frame_interval=k)
+    return AnchorMap(anchors=candidates[keep])
 
 
 def _close_pairs(xy: np.ndarray, idx: np.ndarray) -> tuple[list[int], list[int]]:

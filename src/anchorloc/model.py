@@ -19,9 +19,9 @@ vector it served, so a stream of queries does not rebind the network.
 
 from __future__ import annotations
 
-import functools
 import io
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -94,7 +94,6 @@ class BatchPrediction:
 
 # --- flat parameter layout ---------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
 def _layer_shapes(spec: NetworkSpec) -> tuple[tuple[str, int, int], ...]:
     """(name, out_dim, in_dim) for every weight matrix, in storage order.
 
@@ -116,7 +115,8 @@ def param_count(spec: NetworkSpec) -> int:
 
 def _layer_table(spec, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(W, b) views into a flat parameter (or gradient) vector for every
-    layer, in storage order."""
+    layer, in storage order: trunk layer i at index i, then the heads in
+    ``head_dims()`` order."""
     table = []
     off = 0
     for _, out, inp in _layer_shapes(spec):
@@ -130,24 +130,13 @@ def _layer_table(spec, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return table
 
 
-class _Views:
-    """Weight/bias views into a flat parameter (or gradient) vector, by layer name."""
-
-    def __init__(self, spec: NetworkSpec, flat: np.ndarray):
-        names = [name for name, _, _ in _layer_shapes(spec)]
-        table = _layer_table(spec, flat)
-        self.W: dict[str, np.ndarray] = {n: W for n, (W, _) in zip(names, table)}
-        self.b: dict[str, np.ndarray] = {n: b for n, (_, b) in zip(names, table)}
-
-
 def init(spec: NetworkSpec) -> np.ndarray:
     """Deterministic parameter init: scaled-uniform by fan-in, zero biases."""
     rng = np.random.default_rng(spec.seed)
     flat = np.zeros(param_count(spec))
-    views = _Views(spec, flat)
-    for name, out, inp in _layer_shapes(spec):
-        bound = 1.0 / np.sqrt(inp)
-        views.W[name][...] = rng.uniform(-bound, bound, size=(out, inp))
+    for W, _ in _layer_table(spec, flat):
+        bound = 1.0 / np.sqrt(W.shape[1])
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
         # biases stay zero
     return flat
 
@@ -374,10 +363,13 @@ def load_checkpoint(path):
         raise ParseError(f"{path}: bad header: {type(err).__name__}: {err}") from None
     arrays = {}
     for name, shape in entries:
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)  # exact, where numpy's product would wrap
         if off + 8 * n > len(raw):
             raise ParseError(f"{path}: truncated in array {name!r}")
-        arrays[name] = np.frombuffer(raw[off:off + 8 * n], dtype="<f8").reshape(shape).copy()
+        try:  # a zero-size shape passes the check above with any other dimension
+            arrays[name] = np.frombuffer(raw[off:off + 8 * n], dtype="<f8").reshape(shape).copy()
+        except ValueError as err:
+            raise ParseError(f"{path}: array {name!r} of shape {list(shape)}: {err}") from None
         off += 8 * n
     if off != len(raw):
         raise ParseError(f"{path}: {len(raw) - off} bytes after the last array")

@@ -203,10 +203,6 @@ def encode_distance(d: float) -> float:
     return 1.0 / (1.0 + d)
 
 
-def decode_distance(enc: float) -> float:
-    return 1.0 / enc - 1.0
-
-
 def sample_features(pose: Pose, spec: WorldSpec,
                     noise: np.ndarray | None = None) -> tuple[np.ndarray, frozenset[str]]:
     """Feature vector (3 channels per landmark) and the exact visible set."""

@@ -74,7 +74,7 @@ def test_degenerate_orientation_is_a_numerical_error(tiny_samples):
     scene = data.from_simworld(train_s, test_s, k=10)
     spec = DirectSpec(input_dim=scene.train.features.shape[1], hidden_layers=(4,), seed=0)
     params = model.init(spec)
-    views = model._Views(spec, params)
-    views.W["pose"][3:] = 0.0  # orientation rows of the head
+    W_pose, _ = model._layer_table(spec, params)[1]  # the trunk layer, then the pose head
+    W_pose[3:] = 0.0  # orientation rows of the head
     with pytest.raises(DegenerateOrientationError):
         baseline.evaluate_direct(spec, params, scene.test)

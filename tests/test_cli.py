@@ -116,7 +116,8 @@ class TestConfigValues:
         ("world", "n_train"), ("world", "seed"), ("world", "noise_sigma"),
         ("data", "frame_interval"), ("network", "hidden_layers"), ("network", "seed"),
         ("train", "lr"), ("train", "batch_size"), ("train", "epochs"),
-        ("train", "lr_halving_period"), ("train", "shuffle_seed"), ("loss", "alpha2")])
+        ("train", "lr_halving_period"), ("train", "shuffle_seed"), ("loss", "alpha2"),
+        ("loss", "use_cross_entropy")])
     def test_bad_config_value_is_a_config_error(self, dataset_dir, tmp_path, capsys,
                                                 section, key):
         out, _ = dataset_dir
@@ -130,6 +131,18 @@ class TestConfigValues:
         assert rc == EXIT_DATA
         assert f"[{section}] {key}:" in capsys.readouterr().err
         assert not run.exists()
+
+    @pytest.mark.parametrize("word,on", [("on", True), ("off", False)])
+    def test_cross_entropy_takes_configparser_booleans(self, dataset_dir, tmp_path, word, on):
+        out, cfg = dataset_dir
+        ce_cfg = tmp_path / "ce.ini"
+        ce_cfg.write_text(cfg.read_text() + f"\n[loss]\nuse_cross_entropy = {word}\n")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(ce_cfg), "--data", str(out), "--out", str(run),
+                     "--epochs", "1"]) == EXIT_OK
+        log = (run / "training_log.csv").read_text().splitlines()
+        assert (float(log[1].split(",")[5]) != 0.0) == on  # the ce column
+        assert f"use_cross_entropy = {word}\n" in (run / "config.ini").read_text()
 
     @pytest.mark.parametrize("text", [b"[world\nn_train = 10\n", b"\xff[world]\nn_train = 10\n"],
                              ids=["section-not-closed", "not-utf8"])
@@ -209,6 +222,23 @@ def _nested_header(depth):
     return lambda raw: raw[:8] + depth.to_bytes(4, "little") + b"[" * depth
 
 
+def _zero_rows_of_dim(dim):
+    """A feature file whose header claims 0 rows of dimension ``dim``."""
+    return lambda raw: raw[:8] + (0).to_bytes(8, "little") + dim.to_bytes(8, "little") + raw[24:]
+
+
+def _extra_array(shape):
+    """A checkpoint whose header lists one more array, of ``shape``, after the
+    others, with no bytes for it."""
+    def edit(raw):
+        hlen = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12:12 + hlen])
+        header["arrays"].append({"name": "extra", "shape": shape})
+        hbytes = json.dumps(header).encode()
+        return raw[:8] + len(hbytes).to_bytes(4, "little") + hbytes + raw[12 + hlen:]
+    return edit
+
+
 class TestTruncatedFiles:
     DAMAGE = {
         "cut": lambda raw: raw[:-100],
@@ -225,13 +255,20 @@ class TestTruncatedFiles:
         "no-shape": _key_renamed(b"shape"),
         "header-nested-too-deep": _nested_header(10**5),
         "first-byte-not-utf8": _byte_set(0, b"\xff"),
+        "zero-rows-dim-2**63": _zero_rows_of_dim(2**63),
+        "zero-rows-dim-2**62": _zero_rows_of_dim(2**62),
+        # products that wrap to 0 in int64, and a zero-size shape numpy cannot hold
+        "shape-2**32x2**32": _extra_array([2**32, 2**32]),
+        "shape-2**62x4": _extra_array([2**62, 4]),
+        "shape-2**62x0": _extra_array([2**62, 0]),
     }
 
     @classmethod
     def damaged(cls, path, how):
         path.write_bytes(cls.DAMAGE[how](path.read_bytes()))
 
-    @pytest.mark.parametrize("how", ["cut", "cut-in-header", "trailing", "id-not-utf8"])
+    @pytest.mark.parametrize("how", ["cut", "cut-in-header", "trailing", "id-not-utf8",
+                                     "zero-rows-dim-2**63", "zero-rows-dim-2**62"])
     def test_feature_file(self, dataset_dir, tmp_path, how):
         out, cfg = dataset_dir
         bad = tmp_path / "bad"
@@ -268,7 +305,8 @@ class TestTruncatedFiles:
 
     @pytest.mark.parametrize("how", ["cut", "cut-in-header", "trailing", "header-not-json",
                                      "header-not-utf8", "no-spec", "no-arrays", "no-shape",
-                                     "header-nested-too-deep"])
+                                     "header-nested-too-deep", "shape-2**32x2**32",
+                                     "shape-2**62x4", "shape-2**62x0"])
     def test_checkpoint(self, dataset_dir, trained_run, tmp_path, how):
         out, _ = dataset_dir
         ckpt = tmp_path / "checkpoint.bin"

@@ -100,7 +100,7 @@ class TestAssemble:
     def test_k1_gives_one_anchor_per_distinct_position(self):
         poses = [(f"p{i}", make_pose(float(i), 0.0)) for i in range(8)]
         feats = np.zeros((8, 3))
-        scene = data.assemble(poses, feats, 1)
+        scene = data.assemble(poses, feats, 1, [], np.zeros((0, 3)))
         assert scene.num_anchors == 8
 
     def test_batch_offsets_match_geometry_exactly(self, tiny_samples):
@@ -130,7 +130,7 @@ class TestAssemble:
         rng = np.random.default_rng(3)
         gx, gy = np.meshgrid(np.arange(200.0), np.arange(100.0))
         anchors = rng.permutation(np.c_[gx.ravel(), gy.ravel()])
-        amap = AnchorMap(anchors=anchors, frame_interval=1)
+        amap = AnchorMap(anchors=anchors)
         rows = max(1, data._NEAREST_BLOCK // len(amap))
         n = 3 * rows + rows // 2
         assert n % rows and n // rows >= 3
@@ -167,7 +167,9 @@ class TestAssemble:
     def test_count_mismatch_rejected(self):
         poses = [("a", make_pose(0, 0)), ("b", make_pose(1, 0))]
         with pytest.raises(InvalidInputError):
-            data.assemble(poses, np.zeros((3, 2)), 1)
+            data.assemble(poses, np.zeros((3, 2)), 1, [], np.zeros((0, 2)))
+        with pytest.raises(InvalidInputError):
+            data.assemble(poses, np.zeros((2, 2)), 1, poses, np.zeros((1, 2)))
 
 
 class TestDatasetDirectory:

@@ -1,5 +1,3 @@
-import statistics
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from anchorloc import data, evaluation, model, optim
 from anchorloc.errors import (DegenerateOrientationError, InvalidInputError,
                               UndefinedRateError)
 from anchorloc.evaluation import (co_located_anchors, discovery_rate,
-                                  discovery_stats, evaluate, median, reconstruct,
+                                  discovery_stats, evaluate, reconstruct,
                                   reconstruct_pose, report_from_poses,
                                   sweep_anchor_interval, sweep_csv_text)
 from anchorloc.geometry import AnchorMap, yaw_quat
@@ -26,30 +24,15 @@ def pred_with(logits, offsets, z=0.0, orient=(1, 0, 0, 0)):
                            orient_raw=np.asarray(orient, dtype=float)[None])
 
 
-class TestMedian:
-    def test_even_count_rule(self):
-        assert median([1, 3, 2, 10]) == 2.5
-
-    def test_matches_statistics_median(self):
-        rng = np.random.default_rng(0)
-        for n in (1, 2, 3, 8, 9, 50, 51):
-            v = list(rng.uniform(-10, 10, n))
-            assert median(v) == pytest.approx(statistics.median(v), abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            median([])
-
-
 class TestReconstructPose:
     def test_one_hot_perfect(self):
-        amap = AnchorMap(anchors=np.array([[0.0, 0.0], [10.0, 0.0]]), frame_interval=1)
+        amap = AnchorMap(anchors=np.array([[0.0, 0.0], [10.0, 0.0]]))
         pred = pred_with([40.0, 0.0], [[3.0, 4.0], [0.0, 0.0]], z=1.5)
         pose = reconstruct_pose(pred, amap)
         np.testing.assert_allclose(pose.position, [3.0, 4.0, 1.5])
 
     def test_argmax_tie_takes_lowest_index(self):
-        amap = AnchorMap(anchors=np.array([[0.0, 0.0], [10.0, 0.0]]), frame_interval=1)
+        amap = AnchorMap(anchors=np.array([[0.0, 0.0], [10.0, 0.0]]))
         pred = pred_with([2.0, 2.0], [[1.0, 0.0], [1.0, 0.0]])
         pose = reconstruct_pose(pred, amap)
         assert pose.position[0] == pytest.approx(1.0)
@@ -58,7 +41,7 @@ class TestReconstructPose:
         rng = np.random.default_rng(1)
         for _ in range(30):
             n = int(rng.integers(2, 9))
-            amap = AnchorMap(anchors=rng.uniform(-5, 5, (n, 2)), frame_interval=1)
+            amap = AnchorMap(anchors=rng.uniform(-5, 5, (n, 2)))
             pred = pred_with(rng.standard_normal(n), rng.standard_normal((n, 2)),
                              z=rng.standard_normal(), orient=rng.standard_normal(4) + 0.2)
             pose = reconstruct_pose(pred, amap)
@@ -67,7 +50,7 @@ class TestReconstructPose:
             np.testing.assert_allclose(pose.position[:2], expected, atol=1e-12)
 
     def test_degenerate_orientation_raises(self):
-        amap = AnchorMap(anchors=np.zeros((1, 2)), frame_interval=1)
+        amap = AnchorMap(anchors=np.zeros((1, 2)))
         pred = pred_with([1.0], [[0.0, 0.0]], orient=np.zeros(4))
         with pytest.raises(DegenerateOrientationError):
             reconstruct_pose(pred, amap)
@@ -75,7 +58,7 @@ class TestReconstructPose:
     def test_batch_rows_match_batches_of_one(self):
         rng = np.random.default_rng(2)
         n, B = 6, 9
-        amap = AnchorMap(anchors=rng.uniform(-5, 5, (n, 2)), frame_interval=1)
+        amap = AnchorMap(anchors=rng.uniform(-5, 5, (n, 2)))
         pred = BatchPrediction(logits=rng.standard_normal((B, n)),
                                offsets=rng.standard_normal((B, n, 2)),
                                z_hat=rng.standard_normal(B),
@@ -92,7 +75,7 @@ class TestReconstructPose:
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_output_rejected(self, field, value):
         # the Pose's finite check stands on the query path
-        amap = AnchorMap(anchors=np.array([[0.0, 0.0], [10.0, 0.0]]), frame_interval=1)
+        amap = AnchorMap(anchors=np.array([[0.0, 0.0], [10.0, 0.0]]))
         pred = pred_with([0.0, 3.0], [[0.0, 0.0], [1.0, 2.0]], z=1.0)
         if field == "z_hat":
             pred.z_hat[0] = value
@@ -102,7 +85,7 @@ class TestReconstructPose:
             reconstruct_pose(pred, amap)
 
     def test_batch_of_more_than_one_rejected(self):
-        amap = AnchorMap(anchors=np.zeros((1, 2)), frame_interval=1)
+        amap = AnchorMap(anchors=np.zeros((1, 2)))
         pred = BatchPrediction(logits=np.zeros((2, 1)), offsets=np.zeros((2, 1, 2)),
                                z_hat=np.zeros(2), orient_raw=np.ones((2, 4)))
         with pytest.raises(InvalidInputError):
@@ -118,7 +101,7 @@ def batch_from_poses(poses, anchor_map, features=None, visible=None):
 
 class TestReportFromPoses:
     def test_all_perfect(self):
-        amap = AnchorMap(anchors=np.array([[0.0, 0.0], [4.0, 0.0]]), frame_interval=1)
+        amap = AnchorMap(anchors=np.array([[0.0, 0.0], [4.0, 0.0]]))
         poses = [make_pose(0.5, 0.2, z=0.1, yaw=0.3), make_pose(3.0, -0.5, z=0.0, yaw=2.0)]
         batch = batch_from_poses(poses, amap)
         report = report_from_poses(batch.positions.copy(), batch.orientations.copy(),
@@ -129,7 +112,7 @@ class TestReportFromPoses:
 
     def test_threshold_edges(self):
         # 1.9 m / 4.9 deg counts; 2.1 m / 4.0 deg does not
-        amap = AnchorMap(anchors=np.zeros((1, 2)), frame_interval=1)
+        amap = AnchorMap(anchors=np.zeros((1, 2)))
         poses = [make_pose(0.0, 0.0, yaw=0.0), make_pose(0.0, 0.0, yaw=0.0)]
         batch = batch_from_poses(poses, amap)
         pred_xyz = np.array([[1.9, 0.0, 0.0], [2.1, 0.0, 0.0]])
@@ -140,7 +123,7 @@ class TestReportFromPoses:
         assert report.accuracy_2m_5deg == 0.5
 
     def test_exact_threshold_not_counted(self):
-        amap = AnchorMap(anchors=np.zeros((1, 2)), frame_interval=1)
+        amap = AnchorMap(anchors=np.zeros((1, 2)))
         batch = batch_from_poses([make_pose(0, 0)], amap)
         report = report_from_poses(np.array([[2.0, 0.0, 0.0]]),
                                    np.array([[1.0, 0, 0, 0.0]]),
@@ -148,7 +131,7 @@ class TestReportFromPoses:
         assert report.accuracy_2m_5deg == 0.0
 
     def test_empty_rejected(self):
-        amap = AnchorMap(anchors=np.zeros((1, 2)), frame_interval=1)
+        amap = AnchorMap(anchors=np.zeros((1, 2)))
         batch = batch_from_poses([], amap)
         with pytest.raises(InvalidInputError):
             report_from_poses(np.zeros((0, 3)), np.zeros((0, 4)), batch, np.zeros(0))
@@ -173,10 +156,10 @@ class TestEvaluateNetwork:
         spec = NetworkSpec(input_dim=scene.train.features.shape[1], hidden_layers=(8,),
                            num_anchors=scene.num_anchors, activation="tanh", seed=2)
         params = model.init(spec)
-        views = model._Views(spec, params)
-        views.W["logits"][:] = 0.0
-        views.b["logits"][:] = 0.0
-        views.b["logits"][1] = 50.0  # every sample puts all its confidence on anchor 1
+        W, b = model._layer_table(spec, params)[1]  # the trunk layer, then the logits head
+        W[:] = 0.0
+        b[:] = 0.0
+        b[1] = 50.0  # every sample puts all its confidence on anchor 1
         a = evaluate(spec, params, scene.test, scene.anchor_map, mode="argmax")
         b = evaluate(spec, params, scene.test, scene.anchor_map, mode="weighted")
         np.testing.assert_allclose(np.array(a.per_sample), np.array(b.per_sample),
@@ -186,8 +169,7 @@ class TestEvaluateNetwork:
 class TestDiscovery:
     def make_world_batch(self):
         # anchors at x = 0, 1, 2, 3; landmarks on anchors 1 and 2
-        amap = AnchorMap(anchors=np.array([[0.0, 0], [1.0, 0], [2.0, 0], [3.0, 0]]),
-                         frame_interval=1)
+        amap = AnchorMap(anchors=np.array([[0.0, 0], [1.0, 0], [2.0, 0], [3.0, 0]]))
         landmarks = (("L1", (1.0, 0.0)), ("L2", (2.0, 0.0)))
         poses = [make_pose(1.1, 0.0), make_pose(1.9, 0.0), make_pose(0.1, 0.0)]
         visible = [frozenset({"L2"}), frozenset({"L1", "L2"}), frozenset({"L1"})]
@@ -204,9 +186,9 @@ class TestDiscovery:
         # picks an anchor with a visible landmark must score 1.0
         spec = NetworkSpec(input_dim=3, hidden_layers=(2,), num_anchors=4, seed=0)
         params = model.init(spec)
-        views = model._Views(spec, params)
-        views.W["logits"][:] = 0.0
-        views.b["logits"][:] = np.array([0.0, 0.0, 50.0, 0.0])  # always picks anchor 2
+        W, b = model._layer_table(spec, params)[1]  # the trunk layer, then the logits head
+        W[:] = 0.0
+        b[:] = np.array([0.0, 0.0, 50.0, 0.0])  # always picks anchor 2
         s, q = discovery_stats(spec, params, batch, amap, landmarks)
         assert (s, q) == (1, 1)
         assert discovery_rate(spec, params, batch, amap, landmarks) == 1.0
@@ -215,9 +197,9 @@ class TestDiscovery:
         amap, landmarks, batch = self.make_world_batch()
         spec = NetworkSpec(input_dim=3, hidden_layers=(2,), num_anchors=4, seed=0)
         params = model.init(spec)
-        views = model._Views(spec, params)
-        views.W["logits"][:] = 0.0
-        views.b["logits"][:] = np.array([0.0, 50.0, 0.0, 0.0])  # always picks anchor 1
+        W, b = model._layer_table(spec, params)[1]  # the trunk layer, then the logits head
+        W[:] = 0.0
+        b[:] = np.array([0.0, 50.0, 0.0, 0.0])  # always picks anchor 1
         s, q = discovery_stats(spec, params, batch, amap, landmarks)
         assert (s, q) == (0, 1)
 

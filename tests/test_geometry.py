@@ -109,7 +109,6 @@ class TestBuildAnchorMap:
         amap = build_anchor_map(poses, 3)
         np.testing.assert_allclose(amap.anchors[:, 0], [0, 3, 6, 9])
         np.testing.assert_allclose(amap.anchors[:, 1], 0)
-        assert amap.frame_interval == 3
 
     def test_k1_keeps_unique_positions(self):
         poses = line_poses([0, 1, 1, 2, 3, 3])
@@ -223,7 +222,7 @@ class TestRelativeOffsets:
         for _ in range(100):
             n = rng.integers(2, 12)
             anchors = rng.uniform(-50, 50, size=(n, 2))
-            amap = AnchorMap(anchors=anchors, frame_interval=1)
+            amap = AnchorMap(anchors=anchors)
             pos = rng.uniform(-50, 50, size=3)
             recon = amap.anchors + offsets_at(pos, amap)
             assert np.abs(recon - pos[:2]).max() < 1e-12
@@ -243,7 +242,7 @@ class TestNearestAnchor:
         for _ in range(200):
             n = rng.integers(2, 25)
             anchors = rng.uniform(-10, 10, size=(n, 2))
-            amap = AnchorMap(anchors=anchors, frame_interval=1)
+            amap = AnchorMap(anchors=anchors)
             pos = rng.uniform(-10, 10, size=3)
             # independent linear scan
             best, best_d = 0, math.inf
@@ -288,7 +287,7 @@ class TestQuatAngle:
 def test_offset_round_trip_property(seed):
     rng = np.random.default_rng(seed)
     anchors = rng.uniform(-100, 100, size=(rng.integers(2, 8), 2))
-    amap = AnchorMap(anchors=anchors, frame_interval=1)
+    amap = AnchorMap(anchors=anchors)
     pos = rng.uniform(-100, 100, size=3)
     recon = amap.anchors + offsets_at(pos, amap)
     assert np.abs(recon - pos[:2]).max() < 1e-12

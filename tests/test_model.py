@@ -18,10 +18,11 @@ def small_spec(**kw):
 
 def forward_reference(spec, params, x):
     """Straight-line re-evaluation of the forward arithmetic, loops only."""
-    views = model._Views(spec, params)
+    # trunk layer i is at index i; the heads follow in head_dims() order
+    table = model._layer_table(spec, params)
+    depth = len(spec.hidden_layers)
     h = list(x)
-    for li in range(len(spec.hidden_layers)):
-        W, b = views.W[f"trunk{li}"], views.b[f"trunk{li}"]
+    for W, b in table[:depth]:
         out = []
         for r in range(W.shape[0]):
             acc = b[r]
@@ -30,8 +31,7 @@ def forward_reference(spec, params, x):
             out.append(max(acc, 0.0) if spec.activation == "relu" else np.tanh(acc))
         h = out
     heads = {}
-    for name in ("logits", "offsets", "absolute"):
-        W, b = views.W[name], views.b[name]
+    for name, (W, b) in zip(("logits", "offsets", "absolute"), table[depth:]):
         heads[name] = [b[r] + sum(W[r, c] * h[c] for c in range(W.shape[1]))
                        for r in range(W.shape[0])]
     return heads
@@ -74,8 +74,7 @@ class TestInit:
 
     def test_biases_zero(self):
         spec = small_spec()
-        views = model._Views(spec, model.init(spec))
-        for b in views.b.values():
+        for _, b in model._layer_table(spec, model.init(spec)):
             assert np.all(b == 0.0)
 
     def test_zero_width_layer_rejected(self):

@@ -42,7 +42,7 @@ def test_query_path_calls_spanned_functions_by_name(monkeypatch):
     monkeypatch.setattr(evaluation, "reconstruct", counting("reconstruct", evaluation.reconstruct))
     spec = NetworkSpec(input_dim=4, hidden_layers=(6,), num_anchors=3, seed=1)
     params = model.init(spec)
-    amap = AnchorMap(anchors=np.arange(6.0).reshape(3, 2), frame_interval=1)
+    amap = AnchorMap(anchors=np.arange(6.0).reshape(3, 2))
     for i in range(3):
         evaluation.reconstruct_pose(model.forward(spec, params, np.full(4, i + 0.5)), amap)
     assert calls == ["forward_batch", "reconstruct"] * 3

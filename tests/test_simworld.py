@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 import oracle_simworld as oracle
 from anchorloc import geometry, simworld
 from anchorloc.errors import InvalidInputError, InvalidSpecError
-from anchorloc.simworld import (WorldSpec, decode_distance,
-                                default_world, generate, load_world_spec,
+from anchorloc.simworld import (WorldSpec, default_world, generate, load_world_spec,
                                 sample_features, save_world_spec, segments_intersect,
                                 stadium_route, visibility)
 
 from conftest import make_pose
+
+
+def decode_distance(enc):
+    """Inverse of ``simworld.encode_distance``."""
+    return 1.0 / enc - 1.0
 
 
 def segments_intersect_oracle(p1, p2, q1, q2, eps=1e-12):
