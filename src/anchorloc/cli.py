@@ -28,7 +28,7 @@ from . import data, evaluation, optim, simworld
 from .errors import (AnchorLocError, DegenerateOrientationError, InvalidInputError,
                      InvalidSpecError, TrainingDivergenceError)
 from .loss import LossWeights
-from .model import NetworkSpec
+from .model import NetworkSpec, write_atomically
 from .optim import TrainConfig
 
 EXIT_OK = 0
@@ -187,12 +187,11 @@ def cmd_train(args) -> int:
 
     created = not os.path.exists(args.out)
     os.makedirs(args.out, exist_ok=True)
-    log_path = os.path.join(args.out, "training_log.csv")
-    log_tmp = f"{log_path}.tmp"
+    log = ["epoch,lr,total,offset,absolute,ce\n"]
 
     def on_epoch(stats, params, state):
-        log.write(f"{stats.epoch},{stats.lr:.17g},{stats.total:.17g},"
-                  f"{stats.offset:.17g},{stats.absolute:.17g},{stats.ce:.17g}\n")
+        log.append(f"{stats.epoch},{stats.lr:.17g},{stats.total:.17g},"
+                   f"{stats.offset:.17g},{stats.absolute:.17g},{stats.ce:.17g}\n")
         if args.checkpoint_every and (stats.epoch + 1) % args.checkpoint_every == 0:
             optim.save_training_checkpoint(
                 os.path.join(args.out, f"checkpoint_epoch{stats.epoch + 1:04d}.bin"),
@@ -202,13 +201,9 @@ def cmd_train(args) -> int:
     # the log appears only once training has finished, like the checkpoint; a
     # failed run leaves its periodic checkpoints, or no directory it created
     try:
-        with open(log_tmp, "w", newline="\n") as log:
-            log.write("epoch,lr,total,offset,absolute,ce\n")
-            report = optim.train(scene.train, spec, train_cfg, epoch_callback=on_epoch)
-        os.replace(log_tmp, log_path)
+        report = optim.train(scene.train, spec, train_cfg, epoch_callback=on_epoch)
+        write_atomically(os.path.join(args.out, "training_log.csv"), "".join(log).encode())
     except BaseException:
-        if os.path.exists(log_tmp):
-            os.remove(log_tmp)
         if created and not os.listdir(args.out):
             os.rmdir(args.out)
         raise

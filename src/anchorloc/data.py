@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DataIntegrityError, InvalidInputError, ParseError
 from .geometry import AnchorMap, Pose, build_anchor_map, quat_norm
-from .simworld import Sample, _fmt
+from .simworld import Sample, _fmt, _read_lines
 
 QUAT_NORM_TOL = 1e-3
 
@@ -72,13 +72,8 @@ def parse_pose_line(line: str, line_number: int | None = None) -> tuple[str, Pos
 
 def load_pose_file(path) -> list[tuple[str, Pose]]:
     """Ordered (frame_id, Pose) records from a pose text file."""
-    try:
-        with open(path, "r") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as err:
-        raise ParseError(f"{path}: not a text file: {err}") from None
     records = []
-    for n, raw in enumerate(lines, start=1):
+    for n, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

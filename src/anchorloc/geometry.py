@@ -32,18 +32,18 @@ _NORM_SAFE = 2.0 ** 511
 class Pose:
     """A 6-DOF camera state: position plus unit-quaternion orientation.
 
-    The orientation is renormalized on construction; a quaternion with
-    (near-)zero norm, or one whose squared norm overflows, or a non-finite
-    component is rejected.
+    Both arrays are read-only copies of the ones given. The orientation is
+    renormalized on construction; a quaternion with (near-)zero norm, or one
+    whose squared norm overflows, or a non-finite component is rejected.
     """
 
     position: np.ndarray
     orientation: np.ndarray
 
     def __post_init__(self):
-        # contiguous float64 1-D views (copies only where the input is not)
-        pos = np.ascontiguousarray(self.position, dtype=np.float64).reshape(-1)
-        quat = np.ascontiguousarray(self.orientation, dtype=np.float64).reshape(-1)
+        # contiguous float64 1-D copies, which the caller's arrays cannot change
+        pos = np.array(self.position, dtype=np.float64).reshape(-1)
+        quat = np.array(self.orientation, dtype=np.float64).reshape(-1)
         if pos.shape != (3,):
             raise InvalidInputError(f"position must be a 3-vector, got shape {pos.shape}")
         if quat.shape != (4,):
@@ -82,12 +82,13 @@ def quat_norm(quat: np.ndarray, comps: list[float]) -> float:
 
 @dataclass(frozen=True)
 class AnchorMap:
-    """Ordered, finite anchor coordinates in the (x, y) plane."""
+    """Ordered, finite anchor coordinates in the (x, y) plane, held in a
+    read-only copy of the array given."""
 
     anchors: np.ndarray  # (N, 2)
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.anchors, dtype=np.float64)
+        a = np.array(self.anchors, dtype=np.float64, order="C")
         if a.ndim != 2 or a.shape[1] != 2 or a.shape[0] == 0:
             raise InvalidInputError(f"anchors must be a non-empty (N, 2) array, got shape {a.shape}")
         if not np.isfinite(a).all():

@@ -144,7 +144,8 @@ def batch_total_loss(pred: BatchPrediction, gt_offsets: np.ndarray, gt_z: np.nda
     Returns (LossBreakdown of means, d_logits, d_offsets, d_z, d_orient).
     """
     if gt_offsets.shape != (*pred.logits.shape, 2):
-        raise InvalidInputError("ground-truth offsets shape mismatch")
+        raise InvalidInputError(f"ground-truth offsets {gt_offsets.shape} do not match the "
+                                f"predictions' (batch, anchors, 2) = {(*pred.logits.shape, 2)}")
     B = pred.logits.shape[0]
     c = confidences(pred.logits)
     off_per, d_logits, d_offsets = offset_term(

@@ -15,6 +15,8 @@ control in ``baseline`` runs on the same code with its own head.
 ``forward`` and ``backward_batch`` are calls into it. ``forward_batch`` (and
 so every single-sample ``forward``) reuses the Bound of the last parameter
 vector it served, so a stream of queries does not rebind the network.
+:func:`write_atomically` writes a checkpoint, or any other file that must
+appear whole or not at all, such as the CLI's training log.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,15 +63,6 @@ class NetworkSpec:
     def head_dims(self) -> dict[str, int]:
         n = self.num_anchors
         return {"logits": n, "offsets": 2 * n, "absolute": ABS_HEAD_DIM}
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_layers": list(self.hidden_layers),
-            "num_anchors": self.num_anchors,
-            "activation": self.activation,
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
@@ -311,15 +304,14 @@ def save_checkpoint(path, spec: NetworkSpec, params: np.ndarray,
     header (network spec, array names/shapes in order, free-form metadata),
     then each array as raw little-endian float64 in C order. Everything is
     written canonically (sorted JSON keys, fixed array order), so a
-    load/save cycle is bit-exact. The bytes go to a temporary file in the
-    same directory that then replaces ``path``, so a write that fails midway
-    leaves any previous checkpoint at ``path`` as it was.
+    load/save cycle is bit-exact. :func:`write_atomically` writes the bytes,
+    so a write that fails midway leaves a previous checkpoint as it was.
     """
     arrays = {"params": np.asarray(params, dtype=np.float64)}
     for name, arr in (extra_arrays or {}).items():
         arrays[name] = np.asarray(arr, dtype=np.float64)
     header = {
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
         "meta": meta or {},
     }
@@ -331,10 +323,17 @@ def save_checkpoint(path, spec: NetworkSpec, params: np.ndarray,
     buf.write(hbytes)
     for v in arrays.values():
         buf.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+    write_atomically(path, buf.getvalue())
+
+
+def write_atomically(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file beside it, flushed
+    to disk and then moved over ``path``: a write that fails midway leaves
+    whatever was at ``path`` as it was, and no temporary file."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(buf.getvalue())
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -2,8 +2,9 @@
 
 The loop runs every model's training step: forward through ``model.Bound``,
 the model's loss, backward, then Adam. ``train`` (the anchor model) and
-``baseline.train_direct`` (the direct control) supply only their input checks
-and a loss.
+``baseline.train_direct`` (the direct control) supply only a loss; the
+network pass and the loss check their inputs. A training checkpoint always
+carries Adam's state, so a resumed run continues the optimizer too.
 
 Training is deterministic given the two seeds involved (network init seed and
 shuffle seed): per-epoch permutations come from a generator keyed on
@@ -203,13 +204,6 @@ def train(samples: SampleBatch, spec: NetworkSpec, config: TrainConfig, *,
     Passing ``init_params``/``init_state``/``start_epoch`` resumes from a
     checkpoint and reproduces the uninterrupted trajectory exactly.
     """
-    feats = samples.features
-    if feats.shape[1] != spec.input_dim:
-        raise InvalidInputError(
-            f"feature dim {feats.shape[1]} does not match spec input_dim {spec.input_dim}")
-    if len(samples.anchor_map) != spec.num_anchors:
-        raise InvalidInputError(
-            f"anchor map has {len(samples.anchor_map)} anchors, spec expects {spec.num_anchors}")
     gt_z = samples.positions[:, 2]
 
     def batch_loss(heads, idx):
@@ -236,21 +230,17 @@ def save_training_checkpoint(path, spec: NetworkSpec, params: np.ndarray,
 def load_training_checkpoint(path):
     """Returns (spec, params, AdamState, epoch, meta).
 
-    Adam's moments must both be there, shaped like ``params`` and with an
-    ``adam_t``, or both be absent; ``adam_t``, ``epoch`` and
-    ``frame_interval``, where present, must be integers. Otherwise
-    ParseError.
+    Adam's moments ``adam_m`` and ``adam_v`` must both be there, shaped like
+    ``params``, with an ``adam_t``, as :func:`save_training_checkpoint`
+    writes them; ``adam_t``, ``epoch`` and ``frame_interval``, where present,
+    must be integers. Otherwise ParseError.
     """
     spec, params, arrays, meta = modelmod.load_checkpoint(path)
     for key in ("adam_t", "epoch", "frame_interval"):
         if key in meta and type(meta[key]) is not int:
             raise ParseError(f"{path}: meta {key!r} is not an integer: {meta[key]!r}")
     m, v = arrays.get("adam_m"), arrays.get("adam_v")
-    if m is None and v is None:
-        state = AdamState.initial(params.size)
-    elif m is None or v is None or not m.shape == v.shape == params.shape or "adam_t" not in meta:
-        raise ParseError(f"{path}: adam_m and adam_v must come together, shaped like "
+    if m is None or v is None or not m.shape == v.shape == params.shape or "adam_t" not in meta:
+        raise ParseError(f"{path}: adam_m and adam_v must both be there, shaped like "
                          "params and with adam_t")
-    else:
-        state = AdamState(m=m, v=v, t=meta["adam_t"])
-    return spec, params, state, meta.get("epoch", 0), meta
+    return spec, params, AdamState(m=m, v=v, t=meta["adam_t"]), meta.get("epoch", 0), meta

@@ -12,6 +12,9 @@ semicircular caps) with four landmarks placed exactly at anchor positions
 layout guarantees some landmark is almost always nearly dead ahead, and it
 makes "the nearest anchor's landmark is behind you or blocked, but another
 anchor's landmark is in clear view" a common, measurable situation.
+
+A world spec is saved as ``world.ini`` text. Its float fields are listed once,
+in file order, in ``_FLOAT_FIELDS``: the spec's checks, writer and reader walk it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ DEFAULT_FRAME_INTERVAL = 100
 DEFAULT_N_TRAIN = 2000
 DEFAULT_N_TEST = 500
 
+_FLOAT_FIELDS = ("fov_half_angle", "z_base", "z_noise_amp", "noise_sigma", "lateral_jitter",
+                "heading_jitter_deg")
+
 
 @dataclass(frozen=True)
 class WorldSpec:
@@ -57,8 +63,7 @@ class WorldSpec:
             raise InvalidSpecError("route must be an ordered (W, 2) list with W >= 2")
         if not np.isfinite(route).all():
             raise InvalidSpecError("route waypoints must be finite")
-        for name in ("fov_half_angle", "z_base", "z_noise_amp", "noise_sigma",
-                     "lateral_jitter", "heading_jitter_deg"):
+        for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise InvalidSpecError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("lateral_jitter", "heading_jitter_deg"):  # drawn from [-v, v]
@@ -333,14 +338,8 @@ def _fmt(x: float) -> str:
 def save_world_spec(path, spec: WorldSpec) -> None:
     """Plain-text world schema; floats carry 17 significant digits so a
     load/save cycle reproduces the world bit-exactly."""
-    lines = ["[world]"]
-    lines.append("seed = " + str(spec.seed))
-    lines.append("fov_half_angle = " + _fmt(spec.fov_half_angle))
-    lines.append("z_base = " + _fmt(spec.z_base))
-    lines.append("z_noise_amp = " + _fmt(spec.z_noise_amp))
-    lines.append("noise_sigma = " + _fmt(spec.noise_sigma))
-    lines.append("lateral_jitter = " + _fmt(spec.lateral_jitter))
-    lines.append("heading_jitter_deg = " + _fmt(spec.heading_jitter_deg))
+    lines = ["[world]", "seed = " + str(spec.seed)]
+    lines += [f"{name} = {_fmt(getattr(spec, name))}" for name in _FLOAT_FIELDS]
     lines.append("route = " + "; ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in spec.route))
     lines.append("landmarks = " + "; ".join(
         f"{name}:{_fmt(p[0])},{_fmt(p[1])}" for name, p in spec.landmarks))
@@ -350,14 +349,18 @@ def save_world_spec(path, spec: WorldSpec) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_world_spec(path) -> WorldSpec:
+def _read_lines(path) -> list[str]:
+    """The lines of a text file; one that does not decode is ParseError."""
     try:
         with open(path, "r") as fh:
-            lines = fh.readlines()
+            return fh.readlines()
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not a text file: {err}") from None
+
+
+def load_world_spec(path) -> WorldSpec:
     values: dict[str, str] = {}
-    for raw in lines:
+    for raw in _read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("["):
             continue
@@ -381,12 +384,7 @@ def load_world_spec(path) -> WorldSpec:
             route=route,
             landmarks=tuple(landmarks),
             obstacles=tuple(obstacles),
-            fov_half_angle=float(values["fov_half_angle"]),
-            z_base=float(values["z_base"]),
-            z_noise_amp=float(values["z_noise_amp"]),
-            noise_sigma=float(values["noise_sigma"]),
-            lateral_jitter=float(values["lateral_jitter"]),
-            heading_jitter_deg=float(values["heading_jitter_deg"]),
+            **{name: float(values[name]) for name in _FLOAT_FIELDS},
             seed=int(values["seed"]),
         )
     except (KeyError, ValueError) as err:

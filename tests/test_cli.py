@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorloc import data, evaluation, model, optim, simworld
-from anchorloc.cli import (EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, load_config,
-                           main)
+from anchorloc.cli import (EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, _train_config,
+                           load_config, main)
 from anchorloc.errors import AnchorLocError, ParseError
 
 
@@ -110,6 +110,58 @@ class TestTrain:
         assert "epoch" in capsys.readouterr().err
         assert not (tmp_path / "div" / "training_log.csv.tmp").exists()
 
+    def test_non_finite_loss_exit_code(self, dataset_dir, tmp_path, capsys):
+        # finite residuals times an alpha near the largest double overflow the total
+        out, _ = dataset_dir
+        cfg = tmp_path / "huge.ini"
+        cfg.write_text("[loss]\nalpha2 = 1e308\n\n[data]\nframe_interval = 30\n")
+        run = tmp_path / "div"
+        rc = main(["train", "--config", str(cfg), "--data", str(out), "--out", str(run),
+                   "--epochs", "1"])
+        assert rc == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == \
+            "numerical failure: loss became non-finite (epoch 0, batch 0)\n"
+        assert not run.exists()
+
+    def test_resume_from_a_periodic_checkpoint_reproduces_the_run(self, dataset_dir, tmp_path):
+        out, cfg = dataset_dir
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--data", str(out), "--out", str(run),
+                     "--epochs", "5", "--checkpoint-every", "2"]) == EXIT_OK
+        assert sorted(p.name for p in run.glob("checkpoint_epoch*.bin")) == [
+            "checkpoint_epoch0002.bin", "checkpoint_epoch0004.bin"]
+        spec, params, state, epoch, meta = optim.load_training_checkpoint(
+            run / "checkpoint_epoch0004.bin")
+        assert epoch == 4 and state.t > 0
+        snapshot = load_config(str(run / "config.ini"))
+        scene = data.load_dataset_dir(out, int(snapshot["data"]["frame_interval"]))
+        resumed = optim.train(scene.train, spec, _train_config(snapshot), init_params=params,
+                              init_state=state, start_epoch=epoch)
+        _, final, _, _ = model.load_checkpoint(run / "checkpoint.bin")
+        assert resumed.params.tobytes() == final.tobytes()
+
+
+class TestSeedFlag:
+    ARGS = {"gen-world": [], "train": ["--epochs", "1"],
+            "sweep-anchors": ["--k", "30", "--epochs", "1"]}
+
+    @pytest.mark.parametrize("command,section,outputs", [
+        ("gen-world", "world", [data.POSES_TRAIN, data.FEATURES_TRAIN, "world.ini"]),
+        ("train", "network", ["checkpoint.bin", "training_log.csv"]),
+        ("sweep-anchors", "network", ["sweep.csv"])], ids=["gen-world", "train", "sweep-anchors"])
+    def test_lands_in_the_snapshot_and_changes_the_outputs(self, dataset_dir, tmp_path,
+                                                           command, section, outputs):
+        out, cfg = dataset_dir
+        data_arg = [] if command == "gen-world" else ["--data", str(out)]
+        argv = [command, "--config", str(cfg), *data_arg, *self.ARGS[command]]
+        default, seeded = tmp_path / "default", tmp_path / "seeded"
+        assert main(argv + ["--out", str(default)]) == EXIT_OK
+        assert main(argv + ["--out", str(seeded), "--seed", "11"]) == EXIT_OK
+        assert load_config(str(default / "config.ini"))[section]["seed"] != "11"
+        assert load_config(str(seeded / "config.ini"))[section]["seed"] == "11"
+        for name in outputs:
+            assert (default / name).read_bytes() != (seeded / name).read_bytes()
+
 
 class TestConfigValues:
     @pytest.mark.parametrize("section,key", [
@@ -154,6 +206,19 @@ class TestConfigValues:
         rc = main(["train", "--config", str(cfg), "--data", str(out), "--out", str(run)])
         assert rc == EXIT_DATA
         assert str(cfg) in capsys.readouterr().err
+        assert not run.exists()
+
+    @pytest.mark.parametrize("command", ["gen-world", "train", "sweep-anchors"])
+    def test_missing_config_file_is_a_config_error(self, dataset_dir, tmp_path, capsys,
+                                                   command):
+        out, _ = dataset_dir
+        extra = {"gen-world": [], "train": ["--data", str(out)],
+                 "sweep-anchors": ["--data", str(out), "--k", "30"]}[command]
+        run = tmp_path / "run"
+        rc = main([command, "--config", str(tmp_path / "nope.ini"), "--out", str(run), *extra])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "nope.ini" in err
         assert not run.exists()
 
 
@@ -206,6 +271,21 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(out),
                      "--out", str(ev)]) == EXIT_DIVERGENCE
         assert "raw orientation norm" in capsys.readouterr().err
+        assert not ev.exists()
+
+    def test_parameters_short_of_the_spec_are_a_data_error(self, dataset_dir, trained_run,
+                                                            tmp_path, capsys):
+        out, _ = dataset_dir
+        spec, params, arrays, meta = model.load_checkpoint(trained_run / "checkpoint.bin")
+        arrays = {name: a[:-1] for name, a in arrays.items()}
+        ckpt = tmp_path / "checkpoint.bin"
+        model.save_checkpoint(ckpt, spec, params[:-1], extra_arrays=arrays, meta=meta)
+        ev = tmp_path / "ev"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(out),
+                     "--out", str(ev)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{params.size - 1} entries, spec requires {params.size}" in err
         assert not ev.exists()
 
 
@@ -340,6 +420,7 @@ class TestCheckpointMeta:
         "no-adam_t": _dropped("adam_t"),
         "no-adam_m": _dropped("adam_m"),
         "no-adam_v": _dropped("adam_v"),
+        "no-adam_m-or-adam_v": lambda arrays, meta: (arrays.pop("adam_m"), arrays.pop("adam_v")),
         "adam_v-short": lambda arrays, meta: arrays.__setitem__("adam_v", arrays["adam_v"][1:]),
     }
 
@@ -608,15 +689,16 @@ class TestSweep:
 
     def test_misaligned_frame_ids_rejected(self, dataset_dir, tmp_path):
         out, cfg = dataset_dir
-        bad = tmp_path / "bad"
-        shutil.copytree(out, bad)
-        poses = bad / data.POSES_TRAIN
-        poses.write_text("".join(reversed(poses.read_text().splitlines(keepends=True))))
-        sw = tmp_path / "sw"
-        rc = main(["sweep-anchors", "--config", str(cfg), "--data", str(bad),
-                   "--out", str(sw), "--k", "100", "--epochs", "1"])
-        assert rc == EXIT_DATA
-        assert not sw.exists()
+        for split in (data.POSES_TRAIN, data.POSES_TEST):
+            bad = tmp_path / f"bad-{split}"
+            shutil.copytree(out, bad)
+            poses = bad / split
+            poses.write_text("".join(reversed(poses.read_text().splitlines(keepends=True))))
+            sw = tmp_path / f"sw-{split}"
+            rc = main(["sweep-anchors", "--config", str(cfg), "--data", str(bad),
+                       "--out", str(sw), "--k", "100", "--epochs", "1"])
+            assert rc == EXIT_DATA
+            assert not sw.exists()
 
     def test_bad_k_list(self, dataset_dir):
         out, _ = dataset_dir

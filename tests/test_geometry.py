@@ -47,6 +47,14 @@ class TestPose:
         with pytest.raises(ValueError):
             p.position[0] = 5.0
 
+    def test_later_writes_to_the_callers_arrays_do_not_reach_it(self):
+        pos, q = np.array([1.0, 2.0, 3.0]), yaw_quat(0.3)
+        p = Pose(position=pos, orientation=q)
+        pos[0] = 99.0
+        q[:] = [0.0, 1.0, 0.0, 0.0]
+        assert p.position.tolist() == [1.0, 2.0, 3.0]
+        assert p.orientation.tolist() == yaw_quat(0.3).tolist()
+
 
 def pose_checks_oracle(position, orientation):
     """Oracle: ``Pose.__post_init__`` as it checked on numpy before it moved to
@@ -226,6 +234,16 @@ class TestRelativeOffsets:
             pos = rng.uniform(-50, 50, size=3)
             recon = amap.anchors + offsets_at(pos, amap)
             assert np.abs(recon - pos[:2]).max() < 1e-12
+
+
+class TestAnchorMap:
+    def test_holds_a_copy_and_leaves_the_callers_array_writeable(self):
+        arr = np.arange(6.0).reshape(3, 2)
+        amap = AnchorMap(anchors=arr)
+        assert amap.anchors is not arr and arr.flags.writeable
+        arr[0] = 99.0
+        assert amap.anchors.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        assert not amap.anchors.flags.writeable
 
 
 class TestNearestAnchor:

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,6 +161,21 @@ class TestTrain:
         with pytest.raises(TrainingDivergenceError) as err:
             train(tiny_scene.train, tiny_net, cfg)
         assert err.value.epoch is not None
+
+    def test_non_finite_loss_aborts_at_the_first_batch(self, tiny_scene, tiny_net):
+        # finite residuals times an alpha near the largest double overflow the total
+        cfg = TrainConfig(epochs=1, weights=LossWeights(alpha2=1e308))
+        with pytest.raises(TrainingDivergenceError, match="loss became non-finite") as err:
+            train(tiny_scene.train, tiny_net, cfg)
+        assert (err.value.epoch, err.value.batch) == (0, 0)
+
+    @pytest.mark.parametrize("field", ["input_dim", "num_anchors"])
+    def test_spec_mismatch_names_both_numbers(self, tiny_scene, tiny_net, field):
+        have = getattr(tiny_net, field)
+        spec = replace(tiny_net, **{field: have + 1})
+        with pytest.raises(InvalidInputError) as err:
+            train(tiny_scene.train, spec, TrainConfig(epochs=1))
+        assert {str(have), str(have + 1)} <= set(re.findall(r"\d+", str(err.value)))
 
     def test_empty_dataset_rejected(self, tiny_scene, tiny_net):
         empty = data.SampleBatch.build([], [], np.zeros((0, tiny_net.input_dim)),

@@ -1,0 +1,78 @@
+"""Digest of a small end-to-end CLI run, to check that a change keeps every
+output byte for byte.
+
+    python tools/cli_digest.py SRC_DIR
+
+runs the package found in SRC_DIR (the directory holding ``anchorloc``)
+through a small pipeline in a temporary directory: ``gen-world`` (400 train
+/ 80 test frames, interval 40), ``train`` for 5 epochs with
+``--checkpoint-every 2``, a tanh ``train`` with the cross-entropy term on,
+argmax, ``--weighted`` and cross-entropy ``eval``, and ``sweep-anchors --k
+1,5,10,20 --epochs 3``. Each command runs in its own process with BLAS
+pinned to one thread. It prints every command with its exit code, stdout
+and stderr (the temporary directory shown as ``$TMP``), then ``sha256
+relative/path`` for every file the run left, and deletes the directory.
+Run it on two source trees and diff the outputs. Exits 1 if a command
+failed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+SMALL = "[world]\nn_train = 400\nn_test = 80\n\n[data]\nframe_interval = 40\n"
+TANH_CE = SMALL + "\n[network]\nactivation = tanh\n\n[loss]\nuse_cross_entropy = true\n"
+
+COMMANDS = (
+    ["gen-world", "--config", "small.ini", "--out", "ds"],
+    ["train", "--config", "small.ini", "--data", "ds", "--out", "run", "--epochs", "5",
+     "--checkpoint-every", "2"],
+    ["train", "--config", "tanh-ce.ini", "--data", "ds", "--out", "run-ce", "--epochs", "5"],
+    ["eval", "--checkpoint", "run/checkpoint.bin", "--data", "ds", "--out", "eval-argmax"],
+    ["eval", "--checkpoint", "run/checkpoint.bin", "--data", "ds", "--out", "eval-weighted",
+     "--weighted"],
+    ["eval", "--checkpoint", "run-ce/checkpoint.bin", "--data", "ds", "--out", "eval-ce"],
+    ["sweep-anchors", "--config", "small.ini", "--data", "ds", "--out", "sweep",
+     "--k", "1,5,10,20", "--epochs", "3"],
+)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1 or not os.path.isdir(os.path.join(argv[0], "anchorloc")):
+        print("usage: python tools/cli_digest.py SRC_DIR", file=sys.stderr)
+        return 1
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(argv[0]), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    work = tempfile.mkdtemp(prefix="cli-digest-")
+    failed = False
+    try:
+        for name, text in (("small.ini", SMALL), ("tanh-ce.ini", TANH_CE)):
+            with open(os.path.join(work, name), "w", newline="\n") as fh:
+                fh.write(text)
+        for args in COMMANDS:
+            proc = subprocess.run([sys.executable, "-m", "anchorloc.cli", *args], cwd=work,
+                                  env=env, capture_output=True, text=True)
+            failed |= proc.returncode != 0
+            print(f"$ anchorloc {' '.join(args)}  -> exit {proc.returncode}")
+            for stream in (proc.stdout, proc.stderr):
+                sys.stdout.write(stream.replace(work, "$TMP"))
+        for root, dirs, files in os.walk(work):
+            dirs.sort()
+            for name in sorted(files):
+                path = os.path.join(root, name)
+                with open(path, "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                print(f"{digest}  {os.path.relpath(path, work)}")
+    finally:
+        shutil.rmtree(work)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
