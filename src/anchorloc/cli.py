@@ -28,8 +28,8 @@ from . import data, evaluation, optim, simworld
 from .errors import (AnchorLocError, DegenerateOrientationError, InvalidInputError,
                      InvalidSpecError, TrainingDivergenceError)
 from .loss import LossWeights
-from .model import NetworkSpec, write_atomically
-from .optim import TrainConfig
+from .model import NetworkSpec
+from .optim import TrainConfig, write_atomically
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -168,6 +168,8 @@ def cmd_gen_world(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.checkpoint_every < 0:
+        raise _UsageError(f"--checkpoint-every must be >= 0, got {args.checkpoint_every}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["network"]["seed"] = str(args.seed)
@@ -189,14 +191,17 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     log = ["epoch,lr,total,offset,absolute,ce\n"]
 
+    def save(name, params, state, epoch):
+        path = os.path.join(args.out, name)
+        optim.save_training_checkpoint(path, spec, params, state, epoch=epoch,
+                                       meta={"frame_interval": k, "scene": scene.name})
+        return path
+
     def on_epoch(stats, params, state):
         log.append(f"{stats.epoch},{stats.lr:.17g},{stats.total:.17g},"
                    f"{stats.offset:.17g},{stats.absolute:.17g},{stats.ce:.17g}\n")
         if args.checkpoint_every and (stats.epoch + 1) % args.checkpoint_every == 0:
-            optim.save_training_checkpoint(
-                os.path.join(args.out, f"checkpoint_epoch{stats.epoch + 1:04d}.bin"),
-                spec, params, state, epoch=stats.epoch + 1,
-                meta={"frame_interval": k, "scene": scene.name})
+            save(f"checkpoint_epoch{stats.epoch + 1:04d}.bin", params, state, stats.epoch + 1)
 
     # the log appears only once training has finished, like the checkpoint; a
     # failed run leaves its periodic checkpoints, or no directory it created
@@ -208,10 +213,7 @@ def cmd_train(args) -> int:
             os.rmdir(args.out)
         raise
 
-    ckpt = os.path.join(args.out, "checkpoint.bin")
-    optim.save_training_checkpoint(ckpt, spec, report.params, report.adam_state,
-                                   epoch=train_cfg.epochs,
-                                   meta={"frame_interval": k, "scene": scene.name})
+    ckpt = save("checkpoint.bin", report.params, report.adam_state, train_cfg.epochs)
     write_config_snapshot(os.path.join(args.out, "config.ini"), cfg)
     if report.epochs:
         print(f"final_epoch_loss={report.epochs[-1].total:.6g}")

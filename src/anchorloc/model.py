@@ -8,28 +8,23 @@ which keeps the arithmetic exactly reproducible.
 
 Parameters are one flat float64 vector whose layout is a pure function of
 the network shape (trunk layers in order, then the logits / offsets /
-absolute heads), so checkpoints round-trip bit-exactly. Layout, trunk and
+absolute heads); ``optim`` writes and reads them in its training
+checkpoints, and this module does no file I/O. Layout, trunk and
 heads are driven by a spec's ``head_dims()`` table, so the direct-regression
 control in ``baseline`` runs on the same code with its own head.
 :class:`Bound` is the one forward and backward pass; ``forward_batch``,
 ``forward`` and ``backward_batch`` are calls into it. ``forward_batch`` (and
 so every single-sample ``forward``) reuses the Bound of the last parameter
 vector it served, so a stream of queries does not rebind the network.
-:func:`write_atomically` writes a checkpoint, or any other file that must
-appear whole or not at all, such as the CLI's training log.
 """
 
 from __future__ import annotations
 
-import io
-import json
-import math
-import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidSpecError, ParseError
+from .errors import InvalidInputError, InvalidSpecError
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -287,107 +282,3 @@ def backward_batch(spec: NetworkSpec, params: np.ndarray, cache: list[np.ndarray
     gradients w.r.t. the batched head outputs."""
     return Bound(spec, params, np.zeros(param_count(spec))).backward(
         cache, head_grads(d_logits, d_offsets, d_z, d_orient))
-
-
-# --- checkpoint container ----------------------------------------------------
-
-_CKPT_MAGIC = b"ALCK"
-_CKPT_VERSION = 1
-
-
-def save_checkpoint(path, spec: NetworkSpec, params: np.ndarray,
-                    extra_arrays: dict[str, np.ndarray] | None = None,
-                    meta: dict | None = None) -> None:
-    """Versioned binary container: spec + flat parameters (+ named extras).
-
-    Byte layout: magic ``ALCK``, u32 version, u32 header length, a JSON
-    header (network spec, array names/shapes in order, free-form metadata),
-    then each array as raw little-endian float64 in C order. Everything is
-    written canonically (sorted JSON keys, fixed array order), so a
-    load/save cycle is bit-exact. :func:`write_atomically` writes the bytes,
-    so a write that fails midway leaves a previous checkpoint as it was.
-    """
-    arrays = {"params": np.asarray(params, dtype=np.float64)}
-    for name, arr in (extra_arrays or {}).items():
-        arrays[name] = np.asarray(arr, dtype=np.float64)
-    header = {
-        "spec": asdict(spec),
-        "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
-        "meta": meta or {},
-    }
-    hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    buf = io.BytesIO()
-    buf.write(_CKPT_MAGIC)
-    buf.write(_CKPT_VERSION.to_bytes(4, "little"))
-    buf.write(len(hbytes).to_bytes(4, "little"))
-    buf.write(hbytes)
-    for v in arrays.values():
-        buf.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
-    write_atomically(path, buf.getvalue())
-
-
-def write_atomically(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temporary file beside it, flushed
-    to disk and then moved over ``path``: a write that fails midway leaves
-    whatever was at ``path`` as it was, and no temporary file."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def load_checkpoint(path):
-    """Returns (spec, params, extra_arrays, meta)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _CKPT_MAGIC:
-        raise InvalidInputError(f"{path}: not a checkpoint file")
-    version = int.from_bytes(raw[4:8], "little")
-    if version != _CKPT_VERSION:
-        raise InvalidInputError(f"{path}: unsupported checkpoint version {version}")
-    hlen = int.from_bytes(raw[8:12], "little")
-    off = 12 + hlen
-    if off > len(raw):
-        raise ParseError(f"{path}: truncated header")
-    try:
-        spec, entries, meta = _parse_header(raw[12:off])
-    except (ValueError, KeyError, TypeError, RecursionError) as err:
-        raise ParseError(f"{path}: bad header: {type(err).__name__}: {err}") from None
-    arrays = {}
-    for name, shape in entries:
-        n = math.prod(shape)  # exact, where numpy's product would wrap
-        if off + 8 * n > len(raw):
-            raise ParseError(f"{path}: truncated in array {name!r}")
-        try:  # a zero-size shape passes the check above with any other dimension
-            arrays[name] = np.frombuffer(raw[off:off + 8 * n], dtype="<f8").reshape(shape).copy()
-        except ValueError as err:
-            raise ParseError(f"{path}: array {name!r} of shape {list(shape)}: {err}") from None
-        off += 8 * n
-    if off != len(raw):
-        raise ParseError(f"{path}: {len(raw) - off} bytes after the last array")
-    params = arrays.pop("params")
-    return spec, params, arrays, meta
-
-
-def _parse_header(hbytes: bytes):
-    """(spec, [(array name, shape)], meta) of a checkpoint's JSON header.
-    Anything malformed raises ValueError, KeyError or TypeError (or, for JSON
-    nested too deeply to decode, RecursionError)."""
-    header = json.loads(hbytes.decode())
-    spec = NetworkSpec.from_dict(header["spec"])
-    entries = [(str(e["name"]), tuple(int(d) for d in e["shape"])) for e in header["arrays"]]
-    if any(d < 0 for _, shape in entries for d in shape):
-        raise ValueError("negative array dimension")
-    if "params" not in dict(entries):
-        raise KeyError("params")
-    meta = header["meta"]
-    if not isinstance(meta, dict):
-        raise TypeError("meta is not an object")
-    return spec, entries, meta

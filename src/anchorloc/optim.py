@@ -1,10 +1,15 @@
-"""Adam optimizer, stepped learning-rate schedule and the mini-batch loop.
+"""Adam optimizer, stepped learning-rate schedule, the mini-batch loop and
+training checkpoints.
 
 The loop runs every model's training step: forward through ``model.Bound``,
 the model's loss, backward, then Adam. ``train`` (the anchor model) and
 ``baseline.train_direct`` (the direct control) supply only a loss; the
-network pass and the loss check their inputs. A training checkpoint always
-carries Adam's state, so a resumed run continues the optimizer too.
+network pass and the loss check their inputs. A training checkpoint is the
+network spec, the parameters and Adam's state, so a resumed run continues
+the optimizer too; :func:`save_training_checkpoint` and
+:func:`load_training_checkpoint` are the one writer and reader of its
+layout. :func:`write_atomically` writes a checkpoint, or any other file
+that must appear whole or not at all, such as the CLI's training log.
 
 Training is deterministic given the two seeds involved (network init seed and
 shuffle seed): per-epoch permutations come from a generator keyed on
@@ -14,7 +19,10 @@ same batches as an uninterrupted one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+import math
+import os
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -216,31 +224,100 @@ def train(samples: SampleBatch, spec: NetworkSpec, config: TrainConfig, *,
                        start_epoch, epoch_callback)
 
 
+# --- training checkpoints ----------------------------------------------------
+
+_MAGIC, _VERSION = b"ALCK", 1
+_ARRAYS = ("params", "adam_m", "adam_v")
+
+
 def save_training_checkpoint(path, spec: NetworkSpec, params: np.ndarray,
                              state: AdamState, epoch: int,
                              meta: dict | None = None) -> None:
-    """Checkpoint with optimizer state so training can resume bit-exactly."""
-    full_meta = {"epoch": epoch, "adam_t": state.t}
-    full_meta.update(meta or {})
-    modelmod.save_checkpoint(path, spec, params,
-                             extra_arrays={"adam_m": state.m, "adam_v": state.v},
-                             meta=full_meta)
+    """Checkpoint with optimizer state so training can resume bit-exactly.
+
+    Byte layout: magic ``ALCK``, u32 version 1, u32 header length, a JSON
+    header with sorted keys and no spaces (the network spec, the name and
+    shape of ``params``, ``adam_m`` and ``adam_v`` in that order, and the
+    meta: ``epoch`` and ``adam_t``, which keys of ``meta`` override), then
+    the three arrays as little-endian float64 in C order, so a load/save
+    cycle is bit-exact. :func:`write_atomically` writes the bytes, so a write
+    that fails midway leaves a previous checkpoint as it was.
+    """
+    arrays = [np.ascontiguousarray(a, dtype="<f8") for a in (params, state.m, state.v)]
+    header = {
+        "spec": asdict(spec),
+        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in zip(_ARRAYS, arrays)],
+        "meta": {"epoch": epoch, "adam_t": state.t, **(meta or {})},
+    }
+    hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    write_atomically(path, b"".join([_MAGIC, _VERSION.to_bytes(4, "little"),
+                                     len(hbytes).to_bytes(4, "little"), hbytes,
+                                     *(a.tobytes() for a in arrays)]))
+
+
+def write_atomically(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file beside it, flushed
+    to disk and then moved over ``path``: a write that fails midway leaves
+    whatever was at ``path`` as it was, and no temporary file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_training_checkpoint(path):
-    """Returns (spec, params, AdamState, epoch, meta).
+    """Returns (spec, params, AdamState, epoch, meta) of a file in
+    :func:`save_training_checkpoint`'s layout.
 
-    Adam's moments ``adam_m`` and ``adam_v`` must both be there, shaped like
-    ``params``, with an ``adam_t``, as :func:`save_training_checkpoint`
-    writes them; ``adam_t``, ``epoch`` and ``frame_interval``, where present,
-    must be integers. Otherwise ParseError.
+    The header must list exactly ``params``, ``adam_m`` and ``adam_v``, in
+    that order and of one shape, and its meta's ``epoch``, ``adam_t`` and
+    ``frame_interval``, where present, must be integers. Any other header,
+    and a file shorter or longer than its header says, is ParseError.
     """
-    spec, params, arrays, meta = modelmod.load_checkpoint(path)
-    for key in ("adam_t", "epoch", "frame_interval"):
-        if key in meta and type(meta[key]) is not int:
-            raise ParseError(f"{path}: meta {key!r} is not an integer: {meta[key]!r}")
-    m, v = arrays.get("adam_m"), arrays.get("adam_v")
-    if m is None or v is None or not m.shape == v.shape == params.shape or "adam_t" not in meta:
-        raise ParseError(f"{path}: adam_m and adam_v must both be there, shaped like "
-                         "params and with adam_t")
-    return spec, params, AdamState(m=m, v=v, t=meta["adam_t"]), meta.get("epoch", 0), meta
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[:4] != _MAGIC:
+        raise ParseError(f"{path}: not a checkpoint file")
+    version = int.from_bytes(raw[4:8], "little")
+    if version != _VERSION:
+        raise ParseError(f"{path}: unsupported checkpoint version {version}")
+    off = 12 + int.from_bytes(raw[8:12], "little")
+    if off > len(raw):
+        raise ParseError(f"{path}: truncated header")
+    try:  # RecursionError: JSON nested too deeply to decode
+        header = json.loads(raw[12:off].decode())
+        spec = NetworkSpec.from_dict(header["spec"])
+        names = [str(e["name"]) for e in header["arrays"]]
+        shapes = {tuple(int(d) for d in e["shape"]) for e in header["arrays"]}
+        if tuple(names) != _ARRAYS or len(shapes) != 1:
+            raise ValueError(f"arrays must be {', '.join(_ARRAYS)}, in that order and "
+                             "of one shape")
+        shape = shapes.pop()
+        if any(d < 0 for d in shape):
+            raise ValueError("negative array dimension")
+        meta = header["meta"]
+        if not isinstance(meta, dict):
+            raise TypeError("meta is not an object")
+        for key, missing in (("epoch", None), ("adam_t", None), ("frame_interval", 0)):
+            if type(meta.get(key, missing)) is not int:
+                raise TypeError(f"meta {key!r} is not an integer: {meta.get(key, missing)!r}")
+    except (ValueError, KeyError, TypeError, RecursionError) as err:
+        raise ParseError(f"{path}: bad header: {type(err).__name__}: {err}") from None
+    end = off + len(_ARRAYS) * 8 * math.prod(shape)  # exact, where numpy's product would wrap
+    if end > len(raw):
+        raise ParseError(f"{path}: truncated in the arrays")
+    if end < len(raw):
+        raise ParseError(f"{path}: {len(raw) - end} bytes after the last array")
+    try:  # a zero-size shape passes the checks above with any other dimension
+        arrays = np.frombuffer(raw[off:], dtype="<f8").reshape(len(_ARRAYS), *shape)
+    except ValueError as err:
+        raise ParseError(f"{path}: arrays of shape {list(shape)}: {err}") from None
+    params, m, v = (a.copy() for a in arrays)
+    return spec, params, AdamState(m=m, v=v, t=meta["adam_t"]), meta["epoch"], meta

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorloc import data, evaluation, model, optim, simworld
+from anchorloc import data, evaluation, optim, simworld
 from anchorloc.cli import (EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, _train_config,
                            load_config, main)
 from anchorloc.errors import AnchorLocError, ParseError
@@ -137,8 +137,18 @@ class TestTrain:
         scene = data.load_dataset_dir(out, int(snapshot["data"]["frame_interval"]))
         resumed = optim.train(scene.train, spec, _train_config(snapshot), init_params=params,
                               init_state=state, start_epoch=epoch)
-        _, final, _, _ = model.load_checkpoint(run / "checkpoint.bin")
+        final = optim.load_training_checkpoint(run / "checkpoint.bin")[1]
         assert resumed.params.tobytes() == final.tobytes()
+
+    def test_negative_checkpoint_interval_is_a_usage_error(self, dataset_dir, tmp_path, capsys):
+        out, cfg = dataset_dir
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--data", str(out), "--out", str(run),
+                     "--epochs", "3", "--checkpoint-every", "-2"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "--checkpoint-every" in err
+        assert not run.exists()
 
 
 class TestSeedFlag:
@@ -263,10 +273,11 @@ class TestEval:
                                                         tmp_path, capsys, entry):
         # the raw orientation's squared norm overflows: no warning, exit 3
         out, _ = dataset_dir
-        spec, params, arrays, meta = model.load_checkpoint(trained_run / "checkpoint.bin")
+        spec, params, state, epoch, meta = optim.load_training_checkpoint(
+            trained_run / "checkpoint.bin")
         params[entry] = 1e300
         ckpt = tmp_path / "checkpoint.bin"
-        model.save_checkpoint(ckpt, spec, params, extra_arrays=arrays, meta=meta)
+        optim.save_training_checkpoint(ckpt, spec, params, state, epoch, meta=meta)
         ev = tmp_path / "ev"
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(out),
                      "--out", str(ev)]) == EXIT_DIVERGENCE
@@ -276,10 +287,11 @@ class TestEval:
     def test_parameters_short_of_the_spec_are_a_data_error(self, dataset_dir, trained_run,
                                                             tmp_path, capsys):
         out, _ = dataset_dir
-        spec, params, arrays, meta = model.load_checkpoint(trained_run / "checkpoint.bin")
-        arrays = {name: a[:-1] for name, a in arrays.items()}
+        spec, params, state, epoch, meta = optim.load_training_checkpoint(
+            trained_run / "checkpoint.bin")
+        short = optim.AdamState(m=state.m[:-1], v=state.v[:-1], t=state.t)
         ckpt = tmp_path / "checkpoint.bin"
-        model.save_checkpoint(ckpt, spec, params[:-1], extra_arrays=arrays, meta=meta)
+        optim.save_training_checkpoint(ckpt, spec, params[:-1], short, epoch, meta=meta)
         ev = tmp_path / "ev"
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(out),
                      "--out", str(ev)]) == EXIT_DATA
@@ -307,16 +319,28 @@ def _zero_rows_of_dim(dim):
     return lambda raw: raw[:8] + (0).to_bytes(8, "little") + dim.to_bytes(8, "little") + raw[24:]
 
 
-def _extra_array(shape):
-    """A checkpoint whose header lists one more array, of ``shape``, after the
-    others, with no bytes for it."""
-    def edit(raw):
+def _relaid(edit):
+    """A checkpoint laid out again after ``edit(header, blocks)`` changed its
+    JSON header and its list of per-array byte blocks in place."""
+    def relay(raw):
         hlen = int.from_bytes(raw[8:12], "little")
         header = json.loads(raw[12:12 + hlen])
-        header["arrays"].append({"name": "extra", "shape": shape})
+        body = raw[12 + hlen:]
+        size = len(body) // len(header["arrays"])
+        blocks = [body[i:i + size] for i in range(0, len(body), size)]
+        edit(header, blocks)
         hbytes = json.dumps(header).encode()
-        return raw[:8] + len(hbytes).to_bytes(4, "little") + hbytes + raw[12 + hlen:]
-    return edit
+        return raw[:8] + len(hbytes).to_bytes(4, "little") + hbytes + b"".join(blocks)
+    return relay
+
+
+def _shape_set(shape):
+    """Declares ``shape`` for all three arrays, with no bytes for them."""
+    def edit(header, blocks):
+        for entry in header["arrays"]:
+            entry["shape"] = shape
+        blocks.clear()
+    return _relaid(edit)
 
 
 class TestTruncatedFiles:
@@ -338,9 +362,9 @@ class TestTruncatedFiles:
         "zero-rows-dim-2**63": _zero_rows_of_dim(2**63),
         "zero-rows-dim-2**62": _zero_rows_of_dim(2**62),
         # products that wrap to 0 in int64, and a zero-size shape numpy cannot hold
-        "shape-2**32x2**32": _extra_array([2**32, 2**32]),
-        "shape-2**62x4": _extra_array([2**62, 4]),
-        "shape-2**62x0": _extra_array([2**62, 0]),
+        "shape-2**32x2**32": _shape_set([2**32, 2**32]),
+        "shape-2**62x4": _shape_set([2**62, 4]),
+        "shape-2**62x0": _shape_set([2**62, 0]),
     }
 
     @classmethod
@@ -393,20 +417,41 @@ class TestTruncatedFiles:
         shutil.copyfile(trained_run / "checkpoint.bin", ckpt)
         self.damaged(ckpt, how)
         with pytest.raises(ParseError, match="checkpoint.bin"):
-            model.load_checkpoint(ckpt)
+            optim.load_training_checkpoint(ckpt)
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(out),
                      "--out", str(tmp_path / "ev")]) == EXIT_DATA
 
 
 def _meta_set(key, value):
-    return lambda arrays, meta: meta.__setitem__(key, value)
+    return lambda header, blocks: header["meta"].__setitem__(key, value)
 
 
-def _dropped(key):
-    """Removes the array or the meta key ``key``."""
-    def edit(arrays, meta):
-        (arrays if key in arrays else meta).pop(key)
+def _dropped(*keys):
+    """Removes the meta keys or the arrays (header entry and bytes) ``keys``."""
+    def edit(header, blocks):
+        for key in keys:
+            if key in header["meta"]:
+                del header["meta"][key]
+            else:
+                i = [e["name"] for e in header["arrays"]].index(key)
+                del header["arrays"][i], blocks[i]
     return edit
+
+
+def _adam_v_short(header, blocks):
+    header["arrays"][2]["shape"][0] -= 1
+    blocks[2] = blocks[2][8:]
+
+
+def _extra_array(header, blocks):
+    header["arrays"].append({"name": "extra", "shape": header["arrays"][0]["shape"]})
+    blocks.append(blocks[0])
+
+
+def _arrays_reordered(header, blocks):
+    """``adam_m`` first, then ``params``: a file that names each array right."""
+    arrays = header["arrays"]
+    arrays[0], arrays[1], blocks[0], blocks[1] = arrays[1], arrays[0], blocks[1], blocks[0]
 
 
 class TestCheckpointMeta:
@@ -417,26 +462,28 @@ class TestCheckpointMeta:
         "frame_interval-bool": _meta_set("frame_interval", True),
         "epoch-null": _meta_set("epoch", None),
         "epoch-text": _meta_set("epoch", "3"),
+        "no-epoch": _dropped("epoch"),
         "no-adam_t": _dropped("adam_t"),
         "no-adam_m": _dropped("adam_m"),
         "no-adam_v": _dropped("adam_v"),
-        "no-adam_m-or-adam_v": lambda arrays, meta: (arrays.pop("adam_m"), arrays.pop("adam_v")),
-        "adam_v-short": lambda arrays, meta: arrays.__setitem__("adam_v", arrays["adam_v"][1:]),
+        "no-adam_m-or-adam_v": _dropped("adam_m", "adam_v"),
+        "adam_v-short": _adam_v_short,
+        "extra-array": _extra_array,
+        "arrays-reordered": _arrays_reordered,
     }
 
     @pytest.mark.parametrize("how", EDITS)
     def test_is_a_data_error(self, dataset_dir, trained_run, tmp_path, capsys, how):
         out, _ = dataset_dir
-        spec, params, arrays, meta = model.load_checkpoint(trained_run / "checkpoint.bin")
-        self.EDITS[how](arrays, meta)
         ckpt = tmp_path / "checkpoint.bin"
-        model.save_checkpoint(ckpt, spec, params, extra_arrays=arrays, meta=meta)
+        ckpt.write_bytes(_relaid(self.EDITS[how])((trained_run / "checkpoint.bin").read_bytes()))
         with pytest.raises(ParseError, match="checkpoint.bin"):
             optim.load_training_checkpoint(ckpt)
         ev = tmp_path / "ev"
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(out),
                      "--out", str(ev)]) == EXIT_DATA
-        assert "checkpoint.bin" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "checkpoint.bin" in err
         assert not ev.exists()
 
 

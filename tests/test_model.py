@@ -1,4 +1,3 @@
-import errno
 import sys
 import threading
 
@@ -265,64 +264,3 @@ class TestBackward:
             fd = (hi - lo) / (2 * h)
             assert abs(analytic[idx] - fd) / max(1.0, abs(analytic[idx])) < 1e-4
 
-
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        spec = small_spec()
-        params = model.init(spec)
-        extra = {"adam_m": np.random.default_rng(1).standard_normal(params.size)}
-        path = tmp_path / "ckpt.bin"
-        model.save_checkpoint(path, spec, params, extra_arrays=extra, meta={"epoch": 3})
-        spec2, params2, arrays, meta = model.load_checkpoint(path)
-        assert spec2 == spec
-        assert np.array_equal(params, params2)
-        assert np.array_equal(extra["adam_m"], arrays["adam_m"])
-        assert meta["epoch"] == 3
-
-    def test_saved_forward_reproduces_outputs(self, tmp_path):
-        spec = small_spec()
-        params = model.init(spec)
-        x = np.linspace(0, 1, spec.input_dim)
-        before = model.forward(spec, params, x)
-        path = tmp_path / "ckpt.bin"
-        model.save_checkpoint(path, spec, params)
-        spec2, params2, _, _ = model.load_checkpoint(path)
-        after = model.forward(spec2, params2, x)
-        assert np.array_equal(before.logits, after.logits)
-        assert np.array_equal(before.orient_raw, after.orient_raw)
-
-    def test_failed_write_leaves_previous_checkpoint(self, tmp_path, monkeypatch):
-        spec = small_spec()
-        params = model.init(spec)
-        path = tmp_path / "ckpt.bin"
-        model.save_checkpoint(path, spec, params, meta={"epoch": 1})
-        before = path.read_bytes()
-
-        class HalfWriter:
-            """A file whose write stores half the bytes, then fails as a full disk would."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.fh.write(data[:len(data) // 2])
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        real_open = open
-        monkeypatch.setattr(model, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)),
-                            raising=False)
-        with pytest.raises(OSError):
-            model.save_checkpoint(path, spec, params + 1.0, meta={"epoch": 2})
-        monkeypatch.undo()
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
-
-        model.save_checkpoint(path, spec, params + 1.0, meta={"epoch": 2})
-        assert model.load_checkpoint(path)[3] == {"epoch": 2}
-        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]

@@ -1,11 +1,14 @@
+import errno
+import json
 import math
 import re
-from dataclasses import replace
+import struct
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from anchorloc import baseline, data, loss, model
+from anchorloc import baseline, data, loss, model, optim
 from anchorloc.baseline import DirectSpec
 from anchorloc.errors import InvalidInputError, TrainingDivergenceError
 from anchorloc.loss import LossWeights
@@ -307,3 +310,92 @@ class TestInPlaceStep:
                              cfg, anchor_loss_grad(tiny_scene.train, tiny_net, cfg.weights),
                              start_epoch=2)
         assert_same_run(report, *ref)
+
+
+def small_spec():
+    return NetworkSpec(input_dim=5, hidden_layers=(7,), num_anchors=3, activation="tanh",
+                       seed=11)
+
+
+class TestCheckpoint:
+    def test_round_trip_bit_exact(self, tmp_path):
+        spec = small_spec()
+        params = model.init(spec)
+        rng = np.random.default_rng(1)
+        state = AdamState(m=rng.standard_normal(params.size), v=rng.random(params.size), t=7)
+        path = tmp_path / "ckpt.bin"
+        save_training_checkpoint(path, spec, params, state, epoch=3)
+        spec2, params2, state2, epoch2, meta = load_training_checkpoint(path)
+        assert spec2 == spec
+        assert np.array_equal(params, params2)
+        assert np.array_equal(state.m, state2.m) and np.array_equal(state.v, state2.v)
+        assert state2.t == 7
+        assert epoch2 == 3 and meta["epoch"] == 3
+
+    def test_byte_layout(self, tmp_path):
+        # the documented layout, assembled independently of the writer
+        spec = small_spec()
+        params = model.init(spec)
+        rng = np.random.default_rng(2)
+        state = AdamState(m=rng.standard_normal(params.size), v=rng.random(params.size), t=5)
+        path = tmp_path / "ckpt.bin"
+        save_training_checkpoint(path, spec, params, state, epoch=2,
+                                 meta={"frame_interval": 4, "scene": "s", "epoch": 9})
+        n = params.size
+        header = {"spec": asdict(spec),
+                  "arrays": [{"name": name, "shape": [n]}
+                             for name in ("params", "adam_m", "adam_v")],
+                  "meta": {"epoch": 9, "adam_t": 5, "frame_interval": 4, "scene": "s"}}
+        hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        expected = (b"ALCK" + struct.pack("<II", 1, len(hbytes)) + hbytes
+                    + b"".join(struct.pack(f"<{n}d", *a) for a in (params, state.m, state.v)))
+        assert path.read_bytes() == expected
+
+    def test_saved_forward_reproduces_outputs(self, tmp_path):
+        spec = small_spec()
+        params = model.init(spec)
+        x = np.linspace(0, 1, spec.input_dim)
+        before = model.forward(spec, params, x)
+        path = tmp_path / "ckpt.bin"
+        save_training_checkpoint(path, spec, params, AdamState.initial(params.size), epoch=0)
+        spec2, params2, _, _, _ = load_training_checkpoint(path)
+        after = model.forward(spec2, params2, x)
+        assert np.array_equal(before.logits, after.logits)
+        assert np.array_equal(before.orient_raw, after.orient_raw)
+
+    def test_failed_write_leaves_previous_checkpoint(self, tmp_path, monkeypatch):
+        spec = small_spec()
+        params = model.init(spec)
+        state = AdamState.initial(params.size)
+        path = tmp_path / "ckpt.bin"
+        save_training_checkpoint(path, spec, params, state, epoch=1)
+        before = path.read_bytes()
+
+        class HalfWriter:
+            """A file whose write stores half the bytes, then fails as a full disk would."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_open = open
+        monkeypatch.setattr(optim, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError):
+            save_training_checkpoint(path, spec, params + 1.0, state, epoch=2)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
+
+        save_training_checkpoint(path, spec, params + 1.0, state, epoch=2)
+        assert load_training_checkpoint(path)[4] == {"epoch": 2, "adam_t": 0}
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]

@@ -7,8 +7,9 @@ runs the package found in SRC_DIR (the directory holding ``anchorloc``)
 through a small pipeline in a temporary directory: ``gen-world`` (400 train
 / 80 test frames, interval 40), ``train`` for 5 epochs with
 ``--checkpoint-every 2``, a tanh ``train`` with the cross-entropy term on,
-argmax, ``--weighted`` and cross-entropy ``eval``, and ``sweep-anchors --k
-1,5,10,20 --epochs 3``. Each command runs in its own process with BLAS
+argmax, ``--weighted`` and cross-entropy ``eval``, an ``eval`` of the
+periodic checkpoint ``run/checkpoint_epoch0004.bin``, and ``sweep-anchors
+--k 1,5,10,20 --epochs 3``. Each command runs in its own process with BLAS
 pinned to one thread. It prints every command with its exit code, stdout
 and stderr (the temporary directory shown as ``$TMP``), then ``sha256
 relative/path`` for every file the run left, and deletes the directory.
@@ -37,6 +38,8 @@ COMMANDS = (
     ["eval", "--checkpoint", "run/checkpoint.bin", "--data", "ds", "--out", "eval-weighted",
      "--weighted"],
     ["eval", "--checkpoint", "run-ce/checkpoint.bin", "--data", "ds", "--out", "eval-ce"],
+    ["eval", "--checkpoint", "run/checkpoint_epoch0004.bin", "--data", "ds", "--out",
+     "eval-epoch4"],
     ["sweep-anchors", "--config", "small.ini", "--data", "ds", "--out", "sweep",
      "--k", "1,5,10,20", "--epochs", "3"],
 )
