@@ -1,12 +1,6 @@
 """Command-line pipeline: world generation, training, evaluation, sweeps.
 
-Commands::
-
-    anchorloc gen-world     --out DIR [--config FILE] [--seed S]
-    anchorloc train         --data DIR --out DIR [--config FILE] [--seed S]
-                            [--no-cross-entropy]
-    anchorloc eval          --checkpoint FILE --data DIR --out DIR
-    anchorloc sweep-anchors --data DIR --out DIR --k 1,5,10,20 [--config FILE]
+``anchorloc --help`` lists the commands and ``anchorloc COMMAND --help`` their flags.
 
 Config files are INI text with sections mirroring the module types
 ([world], [data], [network], [train], [loss]); command-line flags override
@@ -23,13 +17,15 @@ import argparse
 import configparser
 import os
 import sys
+from dataclasses import astuple, fields
 
 from . import data, evaluation, optim, simworld
 from .errors import (AnchorLocError, DegenerateOrientationError, InvalidInputError,
                      InvalidSpecError, TrainingDivergenceError)
 from .loss import LossWeights
 from .model import NetworkSpec
-from .optim import TrainConfig, write_atomically
+from .optim import EpochStats, TrainConfig, write_atomically
+from .simworld import _fmt
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,6 +89,16 @@ def load_config(path: str | None) -> dict[str, dict[str, str]]:
     return cfg
 
 
+def _config(args) -> dict[str, dict[str, str]]:
+    """``load_config(args.config)`` with every given flag whose dest is ``section.key`` applied."""
+    cfg = load_config(args.config)
+    for dest, val in vars(args).items():
+        if "." in dest and val is not None:
+            section, key = dest.split(".")
+            cfg[section][key] = str(val)
+    return cfg
+
+
 def write_config_snapshot(path, cfg: dict[str, dict[str, str]]) -> None:
     lines = []
     for sec in sorted(cfg):
@@ -149,9 +155,7 @@ def _train_config(cfg) -> TrainConfig:
 
 
 def cmd_gen_world(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["world"]["seed"] = str(args.seed)
+    cfg = _config(args)
     n_train = _value(cfg, "world", "n_train", int)
     n_test = _value(cfg, "world", "n_test", int)
     if args.world_file:
@@ -170,36 +174,26 @@ def cmd_gen_world(args) -> int:
 def cmd_train(args) -> int:
     if args.checkpoint_every < 0:
         raise _UsageError(f"--checkpoint-every must be >= 0, got {args.checkpoint_every}")
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["network"]["seed"] = str(args.seed)
-    if args.epochs is not None:
-        cfg["train"]["epochs"] = str(args.epochs)
-    if args.no_cross_entropy:
-        cfg["loss"]["use_cross_entropy"] = "false"
-    if args.k is not None:
-        cfg["data"]["frame_interval"] = str(args.k)
-
+    cfg = _config(args)
     k = _value(cfg, "data", "frame_interval", int)
     scene = data.load_dataset_dir(args.data, k)  # validates inputs before any output
-    cfg.setdefault("network", {})["input_dim"] = str(scene.train.features.shape[1])
+    cfg["network"]["input_dim"] = str(scene.train.features.shape[1])
 
     spec = _network_spec(cfg, scene.num_anchors)
     train_cfg = _train_config(cfg)
 
     created = not os.path.exists(args.out)
     os.makedirs(args.out, exist_ok=True)
-    log = ["epoch,lr,total,offset,absolute,ce\n"]
+    log = [",".join(f.name for f in fields(EpochStats)) + "\n"]
+    meta = {"frame_interval": k, "scene": os.path.basename(os.path.normpath(args.data))}
 
     def save(name, params, state, epoch):
         path = os.path.join(args.out, name)
-        optim.save_training_checkpoint(path, spec, params, state, epoch=epoch,
-                                       meta={"frame_interval": k, "scene": scene.name})
+        optim.save_training_checkpoint(path, spec, params, state, epoch=epoch, meta=meta)
         return path
 
     def on_epoch(stats, params, state):
-        log.append(f"{stats.epoch},{stats.lr:.17g},{stats.total:.17g},"
-                   f"{stats.offset:.17g},{stats.absolute:.17g},{stats.ce:.17g}\n")
+        log.append(",".join(map(_fmt, astuple(stats))) + "\n")
         if args.checkpoint_every and (stats.epoch + 1) % args.checkpoint_every == 0:
             save(f"checkpoint_epoch{stats.epoch + 1:04d}.bin", params, state, stats.epoch + 1)
 
@@ -240,17 +234,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["network"]["seed"] = str(args.seed)
-    if args.epochs is not None:
-        cfg["train"]["epochs"] = str(args.epochs)
+    cfg = _config(args)
     if not args.k:
         raise _UsageError("--k needs at least one value")
 
     train_poses, train_feats, test_poses, test_feats = data.load_dataset_files(args.data)
 
-    cfg.setdefault("network", {})["input_dim"] = str(train_feats.shape[1])
+    cfg["network"]["input_dim"] = str(train_feats.shape[1])
     spec_template = _network_spec(cfg, num_anchors=1)
     train_cfg = _train_config(cfg)
 
@@ -276,7 +266,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-world", help="generate a synthetic dataset directory")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", dest="world.seed", metavar="SEED", type=int)
     p.add_argument("--world-file", default=None,
                    help="reuse an existing world spec instead of the default world")
     p.set_defaults(func=cmd_gen_world)
@@ -285,10 +275,12 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--k", type=int, default=None, help="anchor frame interval")
-    p.add_argument("--no-cross-entropy", action="store_true")
+    p.add_argument("--seed", dest="network.seed", metavar="SEED", type=int)
+    p.add_argument("--epochs", dest="train.epochs", metavar="EPOCHS", type=int)
+    p.add_argument("--k", dest="data.frame_interval", metavar="K", type=int,
+                   help="anchor frame interval")
+    p.add_argument("--no-cross-entropy", dest="loss.use_cross_entropy",
+                   action="store_const", const="false")
     p.add_argument("--checkpoint-every", type=int, default=0,
                    help="also write a checkpoint every N epochs")
     p.set_defaults(func=cmd_train)
@@ -306,8 +298,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k", required=True, type=_int_list, help="comma-separated interval list")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--seed", dest="network.seed", metavar="SEED", type=int)
+    p.add_argument("--epochs", dest="train.epochs", metavar="EPOCHS", type=int)
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -154,7 +154,7 @@ class SampleBatch:
     positions: np.ndarray      # (n, 3)
     orientations: np.ndarray   # (n, 4)
     anchor_map: AnchorMap
-    nearest: np.ndarray        # (n,)
+    nearest: np.ndarray        # (n,) closest anchor in (x, y), the lowest index on a tie
     visible_sets: list[frozenset[str]] | None = None
 
     def __len__(self) -> int:
@@ -195,10 +195,14 @@ class SampleBatch:
 
 @dataclass
 class SceneDataset:
-    name: str
-    anchor_map: AnchorMap
+    """A scene's two splits; both hold the anchor map of the train split."""
+
     train: SampleBatch
     test: SampleBatch
+
+    @property
+    def anchor_map(self) -> AnchorMap:
+        return self.train.anchor_map
 
     @property
     def num_anchors(self) -> int:
@@ -207,7 +211,7 @@ class SceneDataset:
 
 def assemble(poses: list[tuple[str, Pose]], features: np.ndarray, k: int,
              test_poses: list[tuple[str, Pose]], test_features: np.ndarray, *,
-             name: str = "scene", train_visible=None, test_visible=None) -> SceneDataset:
+             train_visible=None, test_visible=None) -> SceneDataset:
     """Build a SceneDataset; the anchor map comes from training poses ONLY.
 
     :meth:`SampleBatch.build` converts each split's features, checks that
@@ -220,7 +224,7 @@ def assemble(poses: list[tuple[str, Pose]], features: np.ndarray, k: int,
                               anchor_map, visible_sets=train_visible)
     test = SampleBatch.build([fid for fid, _ in test_poses], [p for _, p in test_poses],
                              test_features, anchor_map, visible_sets=test_visible)
-    return SceneDataset(name=name, anchor_map=anchor_map, train=train, test=test)
+    return SceneDataset(train=train, test=test)
 
 
 def _stack_splits(train_samples: list[Sample], test_samples: list[Sample]):
@@ -239,7 +243,7 @@ def from_simworld(train_samples: list[Sample], test_samples: list[Sample], k: in
     """Assemble directly from in-memory world samples, keeping visibility
     ground truth for discovery analysis."""
     train_recs, tf, test_recs, ef = _stack_splits(train_samples, test_samples)
-    return assemble(train_recs, tf, k, test_recs, ef, name="simworld",
+    return assemble(train_recs, tf, k, test_recs, ef,
                     train_visible=[s.visible_set for s in train_samples],
                     test_visible=[s.visible_set for s in test_samples])
 
@@ -272,5 +276,4 @@ def load_dataset_files(data_dir):
 def load_dataset_dir(data_dir, k: int) -> SceneDataset:
     """Load the standard dataset directory layout and assemble with interval k."""
     train_poses, train_feats, test_poses, test_feats = load_dataset_files(data_dir)
-    return assemble(train_poses, train_feats, k, test_poses, test_feats,
-                    name=os.path.basename(os.path.normpath(str(data_dir))))
+    return assemble(train_poses, train_feats, k, test_poses, test_feats)

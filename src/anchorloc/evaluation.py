@@ -1,6 +1,6 @@
 """Pose reconstruction from the three heads and the localization metrics:
 median/mean translation error, median rotation error, threshold accuracy,
-the anchor-interval sweep, and the anchor-discovery rate.
+the anchor-interval sweep, and the anchor-discovery stats.
 
 The accuracy criterion counts a prediction correct exactly when the
 translation error is below 2 m AND the rotation error is below 5 degrees.
@@ -18,7 +18,7 @@ import numpy as np
 from . import model as modelmod
 from . import optim as optimmod
 from .data import SampleBatch, assemble
-from .errors import InvalidInputError, UndefinedRateError
+from .errors import InvalidInputError
 from .geometry import ANCHOR_DEDUP_TOL, AnchorMap, Pose, quat_angle_deg
 from .loss import confidences, unit_orientation
 from .model import BatchPrediction, NetworkSpec
@@ -145,14 +145,6 @@ def discovery_stats(spec: NetworkSpec, params: np.ndarray, batch: SampleBatch,
         if picked in anchor_lm and anchor_lm[picked] in batch.visible_sets[i]:
             successes += 1
     return successes, qualifying
-
-
-def discovery_rate(spec: NetworkSpec, params: np.ndarray, batch: SampleBatch,
-                   anchor_map: AnchorMap, landmarks) -> float:
-    successes, qualifying = discovery_stats(spec, params, batch, anchor_map, landmarks)
-    if qualifying == 0:
-        raise UndefinedRateError("no test samples qualify for the discovery rate")
-    return successes / qualifying
 
 
 # --- anchor interval sweep --------------------------------------------------------

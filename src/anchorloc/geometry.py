@@ -157,13 +157,6 @@ def _close_pairs(xy: np.ndarray, idx: np.ndarray) -> tuple[list[int], list[int]]
     return earlier[close][by_later].tolist(), later[close][by_later].tolist()
 
 
-def nearest_anchor(position: np.ndarray, anchor_map: AnchorMap) -> int:
-    """Index of the anchor closest in (x, y); ties break to the lowest index."""
-    pos = np.asarray(position, dtype=np.float64).reshape(-1)
-    d2 = ((anchor_map.anchors - pos[:2]) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
-
-
 def quat_angle_deg(a: np.ndarray, b: np.ndarray) -> float:
     """Geodesic angle between two unit quaternions, in degrees.
 

@@ -52,13 +52,22 @@ class LossBreakdown:
     total: float
 
 
+def _softmax(logits: np.ndarray):
+    """Stable softmax over anchor logits -> (c, m, s): c is ``exp(logits - m)``
+    over its sum s, m the max; m and s keep the last axis at length 1. The
+    log-sum-exp is m + log(s)."""
+    l = np.asarray(logits, dtype=np.float64)
+    m = l.max(axis=-1, keepdims=True)
+    e = l - m
+    np.exp(e, out=e)
+    s = e.sum(axis=-1, keepdims=True)
+    e /= s
+    return e, m, s
+
+
 def confidences(logits: np.ndarray) -> np.ndarray:
     """Stable softmax over anchor logits."""
-    l = np.asarray(logits, dtype=np.float64)
-    e = l - l.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    return _softmax(logits)[0]
 
 
 def unit_orientation(orient_raw: np.ndarray, gt_orient: np.ndarray | None = None,
@@ -122,16 +131,15 @@ def absolute_term(z_hat: np.ndarray, orient_raw: np.ndarray, gt_z: np.ndarray,
     return per, scale * 2.0 * dz_resid, d_orient
 
 
-def cross_entropy_term(logits: np.ndarray, c: np.ndarray, nearest: np.ndarray,
+def cross_entropy_term(logits: np.ndarray, softmax, nearest: np.ndarray,
                        scale: float = 1.0):
-    """-log softmax(logits)[nearest] in log space -> (per, d_logits); ``c`` is
-    the softmax of the logits."""
+    """-log softmax(logits)[nearest] in log space -> (per, d_logits);
+    ``softmax`` is ``_softmax(logits)``, whose sum gives the log-sum-exp."""
+    c, m, s = softmax
     rows = np.arange(logits.shape[0])
-    m = logits.max(axis=1)
-    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
     g = c.copy()
     g[rows, nearest] -= 1.0
-    return lse - logits[rows, nearest], scale * g
+    return (m + np.log(s))[:, 0] - logits[rows, nearest], scale * g
 
 
 def batch_total_loss(pred: BatchPrediction, gt_offsets: np.ndarray, gt_z: np.ndarray,
@@ -147,15 +155,15 @@ def batch_total_loss(pred: BatchPrediction, gt_offsets: np.ndarray, gt_z: np.nda
         raise InvalidInputError(f"ground-truth offsets {gt_offsets.shape} do not match the "
                                 f"predictions' (batch, anchors, 2) = {(*pred.logits.shape, 2)}")
     B = pred.logits.shape[0]
-    c = confidences(pred.logits)
+    softmax = _softmax(pred.logits)
     off_per, d_logits, d_offsets = offset_term(
-        c, np.subtract(gt_offsets, pred.offsets, out=gt_offsets), weights.alpha2)
+        softmax[0], np.subtract(gt_offsets, pred.offsets, out=gt_offsets), weights.alpha2)
     abs_per, d_z, d_orient = absolute_term(pred.z_hat, pred.orient_raw, gt_z, gt_orient,
                                            weights.alpha3)
     inv_b = 1.0 / B
     d_logits *= inv_b
     if weights.use_cross_entropy:
-        ce_per, d_logits_ce = cross_entropy_term(pred.logits, c, nearest, weights.alpha1)
+        ce_per, d_logits_ce = cross_entropy_term(pred.logits, softmax, nearest, weights.alpha1)
         d_logits_ce *= inv_b
         d_logits += d_logits_ce
     else:

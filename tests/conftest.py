@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from anchorloc import simworld
-from anchorloc.geometry import Pose, yaw_quat
+from anchorloc import data, simworld
+from anchorloc.geometry import AnchorMap, Pose, yaw_quat
 
 
 def random_unit_quat(rng):
@@ -12,6 +12,20 @@ def random_unit_quat(rng):
 
 def make_pose(x, y, z=0.0, yaw=0.0):
     return Pose(position=np.array([x, y, z], dtype=float), orientation=yaw_quat(yaw))
+
+
+def nearest_anchor(position: np.ndarray, anchor_map: AnchorMap) -> int:
+    """Index of the anchor closest in (x, y); ties break to the lowest index.
+    One sample at a time, the oracle for SampleBatch.build's row blocks."""
+    pos = np.asarray(position, dtype=np.float64).reshape(-1)
+    d2 = ((anchor_map.anchors - pos[:2]) ** 2).sum(axis=1)
+    return int(np.argmin(d2))
+
+
+def nearest_label(position, anchor_map: AnchorMap) -> int:
+    """The nearest-anchor label SampleBatch.build gives a sample at ``position``."""
+    pose = Pose(position=position, orientation=[1.0, 0.0, 0.0, 0.0])
+    return int(data.SampleBatch.build(["p"], [pose], np.zeros((1, 1)), anchor_map).nearest[0])
 
 
 @pytest.fixture(scope="session")

@@ -16,14 +16,14 @@ import pytest
 from anchorloc import baseline, data, evaluation, model, optim, simworld
 from anchorloc.baseline import DirectSpec
 from anchorloc.errors import UndefinedRateError
-from anchorloc.geometry import AnchorMap, Pose, nearest_anchor
-from anchorloc.loss import (LossWeights, absolute_term, batch_total_loss, confidences,
-                            cross_entropy_term, offset_term)
+from anchorloc.geometry import AnchorMap, Pose
+from anchorloc.loss import (LossWeights, _softmax, absolute_term, batch_total_loss,
+                            confidences, cross_entropy_term, offset_term)
 from anchorloc.model import BatchPrediction, NetworkSpec
 from anchorloc.optim import TrainConfig
 from anchorloc.simworld import segments_intersect
 
-from conftest import random_unit_quat
+from conftest import nearest_label, random_unit_quat
 
 HIDDEN = (48, 48)
 NET_SEED = 1
@@ -142,10 +142,10 @@ def loss_grads(pred, target, weights):
     """The gradients of the four losses w.r.t. a one-sample BatchPrediction,
     as backward_batch's upstream arguments."""
     gt_off, gt_z, gt_q, nearest = target
-    c = confidences(pred.logits)
-    _, d_lo, d_off = offset_term(c, gt_off - pred.offsets)
+    softmax = _softmax(pred.logits)
+    _, d_lo, d_off = offset_term(softmax[0], gt_off - pred.offsets)
     _, d_z, d_or = absolute_term(pred.z_hat, pred.orient_raw, gt_z, gt_q)
-    _, d_ce = cross_entropy_term(pred.logits, c, nearest)
+    _, d_ce = cross_entropy_term(pred.logits, softmax, nearest)
     _, *total_grad = batch_total_loss(pred, gt_off.copy(), gt_z, gt_q, nearest, weights)
     zero_lo, zero_off, zero_z, zero_or = (np.zeros_like(a) for a in (
         pred.logits, pred.offsets, pred.z_hat, pred.orient_raw))
@@ -164,7 +164,7 @@ def loss_value(name, pred, target, weights):
     if name == "absolute":
         return absolute_term(pred.z_hat, pred.orient_raw, gt_z, gt_q)[0][0]
     if name == "ce":
-        return cross_entropy_term(pred.logits, confidences(pred.logits), nearest)[0][0]
+        return cross_entropy_term(pred.logits, _softmax(pred.logits), nearest)[0][0]
     return batch_total_loss(pred, gt_off.copy(), gt_z, gt_q, nearest, weights)[0].total
 
 
@@ -296,7 +296,7 @@ def test_criterion_3_oracles():
         pos = rng.uniform(-10, 10, size=3)
         best = min(range(len(anchors)),
                    key=lambda i: math.hypot(pos[0] - anchors[i, 0], pos[1] - anchors[i, 1]))
-        mismatches += nearest_anchor(pos, amap) != best
+        mismatches += nearest_label(pos, amap) != best
     nearest_ok = mismatches == 0
 
     # segment occlusion vs independent parametric oracle on 1000 cases

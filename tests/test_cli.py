@@ -173,6 +173,31 @@ class TestSeedFlag:
             assert (default / name).read_bytes() != (seeded / name).read_bytes()
 
 
+class TestOverrideFlag:
+    @pytest.mark.parametrize("command,flags,text,section,key,value", [
+        ("train", ["--epochs", "1", "--no-cross-entropy"], "[loss]\nuse_cross_entropy = true\n",
+         "loss", "use_cross_entropy", "false"),
+        ("train", ["--epochs", "1", "--k", "60"], "", "data", "frame_interval", "60"),
+        ("sweep-anchors", ["--k", "30", "--epochs", "1"], "[train]\nepochs = 5\n",
+         "train", "epochs", "1")], ids=["train-no-cross-entropy", "train-k", "sweep-epochs"])
+    def test_beats_a_different_config_value(self, dataset_dir, tmp_path, command, flags,
+                                            text, section, key, value):
+        out, cfg = dataset_dir
+        own = tmp_path / "own.ini"
+        own.write_text(f"{cfg.read_text()}\n{text}")
+        assert load_config(str(own))[section][key] != value
+        run = tmp_path / "run"
+        assert main([command, "--config", str(own), "--data", str(out), "--out", str(run),
+                     *flags]) == EXIT_OK
+        assert load_config(str(run / "config.ini"))[section][key] == value
+        if key == "use_cross_entropy":
+            rows = (run / "training_log.csv").read_text().splitlines()[1:]
+            assert rows and all(row.split(",")[-1] == "0" for row in rows)
+        if key == "frame_interval":
+            meta = optim.load_training_checkpoint(run / "checkpoint.bin")[4]
+            assert (meta["frame_interval"], meta["scene"]) == (60, out.name)
+
+
 class TestConfigValues:
     @pytest.mark.parametrize("section,key", [
         ("world", "n_train"), ("world", "seed"), ("world", "noise_sigma"),

@@ -5,7 +5,7 @@ from anchorloc import data
 from anchorloc.errors import DataIntegrityError, InvalidInputError, ParseError
 from anchorloc.geometry import Pose
 
-from conftest import make_pose
+from conftest import make_pose, nearest_anchor
 
 
 class TestPoseLines:
@@ -116,7 +116,6 @@ class TestAssemble:
                 assert np.array_equal(batch.offsets_at(idx), expected)
 
     def test_nearest_labels_match_geometry(self, tiny_samples):
-        from anchorloc.geometry import nearest_anchor
         train, test = tiny_samples
         scene = data.from_simworld(train, test, k=9)
         for batch in (scene.train, scene.test):
@@ -125,7 +124,7 @@ class TestAssemble:
                     batch.positions[i], scene.anchor_map)
 
     def test_nearest_labels_across_row_blocks(self):
-        from anchorloc.geometry import AnchorMap, nearest_anchor
+        from anchorloc.geometry import AnchorMap
         # a 200 x 100 grid of anchors in shuffled index order
         rng = np.random.default_rng(3)
         gx, gy = np.meshgrid(np.arange(200.0), np.arange(100.0))

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from anchorloc import data, evaluation, model, optim
-from anchorloc.errors import (DegenerateOrientationError, InvalidInputError,
-                              UndefinedRateError)
-from anchorloc.evaluation import (co_located_anchors, discovery_rate,
-                                  discovery_stats, evaluate, reconstruct,
+from anchorloc.errors import DegenerateOrientationError, InvalidInputError
+from anchorloc.evaluation import (co_located_anchors, discovery_stats, evaluate, reconstruct,
                                   reconstruct_pose, report_from_poses,
                                   sweep_anchor_interval, sweep_csv_text)
 from anchorloc.geometry import AnchorMap, yaw_quat
@@ -191,7 +189,6 @@ class TestDiscovery:
         b[:] = np.array([0.0, 0.0, 50.0, 0.0])  # always picks anchor 2
         s, q = discovery_stats(spec, params, batch, amap, landmarks)
         assert (s, q) == (1, 1)
-        assert discovery_rate(spec, params, batch, amap, landmarks) == 1.0
 
     def test_nearest_baseline_scores_zero(self):
         amap, landmarks, batch = self.make_world_batch()
@@ -203,7 +200,7 @@ class TestDiscovery:
         s, q = discovery_stats(spec, params, batch, amap, landmarks)
         assert (s, q) == (0, 1)
 
-    def test_no_qualifying_raises(self):
+    def test_no_qualifying_sample_gives_zero_of_zero(self):
         amap, landmarks, batch = self.make_world_batch()
         all_visible = [frozenset({"L1", "L2"})] * 3
         batch2 = data.SampleBatch(frame_ids=batch.frame_ids, features=batch.features,
@@ -212,8 +209,7 @@ class TestDiscovery:
                                   anchor_map=batch.anchor_map, nearest=batch.nearest,
                                   visible_sets=all_visible)
         spec = NetworkSpec(input_dim=3, hidden_layers=(2,), num_anchors=4, seed=0)
-        with pytest.raises(UndefinedRateError):
-            discovery_rate(spec, model.init(spec), batch2, amap, landmarks)
+        assert discovery_stats(spec, model.init(spec), batch2, amap, landmarks) == (0, 0)
 
     def test_requires_visibility_ground_truth(self):
         amap, landmarks, batch = self.make_world_batch()

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from anchorloc.data import SampleBatch
 from anchorloc.errors import DegenerateMapError, InvalidInputError
 from anchorloc.geometry import (ANCHOR_DEDUP_TOL, AnchorMap, Pose, build_anchor_map,
-                                nearest_anchor, quat_angle_deg, yaw_quat)
+                                quat_angle_deg, yaw_quat)
 
-from conftest import make_pose, random_unit_quat
+from conftest import make_pose, nearest_label, random_unit_quat
 
 
 def line_poses(xs, y=0.0):
@@ -249,11 +249,11 @@ class TestAnchorMap:
 class TestNearestAnchor:
     def test_basic(self):
         amap = build_anchor_map(line_poses([0, 1]), 1)
-        assert nearest_anchor(np.array([0.4, 0.0, 0.0]), amap) == 0
+        assert nearest_label(np.array([0.4, 0.0, 0.0]), amap) == 0
 
     def test_midpoint_tie_breaks_low(self):
         amap = build_anchor_map(line_poses([0, 1]), 1)
-        assert nearest_anchor(np.array([0.5, 0.0, 0.0]), amap) == 0
+        assert nearest_label(np.array([0.5, 0.0, 0.0]), amap) == 0
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(7)
@@ -268,7 +268,7 @@ class TestNearestAnchor:
                 d = math.hypot(pos[0] - ax, pos[1] - ay)
                 if d < best_d:
                     best, best_d = i, d
-            assert nearest_anchor(pos, amap) == best
+            assert nearest_label(pos, amap) == best
 
 
 class TestQuatAngle:

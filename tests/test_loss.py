@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from anchorloc.errors import DegenerateOrientationError, InvalidInputError
-from anchorloc.loss import (LossWeights, absolute_term, batch_total_loss, confidences,
-                            cross_entropy_term, offset_term)
+from anchorloc.loss import (LossWeights, _softmax, absolute_term, batch_total_loss,
+                            confidences, cross_entropy_term, offset_term)
 from anchorloc.model import BatchPrediction
 
 from conftest import random_unit_quat
@@ -32,8 +32,13 @@ def absolute_value(z, orient, gt_z, gt_orient):
     return one(absolute_term, z, orient, gt_z, gt_orient)[0]
 
 
+def ce_term(logits, nearest):
+    """cross_entropy_term with the softmax of the same logits."""
+    return cross_entropy_term(logits, _softmax(logits), nearest)
+
+
 def ce_value(logits, nearest):
-    return one(cross_entropy_term, logits, confidences(logits), nearest)[0]
+    return one(ce_term, logits, nearest)[0]
 
 
 def make_pred(logits, offsets, z=0.0, orient=(1.0, 0.0, 0.0, 0.0)):
@@ -224,7 +229,7 @@ class TestGradients:
         for _ in range(10):
             logits = rng.standard_normal(5)
             j = int(rng.integers(0, 5))
-            _, analytic = one(cross_entropy_term, logits, confidences(logits), j)
+            _, analytic = one(ce_term, logits, j)
             h = 1e-5
             fd = np.zeros(5)
             for i in range(5):

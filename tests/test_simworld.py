@@ -12,7 +12,7 @@ from anchorloc.simworld import (WorldSpec, default_world, generate, load_world_s
                                 sample_features, save_world_spec, segments_intersect,
                                 stadium_route, visibility)
 
-from conftest import make_pose
+from conftest import make_pose, nearest_anchor
 
 
 def decode_distance(enc):
@@ -253,7 +253,7 @@ class TestDefaultWorld:
             lm_anchor[int(d.argmin())] = name
         have = occluded = 0
         for s in test:
-            j = geometry.nearest_anchor(s.pose.position, amap)
+            j = nearest_anchor(s.pose.position, amap)
             if j in lm_anchor:
                 have += 1
                 occluded += lm_anchor[j] not in s.visible_set

@@ -5,14 +5,16 @@ output byte for byte.
 
 runs the package found in SRC_DIR (the directory holding ``anchorloc``)
 through a small pipeline in a temporary directory: ``gen-world`` (400 train
-/ 80 test frames, interval 40), ``train`` for 5 epochs with
-``--checkpoint-every 2``, a tanh ``train`` with the cross-entropy term on,
-argmax, ``--weighted`` and cross-entropy ``eval``, an ``eval`` of the
-periodic checkpoint ``run/checkpoint_epoch0004.bin``, and ``sweep-anchors
---k 1,5,10,20 --epochs 3``. Each command runs in its own process with BLAS
-pinned to one thread. It prints every command with its exit code, stdout
-and stderr (the temporary directory shown as ``$TMP``), then ``sha256
-relative/path`` for every file the run left, and deletes the directory.
+/ 80 test frames, interval 40), and again with ``--seed 8`` into its own
+directory, ``train`` for 5 epochs with ``--checkpoint-every 2``, a tanh
+``train`` with the cross-entropy term on, the same tanh config overridden by
+``--seed 3 --k 20 --no-cross-entropy --epochs 2``, argmax, ``--weighted``
+and cross-entropy ``eval``, an ``eval`` of the periodic checkpoint
+``run/checkpoint_epoch0004.bin``, and ``sweep-anchors --k 1,5,10,20 --epochs
+3``. Each command runs in its own process with BLAS pinned to one thread.
+It prints every command with its exit code, stdout and stderr (the temporary
+directory shown as ``$TMP``), then ``sha256  relative/path`` for every file
+the run left, and deletes the directory.
 Run it on two source trees and diff the outputs. Exits 1 if a command
 failed.
 """
@@ -31,9 +33,12 @@ TANH_CE = SMALL + "\n[network]\nactivation = tanh\n\n[loss]\nuse_cross_entropy =
 
 COMMANDS = (
     ["gen-world", "--config", "small.ini", "--out", "ds"],
+    ["gen-world", "--config", "small.ini", "--out", "ds-seed8", "--seed", "8"],
     ["train", "--config", "small.ini", "--data", "ds", "--out", "run", "--epochs", "5",
      "--checkpoint-every", "2"],
     ["train", "--config", "tanh-ce.ini", "--data", "ds", "--out", "run-ce", "--epochs", "5"],
+    ["train", "--config", "tanh-ce.ini", "--data", "ds", "--out", "run-flags", "--seed", "3",
+     "--k", "20", "--no-cross-entropy", "--epochs", "2"],
     ["eval", "--checkpoint", "run/checkpoint.bin", "--data", "ds", "--out", "eval-argmax"],
     ["eval", "--checkpoint", "run/checkpoint.bin", "--data", "ds", "--out", "eval-weighted",
      "--weighted"],
