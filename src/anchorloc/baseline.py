@@ -23,17 +23,9 @@ from .optim import TrainConfig, TrainReport
 
 
 @dataclass(frozen=True)
-class DirectSpec:
-    """The trunk of a NetworkSpec with one 7-wide pose head instead of the
+class DirectSpec(modelmod.Trunk):
+    """The anchor model's trunk with one 7-wide pose head instead of the
     three anchor heads; ``model`` lays out, initializes and runs both."""
-
-    input_dim: int
-    hidden_layers: tuple[int, ...]
-    activation: str = "relu"
-    seed: int = 0
-
-    def __post_init__(self):
-        modelmod.check_trunk(self)
 
     def head_dims(self) -> dict[str, int]:
         return {"pose": 7}  # x, y, z, quaternion

@@ -17,7 +17,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import astuple, fields
+from dataclasses import MISSING, astuple, fields
 
 from . import data, evaluation, optim, simworld
 from .errors import (AnchorLocError, DegenerateOrientationError, InvalidInputError,
@@ -32,34 +32,31 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DIVERGENCE = 3
 
+# the sections that build a dataclass: their keys and defaults are its fields
+_SECTIONS = {"network": NetworkSpec, "train": TrainConfig, "loss": LossWeights}
+
+
+def _text(value) -> str:
+    """A default as config text: true/false, a comma-joined tuple, else ``str``."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
 _DEFAULTS = {
     "world": {
-        "seed": "7",
+        "seed": str(simworld.DEFAULT_SEED),
         "n_train": str(simworld.DEFAULT_N_TRAIN),
         "n_test": str(simworld.DEFAULT_N_TEST),
-        "noise_sigma": "0.02",
+        "noise_sigma": str(simworld.DEFAULT_NOISE_SIGMA),
     },
     "data": {
         "frame_interval": str(simworld.DEFAULT_FRAME_INTERVAL),
     },
-    "network": {
-        "hidden_layers": "48,48",
-        "activation": "relu",
-        "seed": "1",
-    },
-    "train": {
-        "lr": "0.0003",
-        "batch_size": "32",
-        "epochs": "120",
-        "lr_halving_period": "30",
-        "shuffle_seed": "2",
-    },
-    "loss": {
-        "alpha1": "2.0",
-        "alpha2": "10.0",
-        "alpha3": "1.0",
-        "use_cross_entropy": "false",
-    },
+    **{sec: {f.name: _text(f.default) for f in fields(cls) if f.default is not MISSING}
+       for sec, cls in _SECTIONS.items()},
 }
 
 
@@ -131,27 +128,18 @@ def _bool(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
-def _network_spec(cfg, num_anchors: int) -> NetworkSpec:
-    return NetworkSpec(input_dim=_value(cfg, "network", "input_dim", int),
-                       hidden_layers=_value(cfg, "network", "hidden_layers", _int_list),
-                       num_anchors=num_anchors, activation=cfg["network"]["activation"],
-                       seed=_value(cfg, "network", "seed", int))
-
-
-def _loss_weights(cfg) -> LossWeights:
-    return LossWeights(alpha1=_value(cfg, "loss", "alpha1", float),
-                       alpha2=_value(cfg, "loss", "alpha2", float),
-                       alpha3=_value(cfg, "loss", "alpha3", float),
-                       use_cross_entropy=_value(cfg, "loss", "use_cross_entropy", _bool))
+def _build(cfg, section: str, **given):
+    """The section's dataclass from the values a command supplies plus every
+    other field that has a default, read from ``cfg`` by the default's type."""
+    for f in fields(_SECTIONS[section]):
+        if f.name not in given and f.default is not MISSING:
+            convert = {bool: _bool, tuple: _int_list}.get(type(f.default), type(f.default))
+            given[f.name] = _value(cfg, section, f.name, convert)
+    return _SECTIONS[section](**given)
 
 
 def _train_config(cfg) -> TrainConfig:
-    return TrainConfig(lr=_value(cfg, "train", "lr", float),
-                       batch_size=_value(cfg, "train", "batch_size", int),
-                       epochs=_value(cfg, "train", "epochs", int),
-                       lr_halving_period=_value(cfg, "train", "lr_halving_period", int),
-                       shuffle_seed=_value(cfg, "train", "shuffle_seed", int),
-                       weights=_loss_weights(cfg))
+    return _build(cfg, "train", weights=_build(cfg, "loss"))
 
 
 def cmd_gen_world(args) -> int:
@@ -177,9 +165,10 @@ def cmd_train(args) -> int:
     cfg = _config(args)
     k = _value(cfg, "data", "frame_interval", int)
     scene = data.load_dataset_dir(args.data, k)  # validates inputs before any output
-    cfg["network"]["input_dim"] = str(scene.train.features.shape[1])
+    dim = scene.train.features.shape[1]
+    cfg["network"]["input_dim"] = str(dim)
 
-    spec = _network_spec(cfg, scene.num_anchors)
+    spec = _build(cfg, "network", input_dim=dim, num_anchors=scene.num_anchors)
     train_cfg = _train_config(cfg)
 
     created = not os.path.exists(args.out)
@@ -241,7 +230,7 @@ def cmd_sweep(args) -> int:
     train_poses, train_feats, test_poses, test_feats = data.load_dataset_files(args.data)
 
     cfg["network"]["input_dim"] = str(train_feats.shape[1])
-    spec_template = _network_spec(cfg, num_anchors=1)
+    spec_template = _build(cfg, "network", input_dim=train_feats.shape[1], num_anchors=1)
     train_cfg = _train_config(cfg)
 
     rows = evaluation.sweep_anchor_interval(train_poses, train_feats, test_poses,

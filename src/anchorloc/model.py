@@ -10,8 +10,8 @@ Parameters are one flat float64 vector whose layout is a pure function of
 the network shape (trunk layers in order, then the logits / offsets /
 absolute heads); ``optim`` writes and reads them in its training
 checkpoints, and this module does no file I/O. Layout, trunk and
-heads are driven by a spec's ``head_dims()`` table, so the direct-regression
-control in ``baseline`` runs on the same code with its own head.
+heads are driven by a :class:`Trunk` subclass's ``head_dims()`` table, so the
+direct-regression control in ``baseline`` runs on the same code with its own head.
 :class:`Bound` is the one forward and backward pass; ``forward_batch``,
 ``forward`` and ``backward_batch`` are calls into it. ``forward_batch`` (and
 so every single-sample ``forward``) reuses the Bound of the last parameter
@@ -31,27 +31,34 @@ ACTIVATIONS = ("relu", "tanh")
 ABS_HEAD_DIM = 5  # z plus 4 orientation components
 
 
-def check_trunk(spec) -> None:
-    """Validate a frozen spec's trunk fields, storing its widths as a tuple."""
-    object.__setattr__(spec, "hidden_layers", tuple(int(w) for w in spec.hidden_layers))
-    if spec.input_dim < 1:
-        raise InvalidSpecError("input_dim must be >= 1")
-    if any(w < 1 for w in spec.hidden_layers):
-        raise InvalidSpecError("hidden layer widths must be >= 1")
-    if spec.activation not in ACTIVATIONS:
-        raise InvalidSpecError(f"activation must be one of {ACTIVATIONS}")
-
-
 @dataclass(frozen=True)
-class NetworkSpec:
+class Trunk:
+    """The fully-connected trunk both models share; the defaults are the
+    README configuration. Subclasses add the heads through ``head_dims()``."""
+
     input_dim: int
-    hidden_layers: tuple[int, ...]
-    num_anchors: int
+    hidden_layers: tuple[int, ...] = (48, 48)
     activation: str = "relu"
-    seed: int = 0
+    seed: int = 1
 
     def __post_init__(self):
-        check_trunk(self)
+        object.__setattr__(self, "hidden_layers", tuple(int(w) for w in self.hidden_layers))
+        if self.input_dim < 1:
+            raise InvalidSpecError("input_dim must be >= 1")
+        if any(w < 1 for w in self.hidden_layers):
+            raise InvalidSpecError("hidden layer widths must be >= 1")
+        if self.activation not in ACTIVATIONS:
+            raise InvalidSpecError(f"activation must be one of {ACTIVATIONS}")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class NetworkSpec(Trunk):
+    num_anchors: int
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.num_anchors < 1:
             raise InvalidSpecError("num_anchors must be >= 1")
 

@@ -44,12 +44,12 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 120
     lr_halving_period: int = 30
-    shuffle_seed: int = 0
+    shuffle_seed: int = 2
     weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise InvalidInputError(f"lr must be > 0, got {self.lr}")
+        if not math.isfinite(self.lr) or self.lr <= 0:
+            raise InvalidInputError(f"lr must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
         if self.lr_halving_period < 1:

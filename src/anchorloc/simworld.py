@@ -39,6 +39,8 @@ _STREAM_Z = 31
 DEFAULT_FRAME_INTERVAL = 100
 DEFAULT_N_TRAIN = 2000
 DEFAULT_N_TEST = 500
+DEFAULT_SEED = 7
+DEFAULT_NOISE_SIGMA = 0.02
 
 _FLOAT_FIELDS = ("fov_half_angle", "z_base", "z_noise_amp", "noise_sigma", "lateral_jitter",
                 "heading_jitter_deg")
@@ -55,7 +57,7 @@ class WorldSpec:
     noise_sigma: float = 0.0                # feature noise std (visible channels only)
     lateral_jitter: float = 0.10            # uniform +- meters across the route
     heading_jitter_deg: float = 3.0         # uniform +- degrees around the tangent
-    seed: int = 7
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         route = np.asarray(self.route, dtype=np.float64)
@@ -310,7 +312,7 @@ _DEFAULT_OBSTACLES = (
 )
 
 
-def default_world(seed: int = 7, noise_sigma: float = 0.02) -> WorldSpec:
+def default_world(seed: int = DEFAULT_SEED, noise_sigma: float = DEFAULT_NOISE_SIGMA) -> WorldSpec:
     """The frozen benchmark world: landmarks co-located with anchor positions.
 
     Landmark placement is a two-pass construction: the camera path depends

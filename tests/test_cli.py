@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorloc import data, evaluation, optim, simworld
-from anchorloc.cli import (EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, _train_config,
-                           load_config, main)
+from anchorloc.baseline import DirectSpec
+from anchorloc.cli import (EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, _build,
+                           _train_config, load_config, main)
 from anchorloc.errors import AnchorLocError, ParseError
+from anchorloc.model import NetworkSpec
+from anchorloc.optim import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +221,32 @@ class TestConfigValues:
         assert rc == EXIT_DATA
         assert f"[{section}] {key}:" in capsys.readouterr().err
         assert not run.exists()
+
+    @pytest.mark.parametrize("command,text,flags,message", [
+        ("train", "[train]\nlr = nan\n", [], "lr must be finite and > 0, got nan"),
+        ("train", "[train]\nlr = inf\n", [], "lr must be finite and > 0, got inf"),
+        ("train", "", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("sweep-anchors", "", ["--k", "30", "--seed", "-1"], "seed must be >= 0, got -1")],
+        ids=["lr-nan", "lr-inf", "train-seed", "sweep-seed"])
+    def test_out_of_range_value_is_a_config_error(self, dataset_dir, tmp_path, capsys,
+                                                  command, text, flags, message):
+        out, cfg = dataset_dir
+        own = tmp_path / "own.ini"
+        own.write_text(f"{cfg.read_text()}\n{text}")
+        run = tmp_path / "run"
+        rc = main([command, "--config", str(own), "--data", str(out), "--out", str(run),
+                   *flags])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not run.exists()
+
+    def test_defaults_are_the_library_defaults(self):
+        cfg = load_config(None)
+        assert _train_config(cfg) == TrainConfig()
+        spec = _build(cfg, "network", input_dim=5, num_anchors=3)
+        assert spec == NetworkSpec(input_dim=5, num_anchors=3)
+        trunk = {k: v for k, v in vars(spec).items() if k != "num_anchors"}
+        assert vars(DirectSpec(input_dim=5)) == trunk
 
     @pytest.mark.parametrize("word,on", [("on", True), ("off", False)])
     def test_cross_entropy_takes_configparser_booleans(self, dataset_dir, tmp_path, word, on):
@@ -495,6 +524,7 @@ class TestCheckpointMeta:
         "adam_v-short": _adam_v_short,
         "extra-array": _extra_array,
         "arrays-reordered": _arrays_reordered,
+        "negative-seed": lambda header, blocks: header["spec"].__setitem__("seed", -1),
     }
 
     @pytest.mark.parametrize("how", EDITS)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from anchorloc import model
+from anchorloc.baseline import DirectSpec
 from anchorloc.errors import InvalidInputError, InvalidSpecError
 from anchorloc.model import NetworkSpec
 
@@ -76,9 +77,14 @@ class TestInit:
         for _, b in model._layer_table(spec, model.init(spec)):
             assert np.all(b == 0.0)
 
-    def test_zero_width_layer_rejected(self):
+    @pytest.mark.parametrize("make", [lambda **kw: NetworkSpec(num_anchors=2, **kw), DirectSpec],
+                             ids=["NetworkSpec", "DirectSpec"])
+    @pytest.mark.parametrize("bad", [{"hidden_layers": (0,)}, {"activation": "sigmoid"},
+                                     {"input_dim": 0}, {"seed": -1}],
+                             ids=["zero-width", "unknown-activation", "no-input", "negative-seed"])
+    def test_invalid_trunk_rejected(self, make, bad):
         with pytest.raises(InvalidSpecError):
-            NetworkSpec(input_dim=4, hidden_layers=(0,), num_anchors=2)
+            make(**{"input_dim": 4, **bad})
 
 
 class TestForward:

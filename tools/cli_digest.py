@@ -8,10 +8,11 @@ through a small pipeline in a temporary directory: ``gen-world`` (400 train
 / 80 test frames, interval 40), and again with ``--seed 8`` into its own
 directory, ``train`` for 5 epochs with ``--checkpoint-every 2``, a tanh
 ``train`` with the cross-entropy term on, the same tanh config overridden by
-``--seed 3 --k 20 --no-cross-entropy --epochs 2``, argmax, ``--weighted``
-and cross-entropy ``eval``, an ``eval`` of the periodic checkpoint
-``run/checkpoint_epoch0004.bin``, and ``sweep-anchors --k 1,5,10,20 --epochs
-3``. Each command runs in its own process with BLAS pinned to one thread.
+``--seed 3 --k 20 --no-cross-entropy --epochs 2``, a 2-epoch ``train`` whose
+config sets every ``[network]``, ``[train]`` and ``[loss]`` key away from its
+default, argmax, ``--weighted`` and cross-entropy ``eval``, an ``eval`` of the
+periodic checkpoint ``run/checkpoint_epoch0004.bin``, and ``sweep-anchors --k
+1,5,10,20 --epochs 3``. Each command runs in its own process with BLAS pinned to one thread.
 It prints every command with its exit code, stdout and stderr (the temporary
 directory shown as ``$TMP``), then ``sha256  relative/path`` for every file
 the run left, and deletes the directory.
@@ -30,6 +31,10 @@ import tempfile
 
 SMALL = "[world]\nn_train = 400\nn_test = 80\n\n[data]\nframe_interval = 40\n"
 TANH_CE = SMALL + "\n[network]\nactivation = tanh\n\n[loss]\nuse_cross_entropy = true\n"
+EVERY = SMALL + ("\n[network]\nhidden_layers = 24,16\nactivation = tanh\nseed = 5\n"
+                 "\n[train]\nlr = 0.001\nbatch_size = 20\nepochs = 2\nlr_halving_period = 1\n"
+                 "shuffle_seed = 9\n"
+                 "\n[loss]\nalpha1 = 0.5\nalpha2 = 4.0\nalpha3 = 2.5\nuse_cross_entropy = yes\n")
 
 COMMANDS = (
     ["gen-world", "--config", "small.ini", "--out", "ds"],
@@ -39,6 +44,7 @@ COMMANDS = (
     ["train", "--config", "tanh-ce.ini", "--data", "ds", "--out", "run-ce", "--epochs", "5"],
     ["train", "--config", "tanh-ce.ini", "--data", "ds", "--out", "run-flags", "--seed", "3",
      "--k", "20", "--no-cross-entropy", "--epochs", "2"],
+    ["train", "--config", "every.ini", "--data", "ds", "--out", "run-every"],
     ["eval", "--checkpoint", "run/checkpoint.bin", "--data", "ds", "--out", "eval-argmax"],
     ["eval", "--checkpoint", "run/checkpoint.bin", "--data", "ds", "--out", "eval-weighted",
      "--weighted"],
@@ -60,7 +66,7 @@ def main(argv=None) -> int:
     work = tempfile.mkdtemp(prefix="cli-digest-")
     failed = False
     try:
-        for name, text in (("small.ini", SMALL), ("tanh-ce.ini", TANH_CE)):
+        for name, text in (("small.ini", SMALL), ("tanh-ce.ini", TANH_CE), ("every.ini", EVERY)):
             with open(os.path.join(work, name), "w", newline="\n") as fh:
                 fh.write(text)
         for args in COMMANDS:
