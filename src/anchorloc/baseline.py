@@ -18,7 +18,7 @@ from . import model as modelmod
 from . import optim as optimmod
 from .data import SampleBatch
 from .evaluation import EvalReport, report_from_poses
-from .loss import LossBreakdown, LossWeights, absolute_term, unit_orientation
+from .loss import LossBreakdown, LossWeights, absolute_term, batch_mean, unit_orientation
 from .optim import TrainConfig, TrainReport
 
 
@@ -55,27 +55,25 @@ def direct_loss_batch(pose_out: np.ndarray, gt_xyz: np.ndarray, gt_orient: np.nd
     total_per = weights.alpha2 * off_per + weights.alpha3 * abs_per
 
     inv_b = 1.0 / pose_out.shape[0]
-    d_pose = np.zeros_like(pose_out)
+    d_pose = np.empty_like(pose_out)  # every column is written below
     d_pose[:, :2] = weights.alpha2 * 2.0 * xy_resid * inv_b
     d_pose[:, 2] = d_z * inv_b
     d_pose[:, 3:] = d_orient * inv_b
 
-    breakdown = LossBreakdown(offset_term=float(off_per.mean()),
-                              absolute_term=float(abs_per.mean()),
-                              ce_term=0.0, total=float(total_per.mean()))
+    breakdown = LossBreakdown(offset_term=batch_mean(off_per),
+                              absolute_term=batch_mean(abs_per),
+                              ce_term=0.0, total=batch_mean(total_per))
     return breakdown, d_pose
 
 
 def train_direct(samples: SampleBatch, spec: DirectSpec, config: TrainConfig) -> TrainReport:
     """Same loop, schedule and shuffles as optim.train, different head/loss."""
-    gt_xyz, gt_orient = samples.positions, samples.orientations
-
-    def batch_loss(heads, idx):
-        breakdown, d_pose = direct_loss_batch(heads["pose"], gt_xyz[idx], gt_orient[idx],
-                                              config.weights)
+    def batch_loss(heads, gt_xyz, gt_orient):
+        breakdown, d_pose = direct_loss_batch(heads["pose"], gt_xyz, gt_orient, config.weights)
         return breakdown, {"pose": d_pose}
 
-    return optimmod._train_loop(samples, spec, config, batch_loss)
+    return optimmod._train_loop(samples, spec, config, batch_loss,
+                                (samples.positions, samples.orientations))
 
 
 def evaluate_direct(spec: DirectSpec, params: np.ndarray, batch: SampleBatch) -> EvalReport:

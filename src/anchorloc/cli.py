@@ -77,12 +77,20 @@ def load_config(path: str | None) -> dict[str, dict[str, str]]:
         parser = configparser.ConfigParser()
         try:
             parser.read(path)
-            for sec in parser.sections():
-                cfg.setdefault(sec, {})
-                for key, val in parser.items(sec):
-                    cfg[sec][key] = val
+            values = {sec: parser.items(sec) for sec in parser.sections()}
         except (configparser.Error, UnicodeDecodeError) as err:
             raise InvalidSpecError(f"malformed config file {path}: {err}") from None
+        for sec, items in values.items():
+            if sec not in cfg:
+                raise InvalidSpecError(f"config file {path}: unknown section [{sec}]")
+            # a section's keys are its defaults and, for a dataclass, every field
+            # (a snapshot records [network] input_dim, which the data decides)
+            known = ({*cfg[sec], *(f.name for f in fields(_SECTIONS[sec]))}
+                     if sec in _SECTIONS else cfg[sec].keys())
+            for key, val in items:
+                if key not in known:
+                    raise InvalidSpecError(f"config file {path}: unknown key [{sec}] {key}")
+                cfg[sec][key] = val
     return cfg
 
 

@@ -160,16 +160,15 @@ class SampleBatch:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def offsets_at(self, idx) -> np.ndarray:
-        """Ground-truth offsets (len(idx), N, 2) of rows ``idx``: each sample's
-        (x, y) minus every anchor. Each row is laid out flat, (x, y) repeated
-        N times minus the flat anchor list, so the subtraction runs over
-        contiguous memory (a broadcast over the length-2 axis is an order of
-        magnitude slower)."""
+    def offsets_at(self, positions: np.ndarray) -> np.ndarray:
+        """Ground-truth offsets (B, N, 2) of a batch's positions (B, 3): each
+        sample's (x, y) minus every anchor. The (x, y) are first repeated N
+        times into a new array, so the subtraction runs over contiguous memory
+        (a broadcast over the length-2 axis is an order of magnitude slower)."""
         anchors = self.anchor_map.anchors
-        out = np.tile(self.positions[idx, :2], anchors.shape[0])
-        out -= anchors.ravel()
-        return out.reshape(-1, anchors.shape[0], 2)
+        out = positions[:, :2].repeat(anchors.shape[0], axis=0).reshape(-1, *anchors.shape)
+        out -= anchors
+        return out
 
     @classmethod
     def build(cls, frame_ids, poses: list[Pose], features: np.ndarray,

@@ -94,6 +94,12 @@ def unit_orientation(orient_raw: np.ndarray, gt_orient: np.ndarray | None = None
     return u, scale * 2.0 * (u * udotq - gt_orient) / norms
 
 
+def batch_mean(per: np.ndarray) -> float:
+    """``float(per.mean())`` of a (B,) array: the same pairwise sum over B,
+    without ``ndarray.mean``'s Python wrapper."""
+    return float(np.add.reduce(per) / per.shape[0])
+
+
 # --- per-term batched kernels ---------------------------------------------------
 # Each returns the per-sample term (B,) and its gradients multiplied by
 # ``scale`` (the term's alpha); callers apply 1/B for the batch mean.
@@ -162,19 +168,17 @@ def batch_total_loss(pred: BatchPrediction, gt_offsets: np.ndarray, gt_z: np.nda
                                            weights.alpha3)
     inv_b = 1.0 / B
     d_logits *= inv_b
+    total_per = weights.alpha2 * off_per
+    ce_mean = 0.0
     if weights.use_cross_entropy:
         ce_per, d_logits_ce = cross_entropy_term(pred.logits, softmax, nearest, weights.alpha1)
         d_logits_ce *= inv_b
         d_logits += d_logits_ce
-    else:
-        ce_per = np.zeros(B)
-
-    total_per = weights.alpha1 * ce_per + weights.alpha2 * off_per + weights.alpha3 * abs_per
-    breakdown = LossBreakdown(
-        offset_term=float(off_per.mean()),
-        absolute_term=float(abs_per.mean()),
-        ce_term=float(ce_per.mean()),
-        total=float(total_per.mean()),
-    )
+        total_per += weights.alpha1 * ce_per  # IEEE addition commutes
+        ce_mean = batch_mean(ce_per)
+    total_per += weights.alpha3 * abs_per
+    breakdown = LossBreakdown(offset_term=batch_mean(off_per),
+                              absolute_term=batch_mean(abs_per),
+                              ce_term=ce_mean, total=batch_mean(total_per))
     d_offsets *= inv_b
     return breakdown, d_logits, d_offsets, d_z * inv_b, d_orient * inv_b

@@ -112,6 +112,9 @@ def _layer_table(spec, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(W, b) views into a flat parameter (or gradient) vector for every
     layer, in storage order: trunk layer i at index i, then the heads in
     ``head_dims()`` order."""
+    if flat.size != param_count(spec):
+        raise InvalidInputError(
+            f"parameter vector has {flat.size} entries, spec requires {param_count(spec)}")
     table = []
     off = 0
     for _, out, inp in _layer_shapes(spec):
@@ -119,9 +122,6 @@ def _layer_table(spec, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         off += out * inp
         table.append((W, flat[off:off + out]))
         off += out
-    if off != flat.size:
-        raise InvalidInputError(
-            f"parameter vector has {flat.size} entries, spec requires {off}")
     return table
 
 

@@ -128,7 +128,9 @@ class _InPlaceAdam:
 
     def step(self, lr: float) -> None:
         g, m, v, s1 = self.grad, self.m, self.v, self._s1
-        if not np.isfinite(g, out=self._finite).all():
+        # g.g is finite unless some entry is inf or nan, or their squares
+        # overflow; only then is the exact per-entry check worth its pass
+        if not math.isfinite(g @ g) and not np.isfinite(g, out=self._finite).all():
             raise TrainingDivergenceError("non-finite gradient in Adam step")
         self.t += 1
         m *= BETA1
@@ -151,20 +153,22 @@ class _InPlaceAdam:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the inf or nan left raises below
-def _train_loop(samples: SampleBatch, spec, config: TrainConfig, loss,
+def _train_loop(samples: SampleBatch, spec, config: TrainConfig, loss, targets,
                 init_params: np.ndarray | None = None, init_state: AdamState | None = None,
                 start_epoch: int = 0, epoch_callback=None) -> TrainReport:
     """The mini-batch loop every model trains with: forward, ``loss``,
     backward and Adam on one :class:`model.Bound` over the run's buffers.
 
-    ``loss(heads, idx)`` gets the head outputs for rows ``idx`` and returns
-    the LossBreakdown of batch means and the upstream gradient per head of
-    the batch-mean loss. Parameters start from ``model.init(spec)`` or copies
-    of ``init_params``, the Adam state from zero or a copy of ``init_state``.
-    ``epoch_callback`` gets snapshots, not the buffers.
+    Each epoch gathers the features and every array of ``targets`` (one row
+    per sample) in its shuffled order once; a batch is a slice of each.
+    ``loss(heads, *rows)`` gets the head outputs and the batch's rows of the
+    targets, and returns the LossBreakdown of batch means and the upstream
+    gradient per head of the batch-mean loss. Parameters start from
+    ``model.init(spec)`` or copies of ``init_params``, the Adam state from
+    zero or a copy of ``init_state``. ``epoch_callback`` gets snapshots, not
+    the buffers.
     """
-    feats = samples.features
-    n_samples = feats.shape[0]
+    n_samples = samples.features.shape[0]
     if n_samples == 0:
         raise InvalidInputError("training requires a non-empty sample list")
     params = modelmod.init(spec) if init_params is None else init_params
@@ -175,25 +179,30 @@ def _train_loop(samples: SampleBatch, spec, config: TrainConfig, loss,
     for epoch in range(start_epoch, config.epochs):
         lr = lr_at(epoch, config)
         perm = _epoch_permutation(config.shuffle_seed, epoch, n_samples)
-        sums = np.zeros(4)  # total, offset, absolute, ce weighted by batch size
+        feats = samples.features[perm]
+        cols = [t[perm] for t in targets]
+        total = offset = absolute = ce = 0.0  # sums of batch size times batch mean
         for bstart in range(0, n_samples, config.batch_size):
-            idx = perm[bstart:bstart + config.batch_size]
-            heads, cache = net.forward(feats[idx])
+            rows = slice(bstart, bstart + config.batch_size)
+            x = feats[rows]
+            heads, cache = net.forward(x)
             try:
-                breakdown, d_heads = loss(heads, idx)
+                breakdown, d_heads = loss(heads, *[c[rows] for c in cols])
                 net.backward(cache, d_heads)
-                if not np.isfinite(breakdown.total):
+                if not math.isfinite(breakdown.total):
                     raise TrainingDivergenceError("loss became non-finite")
                 adam.step(lr)
             except (TrainingDivergenceError, DegenerateOrientationError) as err:
                 raise TrainingDivergenceError(
                     str(err), epoch=epoch, batch=bstart // config.batch_size) from None
-            sums += len(idx) * np.array([breakdown.total, breakdown.offset_term,
-                                         breakdown.absolute_term, breakdown.ce_term])
-        means = sums / n_samples
-        stats = EpochStats(epoch=epoch, lr=lr, total=float(means[0]),
-                           offset=float(means[1]), absolute=float(means[2]),
-                           ce=float(means[3]))
+            b = x.shape[0]
+            total += b * breakdown.total
+            offset += b * breakdown.offset_term
+            absolute += b * breakdown.absolute_term
+            ce += b * breakdown.ce_term
+        stats = EpochStats(epoch=epoch, lr=lr, total=total / n_samples,
+                           offset=offset / n_samples, absolute=absolute / n_samples,
+                           ce=ce / n_samples)
         history.append(stats)
         if epoch_callback is not None:
             epoch_callback(stats, *adam.snapshot())
@@ -212,16 +221,15 @@ def train(samples: SampleBatch, spec: NetworkSpec, config: TrainConfig, *,
     Passing ``init_params``/``init_state``/``start_epoch`` resumes from a
     checkpoint and reproduces the uninterrupted trajectory exactly.
     """
-    gt_z = samples.positions[:, 2]
-
-    def batch_loss(heads, idx):
+    def batch_loss(heads, positions, orientations, nearest):
         breakdown, *d = lossmod.batch_total_loss(
-            modelmod.prediction(spec, heads), samples.offsets_at(idx), gt_z[idx],
-            samples.orientations[idx], samples.nearest[idx], config.weights)
+            modelmod.prediction(spec, heads), samples.offsets_at(positions), positions[:, 2],
+            orientations, nearest, config.weights)
         return breakdown, modelmod.head_grads(*d)
 
-    return _train_loop(samples, spec, config, batch_loss, init_params, init_state,
-                       start_epoch, epoch_callback)
+    return _train_loop(samples, spec, config, batch_loss,
+                       (samples.positions, samples.orientations, samples.nearest),
+                       init_params, init_state, start_epoch, epoch_callback)
 
 
 # --- training checkpoints ----------------------------------------------------

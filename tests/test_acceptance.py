@@ -284,7 +284,7 @@ def test_criterion_3_oracles():
         pos = rng.uniform(-100, 100, size=3)
         batch = data.SampleBatch.build(["p"], [Pose(position=pos, orientation=[1.0, 0, 0, 0])],
                                        np.zeros((1, 1)), amap)
-        recon = amap.anchors + batch.offsets_at([0])[0]
+        recon = amap.anchors + batch.offsets_at(batch.positions)[0]
         worst = max(worst, float(np.abs(recon - pos[:2]).max()))
     round_trip_ok = worst < 1e-12
 

@@ -1,10 +1,12 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from anchorloc import baseline, data, model
 from anchorloc.baseline import DirectSpec, direct_loss_batch, train_direct
 from anchorloc.errors import DegenerateOrientationError
-from anchorloc.loss import LossWeights
+from anchorloc.loss import LossWeights, absolute_term
 from anchorloc.optim import TrainConfig
 
 from conftest import random_unit_quat
@@ -78,3 +80,22 @@ def test_degenerate_orientation_is_a_numerical_error(tiny_samples):
     W_pose[3:] = 0.0  # orientation rows of the head
     with pytest.raises(DegenerateOrientationError):
         baseline.evaluate_direct(spec, params, scene.test)
+
+
+@pytest.mark.parametrize("use_ce", [False, True], ids=["ce-off", "ce-on"])
+@pytest.mark.parametrize("B", [1, 7, 32])
+def test_loss_breakdown_is_the_mean_of_the_terms(B, use_ce):
+    """Bit for bit: each field is ``float(per.mean())`` of the per-sample
+    terms; the control has no cross-entropy term whatever the weights say."""
+    rng = np.random.default_rng(40 + B)
+    w = LossWeights(alpha1=1.3, alpha2=7.0, alpha3=0.6, use_cross_entropy=use_ce)
+    pose = rng.standard_normal((B, 7))
+    pose[:, 3] += 3.0  # keeps every raw orientation far from zero
+    gt_xyz = rng.standard_normal((B, 3))
+    gt_orient = np.array([random_unit_quat(rng) for _ in range(B)])
+    off = ((pose[:, :2] - gt_xyz[:, :2]) ** 2).sum(axis=1)
+    absolute = absolute_term(pose[:, 2], pose[:, 3:], gt_xyz[:, 2], gt_orient)[0]
+    expected = (off.mean(), absolute.mean(), 0.0,
+                (w.alpha2 * off + w.alpha3 * absolute).mean())
+    breakdown = direct_loss_batch(pose, gt_xyz, gt_orient, w)[0]
+    assert [v.hex() for v in astuple(breakdown)] == [float(v).hex() for v in expected]

@@ -272,6 +272,30 @@ class TestConfigValues:
         assert str(cfg) in capsys.readouterr().err
         assert not run.exists()
 
+    @pytest.mark.parametrize("text,named", [
+        ("[train]\nlearning_rate = 5\n", "[train] learning_rate"),
+        ("[train]\nepoch = 1\n", "[train] epoch"),
+        ("[trian]\nepochs = 1\n", "[trian]")], ids=["key", "key-near-a-field", "section"])
+    def test_unknown_key_or_section_is_a_config_error(self, dataset_dir, tmp_path, capsys,
+                                                      text, named):
+        out, cfg = dataset_dir
+        own = tmp_path / "own.ini"
+        own.write_text(f"{cfg.read_text()}\n{text}")
+        run = tmp_path / "run"
+        rc = main(["train", "--config", str(own), "--data", str(out), "--out", str(run)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+        assert not run.exists()
+
+    @pytest.mark.parametrize("which", ["gen-world", "train"])
+    def test_a_runs_snapshot_loads_as_its_config(self, dataset_dir, trained_run, tmp_path,
+                                                 which):
+        out, _ = dataset_dir
+        snapshot = {"gen-world": out, "train": trained_run}[which] / "config.ini"
+        assert main(["train", "--config", str(snapshot), "--data", str(out),
+                     "--out", str(tmp_path / "run"), "--epochs", "1"]) == EXIT_OK
+
     @pytest.mark.parametrize("command", ["gen-world", "train", "sweep-anchors"])
     def test_missing_config_file_is_a_config_error(self, dataset_dir, tmp_path, capsys,
                                                    command):
@@ -338,21 +362,32 @@ class TestEval:
         assert "raw orientation norm" in capsys.readouterr().err
         assert not ev.exists()
 
-    def test_parameters_short_of_the_spec_are_a_data_error(self, dataset_dir, trained_run,
-                                                            tmp_path, capsys):
+    @staticmethod
+    def eval_short_of_the_spec(dataset_dir, trained_run, tmp_path, capsys, missing):
+        """``eval`` of the trained checkpoint with its last ``missing``
+        parameters (and Adam moments) cut off exits 2 and says so."""
         out, _ = dataset_dir
         spec, params, state, epoch, meta = optim.load_training_checkpoint(
             trained_run / "checkpoint.bin")
-        short = optim.AdamState(m=state.m[:-1], v=state.v[:-1], t=state.t)
+        short = optim.AdamState(m=state.m[:-missing], v=state.v[:-missing], t=state.t)
         ckpt = tmp_path / "checkpoint.bin"
-        optim.save_training_checkpoint(ckpt, spec, params[:-1], short, epoch, meta=meta)
+        optim.save_training_checkpoint(ckpt, spec, params[:-missing], short, epoch, meta=meta)
         ev = tmp_path / "ev"
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(out),
                      "--out", str(ev)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert f"{params.size - 1} entries, spec requires {params.size}" in err
+        assert f"{params.size - missing} entries, spec requires {params.size}" in err
         assert not ev.exists()
+
+    def test_parameters_short_of_the_spec_are_a_data_error(self, dataset_dir, trained_run,
+                                                            tmp_path, capsys):
+        self.eval_short_of_the_spec(dataset_dir, trained_run, tmp_path, capsys, missing=1)
+
+    def test_parameters_short_by_whole_layers_are_a_data_error(self, dataset_dir, trained_run,
+                                                                tmp_path, capsys):
+        # the cut reaches into the weight matrices, so no layer view fits
+        self.eval_short_of_the_spec(dataset_dir, trained_run, tmp_path, capsys, missing=1000)
 
 
 def _byte_set(offset, value):

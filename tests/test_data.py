@@ -113,7 +113,7 @@ class TestAssemble:
                 # each sample's (x, y) in every anchor's origin
                 expected = np.stack([batch.positions[i, :2] - scene.anchor_map.anchors
                                      for i in idx])
-                assert np.array_equal(batch.offsets_at(idx), expected)
+                assert np.array_equal(batch.offsets_at(batch.positions[idx]), expected)
 
     def test_nearest_labels_match_geometry(self, tiny_samples):
         train, test = tiny_samples

@@ -21,7 +21,7 @@ def line_poses(xs, y=0.0):
 def offsets_at(pos, amap):
     """The (N, 2) ground-truth offsets that training derives for one position."""
     batch = SampleBatch.build(["p"], [make_pose(*pos)], np.zeros((1, 1)), amap)
-    return batch.offsets_at([0])[0]
+    return batch.offsets_at(batch.positions)[0]
 
 
 class TestPose:

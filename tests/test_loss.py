@@ -1,5 +1,6 @@
 import math
 from collections import namedtuple
+from dataclasses import astuple
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -308,6 +309,26 @@ class TestBatchPath:
             np.testing.assert_allclose(d_offsets[i], g_offsets[0] / B, atol=1e-14)
             assert d_z[i] == pytest.approx(g_z[0] / B, abs=1e-14)
             np.testing.assert_allclose(d_orient[i], g_orient[0] / B, atol=1e-14)
+
+    @pytest.mark.parametrize("use_ce", [False, True], ids=["ce-off", "ce-on"])
+    @pytest.mark.parametrize("B", [1, 7, 32])
+    def test_breakdown_is_the_mean_of_the_kernels(self, B, use_ce):
+        """Bit for bit: each field is ``float(per.mean())`` of the kernels'
+        per-sample terms, and the total is alpha1 ce + alpha2 off + alpha3 abs
+        per sample, with ce a zero array when cross-entropy is off."""
+        rng = np.random.default_rng(18 + B)
+        w = LossWeights(alpha1=1.3, alpha2=7.0, alpha3=0.6, use_cross_entropy=use_ce)
+        preds, targets = zip(*(random_case(rng, n=5) for _ in range(B)))
+        fields = {k: np.concatenate([p[k] for p in preds]) for k in preds[0]}
+        gt = Target(*(np.concatenate(field) for field in zip(*targets)))
+        off = offset_term(confidences(fields["logits"]), gt.offsets - fields["offsets"])[0]
+        absolute = absolute_term(fields["z_hat"], fields["orient_raw"], gt.z,
+                                 gt.orientation)[0]
+        ce = ce_term(fields["logits"], gt.nearest)[0] if use_ce else np.zeros(B)
+        per_total = w.alpha1 * ce + w.alpha2 * off + w.alpha3 * absolute
+        expected = (off.mean(), absolute.mean(), ce.mean(), per_total.mean())
+        breakdown = total(fields, gt, w)[0]
+        assert [v.hex() for v in astuple(breakdown)] == [float(v).hex() for v in expected]
 
     def test_batch_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)

@@ -116,6 +116,30 @@ class TestAdamStep:
         with pytest.raises(TrainingDivergenceError):
             adam_step(np.ones(2), np.array([1.0, np.inf]), AdamState.initial(2), lr=0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
+    def test_nonfinite_gradient_leaves_the_state(self, bad):
+        adam = optim._InPlaceAdam(np.array([1.0, -2.0, 3.0]), AdamState(
+            m=np.array([0.1, -0.2, 0.3]), v=np.array([0.4, 0.5, 0.6]), t=5))
+        kept = [a.tobytes() for a in (adam.params, adam.m, adam.v)]
+        adam.grad[...] = [0.5, bad, -0.25]
+        with pytest.raises(TrainingDivergenceError):
+            adam.step(0.1)
+        assert adam.t == 5
+        assert [a.tobytes() for a in (adam.params, adam.m, adam.v)] == kept
+
+    def test_finite_gradient_whose_squares_overflow_steps(self):
+        # every entry is finite, so Adam steps, though g.g overflows to inf
+        g = [1e200, -1e200, 0.5, -0.25]
+        params = np.array([1.0, 2.0, -3.0, 4.0])
+        with np.errstate(over="ignore"):
+            new, state = adam_step(params, np.array(g), AdamState.initial(4), lr=0.1)
+        oracles = [ScalarAdam(0.1) for _ in g]
+        assert new.tolist() == [o.step(p, gi) for o, p, gi in zip(oracles, params.tolist(), g)]
+        assert state.m.tolist() == [o.m for o in oracles]
+        assert state.v.tolist() == [o.v for o in oracles]
+        assert state.v[:2].tolist() == [math.inf, math.inf]
+        assert new[:2].tolist() == [1.0, 2.0] and state.t == 1
+
 
 @pytest.fixture(scope="module")
 def tiny_scene(tiny_world, tiny_samples):
@@ -228,7 +252,8 @@ def reference_loop(samples, params, state, config, loss_grad, start_epoch=0):
 def anchor_loss_grad(samples, spec, weights):
     def loss_grad(params, idx):
         heads, cache = model.Bound(spec, params).forward(samples.features[idx])
-        b, *d = loss.batch_total_loss(model.prediction(spec, heads), samples.offsets_at(idx),
+        b, *d = loss.batch_total_loss(model.prediction(spec, heads),
+                                      samples.offsets_at(samples.positions[idx]),
                                       samples.positions[idx, 2], samples.orientations[idx],
                                       samples.nearest[idx], weights)
         return b, model.backward_batch(spec, params, cache, *d)
