@@ -2,10 +2,10 @@
 
 ``anchorloc --help`` lists the commands and ``anchorloc COMMAND --help`` their flags.
 
-Config files are INI text with sections mirroring the module types
-([world], [data], [network], [train], [loss]); command-line flags override
-file values and the fully resolved configuration is snapshotted into the
-output directory, so every run is reproducible from its snapshot alone.
+Config files are INI text whose sections mirror the module types ([world],
+[data], [network], [train], [loss]) and hold the keys commands read; flags
+override file values and the fully resolved configuration is snapshotted
+into the output directory, so every run is reproducible from its snapshot.
 
 Exit codes: 0 success, 1 usage error, 2 data/config error, 3 numerical
 divergence.
@@ -71,26 +71,10 @@ class _Parser(argparse.ArgumentParser):
 
 def load_config(path: str | None) -> dict[str, dict[str, str]]:
     cfg = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
-    if path:
-        if not os.path.isfile(path):
-            raise InvalidInputError(f"config file not found: {path}")
-        parser = configparser.ConfigParser()
-        try:
-            parser.read(path)
-            values = {sec: parser.items(sec) for sec in parser.sections()}
-        except (configparser.Error, UnicodeDecodeError) as err:
-            raise InvalidSpecError(f"malformed config file {path}: {err}") from None
-        for sec, items in values.items():
-            if sec not in cfg:
-                raise InvalidSpecError(f"config file {path}: unknown section [{sec}]")
-            # a section's keys are its defaults and, for a dataclass, every field
-            # (a snapshot records [network] input_dim, which the data decides)
-            known = ({*cfg[sec], *(f.name for f in fields(_SECTIONS[sec]))}
-                     if sec in _SECTIONS else cfg[sec].keys())
-            for key, val in items:
-                if key not in known:
-                    raise InvalidSpecError(f"config file {path}: unknown key [{sec}] {key}")
-                cfg[sec][key] = val
+    if path:  # the keys are the defaults' and the input_dim a snapshot records
+        known = {**cfg, "network": {*cfg["network"], "input_dim"}}
+        for sec, vals in simworld.read_ini(path, known).items():
+            cfg[sec].update(vals)
     return cfg
 
 
@@ -151,11 +135,14 @@ def _train_config(cfg) -> TrainConfig:
 
 
 def cmd_gen_world(args) -> int:
+    if args.world_file and getattr(args, "world.seed") is not None:
+        raise _UsageError("--seed cannot be combined with --world-file, whose world has its own")
     cfg = _config(args)
     n_train = _value(cfg, "world", "n_train", int)
     n_test = _value(cfg, "world", "n_test", int)
     if args.world_file:
         spec = simworld.load_world_spec(args.world_file)
+        cfg["world"].update(seed=str(spec.seed), noise_sigma=str(spec.noise_sigma))
     else:
         spec = simworld.default_world(seed=_value(cfg, "world", "seed", int),
                                       noise_sigma=_value(cfg, "world", "noise_sigma", float))

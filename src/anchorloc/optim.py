@@ -5,16 +5,18 @@ The loop runs every model's training step: forward through ``model.Bound``,
 the model's loss, backward, then Adam. ``train`` (the anchor model) and
 ``baseline.train_direct`` (the direct control) supply only a loss; the
 network pass and the loss check their inputs. A training checkpoint is the
-network spec, the parameters and Adam's state, so a resumed run continues
-the optimizer too; :func:`save_training_checkpoint` and
-:func:`load_training_checkpoint` are the one writer and reader of its
-layout. :func:`write_atomically` writes a checkpoint, or any other file
-that must appear whole or not at all, such as the CLI's training log.
+network spec, the parameters and Adam's state (three arrays of the spec's
+parameter count), so a resumed run continues the optimizer too;
+:func:`save_training_checkpoint` and :func:`load_training_checkpoint` are
+the one writer and reader of its layout. :func:`write_atomically` writes a
+checkpoint, or any other file that must appear whole or not at all, such as
+the CLI's training log.
 
 Training is deterministic given the two seeds involved (network init seed and
 shuffle seed): per-epoch permutations come from a generator keyed on
 (shuffle_seed, epoch), so a run resumed from a checkpoint replays exactly the
-same batches as an uninterrupted one.
+same batches as an uninterrupted one, in a parameter vector that starts on a
+64-byte boundary.
 """
 
 from __future__ import annotations
@@ -118,19 +120,22 @@ class _InPlaceAdam:
     updated, so after a step it no longer holds the gradient."""
 
     def __init__(self, params: np.ndarray, state: AdamState):
-        self.params = np.array(params, dtype=np.float64)
+        # 64-byte aligned: query latency depends on where the served vector sits
+        buf = np.empty(np.size(params) + 8)
+        start = -buf.ctypes.data % 64 // 8
+        self.params = buf[start:start + np.size(params)].reshape(np.shape(params))
+        self.params[...] = params
         self.m = np.array(state.m, dtype=np.float64)
         self.v = np.array(state.v, dtype=np.float64)
         self.t = state.t
         self.grad = np.zeros_like(self.params)
         self._s1 = np.empty_like(self.params)
-        self._finite = np.empty(self.params.shape, dtype=bool)
 
     def step(self, lr: float) -> None:
         g, m, v, s1 = self.grad, self.m, self.v, self._s1
         # g.g is finite unless some entry is inf or nan, or their squares
         # overflow; only then is the exact per-entry check worth its pass
-        if not math.isfinite(g @ g) and not np.isfinite(g, out=self._finite).all():
+        if not math.isfinite(g @ g) and not np.isfinite(g).all():
             raise TrainingDivergenceError("non-finite gradient in Adam step")
         self.t += 1
         m *= BETA1
@@ -284,10 +289,10 @@ def load_training_checkpoint(path):
     """Returns (spec, params, AdamState, epoch, meta) of a file in
     :func:`save_training_checkpoint`'s layout.
 
-    The header must list exactly ``params``, ``adam_m`` and ``adam_v``, in
-    that order and of one shape, and its meta's ``epoch``, ``adam_t`` and
-    ``frame_interval``, where present, must be integers. Any other header,
-    and a file shorter or longer than its header says, is ParseError.
+    The spec fixes the arrays: exactly ``params``, ``adam_m`` and ``adam_v``,
+    in that order, each of shape ``[param_count(spec)]``. The meta's ``epoch``,
+    ``adam_t`` and ``frame_interval``, where present, must be integers. Any
+    other header, and arrays of any other size, is ParseError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -302,14 +307,10 @@ def load_training_checkpoint(path):
     try:  # RecursionError: JSON nested too deeply to decode
         header = json.loads(raw[12:off].decode())
         spec = NetworkSpec.from_dict(header["spec"])
-        names = [str(e["name"]) for e in header["arrays"]]
-        shapes = {tuple(int(d) for d in e["shape"]) for e in header["arrays"]}
-        if tuple(names) != _ARRAYS or len(shapes) != 1:
-            raise ValueError(f"arrays must be {', '.join(_ARRAYS)}, in that order and "
-                             "of one shape")
-        shape = shapes.pop()
-        if any(d < 0 for d in shape):
-            raise ValueError("negative array dimension")
+        n = modelmod.param_count(spec)
+        if header["arrays"] != [{"name": a, "shape": [n]} for a in _ARRAYS]:
+            raise ValueError(f"arrays must be {', '.join(_ARRAYS)}, in that order, each of "
+                             f"shape [{n}], the spec's parameter count")
         meta = header["meta"]
         if not isinstance(meta, dict):
             raise TypeError("meta is not an object")
@@ -318,14 +319,9 @@ def load_training_checkpoint(path):
                 raise TypeError(f"meta {key!r} is not an integer: {meta.get(key, missing)!r}")
     except (ValueError, KeyError, TypeError, RecursionError) as err:
         raise ParseError(f"{path}: bad header: {type(err).__name__}: {err}") from None
-    end = off + len(_ARRAYS) * 8 * math.prod(shape)  # exact, where numpy's product would wrap
-    if end > len(raw):
-        raise ParseError(f"{path}: truncated in the arrays")
-    if end < len(raw):
-        raise ParseError(f"{path}: {len(raw) - end} bytes after the last array")
-    try:  # a zero-size shape passes the checks above with any other dimension
-        arrays = np.frombuffer(raw[off:], dtype="<f8").reshape(len(_ARRAYS), *shape)
-    except ValueError as err:
-        raise ParseError(f"{path}: arrays of shape {list(shape)}: {err}") from None
+    size = len(_ARRAYS) * 8 * n
+    if len(raw) - off != size:
+        raise ParseError(f"{path}: {len(raw) - off} bytes of arrays, the spec needs {size}")
+    arrays = np.frombuffer(raw[off:], dtype="<f8").reshape(len(_ARRAYS), n)
     params, m, v = (a.copy() for a in arrays)
     return spec, params, AdamState(m=m, v=v, t=meta["adam_t"]), meta["epoch"], meta

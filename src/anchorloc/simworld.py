@@ -13,12 +13,14 @@ layout guarantees some landmark is almost always nearly dead ahead, and it
 makes "the nearest anchor's landmark is behind you or blocked, but another
 anchor's landmark is in clear view" a common, measurable situation.
 
-A world spec is saved as ``world.ini`` text. Its float fields are listed once,
-in file order, in ``_FLOAT_FIELDS``: the spec's checks, writer and reader walk it.
+A world spec is saved as ``world.ini`` text, read by :func:`read_ini` like the
+CLI's config files. Its float fields are listed once, in file order, in
+``_FLOAT_FIELDS``: the spec's checks, writer and reader walk it.
 """
 
 from __future__ import annotations
 
+import configparser
 import math
 from dataclasses import dataclass
 
@@ -360,14 +362,31 @@ def _read_lines(path) -> list[str]:
         raise ParseError(f"{path}: not a text file: {err}") from None
 
 
+def read_ini(path, known) -> dict[str, dict[str, str]]:
+    """{section: {key: value}} of an INI file (configparser, no interpolation); one it
+    rejects, or with a key outside ``known`` ({section: keys}), is InvalidSpecError."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path) as fh:  # a missing file is OSError; parser.read would skip it
+            parser.read_file(fh)
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not a text file: {err}") from None
+    except configparser.Error as err:  # whose own message spans lines
+        line = getattr(err, "lineno", None) or err.errors[0][0]
+        raise InvalidSpecError(f"{path}, line {line}: malformed ({type(err).__name__})") from None
+    values = {sec: dict(parser.items(sec)) for sec in parser.sections()}
+    for sec in values:
+        if sec not in known:
+            raise InvalidSpecError(f"{path}: unknown section [{sec}]")
+        for key in values[sec]:
+            if key not in known[sec]:
+                raise InvalidSpecError(f"{path}: unknown key [{sec}] {key}")
+    return values
+
+
 def load_world_spec(path) -> WorldSpec:
-    values: dict[str, str] = {}
-    for raw in _read_lines(path):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("["):
-            continue
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+    values = read_ini(path, {"world": ("seed", *_FLOAT_FIELDS, "route", "landmarks",
+                                       "obstacles")}).get("world", {})
     try:
         route = np.array([[float(c) for c in part.split(",")]
                           for part in values["route"].split(";")])

@@ -2,6 +2,7 @@ import json
 import re
 import shutil
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,30 @@ class TestGenWorld:
         assert len(data.load_pose_file(out / data.POSES_TEST)) == 10
         ids, feats = data.load_features(out / data.FEATURES_TRAIN)
         assert ids == [] and feats.shape[0] == 0
+
+    def test_seed_with_a_world_file_is_a_usage_error(self, dataset_dir, tmp_path, capsys):
+        out, cfg = dataset_dir
+        gen = tmp_path / "gen"
+        assert main(["gen-world", "--config", str(cfg), "--world-file", str(out / "world.ini"),
+                     "--seed", "8", "--out", str(gen)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "--seed" in err and "--world-file" in err
+        assert not gen.exists()
+
+    def test_a_world_file_run_records_the_worlds_seed_and_noise(self, dataset_dir, tmp_path):
+        out, _ = dataset_dir
+        world = tmp_path / "world.ini"
+        spec = simworld.load_world_spec(out / "world.ini")
+        simworld.save_world_spec(world, replace(spec, seed=12, noise_sigma=0.125))
+        own = tmp_path / "own.ini"
+        own.write_text("[world]\nn_train = 30\nn_test = 10\nseed = 9\nnoise_sigma = 0.5\n")
+        gen = tmp_path / "gen"
+        assert main(["gen-world", "--config", str(own), "--world-file", str(world),
+                     "--out", str(gen)]) == EXIT_OK
+        snapshot = load_config(str(gen / "config.ini"))["world"]
+        assert (snapshot["seed"], snapshot["noise_sigma"]) == ("12", "0.125")
+        assert (gen / "world.ini").read_bytes() == world.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -272,10 +297,25 @@ class TestConfigValues:
         assert str(cfg) in capsys.readouterr().err
         assert not run.exists()
 
+    def test_a_line_without_a_key_is_one_error_line(self, dataset_dir, tmp_path, capsys):
+        out, cfg = dataset_dir
+        own = tmp_path / "own.ini"
+        own.write_text("[train]\nepochs = 1\ngarbage\n")
+        run = tmp_path / "run"
+        rc = main(["train", "--config", str(own), "--data", str(out), "--out", str(run)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{own}, line 3" in err
+        assert not run.exists()
+
     @pytest.mark.parametrize("text,named", [
         ("[train]\nlearning_rate = 5\n", "[train] learning_rate"),
         ("[train]\nepoch = 1\n", "[train] epoch"),
-        ("[trian]\nepochs = 1\n", "[trian]")], ids=["key", "key-near-a-field", "section"])
+        ("[trian]\nepochs = 1\n", "[trian]"),
+        ("[train]\nweights = whatever\n", "[train] weights"),
+        ("[network]\nnum_anchors = 999\n", "[network] num_anchors")],
+        ids=["key", "key-near-a-field", "section", "train-weights", "network-num_anchors"])
     def test_unknown_key_or_section_is_a_config_error(self, dataset_dir, tmp_path, capsys,
                                                       text, named):
         out, cfg = dataset_dir
@@ -377,7 +417,7 @@ class TestEval:
                      "--out", str(ev)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert f"{params.size - missing} entries, spec requires {params.size}" in err
+        assert f"each of shape [{params.size}], the spec's parameter count" in err
         assert not ev.exists()
 
     def test_parameters_short_of_the_spec_are_a_data_error(self, dataset_dir, trained_run,
@@ -532,6 +572,13 @@ def _adam_v_short(header, blocks):
     blocks[2] = blocks[2][8:]
 
 
+def _arrays_short_of_the_spec(header, blocks):
+    """All three arrays one entry short: a file consistent with itself."""
+    for i, entry in enumerate(header["arrays"]):
+        entry["shape"][0] -= 1
+        blocks[i] = blocks[i][8:]
+
+
 def _extra_array(header, blocks):
     header["arrays"].append({"name": "extra", "shape": header["arrays"][0]["shape"]})
     blocks.append(blocks[0])
@@ -557,6 +604,7 @@ class TestCheckpointMeta:
         "no-adam_v": _dropped("adam_v"),
         "no-adam_m-or-adam_v": _dropped("adam_m", "adam_v"),
         "adam_v-short": _adam_v_short,
+        "arrays-short-of-the-spec": _arrays_short_of_the_spec,
         "extra-array": _extra_array,
         "arrays-reordered": _arrays_reordered,
         "negative-seed": lambda header, blocks: header["spec"].__setitem__("seed", -1),
@@ -650,6 +698,32 @@ class TestNonFiniteWorldSpec:
         assert main(["gen-world", "--config", str(cfg), "--world-file", str(world),
                      "--out", str(gen)]) == EXIT_DATA
         assert f"{field} " in capsys.readouterr().err
+        assert not gen.exists()
+
+
+class TestWorldFileSyntax:
+    """world.ini goes through the --config reader: a [world] header, and only
+    the keys a world spec holds, each once."""
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda text: text + "fov_half_angel = 10\n", "unknown key [world] fov_half_angel"),
+        (lambda text: text + "seed = 8\n", "line {end}: malformed (DuplicateOptionError)"),
+        (lambda text: text + "garbage\n", "line {end}: malformed (ParsingError)"),
+        (lambda text: text.replace("[world]\n", ""),
+         "line 1: malformed (MissingSectionHeaderError)"),
+        (lambda text: text + "[extra]\nx = 1\n", "unknown section [extra]")],
+        ids=["unknown-key", "duplicate-key", "no-equals-sign", "no-header", "unknown-section"])
+    def test_is_a_data_error(self, dataset_dir, tmp_path, capsys, edit, named):
+        out, cfg = dataset_dir
+        text = (out / "world.ini").read_text()
+        world = tmp_path / "world.ini"
+        world.write_text(edit(text))
+        gen = tmp_path / "gen"
+        assert main(["gen-world", "--config", str(cfg), "--world-file", str(world),
+                     "--out", str(gen)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(world) in err and named.format(end=len(text.splitlines()) + 1) in err
         assert not gen.exists()
 
 

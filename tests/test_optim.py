@@ -337,6 +337,21 @@ class TestInPlaceStep:
         assert_same_run(report, *ref)
 
 
+    @pytest.mark.parametrize("epochs", [0, 1, 2, 3])
+    def test_trained_parameters_start_on_a_64_byte_boundary(self, tiny_scene, tiny_net,
+                                                             epochs):
+        direct = DirectSpec(input_dim=tiny_net.input_dim, hidden_layers=(16,))
+        cfg = TrainConfig(epochs=epochs)
+        for report in (train(tiny_scene.train, tiny_net, cfg),
+                       baseline.train_direct(tiny_scene.train, direct, cfg)):
+            assert report.params.ctypes.data % 64 == 0
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 101])
+    def test_adam_step_parameters_start_on_a_64_byte_boundary(self, n):
+        params, _ = adam_step(np.ones(n), np.ones(n), AdamState.initial(n), 1e-3)
+        assert params.ctypes.data % 64 == 0
+
+
 def small_spec():
     return NetworkSpec(input_dim=5, hidden_layers=(7,), num_anchors=3, activation="tanh",
                        seed=11)

@@ -5,8 +5,9 @@ output byte for byte.
 
 runs the package found in SRC_DIR (the directory holding ``anchorloc``)
 through a small pipeline in a temporary directory: ``gen-world`` (400 train
-/ 80 test frames, interval 40), and again with ``--seed 8`` into its own
-directory, ``train`` for 5 epochs with ``--checkpoint-every 2``, a tanh
+/ 80 test frames, interval 40), again with ``--seed 8`` into its own
+directory, and again from the first run's ``world.ini`` through
+``--world-file``, ``train`` for 5 epochs with ``--checkpoint-every 2``, a tanh
 ``train`` with the cross-entropy term on, the same tanh config overridden by
 ``--seed 3 --k 20 --no-cross-entropy --epochs 2``, a 2-epoch ``train`` whose
 config sets every ``[network]``, ``[train]`` and ``[loss]`` key away from its
@@ -39,6 +40,7 @@ EVERY = SMALL + ("\n[network]\nhidden_layers = 24,16\nactivation = tanh\nseed = 
 COMMANDS = (
     ["gen-world", "--config", "small.ini", "--out", "ds"],
     ["gen-world", "--config", "small.ini", "--out", "ds-seed8", "--seed", "8"],
+    ["gen-world", "--config", "small.ini", "--world-file", "ds/world.ini", "--out", "ds-world"],
     ["train", "--config", "small.ini", "--data", "ds", "--out", "run", "--epochs", "5",
      "--checkpoint-every", "2"],
     ["train", "--config", "tanh-ce.ini", "--data", "ds", "--out", "run-ce", "--epochs", "5"],
