@@ -24,8 +24,7 @@ from .errors import (AnchorLocError, DegenerateOrientationError, InvalidInputErr
                      InvalidSpecError, TrainingDivergenceError)
 from .loss import LossWeights
 from .model import NetworkSpec
-from .optim import EpochStats, TrainConfig, write_atomically
-from .simworld import _fmt
+from .optim import EpochStats, TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,14 +88,7 @@ def _config(args) -> dict[str, dict[str, str]]:
 
 
 def write_config_snapshot(path, cfg: dict[str, dict[str, str]]) -> None:
-    lines = []
-    for sec in sorted(cfg):
-        lines.append(f"[{sec}]")
-        for key in sorted(cfg[sec]):
-            lines.append(f"{key} = {cfg[sec][key]}")
-        lines.append("")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines))
+    simworld.write_ini(path, {sec: dict(sorted(cfg[sec].items())) for sec in sorted(cfg)})
 
 
 def _value(cfg, section: str, key: str, convert):
@@ -168,7 +160,7 @@ def cmd_train(args) -> int:
 
     created = not os.path.exists(args.out)
     os.makedirs(args.out, exist_ok=True)
-    log = [",".join(f.name for f in fields(EpochStats)) + "\n"]
+    log = []
     meta = {"frame_interval": k, "scene": os.path.basename(os.path.normpath(args.data))}
 
     def save(name, params, state, epoch):
@@ -177,7 +169,7 @@ def cmd_train(args) -> int:
         return path
 
     def on_epoch(stats, params, state):
-        log.append(",".join(map(_fmt, astuple(stats))) + "\n")
+        log.append(astuple(stats))
         if args.checkpoint_every and (stats.epoch + 1) % args.checkpoint_every == 0:
             save(f"checkpoint_epoch{stats.epoch + 1:04d}.bin", params, state, stats.epoch + 1)
 
@@ -185,7 +177,8 @@ def cmd_train(args) -> int:
     # failed run leaves its periodic checkpoints, or no directory it created
     try:
         report = optim.train(scene.train, spec, train_cfg, epoch_callback=on_epoch)
-        write_atomically(os.path.join(args.out, "training_log.csv"), "".join(log).encode())
+        simworld.write_csv(os.path.join(args.out, "training_log.csv"),
+                           [f.name for f in fields(EpochStats)], log)
     except BaseException:
         if created and not os.listdir(args.out):
             os.rmdir(args.out)
@@ -232,8 +225,7 @@ def cmd_sweep(args) -> int:
                                             test_feats, args.k, spec_template,
                                             train_cfg)
     os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "sweep.csv")
-    evaluation.write_sweep_csv(csv_path, rows)
+    evaluation.write_sweep_csv(os.path.join(args.out, "sweep.csv"), rows)
     evaluation.write_sweep_svg(os.path.join(args.out, "sweep.svg"), rows)
     write_config_snapshot(os.path.join(args.out, "config.ini"), cfg)
     for row in rows:

@@ -1,7 +1,7 @@
 """Dataset ingestion: pose text files, binary feature files, anchor-map
 precomputation and per-batch offset tables.
 
-Pose text format, one record per line::
+Pose text format (UTF-8), one record per line::
 
     frame_id tx ty tz qw qx qy qz
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DataIntegrityError, InvalidInputError, ParseError
 from .geometry import AnchorMap, Pose, build_anchor_map, quat_norm
-from .simworld import Sample, _fmt, _read_lines
+from .simworld import Sample, _fmt, _read_lines, write_atomically
 
 QUAT_NORM_TOL = 1e-3
 
@@ -82,25 +82,19 @@ def load_pose_file(path) -> list[tuple[str, Pose]]:
 
 
 def save_pose_file(path, records: list[tuple[str, Pose]]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        for frame_id, pose in records:
-            fh.write(format_pose_line(frame_id, pose) + "\n")
+    write_atomically(path, "".join(format_pose_line(fid, pose) + "\n" for fid, pose in records))
 
 
 def save_features(path, frame_ids: list[str], features: np.ndarray) -> None:
     feats = np.ascontiguousarray(features, dtype="<f8")
     if feats.ndim != 2 or feats.shape[0] != len(frame_ids):
         raise InvalidInputError("features must be (n, d) with one row per frame id")
-    with open(path, "wb") as fh:
-        fh.write(_FEAT_MAGIC)
-        fh.write(_FEAT_VERSION.to_bytes(4, "little"))
-        fh.write(feats.shape[0].to_bytes(8, "little"))
-        fh.write(feats.shape[1].to_bytes(8, "little"))
-        for fid, row in zip(frame_ids, feats):
-            enc = fid.encode()
-            fh.write(len(enc).to_bytes(4, "little"))
-            fh.write(enc)
-            fh.write(row.tobytes())
+    parts = [_FEAT_MAGIC, _FEAT_VERSION.to_bytes(4, "little"),
+             feats.shape[0].to_bytes(8, "little"), feats.shape[1].to_bytes(8, "little")]
+    for fid, row in zip(frame_ids, feats):
+        enc = fid.encode()
+        parts += [len(enc).to_bytes(4, "little"), enc, row.tobytes()]
+    write_atomically(path, b"".join(parts))
 
 
 def load_features(path) -> tuple[list[str], np.ndarray]:

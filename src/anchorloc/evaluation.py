@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import InvalidInputError
 from .geometry import ANCHOR_DEDUP_TOL, AnchorMap, Pose, quat_angle_deg
 from .loss import confidences, unit_orientation
 from .model import BatchPrediction, NetworkSpec
-from .simworld import _fmt
+from .simworld import write_atomically, write_csv
 
 ACCURACY_TRANSLATION_M = 2.0
 ACCURACY_ROTATION_DEG = 5.0
@@ -185,26 +185,15 @@ def sweep_anchor_interval(train_poses, train_features, test_poses, test_features
 
 def write_eval_report(out_dir, report: EvalReport) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "eval_report.json"), "w", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "eval_per_sample.csv"), "w", newline="\n") as fh:
-        fh.write("index,translation_m,rotation_deg,pred_anchor,nearest_anchor\n")
-        for i, (t, r, a, n) in enumerate(report.per_sample):
-            fh.write(f"{i},{_fmt(t)},{_fmt(r)},{a},{n}\n")
-
-
-def sweep_csv_text(rows: list[SweepRow]) -> str:
-    lines = ["k,N,median_m,median_deg,accuracy"]
-    for r in rows:
-        lines.append(f"{r.k},{r.num_anchors},{_fmt(r.median_m)},"
-                     f"{_fmt(r.median_deg)},{_fmt(r.accuracy)}")
-    return "\n".join(lines) + "\n"
+    write_atomically(os.path.join(out_dir, "eval_report.json"),
+                     json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_csv(os.path.join(out_dir, "eval_per_sample.csv"),
+              ("index", "translation_m", "rotation_deg", "pred_anchor", "nearest_anchor"),
+              ((i, *row) for i, row in enumerate(report.per_sample)))
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(sweep_csv_text(rows))
+    write_csv(path, ("k", "N", "median_m", "median_deg", "accuracy"), map(astuple, rows))
 
 
 def _svg_polyline(points, color):
@@ -240,5 +229,4 @@ def write_sweep_svg(path, rows: list[SweepRow]) -> None:
     body = "\n".join(panels)
     svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{2 * w}" height="{h}">\n'
            f'<rect width="{2 * w}" height="{h}" fill="white" />\n{body}\n</svg>\n')
-    with open(path, "w", newline="\n") as fh:
-        fh.write(svg)
+    write_atomically(path, svg)

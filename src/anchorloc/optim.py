@@ -8,9 +8,8 @@ network pass and the loss check their inputs. A training checkpoint is the
 network spec, the parameters and Adam's state (three arrays of the spec's
 parameter count), so a resumed run continues the optimizer too;
 :func:`save_training_checkpoint` and :func:`load_training_checkpoint` are
-the one writer and reader of its layout. :func:`write_atomically` writes a
-checkpoint, or any other file that must appear whole or not at all, such as
-the CLI's training log.
+the one writer and reader of its layout; ``simworld.write_atomically``, the
+package's one file writer, writes it whole or not at all.
 
 Training is deterministic given the two seeds involved (network init seed and
 shuffle seed): per-epoch permutations come from a generator keyed on
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -35,6 +33,7 @@ from .errors import (DegenerateOrientationError, InvalidInputError, ParseError,
                      TrainingDivergenceError)
 from .loss import LossWeights
 from .model import NetworkSpec
+from .simworld import write_atomically
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba, Alg. 1)
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -253,8 +252,8 @@ def save_training_checkpoint(path, spec: NetworkSpec, params: np.ndarray,
     shape of ``params``, ``adam_m`` and ``adam_v`` in that order, and the
     meta: ``epoch`` and ``adam_t``, which keys of ``meta`` override), then
     the three arrays as little-endian float64 in C order, so a load/save
-    cycle is bit-exact. :func:`write_atomically` writes the bytes, so a write
-    that fails midway leaves a previous checkpoint as it was.
+    cycle is bit-exact. ``simworld.write_atomically`` writes the bytes, so a
+    write that fails midway leaves a previous checkpoint as it was.
     """
     arrays = [np.ascontiguousarray(a, dtype="<f8") for a in (params, state.m, state.v)]
     header = {
@@ -266,23 +265,6 @@ def save_training_checkpoint(path, spec: NetworkSpec, params: np.ndarray,
     write_atomically(path, b"".join([_MAGIC, _VERSION.to_bytes(4, "little"),
                                      len(hbytes).to_bytes(4, "little"), hbytes,
                                      *(a.tobytes() for a in arrays)]))
-
-
-def write_atomically(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temporary file beside it, flushed
-    to disk and then moved over ``path``: a write that fails midway leaves
-    whatever was at ``path`` as it was, and no temporary file."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
 
 
 def load_training_checkpoint(path):

@@ -16,12 +16,17 @@ anchor's landmark is in clear view" a common, measurable situation.
 A world spec is saved as ``world.ini`` text, read by :func:`read_ini` like the
 CLI's config files. Its float fields are listed once, in file order, in
 ``_FLOAT_FIELDS``: the spec's checks, writer and reader walk it.
+
+Every file the package writes goes through :func:`write_atomically` (whole or
+not at all, text as UTF-8), INI and CSV text through :func:`write_ini` and
+:func:`write_csv`; :func:`read_ini` and ``_read_lines`` read text as UTF-8.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,41 +338,72 @@ def default_world(seed: int = DEFAULT_SEED, noise_sigma: float = DEFAULT_NOISE_S
                      obstacles=_DEFAULT_OBSTACLES, noise_sigma=noise_sigma, seed=seed)
 
 
-# --- world spec file ------------------------------------------------------------
+# --- files: the one writer, world spec files, the INI reader ----------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(x) -> str:
+    """An int as it is, else 17 significant digits, which round-trip a double exactly."""
+    return str(x) if isinstance(x, int) else format(float(x), ".17g")
+
+
+def write_atomically(path, data: bytes | str) -> None:
+    """The one file writer: ``data`` (text as UTF-8) goes to a temporary file beside
+    ``path``, flushed to disk and then moved over ``path``, so a write that fails
+    midway leaves whatever was at ``path`` as it was, and no temporary file."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def write_ini(path, sections) -> None:
+    """``{section: {key: value}}`` as ``[section]`` then ``key = value`` lines, in the
+    order given, with a blank line between sections."""
+    write_atomically(path, "\n".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                                     for sec, keys in sections.items()))
+
+
+def write_csv(path, header, rows) -> None:
+    """A line of ``header``'s names, then one per row of its values through :func:`_fmt`."""
+    lines = [header, *(map(_fmt, row) for row in rows)]
+    write_atomically(path, "".join(",".join(line) + "\n" for line in lines))
 
 
 def save_world_spec(path, spec: WorldSpec) -> None:
     """Plain-text world schema; floats carry 17 significant digits so a
     load/save cycle reproduces the world bit-exactly."""
-    lines = ["[world]", "seed = " + str(spec.seed)]
-    lines += [f"{name} = {_fmt(getattr(spec, name))}" for name in _FLOAT_FIELDS]
-    lines.append("route = " + "; ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in spec.route))
-    lines.append("landmarks = " + "; ".join(
-        f"{name}:{_fmt(p[0])},{_fmt(p[1])}" for name, p in spec.landmarks))
-    lines.append("obstacles = " + "; ".join(
-        f"{_fmt(a[0])},{_fmt(a[1])},{_fmt(b[0])},{_fmt(b[1])}" for a, b in spec.obstacles))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_ini(path, {"world": {
+        "seed": spec.seed,
+        **{name: _fmt(getattr(spec, name)) for name in _FLOAT_FIELDS},
+        "route": "; ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in spec.route),
+        "landmarks": "; ".join(f"{name}:{_fmt(p[0])},{_fmt(p[1])}" for name, p in spec.landmarks),
+        "obstacles": "; ".join(f"{_fmt(a[0])},{_fmt(a[1])},{_fmt(b[0])},{_fmt(b[1])}"
+                               for a, b in spec.obstacles),
+    }})
 
 
 def _read_lines(path) -> list[str]:
-    """The lines of a text file; one that does not decode is ParseError."""
+    """The lines of a UTF-8 text file; one that does not decode is ParseError."""
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             return fh.readlines()
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not a text file: {err}") from None
 
 
 def read_ini(path, known) -> dict[str, dict[str, str]]:
-    """{section: {key: value}} of an INI file (configparser, no interpolation); one it
-    rejects, or with a key outside ``known`` ({section: keys}), is InvalidSpecError."""
-    parser = configparser.ConfigParser(interpolation=None)
+    """{section: {key: value}} of a UTF-8 INI file (configparser; no interpolation, no
+    ``[DEFAULT]``); one it rejects, or with a key outside ``known`` ({section: keys}),
+    is InvalidSpecError."""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path) as fh:  # a missing file is OSError; parser.read would skip it
+        with open(path, encoding="utf-8") as fh:  # a missing file is OSError; read skips it
             parser.read_file(fh)
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not a text file: {err}") from None

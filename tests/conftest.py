@@ -1,3 +1,6 @@
+import contextlib
+import errno
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,33 @@ def nearest_anchor(position: np.ndarray, anchor_map: AnchorMap) -> int:
     pos = np.asarray(position, dtype=np.float64).reshape(-1)
     d2 = ((anchor_map.anchors - pos[:2]) ** 2).sum(axis=1)
     return int(np.argmin(d2))
+
+
+class HalfWriter:
+    """A file whose write stores half the bytes, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@contextlib.contextmanager
+def half_writes():
+    """Within the block, every file ``simworld.write_atomically`` opens is a HalfWriter."""
+    real_open = open
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simworld, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)),
+                   raising=False)
+        yield
 
 
 def nearest_label(position, anchor_map: AnchorMap) -> int:

@@ -373,9 +373,9 @@ def test_criterion_6_anchor_discovery(world, scene, net_spec, trained):
 
 def test_criterion_7_interval_sweep(sweep_inputs, sweep_rows, tmp_path):
     rows = sweep_rows
-    csv_a = evaluation.sweep_csv_text(rows)
-    csv_b = evaluation.sweep_csv_text(run_sweep(sweep_inputs))
-    deterministic = csv_a == csv_b
+    rerun = tmp_path / "rerun"
+    rerun.mkdir()
+    evaluation.write_sweep_csv(rerun / "sweep.csv", run_sweep(sweep_inputs))
 
     finite = all(np.isfinite([r.median_m, r.median_deg, r.accuracy]).all()
                  for r in rows) and len(rows) == len(SWEEP_KS)
@@ -385,6 +385,7 @@ def test_criterion_7_interval_sweep(sweep_inputs, sweep_rows, tmp_path):
     evaluation.write_sweep_csv(tmp_path / "sweep.csv", rows)
     evaluation.write_sweep_svg(tmp_path / "sweep.svg", rows)
     artifacts = (tmp_path / "sweep.csv").exists() and (tmp_path / "sweep.svg").exists()
+    deterministic = (tmp_path / "sweep.csv").read_bytes() == (rerun / "sweep.csv").read_bytes()
 
     detail = ", ".join(f"k={r.k}: {r.median_m:.4f}" for r in rows)
     verdict(7, "interval sweep", deterministic and interior and artifacts and finite,

@@ -1,20 +1,28 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anchorloc
 from anchorloc import data, evaluation, optim, simworld
 from anchorloc.baseline import DirectSpec
 from anchorloc.cli import (EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, _build,
-                           _train_config, load_config, main)
+                           _train_config, load_config, main, write_config_snapshot)
 from anchorloc.errors import AnchorLocError, ParseError
+from anchorloc.evaluation import EvalReport, SweepRow
 from anchorloc.model import NetworkSpec
 from anchorloc.optim import TrainConfig
+
+from conftest import half_writes, make_pose
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +83,20 @@ class TestGenWorld:
                      "--out", str(gen)]) == EXIT_OK
         snapshot = load_config(str(gen / "config.ini"))["world"]
         assert (snapshot["seed"], snapshot["noise_sigma"]) == ("12", "0.125")
+        assert (gen / "world.ini").read_bytes() == world.read_bytes()
+
+    def test_the_locale_does_not_change_what_is_read(self, dataset_dir, tiny_world, tmp_path):
+        _, cfg = dataset_dir
+        world = tmp_path / "world.ini"
+        simworld.save_world_spec(world, replace(tiny_world, landmarks=(
+            ("lmé", (6.0, 0.0)), ("路標", (0.0, 1.0)))))
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(anchorloc.__file__)))
+        gen = tmp_path / "gen"
+        proc = subprocess.run([sys.executable, "-m", "anchorloc.cli", "gen-world", "--config",
+                               str(cfg), "--world-file", str(world), "--out", str(gen)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
         assert (gen / "world.ini").read_bytes() == world.read_bytes()
 
 
@@ -314,8 +336,10 @@ class TestConfigValues:
         ("[train]\nepoch = 1\n", "[train] epoch"),
         ("[trian]\nepochs = 1\n", "[trian]"),
         ("[train]\nweights = whatever\n", "[train] weights"),
-        ("[network]\nnum_anchors = 999\n", "[network] num_anchors")],
-        ids=["key", "key-near-a-field", "section", "train-weights", "network-num_anchors"])
+        ("[network]\nnum_anchors = 999\n", "[network] num_anchors"),
+        ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]")],
+        ids=["key", "key-near-a-field", "section", "train-weights", "network-num_anchors",
+             "default-section"])
     def test_unknown_key_or_section_is_a_config_error(self, dataset_dir, tmp_path, capsys,
                                                       text, named):
         out, cfg = dataset_dir
@@ -711,8 +735,10 @@ class TestWorldFileSyntax:
         (lambda text: text + "garbage\n", "line {end}: malformed (ParsingError)"),
         (lambda text: text.replace("[world]\n", ""),
          "line 1: malformed (MissingSectionHeaderError)"),
-        (lambda text: text + "[extra]\nx = 1\n", "unknown section [extra]")],
-        ids=["unknown-key", "duplicate-key", "no-equals-sign", "no-header", "unknown-section"])
+        (lambda text: text + "[extra]\nx = 1\n", "unknown section [extra]"),
+        (lambda text: text + "[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]")],
+        ids=["unknown-key", "duplicate-key", "no-equals-sign", "no-header", "unknown-section",
+             "default-section"])
     def test_is_a_data_error(self, dataset_dir, tmp_path, capsys, edit, named):
         out, cfg = dataset_dir
         text = (out / "world.ini").read_text()
@@ -862,6 +888,29 @@ class TestFuzzedFiles:
             assert rc in (EXIT_OK, EXIT_DATA, EXIT_DIVERGENCE)
         else:
             assert rc == EXIT_DATA and not run.exists()
+
+
+class TestFailedWrites:
+    """Every artifact is written whole or not at all: a write that fails midway
+    leaves the previous file as it was, and no temporary file."""
+
+    @pytest.mark.parametrize("write", [
+        lambda out, v: write_config_snapshot(out / "config.ini", {"train": {"epochs": str(v)}}),
+        lambda out, v: simworld.save_world_spec(out / "world.ini", simworld.WorldSpec(
+            route=[[0.0, 0.0], [1.0, v]], landmarks=(("lmé", (0.5, v)),))),
+        lambda out, v: data.save_pose_file(out / data.POSES_TRAIN, [("f0", make_pose(v, 0.0))]),
+        lambda out, v: data.save_features(out / data.FEATURES_TRAIN, ["f0"], np.full((1, 3), v)),
+        lambda out, v: evaluation.write_eval_report(out, EvalReport(v, v, v, v, [(v, v, 0, 1)])),
+        lambda out, v: evaluation.write_sweep_csv(out / "sweep.csv", [SweepRow(1, 2, v, v, v)]),
+        lambda out, v: evaluation.write_sweep_svg(out / "sweep.svg", [SweepRow(1, 2, v, v, v)])],
+        ids=["snapshot", "world-ini", "pose-file", "feature-file", "eval-report", "sweep-csv",
+             "sweep-svg"])
+    def test_leaves_the_previous_file(self, tmp_path, write):
+        write(tmp_path, 1.0)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with half_writes(), pytest.raises(OSError):
+            write(tmp_path, 2.0)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestSweep:

@@ -5,7 +5,7 @@ from anchorloc import data, evaluation, model, optim
 from anchorloc.errors import DegenerateOrientationError, InvalidInputError
 from anchorloc.evaluation import (co_located_anchors, discovery_stats, evaluate, reconstruct,
                                   reconstruct_pose, report_from_poses,
-                                  sweep_anchor_interval, sweep_csv_text)
+                                  sweep_anchor_interval)
 from anchorloc.geometry import AnchorMap, yaw_quat
 from anchorloc.loss import LossWeights
 from anchorloc.model import BatchPrediction, NetworkSpec
@@ -246,15 +246,16 @@ class TestSweep:
         assert rows[0].accuracy == ev.accuracy_2m_5deg
         assert rows[0].num_anchors == scene.num_anchors
 
-    def test_deterministic_csv_bytes(self, raw):
+    def test_deterministic_csv_bytes(self, raw, tmp_path):
         train_poses, tf, test_poses, ef = raw
         tpl = NetworkSpec(input_dim=tf.shape[1], hidden_layers=(8,), num_anchors=1, seed=3)
         cfg = TrainConfig(epochs=2, shuffle_seed=5, weights=LossWeights())
-        a = sweep_csv_text(sweep_anchor_interval(train_poses, tf, test_poses, ef,
-                                                 [5, 10], tpl, cfg))
-        b = sweep_csv_text(sweep_anchor_interval(train_poses, tf, test_poses, ef,
-                                                 [5, 10], tpl, cfg))
-        assert a == b
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            out.mkdir()
+            evaluation.write_sweep_csv(out / "sweep.csv", sweep_anchor_interval(
+                train_poses, tf, test_poses, ef, [5, 10], tpl, cfg))
+        assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
     def test_empty_k_list_rejected(self, raw):
         train_poses, tf, test_poses, ef = raw

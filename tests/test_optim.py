@@ -1,4 +1,3 @@
-import errno
 import json
 import math
 import re
@@ -15,6 +14,8 @@ from anchorloc.loss import LossWeights
 from anchorloc.model import NetworkSpec
 from anchorloc.optim import (AdamState, EpochStats, TrainConfig, adam_step,
                              load_training_checkpoint, lr_at, save_training_checkpoint, train)
+
+from conftest import half_writes
 
 
 class ScalarAdam:
@@ -403,7 +404,7 @@ class TestCheckpoint:
         assert np.array_equal(before.logits, after.logits)
         assert np.array_equal(before.orient_raw, after.orient_raw)
 
-    def test_failed_write_leaves_previous_checkpoint(self, tmp_path, monkeypatch):
+    def test_failed_write_leaves_previous_checkpoint(self, tmp_path):
         spec = small_spec()
         params = model.init(spec)
         state = AdamState.initial(params.size)
@@ -411,28 +412,8 @@ class TestCheckpoint:
         save_training_checkpoint(path, spec, params, state, epoch=1)
         before = path.read_bytes()
 
-        class HalfWriter:
-            """A file whose write stores half the bytes, then fails as a full disk would."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.fh.write(data[:len(data) // 2])
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        real_open = open
-        monkeypatch.setattr(optim, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)),
-                            raising=False)
-        with pytest.raises(OSError):
+        with half_writes(), pytest.raises(OSError):
             save_training_checkpoint(path, spec, params + 1.0, state, epoch=2)
-        monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.bin"]
 

@@ -6,10 +6,12 @@ output byte for byte.
 runs the package found in SRC_DIR (the directory holding ``anchorloc``)
 through a small pipeline in a temporary directory: ``gen-world`` (400 train
 / 80 test frames, interval 40), again with ``--seed 8`` into its own
-directory, and again from the first run's ``world.ini`` through
-``--world-file``, ``train`` for 5 epochs with ``--checkpoint-every 2``, a tanh
-``train`` with the cross-entropy term on, the same tanh config overridden by
-``--seed 3 --k 20 --no-cross-entropy --epochs 2``, a 2-epoch ``train`` whose
+directory, again from the first run's ``world.ini`` through
+``--world-file``, and from a small world file whose landmark names are not
+ASCII (a UTF-8 round trip through the readers and writers), ``train`` for 5
+epochs with ``--checkpoint-every 2``, a tanh ``train`` with the cross-entropy
+term on, the same tanh config overridden by ``--seed 3 --k 20
+--no-cross-entropy --epochs 2``, a 2-epoch ``train`` whose
 config sets every ``[network]``, ``[train]`` and ``[loss]`` key away from its
 default, argmax, ``--weighted`` and cross-entropy ``eval``, an ``eval`` of the
 periodic checkpoint ``run/checkpoint_epoch0004.bin``, and ``sweep-anchors --k
@@ -36,11 +38,16 @@ EVERY = SMALL + ("\n[network]\nhidden_layers = 24,16\nactivation = tanh\nseed = 
                  "\n[train]\nlr = 0.001\nbatch_size = 20\nepochs = 2\nlr_halving_period = 1\n"
                  "shuffle_seed = 9\n"
                  "\n[loss]\nalpha1 = 0.5\nalpha2 = 4.0\nalpha3 = 2.5\nuse_cross_entropy = yes\n")
+WORLD_UTF8 = ("[world]\nseed = 4\nfov_half_angle = 90\nz_base = 0.5\nz_noise_amp = 0.1\n"
+              "noise_sigma = 0.01\nlateral_jitter = 0.05\nheading_jitter_deg = 2\n"
+              "route = 0,0; 8,0; 8,3; 0,3; 0,0\nlandmarks = lmé:8,0; 路標:0,3; ñandú:4,1.5\n"
+              "obstacles = 4,0.5,4,1\n")
 
 COMMANDS = (
     ["gen-world", "--config", "small.ini", "--out", "ds"],
     ["gen-world", "--config", "small.ini", "--out", "ds-seed8", "--seed", "8"],
     ["gen-world", "--config", "small.ini", "--world-file", "ds/world.ini", "--out", "ds-world"],
+    ["gen-world", "--config", "small.ini", "--world-file", "world-utf8.ini", "--out", "ds-utf8"],
     ["train", "--config", "small.ini", "--data", "ds", "--out", "run", "--epochs", "5",
      "--checkpoint-every", "2"],
     ["train", "--config", "tanh-ce.ini", "--data", "ds", "--out", "run-ce", "--epochs", "5"],
@@ -68,8 +75,9 @@ def main(argv=None) -> int:
     work = tempfile.mkdtemp(prefix="cli-digest-")
     failed = False
     try:
-        for name, text in (("small.ini", SMALL), ("tanh-ce.ini", TANH_CE), ("every.ini", EVERY)):
-            with open(os.path.join(work, name), "w", newline="\n") as fh:
+        for name, text in (("small.ini", SMALL), ("tanh-ce.ini", TANH_CE), ("every.ini", EVERY),
+                           ("world-utf8.ini", WORLD_UTF8)):
+            with open(os.path.join(work, name), "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
         for args in COMMANDS:
             proc = subprocess.run([sys.executable, "-m", "anchorloc.cli", *args], cwd=work,
