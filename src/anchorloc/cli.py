@@ -3,8 +3,9 @@
 ``anchorloc --help`` lists the commands and ``anchorloc COMMAND --help`` their flags.
 
 Config files are INI text whose sections mirror the module types ([world],
-[data], [network], [train], [loss]) and hold the keys commands read; flags
-override file values and the fully resolved configuration is snapshotted
+[data], [network], [train], [loss]) and hold the keys commands read (not
+``input_dim``: the data fixes it); ``[loss] alpha1 > 0`` turns cross-entropy
+on. Flags override file values and the resolved configuration is snapshotted
 into the output directory, so every run is reproducible from its snapshot.
 
 Exit codes: 0 success, 1 usage error, 2 data/config error, 3 numerical
@@ -14,7 +15,6 @@ divergence.
 from __future__ import annotations
 
 import argparse
-import configparser
 import os
 import sys
 from dataclasses import MISSING, astuple, fields
@@ -36,9 +36,7 @@ _SECTIONS = {"network": NetworkSpec, "train": TrainConfig, "loss": LossWeights}
 
 
 def _text(value) -> str:
-    """A default as config text: true/false, a comma-joined tuple, else ``str``."""
-    if isinstance(value, bool):
-        return str(value).lower()
+    """A value as config text: a comma-joined tuple, else ``str``."""
     if isinstance(value, tuple):
         return ",".join(map(str, value))
     return str(value)
@@ -70,9 +68,8 @@ class _Parser(argparse.ArgumentParser):
 
 def load_config(path: str | None) -> dict[str, dict[str, str]]:
     cfg = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
-    if path:  # the keys are the defaults' and the input_dim a snapshot records
-        known = {**cfg, "network": {*cfg["network"], "input_dim"}}
-        for sec, vals in simworld.read_ini(path, known).items():
+    if path:  # the keys are the defaults'
+        for sec, vals in simworld.read_ini(path, cfg).items():
             cfg[sec].update(vals)
     return cfg
 
@@ -104,20 +101,12 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(w) for w in text.split(",") if w.strip())
 
 
-def _bool(text: str) -> bool:
-    """configparser's boolean words: 1/yes/true/on and 0/no/false/off."""
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}") from None
-
-
 def _build(cfg, section: str, **given):
     """The section's dataclass from the values a command supplies plus every
     other field that has a default, read from ``cfg`` by the default's type."""
     for f in fields(_SECTIONS[section]):
         if f.name not in given and f.default is not MISSING:
-            convert = {bool: _bool, tuple: _int_list}.get(type(f.default), type(f.default))
+            convert = _int_list if type(f.default) is tuple else type(f.default)
             given[f.name] = _value(cfg, section, f.name, convert)
     return _SECTIONS[section](**given)
 
@@ -152,10 +141,8 @@ def cmd_train(args) -> int:
     cfg = _config(args)
     k = _value(cfg, "data", "frame_interval", int)
     scene = data.load_dataset_dir(args.data, k)  # validates inputs before any output
-    dim = scene.train.features.shape[1]
-    cfg["network"]["input_dim"] = str(dim)
-
-    spec = _build(cfg, "network", input_dim=dim, num_anchors=scene.num_anchors)
+    spec = _build(cfg, "network", input_dim=scene.train.features.shape[1],
+                  num_anchors=scene.num_anchors)
     train_cfg = _train_config(cfg)
 
     created = not os.path.exists(args.out)
@@ -215,9 +202,8 @@ def cmd_sweep(args) -> int:
     if not args.k:
         raise _UsageError("--k needs at least one value")
 
+    cfg["data"]["frame_interval"] = _text(args.k)  # the intervals this run trains
     train_poses, train_feats, test_poses, test_feats = data.load_dataset_files(args.data)
-
-    cfg["network"]["input_dim"] = str(train_feats.shape[1])
     spec_template = _build(cfg, "network", input_dim=train_feats.shape[1], num_anchors=1)
     train_cfg = _train_config(cfg)
 
@@ -255,8 +241,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", dest="train.epochs", metavar="EPOCHS", type=int)
     p.add_argument("--k", dest="data.frame_interval", metavar="K", type=int,
                    help="anchor frame interval")
-    p.add_argument("--no-cross-entropy", dest="loss.use_cross_entropy",
-                   action="store_const", const="false")
+    p.add_argument("--no-cross-entropy", dest="loss.alpha1", action="store_const",
+                   const="0.0", help="set [loss] alpha1 to 0, turning the cross-entropy term off")
     p.add_argument("--checkpoint-every", type=int, default=0,
                    help="also write a checkpoint every N epochs")
     p.set_defaults(func=cmd_train)

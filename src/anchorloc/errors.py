@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer checks that raise them.
 
 The CLI maps these onto exit codes, so raising the right class matters:
 data/format problems are distinct from numerical failures.
@@ -52,3 +52,18 @@ class TrainingDivergenceError(AnchorLocError, ArithmeticError):
 
 class UndefinedRateError(AnchorLocError, ValueError):
     """A rate was requested over an empty qualifying set."""
+
+
+def as_int(name: str, value, error=InvalidSpecError) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool or a float."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return value.__index__()
+
+
+def as_seed(name: str, value, error=InvalidSpecError) -> int:
+    """``value`` as a seed: an integer in [0, 2**64), which numpy takes as it is."""
+    value = as_int(name, value, error)
+    if not 0 <= value < 2**64:
+        raise error(f"{name} must be {'>= 0' if value < 0 else '< 2**64'}, got {value}")
+    return value

@@ -9,7 +9,8 @@ Three components:
 - absolute term: squared z residual plus squared distance between the ground
   truth quaternion and the normalized raw orientation output. Invariant to
   positive scaling of the raw orientation by construction.
-- optional cross-entropy term against the nearest-anchor label.
+- cross-entropy against the nearest-anchor label, an opt-in ablation that
+  is on exactly when its weight alpha1 is > 0.
 
 The total is an alpha-weighted sum. Each term is one batched kernel and
 :func:`batch_total_loss` combines them; a single sample is a batch of one.
@@ -32,10 +33,9 @@ ORIENT_NORM_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class LossWeights:
-    alpha1: float = 2.0   # cross-entropy weight; ignored when use_cross_entropy is False
+    alpha1: float = 0.0   # cross-entropy weight; the term is on when > 0
     alpha2: float = 10.0  # confidence-weighted offset weight
     alpha3: float = 1.0   # absolute (z + orientation) weight
-    use_cross_entropy: bool = False
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2", "alpha3"):
@@ -170,7 +170,7 @@ def batch_total_loss(pred: BatchPrediction, gt_offsets: np.ndarray, gt_z: np.nda
     d_logits *= inv_b
     total_per = weights.alpha2 * off_per
     ce_mean = 0.0
-    if weights.use_cross_entropy:
+    if weights.alpha1 > 0:
         ce_per, d_logits_ce = cross_entropy_term(pred.logits, softmax, nearest, weights.alpha1)
         d_logits_ce *= inv_b
         d_logits += d_logits_ce

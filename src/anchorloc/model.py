@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidSpecError
+from .errors import InvalidInputError, InvalidSpecError, as_int, as_seed
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -34,7 +34,8 @@ ABS_HEAD_DIM = 5  # z plus 4 orientation components
 @dataclass(frozen=True)
 class Trunk:
     """The fully-connected trunk both models share; the defaults are the
-    README configuration. Subclasses add the heads through ``head_dims()``."""
+    README configuration. Subclasses add the heads through ``head_dims()``.
+    Sizes and the seed (in [0, 2**64)) are ints: bools and floats fail."""
 
     input_dim: int
     hidden_layers: tuple[int, ...] = (48, 48)
@@ -42,15 +43,16 @@ class Trunk:
     seed: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_layers", tuple(int(w) for w in self.hidden_layers))
+        object.__setattr__(self, "input_dim", as_int("input_dim", self.input_dim))
+        object.__setattr__(self, "hidden_layers",
+                           tuple(as_int("hidden layer width", w) for w in self.hidden_layers))
+        object.__setattr__(self, "seed", as_seed("seed", self.seed))
         if self.input_dim < 1:
             raise InvalidSpecError("input_dim must be >= 1")
         if any(w < 1 for w in self.hidden_layers):
             raise InvalidSpecError("hidden layer widths must be >= 1")
         if self.activation not in ACTIVATIONS:
             raise InvalidSpecError(f"activation must be one of {ACTIVATIONS}")
-        if self.seed < 0:
-            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -58,6 +60,7 @@ class NetworkSpec(Trunk):
     num_anchors: int
 
     def __post_init__(self):
+        object.__setattr__(self, "num_anchors", as_int("num_anchors", self.num_anchors))
         super().__post_init__()
         if self.num_anchors < 1:
             raise InvalidSpecError("num_anchors must be >= 1")
@@ -65,16 +68,6 @@ class NetworkSpec(Trunk):
     def head_dims(self) -> dict[str, int]:
         n = self.num_anchors
         return {"logits": n, "offsets": 2 * n, "absolute": ABS_HEAD_DIM}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkSpec":
-        return cls(
-            input_dim=int(d["input_dim"]),
-            hidden_layers=tuple(int(w) for w in d["hidden_layers"]),
-            num_anchors=int(d["num_anchors"]),
-            activation=str(d["activation"]),
-            seed=int(d["seed"]),
-        )
 
 
 @dataclass

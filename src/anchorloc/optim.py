@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from . import loss as lossmod
 from . import model as modelmod
 from .data import SampleBatch
 from .errors import (DegenerateOrientationError, InvalidInputError, ParseError,
-                     TrainingDivergenceError)
+                     TrainingDivergenceError, as_seed)
 from .loss import LossWeights
 from .model import NetworkSpec
 from .simworld import write_atomically
@@ -49,6 +49,8 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
+        object.__setattr__(self, "shuffle_seed",
+                           as_seed("shuffle_seed", self.shuffle_seed, InvalidInputError))
         if not math.isfinite(self.lr) or self.lr <= 0:
             raise InvalidInputError(f"lr must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
@@ -104,11 +106,6 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     adam.grad[...] = grads
     adam.step(lr)
     return adam.params, AdamState(m=adam.m, v=adam.v, t=adam.t)
-
-
-def _epoch_permutation(shuffle_seed: int, epoch: int, n: int) -> np.ndarray:
-    rng = np.random.default_rng([shuffle_seed & 0xFFFFFFFFFFFFFFFF, epoch])
-    return rng.permutation(n)
 
 
 class _InPlaceAdam:
@@ -182,7 +179,7 @@ def _train_loop(samples: SampleBatch, spec, config: TrainConfig, loss, targets,
     history: list[EpochStats] = []
     for epoch in range(start_epoch, config.epochs):
         lr = lr_at(epoch, config)
-        perm = _epoch_permutation(config.shuffle_seed, epoch, n_samples)
+        perm = np.random.default_rng([config.shuffle_seed, epoch]).permutation(n_samples)
         feats = samples.features[perm]
         cols = [t[perm] for t in targets]
         total = offset = absolute = ce = 0.0  # sums of batch size times batch mean
@@ -271,8 +268,9 @@ def load_training_checkpoint(path):
     """Returns (spec, params, AdamState, epoch, meta) of a file in
     :func:`save_training_checkpoint`'s layout.
 
-    The spec fixes the arrays: exactly ``params``, ``adam_m`` and ``adam_v``,
-    in that order, each of shape ``[param_count(spec)]``. The meta's ``epoch``,
+    The spec names every NetworkSpec field, which NetworkSpec checks, and fixes
+    the arrays: exactly ``params``, ``adam_m`` and ``adam_v``, in that order,
+    each of shape ``[param_count(spec)]``. The meta's ``epoch``,
     ``adam_t`` and ``frame_interval``, where present, must be integers. Any
     other header, and arrays of any other size, is ParseError.
     """
@@ -288,7 +286,9 @@ def load_training_checkpoint(path):
         raise ParseError(f"{path}: truncated header")
     try:  # RecursionError: JSON nested too deeply to decode
         header = json.loads(raw[12:off].decode())
-        spec = NetworkSpec.from_dict(header["spec"])
+        if set(header["spec"]) != {f.name for f in fields(NetworkSpec)}:  # so none is defaulted
+            raise KeyError(f"spec keys {sorted(header['spec'])} are not NetworkSpec's fields")
+        spec = NetworkSpec(**header["spec"])
         n = modelmod.param_count(spec)
         if header["arrays"] != [{"name": a, "shape": [n]} for a in _ARRAYS]:
             raise ValueError(f"arrays must be {', '.join(_ARRAYS)}, in that order, each of "

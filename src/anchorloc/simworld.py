@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidSpecError, ParseError
+from .errors import InvalidInputError, InvalidSpecError, ParseError, as_seed
 from .geometry import Pose, yaw_quat
 
 GRAZE_EPS = 1e-12
@@ -81,6 +81,7 @@ class WorldSpec:
                                        f"{getattr(self, name)}")
         if not 0.0 < self.fov_half_angle < 180.0:
             raise InvalidSpecError("fov_half_angle must be in (0, 180) degrees")
+        object.__setattr__(self, "seed", as_seed("seed", self.seed))
         lm = tuple((str(name), (float(p[0]), float(p[1]))) for name, p in self.landmarks)
         names = [name for name, _ in lm]
         if len(set(names)) != len(names):
@@ -243,7 +244,7 @@ def _z_profile(fracs: np.ndarray, spec: WorldSpec) -> np.ndarray:
     """Smooth, seeded, periodic height profile over route fraction in [0, 1)."""
     if spec.z_noise_amp == 0.0:
         return np.full_like(fracs, spec.z_base)
-    rng = np.random.default_rng([spec.seed & 0xFFFFFFFFFFFFFFFF, _STREAM_Z])
+    rng = np.random.default_rng([spec.seed, _STREAM_Z])
     ph = rng.uniform(0.0, 1.0, size=2)
     wave = 0.6 * np.sin(2 * np.pi * (fracs + ph[0])) + \
         0.4 * np.sin(2 * np.pi * (2 * fracs + ph[1]))
@@ -256,7 +257,7 @@ def _camera_path(spec: WorldSpec, n: int, stream: int, ordered: bool):
     route = _Route(spec.route)
     if route.length <= 0.0:
         raise InvalidSpecError("route has zero length")
-    rng = np.random.default_rng([spec.seed & 0xFFFFFFFFFFFFFFFF, stream])
+    rng = np.random.default_rng([spec.seed, stream])
     if ordered:
         s = (np.arange(n) + rng.uniform(0.0, 1.0, size=n)) / max(n, 1) * route.length
     else:
@@ -284,7 +285,7 @@ def generate(spec: WorldSpec, n_train: int, n_test: int) -> tuple[list[Sample], 
             (n_test, _STREAM_TEST, _STREAM_TEST_NOISE, False)):
         poses = [Pose(position=np.array([x, y, z]), orientation=yaw_quat(yaw))
                  for x, y, z, yaw in zip(*_camera_path(spec, n, pose_stream, ordered))]
-        nrng = np.random.default_rng([spec.seed & 0xFFFFFFFFFFFFFFFF, noise_stream])
+        nrng = np.random.default_rng([spec.seed, noise_stream])
         noise = nrng.standard_normal((n, len(spec.landmarks), 2))
         samples = []
         for i, pose in enumerate(poses):

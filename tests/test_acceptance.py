@@ -184,7 +184,7 @@ def max_rel_err(analytic, fd):
 
 def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(2024)
-    weights = LossWeights(alpha1=2.0, alpha2=10.0, alpha3=1.0, use_cross_entropy=True)
+    weights = LossWeights(alpha1=2.0, alpha2=10.0, alpha3=1.0)
     h = 1e-5
     worst = 0.0
     start = time.time()
@@ -250,14 +250,14 @@ def test_criterion_2_loss_degenerations():
     offs = rng.standard_normal((3, 2))
     perfect = one_sample(rng.standard_normal(3), offs, 0.3, 1.7 * q)
     target = (offs[None].copy(), np.array([0.3]), q[None], np.array([1]))
-    breakdown = batch_total_loss(perfect, *target, LossWeights(use_cross_entropy=False))[0]
+    breakdown = batch_total_loss(perfect, *target, LossWeights())[0]
     ok &= abs(breakdown.total) < 1e-12
 
     # alpha isolation reproduces each component alone
     pred2 = one_sample(rng.standard_normal(3), rng.standard_normal((3, 2)),
                        rng.standard_normal(), rng.standard_normal(4) + 0.2)
     target2 = (rng.standard_normal((1, 3, 2)), np.array([0.1]), q[None], np.array([2]))
-    for alphas, term in ((dict(alpha1=3.0, alpha2=0.0, alpha3=0.0, use_cross_entropy=True), "ce_term"),
+    for alphas, term in ((dict(alpha1=3.0, alpha2=0.0, alpha3=0.0), "ce_term"),
                          (dict(alpha1=0.0, alpha2=7.0, alpha3=0.0), "offset_term"),
                          (dict(alpha1=0.0, alpha2=0.0, alpha3=2.5), "absolute_term")):
         b = batch_total_loss(pred2, target2[0].copy(), *target2[1:], LossWeights(**alphas))[0]

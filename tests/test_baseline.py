@@ -88,7 +88,7 @@ def test_loss_breakdown_is_the_mean_of_the_terms(B, use_ce):
     """Bit for bit: each field is ``float(per.mean())`` of the per-sample
     terms; the control has no cross-entropy term whatever the weights say."""
     rng = np.random.default_rng(40 + B)
-    w = LossWeights(alpha1=1.3, alpha2=7.0, alpha3=0.6, use_cross_entropy=use_ce)
+    w = LossWeights(alpha1=1.3 if use_ce else 0.0, alpha2=7.0, alpha3=0.6)
     pose = rng.standard_normal((B, 7))
     pose[:, 3] += 3.0  # keeps every raw orientation far from zero
     gt_xyz = rng.standard_normal((B, 3))

@@ -119,7 +119,7 @@ class TestTrain:
 
     def test_snapshot_reflects_flags(self, trained_run):
         snapshot = (trained_run / "config.ini").read_text()
-        assert "use_cross_entropy = false" in snapshot
+        assert "alpha1 = 0.0" in snapshot
         assert "epochs = 3" in snapshot
 
     def test_one_epoch_is_fast_with_one_log_row(self, dataset_dir, tmp_path):
@@ -225,8 +225,8 @@ class TestSeedFlag:
 
 class TestOverrideFlag:
     @pytest.mark.parametrize("command,flags,text,section,key,value", [
-        ("train", ["--epochs", "1", "--no-cross-entropy"], "[loss]\nuse_cross_entropy = true\n",
-         "loss", "use_cross_entropy", "false"),
+        ("train", ["--epochs", "1", "--no-cross-entropy"], "[loss]\nalpha1 = 2.0\n",
+         "loss", "alpha1", "0.0"),
         ("train", ["--epochs", "1", "--k", "60"], "", "data", "frame_interval", "60"),
         ("sweep-anchors", ["--k", "30", "--epochs", "1"], "[train]\nepochs = 5\n",
          "train", "epochs", "1")], ids=["train-no-cross-entropy", "train-k", "sweep-epochs"])
@@ -240,7 +240,7 @@ class TestOverrideFlag:
         assert main([command, "--config", str(own), "--data", str(out), "--out", str(run),
                      *flags]) == EXIT_OK
         assert load_config(str(run / "config.ini"))[section][key] == value
-        if key == "use_cross_entropy":
+        if key == "alpha1":
             rows = (run / "training_log.csv").read_text().splitlines()[1:]
             assert rows and all(row.split(",")[-1] == "0" for row in rows)
         if key == "frame_interval":
@@ -254,7 +254,7 @@ class TestConfigValues:
         ("data", "frame_interval"), ("network", "hidden_layers"), ("network", "seed"),
         ("train", "lr"), ("train", "batch_size"), ("train", "epochs"),
         ("train", "lr_halving_period"), ("train", "shuffle_seed"), ("loss", "alpha2"),
-        ("loss", "use_cross_entropy")])
+        ("loss", "alpha1")])
     def test_bad_config_value_is_a_config_error(self, dataset_dir, tmp_path, capsys,
                                                 section, key):
         out, _ = dataset_dir
@@ -273,16 +273,23 @@ class TestConfigValues:
         ("train", "[train]\nlr = nan\n", [], "lr must be finite and > 0, got nan"),
         ("train", "[train]\nlr = inf\n", [], "lr must be finite and > 0, got inf"),
         ("train", "", ["--seed", "-1"], "seed must be >= 0, got -1"),
-        ("sweep-anchors", "", ["--k", "30", "--seed", "-1"], "seed must be >= 0, got -1")],
-        ids=["lr-nan", "lr-inf", "train-seed", "sweep-seed"])
+        ("sweep-anchors", "", ["--k", "30", "--seed", "-1"], "seed must be >= 0, got -1"),
+        ("train", "", ["--seed", str(2**64)], f"seed must be < 2**64, got {2**64}"),
+        ("gen-world", "", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("gen-world", "", ["--seed", str(2**64)], f"seed must be < 2**64, got {2**64}"),
+        ("train", "[train]\nshuffle_seed = -1\n", [], "shuffle_seed must be >= 0, got -1"),
+        ("train", f"[train]\nshuffle_seed = {2**64}\n", [],
+         f"shuffle_seed must be < 2**64, got {2**64}")],
+        ids=["lr-nan", "lr-inf", "train-seed", "sweep-seed", "train-seed-2**64", "world-seed",
+             "world-seed-2**64", "shuffle-seed", "shuffle-seed-2**64"])
     def test_out_of_range_value_is_a_config_error(self, dataset_dir, tmp_path, capsys,
                                                   command, text, flags, message):
         out, cfg = dataset_dir
         own = tmp_path / "own.ini"
         own.write_text(f"{cfg.read_text()}\n{text}")
         run = tmp_path / "run"
-        rc = main([command, "--config", str(own), "--data", str(out), "--out", str(run),
-                   *flags])
+        data_arg = [] if command == "gen-world" else ["--data", str(out)]
+        rc = main([command, "--config", str(own), *data_arg, "--out", str(run), *flags])
         assert rc == EXIT_DATA
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not run.exists()
@@ -295,17 +302,18 @@ class TestConfigValues:
         trunk = {k: v for k, v in vars(spec).items() if k != "num_anchors"}
         assert vars(DirectSpec(input_dim=5)) == trunk
 
-    @pytest.mark.parametrize("word,on", [("on", True), ("off", False)])
-    def test_cross_entropy_takes_configparser_booleans(self, dataset_dir, tmp_path, word, on):
+    @pytest.mark.parametrize("alpha1", ["0.0", "0", "2.0", "1e-3"])
+    def test_cross_entropy_is_on_exactly_when_alpha1_is_positive(self, dataset_dir, tmp_path,
+                                                                 alpha1):
         out, cfg = dataset_dir
         ce_cfg = tmp_path / "ce.ini"
-        ce_cfg.write_text(cfg.read_text() + f"\n[loss]\nuse_cross_entropy = {word}\n")
+        ce_cfg.write_text(cfg.read_text() + f"\n[loss]\nalpha1 = {alpha1}\n")
         run = tmp_path / "run"
         assert main(["train", "--config", str(ce_cfg), "--data", str(out), "--out", str(run),
                      "--epochs", "1"]) == EXIT_OK
         log = (run / "training_log.csv").read_text().splitlines()
-        assert (float(log[1].split(",")[5]) != 0.0) == on  # the ce column
-        assert f"use_cross_entropy = {word}\n" in (run / "config.ini").read_text()
+        assert (float(log[1].split(",")[5]) != 0.0) == (float(alpha1) > 0)  # the ce column
+        assert f"alpha1 = {alpha1}\n" in (run / "config.ini").read_text()
 
     @pytest.mark.parametrize("text", [b"[world\nn_train = 10\n", b"\xff[world]\nn_train = 10\n"],
                              ids=["section-not-closed", "not-utf8"])
@@ -337,9 +345,11 @@ class TestConfigValues:
         ("[trian]\nepochs = 1\n", "[trian]"),
         ("[train]\nweights = whatever\n", "[train] weights"),
         ("[network]\nnum_anchors = 999\n", "[network] num_anchors"),
-        ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]")],
+        ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
+        ("[network]\ninput_dim = 99\n", "unknown key [network] input_dim"),
+        ("[loss]\nuse_cross_entropy = true\n", "unknown key [loss] use_cross_entropy")],
         ids=["key", "key-near-a-field", "section", "train-weights", "network-num_anchors",
-             "default-section"])
+             "default-section", "network-input_dim", "loss-use_cross_entropy"])
     def test_unknown_key_or_section_is_a_config_error(self, dataset_dir, tmp_path, capsys,
                                                       text, named):
         out, cfg = dataset_dir
@@ -579,6 +589,10 @@ def _meta_set(key, value):
     return lambda header, blocks: header["meta"].__setitem__(key, value)
 
 
+def _spec_set(key, value):
+    return lambda header, blocks: header["spec"].__setitem__(key, value)
+
+
 def _dropped(*keys):
     """Removes the meta keys or the arrays (header entry and bytes) ``keys``."""
     def edit(header, blocks):
@@ -632,6 +646,10 @@ class TestCheckpointMeta:
         "extra-array": _extra_array,
         "arrays-reordered": _arrays_reordered,
         "negative-seed": lambda header, blocks: header["spec"].__setitem__("seed", -1),
+        "seed-2**64": _spec_set("seed", 2**64),
+        "input_dim-fraction": _spec_set("input_dim", 12.5),
+        "width-fraction": _spec_set("hidden_layers", [48.5, 48]),
+        "spec-without-activation": lambda header, blocks: header["spec"].pop("activation"),
     }
 
     @pytest.mark.parametrize("how", EDITS)
@@ -736,9 +754,10 @@ class TestWorldFileSyntax:
         (lambda text: text.replace("[world]\n", ""),
          "line 1: malformed (MissingSectionHeaderError)"),
         (lambda text: text + "[extra]\nx = 1\n", "unknown section [extra]"),
-        (lambda text: text + "[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]")],
+        (lambda text: text + "[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
+        (lambda text: text.replace("seed = 7\n", "seed = -1\n"), "seed must be >= 0, got -1")],
         ids=["unknown-key", "duplicate-key", "no-equals-sign", "no-header", "unknown-section",
-             "default-section"])
+             "default-section", "negative-seed"])
     def test_is_a_data_error(self, dataset_dir, tmp_path, capsys, edit, named):
         out, cfg = dataset_dir
         text = (out / "world.ini").read_text()
@@ -775,7 +794,7 @@ def small_checkpoint(small_dataset, tmp_path_factory):
 # variant trains in well under a second
 SMALL_TRAIN_CONFIG = (b"[data]\nframe_interval = 10\n\n[network]\nhidden_layers = 8\n"
                       b"activation = tanh\nseed = 3\n\n[train]\nlr = 0.001\nbatch_size = 16\n"
-                      b"epochs = 2\n\n[loss]\nalpha2 = 10.0\nuse_cross_entropy = true\n")
+                      b"epochs = 2\n\n[loss]\nalpha1 = 2.0\nalpha2 = 10.0\n")
 
 _BYTE = st.sampled_from(b"\n\r\t #-+.,;:=_e0159") | st.integers(0, 255)
 
@@ -946,6 +965,13 @@ class TestSweep:
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
         assert (a / "sweep.svg").read_bytes() == (b / "sweep.svg").read_bytes()
         assert len((a / "sweep.csv").read_text().splitlines()) == 3
+
+    def test_snapshot_records_the_intervals_it_trained(self, dataset_dir, tmp_path):
+        out, cfg = dataset_dir
+        sw = tmp_path / "sw"
+        assert main(["sweep-anchors", "--config", str(cfg), "--data", str(out),
+                     "--out", str(sw), "--k", "20,40", "--epochs", "1"]) == EXIT_OK
+        assert load_config(str(sw / "config.ini"))["data"]["frame_interval"] == "20,40"
 
     def test_misaligned_frame_ids_rejected(self, dataset_dir, tmp_path):
         out, cfg = dataset_dir

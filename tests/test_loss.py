@@ -242,7 +242,7 @@ class TestGradients:
 
     def test_total_loss_gradient(self):
         rng = np.random.default_rng(11)
-        weights = LossWeights(alpha1=2.0, alpha2=10.0, alpha3=1.0, use_cross_entropy=True)
+        weights = LossWeights(alpha1=2.0, alpha2=10.0, alpha3=1.0)
         for _ in range(10):
             pred, target = random_case(rng)
             _, *grad = total(pred, target, weights)
@@ -255,11 +255,11 @@ class TestTotalLoss:
     def test_alpha_isolation(self):
         rng = np.random.default_rng(12)
         pred, target = random_case(rng)
-        ce_only = LossWeights(alpha1=3.0, alpha2=0.0, alpha3=0.0, use_cross_entropy=True)
+        ce_only = LossWeights(alpha1=3.0, alpha2=0.0, alpha3=0.0)
         breakdown = total(pred, target, ce_only)[0]
         assert breakdown.total == pytest.approx(3.0 * breakdown.ce_term, abs=1e-12)
 
-        off_only = LossWeights(alpha1=0.0, alpha2=5.0, alpha3=0.0, use_cross_entropy=False)
+        off_only = LossWeights(alpha1=0.0, alpha2=5.0, alpha3=0.0)
         breakdown = total(pred, target, off_only)[0]
         assert breakdown.total == pytest.approx(5.0 * breakdown.offset_term, abs=1e-12)
 
@@ -269,7 +269,7 @@ class TestTotalLoss:
         offs = rng.standard_normal((3, 2))
         pred = make_pred(rng.standard_normal(3), offs, z=0.7, orient=2.0 * q)
         target = Target(offs[None], np.array([0.7]), q[None], np.array([0]))
-        breakdown = total(pred, target, LossWeights(use_cross_entropy=False))[0]
+        breakdown = total(pred, target, LossWeights())[0]
         assert breakdown.total == pytest.approx(0.0, abs=1e-12)
 
     def test_alpha_homogeneity(self):
@@ -281,7 +281,7 @@ class TestTotalLoss:
 
     def test_breakdown_composition(self):
         rng = np.random.default_rng(15)
-        w = LossWeights(alpha1=1.5, alpha2=4.0, alpha3=0.5, use_cross_entropy=True)
+        w = LossWeights(alpha1=1.5, alpha2=4.0, alpha3=0.5)
         for _ in range(10):
             pred, target = random_case(rng)
             b = total(pred, target, w)[0]
@@ -294,7 +294,7 @@ class TestBatchPath:
     def test_batch_matches_per_sample_mean(self):
         rng = np.random.default_rng(16)
         n, B = 4, 7
-        w = LossWeights(alpha1=2.0, alpha2=10.0, alpha3=1.0, use_cross_entropy=True)
+        w = LossWeights(alpha1=2.0, alpha2=10.0, alpha3=1.0)
         preds, targets = zip(*(random_case(rng, n=n) for _ in range(B)))
         bpred = BatchPrediction(**{k: np.concatenate([p[k] for p in preds]) for k in preds[0]})
         gt = [np.concatenate(field) for field in zip(*targets)]
@@ -317,7 +317,7 @@ class TestBatchPath:
         per-sample terms, and the total is alpha1 ce + alpha2 off + alpha3 abs
         per sample, with ce a zero array when cross-entropy is off."""
         rng = np.random.default_rng(18 + B)
-        w = LossWeights(alpha1=1.3, alpha2=7.0, alpha3=0.6, use_cross_entropy=use_ce)
+        w = LossWeights(alpha1=1.3 if use_ce else 0.0, alpha2=7.0, alpha3=0.6)
         preds, targets = zip(*(random_case(rng, n=5) for _ in range(B)))
         fields = {k: np.concatenate([p[k] for p in preds]) for k in preds[0]}
         gt = Target(*(np.concatenate(field) for field in zip(*targets)))
@@ -333,7 +333,7 @@ class TestBatchPath:
     def test_batch_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
         n, B = 4, 3
-        w = LossWeights(alpha1=1.5, alpha2=4.0, alpha3=0.7, use_cross_entropy=True)
+        w = LossWeights(alpha1=1.5, alpha2=4.0, alpha3=0.7)
         preds, targets = zip(*(random_case(rng, n=n) for _ in range(B)))
         fields = {k: np.concatenate([p[k] for p in preds]) for k in preds[0]}
         gt = Target(*(np.concatenate(field) for field in zip(*targets)))

@@ -80,11 +80,25 @@ class TestInit:
     @pytest.mark.parametrize("make", [lambda **kw: NetworkSpec(num_anchors=2, **kw), DirectSpec],
                              ids=["NetworkSpec", "DirectSpec"])
     @pytest.mark.parametrize("bad", [{"hidden_layers": (0,)}, {"activation": "sigmoid"},
-                                     {"input_dim": 0}, {"seed": -1}],
-                             ids=["zero-width", "unknown-activation", "no-input", "negative-seed"])
+                                     {"input_dim": 0}, {"seed": -1}, {"seed": 2**64},
+                                     {"input_dim": 12.0}, {"hidden_layers": (4.9,)},
+                                     {"seed": True}],
+                             ids=["zero-width", "unknown-activation", "no-input", "negative-seed",
+                                  "seed-2**64", "float-input", "float-width", "bool-seed"])
     def test_invalid_trunk_rejected(self, make, bad):
         with pytest.raises(InvalidSpecError):
             make(**{"input_dim": 4, **bad})
+
+    def test_num_anchors_is_an_integer(self):
+        with pytest.raises(InvalidSpecError, match="num_anchors"):
+            NetworkSpec(input_dim=4, num_anchors=2.0)
+
+    def test_numpy_integers_become_ints(self):
+        spec = NetworkSpec(input_dim=np.int64(5), hidden_layers=(np.int32(7),),
+                           num_anchors=np.uint8(3), seed=np.uint64(2**63))
+        assert spec == NetworkSpec(input_dim=5, hidden_layers=(7,), num_anchors=3, seed=2**63)
+        assert {type(v) for v in (spec.input_dim, *spec.hidden_layers, spec.num_anchors,
+                                  spec.seed)} == {int}
 
 
 class TestForward:

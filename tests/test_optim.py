@@ -185,7 +185,7 @@ class TestTrain:
     def test_divergence_aborts_with_location(self, tiny_scene, tiny_net):
         # an absurd alpha makes activations overflow within a few steps
         cfg = TrainConfig(epochs=4, lr=1e250,
-                          weights=LossWeights(alpha2=1e280, use_cross_entropy=False))
+                          weights=LossWeights(alpha2=1e280))
         with pytest.raises(TrainingDivergenceError) as err:
             train(tiny_scene.train, tiny_net, cfg)
         assert err.value.epoch is not None
@@ -287,8 +287,8 @@ class TestInPlaceStep:
         spec = NetworkSpec(input_dim=tiny_scene.train.features.shape[1], hidden_layers=(16, 8),
                            num_anchors=tiny_scene.num_anchors, activation=activation, seed=5)
         cfg = TrainConfig(epochs=4, batch_size=7, lr=1e-2, lr_halving_period=2, shuffle_seed=3,
-                          weights=LossWeights(alpha1=0.5, alpha2=3.0, alpha3=0.7,
-                                              use_cross_entropy=use_ce))
+                          weights=LossWeights(alpha1=0.5 if use_ce else 0.0, alpha2=3.0,
+                                              alpha3=0.7))
         report = train(tiny_scene.train, spec, cfg)
         ref = reference_loop(tiny_scene.train, model.init(spec), AdamState.initial(
             model.param_count(spec)), cfg, anchor_loss_grad(tiny_scene.train, spec, cfg.weights))

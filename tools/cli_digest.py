@@ -10,7 +10,7 @@ directory, again from the first run's ``world.ini`` through
 ``--world-file``, and from a small world file whose landmark names are not
 ASCII (a UTF-8 round trip through the readers and writers), ``train`` for 5
 epochs with ``--checkpoint-every 2``, a tanh ``train`` with the cross-entropy
-term on, the same tanh config overridden by ``--seed 3 --k 20
+term on (``alpha1 = 2.0``), the same tanh config overridden by ``--seed 3 --k 20
 --no-cross-entropy --epochs 2``, a 2-epoch ``train`` whose
 config sets every ``[network]``, ``[train]`` and ``[loss]`` key away from its
 default, argmax, ``--weighted`` and cross-entropy ``eval``, an ``eval`` of the
@@ -18,7 +18,9 @@ periodic checkpoint ``run/checkpoint_epoch0004.bin``, and ``sweep-anchors --k
 1,5,10,20 --epochs 3``. Each command runs in its own process with BLAS pinned to one thread.
 It prints every command with its exit code, stdout and stderr (the temporary
 directory shown as ``$TMP``), then ``sha256  relative/path`` for every file
-the run left, and deletes the directory.
+the run left, each ``.ini`` file followed by its text indented by four spaces
+(so a config change shows as changed lines in a diff), and deletes the
+directory.
 Run it on two source trees and diff the outputs. Exits 1 if a command
 failed.
 """
@@ -33,11 +35,11 @@ import sys
 import tempfile
 
 SMALL = "[world]\nn_train = 400\nn_test = 80\n\n[data]\nframe_interval = 40\n"
-TANH_CE = SMALL + "\n[network]\nactivation = tanh\n\n[loss]\nuse_cross_entropy = true\n"
+TANH_CE = SMALL + "\n[network]\nactivation = tanh\n\n[loss]\nalpha1 = 2.0\n"
 EVERY = SMALL + ("\n[network]\nhidden_layers = 24,16\nactivation = tanh\nseed = 5\n"
                  "\n[train]\nlr = 0.001\nbatch_size = 20\nepochs = 2\nlr_halving_period = 1\n"
                  "shuffle_seed = 9\n"
-                 "\n[loss]\nalpha1 = 0.5\nalpha2 = 4.0\nalpha3 = 2.5\nuse_cross_entropy = yes\n")
+                 "\n[loss]\nalpha1 = 0.5\nalpha2 = 4.0\nalpha3 = 2.5\n")
 WORLD_UTF8 = ("[world]\nseed = 4\nfov_half_angle = 90\nz_base = 0.5\nz_noise_amp = 0.1\n"
               "noise_sigma = 0.01\nlateral_jitter = 0.05\nheading_jitter_deg = 2\n"
               "route = 0,0; 8,0; 8,3; 0,3; 0,0\nlandmarks = lmé:8,0; 路標:0,3; ñandú:4,1.5\n"
@@ -91,8 +93,11 @@ def main(argv=None) -> int:
             for name in sorted(files):
                 path = os.path.join(root, name)
                 with open(path, "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).hexdigest()
-                print(f"{digest}  {os.path.relpath(path, work)}")
+                    raw = fh.read()
+                print(f"{hashlib.sha256(raw).hexdigest()}  {os.path.relpath(path, work)}")
+                if name.endswith(".ini"):
+                    for line in raw.decode("utf-8").splitlines():
+                        print(f"    {line}".rstrip())
     finally:
         shutil.rmtree(work)
     return 1 if failed else 0
