@@ -2,6 +2,11 @@
 median/mean translation error, median rotation error, threshold accuracy,
 the anchor-interval sweep, and the anchor-discovery stats.
 
+Argmax reconstruction reads the offsets of each row's argmax anchor only, so
+``evaluate``, ``discovery_stats`` and a served query never build the (B, N, 2)
+offsets table of a :func:`model.forward_batch` prediction; weighted mode
+reads the whole table.
+
 The accuracy criterion counts a prediction correct exactly when the
 translation error is below 2 m AND the rotation error is below 5 degrees.
 """
@@ -49,7 +54,8 @@ class EvalReport:
 def reconstruct(pred: BatchPrediction, anchor_map: AnchorMap, mode: str = "argmax"):
     """Poses from network outputs -> (positions (B, 3), unit quaternions, argmax
     anchors). (x, y) is the argmax anchor plus its offset (ties take the lowest
-    index), or in weighted mode the confidence-weighted mean of the two."""
+    index; only that anchor's offsets are read), or in weighted mode the
+    confidence-weighted mean of the two."""
     B, N = pred.logits.shape
     if N != len(anchor_map):
         raise InvalidInputError("prediction/anchor-map size mismatch")
@@ -57,10 +63,8 @@ def reconstruct(pred: BatchPrediction, anchor_map: AnchorMap, mode: str = "argma
     j = pred.logits.argmax(axis=1)
     pos = np.empty((B, 3))
     pos[:, 2] = pred.z_hat
-    if mode == "argmax":  # one index per row of the (B*N, 2) offsets: cheapest at B=1
-        np.add(anchor_map.anchors.take(j, axis=0),
-               pred.offsets.reshape(-1, 2).take(np.arange(0, B * N, N) + j, axis=0),
-               out=pos[:, :2])
+    if mode == "argmax":
+        np.add(anchor_map.anchors.take(j, axis=0), pred.anchor_offsets(j), out=pos[:, :2])
     elif mode == "weighted":
         c = confidences(pred.logits)
         pos[:, :2] = (c[:, :, None] * (anchor_map.anchors[None] + pred.offsets)).sum(axis=1)

@@ -15,7 +15,13 @@ direct-regression control in ``baseline`` runs on the same code with its own hea
 :class:`Bound` is the one forward and backward pass; ``forward_batch``,
 ``forward`` and ``backward_batch`` are calls into it. ``forward_batch`` (and
 so every single-sample ``forward``) reuses the Bound of the last parameter
-vector it served, so a stream of queries does not rebind the network.
+vector it served, so a stream of queries does not rebind the network. It runs
+the trunk, the logits head and the absolute head; the 2N-wide offsets head is
+read when the offsets are first used, so an in-place parameter update in
+between is seen. Argmax reconstruction reads one anchor's 2 weight rows and
+2 biases per row (:meth:`BatchPrediction.anchor_offsets`); the whole table
+(:attr:`BatchPrediction.offsets`) is built on first read. Training runs every
+head through :meth:`Bound.forward` and :func:`prediction`.
 """
 
 from __future__ import annotations
@@ -70,14 +76,44 @@ class NetworkSpec(Trunk):
         return {"logits": n, "offsets": 2 * n, "absolute": ABS_HEAD_DIM}
 
 
-@dataclass
 class BatchPrediction:
-    """Stacked outputs for a batch; row i is sample i."""
+    """Stacked outputs for a batch; row i is sample i.
 
-    logits: np.ndarray      # (B, N)
-    offsets: np.ndarray     # (B, N, 2)
-    z_hat: np.ndarray       # (B,)
-    orient_raw: np.ndarray  # (B, 4)
+    ``offsets`` is either given, or built on first read from ``offsets_head``
+    = (h, rows, biases): the trunk output (B, width) and views of the offsets
+    head's weights (N, 2, width) and biases (N, 2) per anchor, by the same
+    ``h @ Wt; out += b`` as :meth:`Bound.forward`. :meth:`anchor_offsets`
+    reads one anchor per row without building the table.
+    """
+
+    def __init__(self, logits, offsets=None, z_hat=None, orient_raw=None, *,
+                 offsets_head=None):
+        self.logits = logits            # (B, N)
+        self.z_hat = z_hat              # (B,)
+        self.orient_raw = orient_raw    # (B, 4)
+        self._offsets = offsets         # (B, N, 2)
+        self.offsets_head = offsets_head
+
+    @property
+    def offsets(self) -> np.ndarray:
+        if self._offsets is None:
+            h, rows, biases = self.offsets_head
+            out = h @ rows.reshape(-1, h.shape[1]).T
+            out += biases.reshape(1, -1)
+            self._offsets = out.reshape(len(out), -1, 2)
+        return self._offsets
+
+    def anchor_offsets(self, j: np.ndarray) -> np.ndarray:
+        """(B, 2): row i's offsets to anchor j[i]. With an offsets head, only
+        the 2 weight rows and 2 biases of each row's anchor are read (dot
+        product, then + b); otherwise they are taken from ``offsets``."""
+        if self.offsets_head is None:
+            B, N, _ = self.offsets.shape
+            return self.offsets.reshape(-1, 2).take(np.arange(0, B * N, N) + j, axis=0)
+        h, rows, biases = self.offsets_head
+        out = np.matmul(rows.take(j, axis=0), h[:, :, None])[:, :, 0]
+        out += biases.take(j, axis=0)
+        return out
 
 
 # --- flat parameter layout ---------------------------------------------------
@@ -165,13 +201,17 @@ class Bound:
         flat = np.asarray(params, dtype=np.float64)
         layers = [(W.T, b[None]) for W, b in _layer_table(spec, flat)]
         self._trunk = layers[:depth]
-        self._heads = list(zip(spec.head_dims(), layers[depth:]))
+        self._heads = dict(zip(spec.head_dims(), layers[depth:]))
+        if "offsets" in self._heads:  # per anchor: 2 weight rows and 2 biases
+            Wt, b = self._heads["offsets"]
+            self.anchor_rows = (Wt.T.reshape(-1, 2, Wt.shape[0]), b.reshape(-1, 2))
         if grad is not None:
             glayers = _layer_table(spec, grad)
             self._gtrunk, self._gheads = glayers[:depth], glayers[depth:]
 
-    def forward(self, features: np.ndarray):
-        """Trunk plus every head of ``spec.head_dims()`` for features (B, input_dim).
+    def forward(self, features: np.ndarray, skip: tuple[str, ...] = ()):
+        """Trunk plus every head of ``spec.head_dims()`` not named in ``skip``,
+        for features (B, input_dim).
 
         Returns ({head name: (B, width)}, cache), where the cache holds the
         per-layer activations :meth:`backward` needs.
@@ -190,7 +230,9 @@ class Bound:
             h = _act_(a, act)
             cache.append(h)
         heads = {}
-        for name, (Wt, b) in self._heads:
+        for name, (Wt, b) in self._heads.items():
+            if name in skip:
+                continue
             out = h @ Wt
             out += b
             heads[name] = out
@@ -206,7 +248,7 @@ class Bound:
         """
         h = cache[-1]
         dh = None
-        for (name, (Wt, _)), (gW, gb) in zip(self._heads, self._gheads):
+        for (name, (Wt, _)), (gW, gb) in zip(self._heads.items(), self._gheads):
             d = d_heads[name]
             np.matmul(d.T, h, out=gW)
             np.add.reduce(d, axis=0, out=gb)
@@ -226,12 +268,16 @@ class Bound:
         return self.grad
 
 
-def prediction(spec: NetworkSpec, heads: dict[str, np.ndarray]) -> BatchPrediction:
-    """The anchor model's head outputs as a BatchPrediction (views, no copies)."""
+def prediction(spec: NetworkSpec, heads: dict[str, np.ndarray],
+               offsets_head=None) -> BatchPrediction:
+    """The anchor model's head outputs as a BatchPrediction (views, no copies);
+    without an "offsets" entry, ``offsets_head`` stands in for it."""
     absolute = heads["absolute"]
-    return BatchPrediction(logits=heads["logits"],
-                           offsets=heads["offsets"].reshape(-1, spec.num_anchors, 2),
-                           z_hat=absolute[:, 0], orient_raw=absolute[:, 1:])
+    offsets = heads.get("offsets")
+    return BatchPrediction(
+        logits=heads["logits"], z_hat=absolute[:, 0], orient_raw=absolute[:, 1:],
+        offsets=None if offsets is None else offsets.reshape(-1, spec.num_anchors, 2),
+        offsets_head=offsets_head)
 
 
 def head_grads(d_logits: np.ndarray, d_offsets: np.ndarray, d_z: np.ndarray,
@@ -266,8 +312,12 @@ def _bound(spec, params) -> Bound:
 
 
 def forward_batch(spec: NetworkSpec, params: np.ndarray, features: np.ndarray) -> BatchPrediction:
-    """Batched forward pass. ``features`` is (B, input_dim)."""
-    return prediction(spec, _bound(spec, params).forward(features)[0])
+    """Batched forward pass. ``features`` is (B, input_dim). The trunk, logits
+    and absolute heads run now; the offsets head is read when the offsets are
+    first used, so an in-place parameter update in between is seen."""
+    bound = _bound(spec, params)
+    heads, cache = bound.forward(features, skip=("offsets",))
+    return prediction(spec, heads, (cache[-1], *bound.anchor_rows))
 
 
 def forward(spec: NetworkSpec, params: np.ndarray, feature: np.ndarray) -> BatchPrediction:

@@ -30,7 +30,7 @@ from . import loss as lossmod
 from . import model as modelmod
 from .data import SampleBatch
 from .errors import (DegenerateOrientationError, InvalidInputError, ParseError,
-                     TrainingDivergenceError, as_seed)
+                     TrainingDivergenceError, as_int, as_seed)
 from .loss import LossWeights
 from .model import NetworkSpec
 from .simworld import write_atomically
@@ -49,6 +49,8 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "lr_halving_period"):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), InvalidInputError))
         object.__setattr__(self, "shuffle_seed",
                            as_seed("shuffle_seed", self.shuffle_seed, InvalidInputError))
         if not math.isfinite(self.lr) or self.lr <= 0:

@@ -79,6 +79,9 @@ class WorldSpec:
             if not 0.0 <= 2.0 * getattr(self, name) < math.inf:
                 raise InvalidSpecError(f"{name} must be >= 0 and span a finite range, got "
                                        f"{getattr(self, name)}")
+        for name in ("noise_sigma", "z_noise_amp"):  # -v would be v with its sign flipped
+            if getattr(self, name) < 0.0:
+                raise InvalidSpecError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 < self.fov_half_angle < 180.0:
             raise InvalidSpecError("fov_half_angle must be in (0, 180) degrees")
         object.__setattr__(self, "seed", as_seed("seed", self.seed))

@@ -743,6 +743,32 @@ class TestNonFiniteWorldSpec:
         assert not gen.exists()
 
 
+class TestNegativeNoise:
+    @pytest.mark.parametrize("field", ["noise_sigma", "z_noise_amp"])
+    def test_in_a_world_file_is_a_data_error(self, dataset_dir, tmp_path, capsys, field):
+        out, cfg = dataset_dir
+        world = tmp_path / "world.ini"
+        text, edits = re.subn(rf"^{field} = .*$", f"{field} = -0.02",
+                              (out / "world.ini").read_text(), flags=re.M)
+        assert edits == 1
+        world.write_text(text)
+        gen = tmp_path / "gen"
+        assert main(["gen-world", "--config", str(cfg), "--world-file", str(world),
+                     "--out", str(gen)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and str(world) in err
+        assert err.endswith(f"{field} must be >= 0, got -0.02\n")
+        assert not gen.exists()
+
+    def test_in_a_config_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.ini"
+        cfg.write_text("[world]\nn_train = 50\nn_test = 10\nnoise_sigma = -0.02\n")
+        gen = tmp_path / "gen"
+        assert main(["gen-world", "--config", str(cfg), "--out", str(gen)]) == EXIT_DATA
+        assert capsys.readouterr().err == "error: noise_sigma must be >= 0, got -0.02\n"
+        assert not gen.exists()
+
+
 class TestWorldFileSyntax:
     """world.ini goes through the --config reader: a [world] header, and only
     the keys a world spec holds, each once."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,78 @@ class TestReconstructPose:
                                z_hat=np.zeros(2), orient_raw=np.ones((2, 4)))
         with pytest.raises(InvalidInputError):
             reconstruct_pose(pred, amap)
+
+
+def head_spec_params(n, seed=0):
+    """A small anchor model over n anchors whose parameters, biases too, are
+    all nonzero."""
+    spec = NetworkSpec(input_dim=5, hidden_layers=(7, 6), num_anchors=n, seed=seed)
+    rng = np.random.default_rng(seed)
+    params = model.init(spec) + rng.uniform(-0.5, 0.5, model.param_count(spec))
+    return spec, params, AnchorMap(anchors=rng.uniform(-50, 50, (n, 2))), rng
+
+
+def materialised(pred):
+    """The same prediction with its offsets table built: the full-head path."""
+    return BatchPrediction(logits=pred.logits, offsets=pred.offsets, z_hat=pred.z_hat,
+                           orient_raw=pred.orient_raw)
+
+
+class TestArgmaxReadsOneAnchor:
+    """forward_batch leaves the offsets head to its first use; argmax
+    reconstruction reads only the argmax anchor's 2 weight rows and biases."""
+
+    @pytest.mark.parametrize("n, tie", [(1, False), (20, False), (20, True), (2000, False),
+                                        (2000, True)], ids=["1", "20", "20-tie", "2000", "2000-tie"])
+    @pytest.mark.parametrize("B", [1, 9])
+    def test_matches_the_materialised_offsets(self, B, n, tie):
+        spec, params, amap, rng = head_spec_params(n)
+        if tie:  # anchors 3 and n - 2 share every row's top logit: the lower one wins
+            W, b = model._layer_table(spec, params)[2]  # two trunk layers, then logits
+            W[:] = 0.0
+            b[:] = rng.uniform(-1, 0, n)
+            b[[3, n - 2]] = 2.0
+        pred = model.forward_batch(spec, params, rng.standard_normal((B, 5)))
+        pos, quats, j = reconstruct(pred, amap)
+        ref_pos, ref_quats, ref_j = reconstruct(materialised(pred), amap)
+        assert np.array_equal(j, ref_j) and np.array_equal(j, pred.logits.argmax(axis=1))
+        if tie:
+            assert np.all(j == 3)
+        assert np.abs(pos - ref_pos).max() <= 1e-12
+        assert pos[:, 2].tobytes() == ref_pos[:, 2].tobytes()
+        assert quats.tobytes() == ref_quats.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 20, 2000])
+    @pytest.mark.parametrize("B", [1, 9])
+    def test_weighted_is_the_materialised_path_byte_for_byte(self, B, n):
+        spec, params, amap, rng = head_spec_params(n, seed=1)
+        x = rng.standard_normal((B, 5))
+        full = model.prediction(spec, model.Bound(spec, params).forward(x)[0])
+        got = reconstruct(model.forward_batch(spec, params, x), amap, "weighted")
+        want = reconstruct(full, amap, "weighted")
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_no_batch_offsets_table_is_allocated(self):
+        # a (B, N, 2) float64 table at N=2000, B=500 is 16 MB; the logits
+        # table, half of that, is the largest array argmax evaluation needs
+        spec, params, amap, rng = head_spec_params(2000, seed=2)
+        B = 500
+        poses = [make_pose(*rng.uniform(-50, 50, 2)) for _ in range(B)]
+        landmarks = tuple((f"L{i}", tuple(amap.anchors[i])) for i in range(0, 2000, 100))
+        visible = [frozenset(f"L{i}" for i in rng.choice(2000, 3) // 100 * 100)
+                   for _ in range(B)]
+        batch = batch_from_poses(poses, amap, rng.standard_normal((B, 5)), visible)
+        table = B * 2000 * 2 * 8
+        tracemalloc.start()
+        try:
+            for run in (lambda: evaluate(spec, params, batch, amap),
+                        lambda: discovery_stats(spec, params, batch, amap, landmarks)):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                run()
+                assert tracemalloc.get_traced_memory()[1] - base < table
+        finally:
+            tracemalloc.stop()
 
 
 def batch_from_poses(poses, anchor_map, features=None, visible=None):

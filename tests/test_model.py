@@ -173,6 +173,21 @@ class TestServedBinding:
         assert after == pred_bytes(fresh_forward(spec, params, x))
         assert after != before
 
+    def test_offsets_head_is_read_at_first_use(self):
+        # the trunk and the other heads run in forward; the offsets head's
+        # weights are read when the offsets are first used
+        spec = small_spec()
+        params = model.init(spec)
+        x = np.linspace(-1, 1, spec.input_dim)
+        pred = model.forward(spec, params, x)
+        logits = pred.logits.copy()
+        W, b = model._layer_table(spec, params)[2]  # the trunk layer, logits, then offsets
+        W += 0.5
+        b -= 0.25
+        fresh = fresh_forward(spec, params, x)
+        assert pred.offsets.tobytes() == fresh.offsets.tobytes()
+        assert pred.logits.tobytes() == logits.tobytes() == fresh.logits.tobytes()
+
     def test_alternating_vectors_and_specs(self):
         relu, tanh = small_spec(activation="relu"), small_spec(activation="tanh")
         vectors = (model.init(relu), -2.0 * model.init(relu))

@@ -197,6 +197,18 @@ class TestTrain:
             train(tiny_scene.train, tiny_net, cfg)
         assert (err.value.epoch, err.value.batch) == (0, 0)
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "lr_halving_period"])
+    @pytest.mark.parametrize("value", [2.5, True, 3.0])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integer_counts_become_ints(self):
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(7),
+                          lr_halving_period=np.uint8(2))
+        counts = (cfg.epochs, cfg.batch_size, cfg.lr_halving_period)
+        assert counts == (3, 7, 2) and all(type(v) is int for v in counts)
+
     @pytest.mark.parametrize("field", ["input_dim", "num_anchors"])
     def test_spec_mismatch_names_both_numbers(self, tiny_scene, tiny_net, field):
         have = getattr(tiny_net, field)

@@ -182,6 +182,14 @@ class TestWorldSpecValidation:
             WorldSpec(route=np.array([[0, 0], [1, 0]]),
                       landmarks=(("x", (0, 0)), ("x", (1, 1))))
 
+    @pytest.mark.parametrize("field", ["noise_sigma", "z_noise_amp"])
+    def test_negative_noise_scale_rejected(self, field):
+        # -v scales the same draws as v with the sign flipped: one value per noise
+        route = np.array([[0, 0], [1, 0]])
+        with pytest.raises(InvalidSpecError, match=f"{field} must be >= 0, got -0.02"):
+            WorldSpec(route=route, landmarks=(), **{field: -0.02})
+        assert getattr(WorldSpec(route=route, landmarks=(), **{field: 0.0}), field) == 0.0
+
 
 class TestWorldSpecFile:
     def test_round_trip(self, tmp_path, tiny_world):
