@@ -32,7 +32,8 @@ class DirectSpec(modelmod.Trunk):
 
 
 def forward_batch(spec: DirectSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-    return modelmod.Bound(spec, params).forward(features)[0]["pose"]
+    bound = modelmod.Bound(spec, params)
+    return bound.head("pose", bound.forward(features)[-1])
 
 
 def backward_batch(spec: DirectSpec, params: np.ndarray, cache, d_pose: np.ndarray) -> np.ndarray:
@@ -68,8 +69,9 @@ def direct_loss_batch(pose_out: np.ndarray, gt_xyz: np.ndarray, gt_orient: np.nd
 
 def train_direct(samples: SampleBatch, spec: DirectSpec, config: TrainConfig) -> TrainReport:
     """Same loop, schedule and shuffles as optim.train, different head/loss."""
-    def batch_loss(heads, gt_xyz, gt_orient):
-        breakdown, d_pose = direct_loss_batch(heads["pose"], gt_xyz, gt_orient, config.weights)
+    def batch_loss(net, h, gt_xyz, gt_orient):
+        breakdown, d_pose = direct_loss_batch(net.head("pose", h), gt_xyz, gt_orient,
+                                              config.weights)
         return breakdown, {"pose": d_pose}
 
     return optimmod._train_loop(samples, spec, config, batch_loss,

@@ -7,21 +7,27 @@ Config files are INI text whose sections mirror the module types ([world],
 ``input_dim``: the data fixes it); ``[loss] alpha1 > 0`` turns cross-entropy
 on. Flags override file values and the resolved configuration is snapshotted
 into the output directory, so every run is reproducible from its snapshot.
+A command runs with numpy's OpenBLAS at one thread, so the bytes it writes do
+not depend on the thread count the process was given.
 
 Exit codes: 0 success, 1 usage error, 2 data/config error, 3 numerical
-divergence.
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import os
 import sys
 from dataclasses import MISSING, astuple, fields
 
+import numpy as np
+
 from . import data, evaluation, optim, simworld
 from .errors import (AnchorLocError, DegenerateOrientationError, InvalidInputError,
-                     InvalidSpecError, TrainingDivergenceError)
+                     InvalidSpecError, NonFinitePoseError, TrainingDivergenceError)
 from .loss import LossWeights
 from .model import NetworkSpec
 from .optim import EpochStats, TrainConfig
@@ -266,15 +272,38 @@ def build_parser() -> _Parser:
     return parser
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's bundled OpenBLAS at one thread, and its previous count restored
+    on exit: how OpenBLAS splits some products' sums depends on the thread
+    count, and so would the bytes a command writes. Where numpy links another
+    BLAS, nothing is pinned."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        with _one_blas_thread():
+            args = parser.parse_args(argv)
+            return args.func(args)
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (TrainingDivergenceError, DegenerateOrientationError) as err:
+    except (TrainingDivergenceError, DegenerateOrientationError, NonFinitePoseError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except (AnchorLocError, OSError) as err:

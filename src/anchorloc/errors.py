@@ -25,6 +25,10 @@ class DegenerateOrientationError(AnchorLocError, ValueError):
     """Raw orientation norm is (near-)zero or not finite; normalization undefined."""
 
 
+class NonFinitePoseError(AnchorLocError, ArithmeticError):
+    """A reconstructed pose's translation error is not finite."""
+
+
 class ParseError(AnchorLocError, ValueError):
     """A text record could not be parsed. Carries the 1-based line number."""
 

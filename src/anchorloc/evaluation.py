@@ -23,7 +23,7 @@ import numpy as np
 from . import model as modelmod
 from . import optim as optimmod
 from .data import SampleBatch, assemble
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NonFinitePoseError
 from .geometry import ANCHOR_DEDUP_TOL, AnchorMap, Pose, quat_angle_deg
 from .loss import confidences, unit_orientation
 from .model import BatchPrediction, NetworkSpec
@@ -83,12 +83,19 @@ def reconstruct_pose(pred: BatchPrediction, anchor_map: AnchorMap) -> Pose:
     return Pose(position=pos[0], orientation=quats[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite error raises below
 def report_from_poses(pred_xyz: np.ndarray, pred_quats: np.ndarray,
                       batch: SampleBatch, pred_anchor: np.ndarray) -> EvalReport:
-    """Metrics from already-reconstructed poses (shared with the baseline)."""
+    """Metrics from already-reconstructed poses (shared with the baseline); a
+    translation error that is not finite is NonFinitePoseError."""
     if len(batch) == 0:
         raise InvalidInputError("cannot evaluate an empty test set")
     terr = np.linalg.norm(pred_xyz - batch.positions, axis=1)
+    bad = np.flatnonzero(~np.isfinite(terr))
+    if bad.size:
+        i = bad[0]
+        raise NonFinitePoseError(f"translation error of test row {i} is {terr[i]} "
+                                 f"(reconstructed position {pred_xyz[i].tolist()})")
     rerr = np.array([quat_angle_deg(q, g) for q, g in zip(pred_quats, batch.orientations)])
     correct = (terr < ACCURACY_TRANSLATION_M) & (rerr < ACCURACY_ROTATION_DEG)
     per_sample = [(float(t), float(r), int(a), int(n))

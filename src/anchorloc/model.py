@@ -12,16 +12,16 @@ absolute heads); ``optim`` writes and reads them in its training
 checkpoints, and this module does no file I/O. Layout, trunk and
 heads are driven by a :class:`Trunk` subclass's ``head_dims()`` table, so the
 direct-regression control in ``baseline`` runs on the same code with its own head.
-:class:`Bound` is the one forward and backward pass; ``forward_batch``,
-``forward`` and ``backward_batch`` are calls into it. ``forward_batch`` (and
-so every single-sample ``forward``) reuses the Bound of the last parameter
-vector it served, so a stream of queries does not rebind the network. It runs
-the trunk, the logits head and the absolute head; the 2N-wide offsets head is
-read when the offsets are first used, so an in-place parameter update in
-between is seen. Argmax reconstruction reads one anchor's 2 weight rows and
-2 biases per row (:meth:`BatchPrediction.anchor_offsets`); the whole table
-(:attr:`BatchPrediction.offsets`) is built on first read. Training runs every
-head through :meth:`Bound.forward` and :func:`prediction`.
+:class:`Bound` is the one network pass: :meth:`Bound.forward` runs the trunk,
+:meth:`Bound.head` any one head and :meth:`Bound.backward` the gradient.
+:func:`prediction` is the one builder of the anchor model's BatchPrediction,
+for training and queries alike. It runs the logits and absolute heads; the
+2N-wide offsets head is read when the offsets are first used, so an in-place
+parameter update in between is seen, and argmax reconstruction reads only one
+anchor's 2 weight rows and 2 biases per row. ``forward_batch``, ``forward`` and
+``backward_batch`` call into Bound; ``forward_batch`` (so every ``forward``)
+reuses the Bound of the last parameter vector it served, so a stream of
+queries does not rebind the network.
 """
 
 from __future__ import annotations
@@ -77,41 +77,33 @@ class NetworkSpec(Trunk):
 
 
 class BatchPrediction:
-    """Stacked outputs for a batch; row i is sample i.
-
-    ``offsets`` is either given, or built on first read from ``offsets_head``
-    = (h, rows, biases): the trunk output (B, width) and views of the offsets
-    head's weights (N, 2, width) and biases (N, 2) per anchor, by the same
-    ``h @ Wt; out += b`` as :meth:`Bound.forward`. :meth:`anchor_offsets`
-    reads one anchor per row without building the table.
-    """
+    """Stacked outputs for a batch; row i is sample i. ``offsets`` is given, or
+    built by ``bound.head("offsets", h)`` on first read; :meth:`anchor_offsets`
+    reads one anchor per row without building it."""
 
     def __init__(self, logits, offsets=None, z_hat=None, orient_raw=None, *,
-                 offsets_head=None):
+                 bound=None, h=None):
         self.logits = logits            # (B, N)
         self.z_hat = z_hat              # (B,)
         self.orient_raw = orient_raw    # (B, 4)
         self._offsets = offsets         # (B, N, 2)
-        self.offsets_head = offsets_head
+        self._bound, self._h = bound, h  # the trunk output h (B, width) of a Bound
 
     @property
     def offsets(self) -> np.ndarray:
         if self._offsets is None:
-            h, rows, biases = self.offsets_head
-            out = h @ rows.reshape(-1, h.shape[1]).T
-            out += biases.reshape(1, -1)
-            self._offsets = out.reshape(len(out), -1, 2)
+            self._offsets = self._bound.head("offsets", self._h).reshape(*self.logits.shape, 2)
         return self._offsets
 
     def anchor_offsets(self, j: np.ndarray) -> np.ndarray:
-        """(B, 2): row i's offsets to anchor j[i]. With an offsets head, only
-        the 2 weight rows and 2 biases of each row's anchor are read (dot
-        product, then + b); otherwise they are taken from ``offsets``."""
-        if self.offsets_head is None:
+        """(B, 2): row i's offsets to anchor j[i]. From a Bound, only the 2
+        weight rows and 2 biases of each row's anchor are read (dot product,
+        then + b); otherwise they are taken from ``offsets``."""
+        if self._bound is None:
             B, N, _ = self.offsets.shape
             return self.offsets.reshape(-1, 2).take(np.arange(0, B * N, N) + j, axis=0)
-        h, rows, biases = self.offsets_head
-        out = np.matmul(rows.take(j, axis=0), h[:, :, None])[:, :, 0]
+        rows, biases = self._bound.anchor_rows
+        out = np.matmul(rows.take(j, axis=0), self._h[:, :, None])[:, :, 0]
         out += biases.take(j, axis=0)
         return out
 
@@ -209,13 +201,10 @@ class Bound:
             glayers = _layer_table(spec, grad)
             self._gtrunk, self._gheads = glayers[:depth], glayers[depth:]
 
-    def forward(self, features: np.ndarray, skip: tuple[str, ...] = ()):
-        """Trunk plus every head of ``spec.head_dims()`` not named in ``skip``,
-        for features (B, input_dim).
-
-        Returns ({head name: (B, width)}, cache), where the cache holds the
-        per-layer activations :meth:`backward` needs.
-        """
+    def forward(self, features: np.ndarray) -> list[np.ndarray]:
+        """The trunk for features (B, input_dim): the per-layer activations
+        :meth:`backward` needs, the input first and the trunk output
+        ``h`` (B, width) last, which :meth:`head` takes."""
         spec = self.spec
         act = spec.activation
         X = np.asarray(features, dtype=np.float64)
@@ -229,14 +218,14 @@ class Bound:
             a += b
             h = _act_(a, act)
             cache.append(h)
-        heads = {}
-        for name, (Wt, b) in self._heads.items():
-            if name in skip:
-                continue
-            out = h @ Wt
-            out += b
-            heads[name] = out
-        return heads, cache
+        return cache
+
+    def head(self, name: str, h: np.ndarray) -> np.ndarray:
+        """Head ``name`` of ``spec.head_dims()`` over the trunk output h: (B, width)."""
+        Wt, b = self._heads[name]
+        out = h @ Wt
+        out += b
+        return out
 
     def backward(self, cache: list[np.ndarray], d_heads: dict[str, np.ndarray]) -> np.ndarray:
         """Reverse-mode gradient over the flat parameter vector, given upstream
@@ -268,16 +257,12 @@ class Bound:
         return self.grad
 
 
-def prediction(spec: NetworkSpec, heads: dict[str, np.ndarray],
-               offsets_head=None) -> BatchPrediction:
-    """The anchor model's head outputs as a BatchPrediction (views, no copies);
-    without an "offsets" entry, ``offsets_head`` stands in for it."""
-    absolute = heads["absolute"]
-    offsets = heads.get("offsets")
-    return BatchPrediction(
-        logits=heads["logits"], z_hat=absolute[:, 0], orient_raw=absolute[:, 1:],
-        offsets=None if offsets is None else offsets.reshape(-1, spec.num_anchors, 2),
-        offsets_head=offsets_head)
+def prediction(bound: Bound, h: np.ndarray) -> BatchPrediction:
+    """The anchor model's BatchPrediction over the trunk output h of ``bound``:
+    the logits and absolute heads run now, the offsets head on first read."""
+    absolute = bound.head("absolute", h)
+    return BatchPrediction(logits=bound.head("logits", h), z_hat=absolute[:, 0],
+                           orient_raw=absolute[:, 1:], bound=bound, h=h)
 
 
 def head_grads(d_logits: np.ndarray, d_offsets: np.ndarray, d_z: np.ndarray,
@@ -316,8 +301,7 @@ def forward_batch(spec: NetworkSpec, params: np.ndarray, features: np.ndarray) -
     and absolute heads run now; the offsets head is read when the offsets are
     first used, so an in-place parameter update in between is seen."""
     bound = _bound(spec, params)
-    heads, cache = bound.forward(features, skip=("offsets",))
-    return prediction(spec, heads, (cache[-1], *bound.anchor_rows))
+    return prediction(bound, bound.forward(features)[-1])
 
 
 def forward(spec: NetworkSpec, params: np.ndarray, feature: np.ndarray) -> BatchPrediction:

@@ -164,9 +164,9 @@ def _train_loop(samples: SampleBatch, spec, config: TrainConfig, loss, targets,
 
     Each epoch gathers the features and every array of ``targets`` (one row
     per sample) in its shuffled order once; a batch is a slice of each.
-    ``loss(heads, *rows)`` gets the head outputs and the batch's rows of the
-    targets, and returns the LossBreakdown of batch means and the upstream
-    gradient per head of the batch-mean loss. Parameters start from
+    ``loss(net, h, *rows)`` gets the Bound, its trunk output and the batch's
+    rows of the targets, and returns the LossBreakdown of batch means and the
+    upstream gradient per head of the batch-mean loss. Parameters start from
     ``model.init(spec)`` or copies of ``init_params``, the Adam state from
     zero or a copy of ``init_state``. ``epoch_callback`` gets snapshots, not
     the buffers.
@@ -188,9 +188,9 @@ def _train_loop(samples: SampleBatch, spec, config: TrainConfig, loss, targets,
         for bstart in range(0, n_samples, config.batch_size):
             rows = slice(bstart, bstart + config.batch_size)
             x = feats[rows]
-            heads, cache = net.forward(x)
+            cache = net.forward(x)
             try:
-                breakdown, d_heads = loss(heads, *[c[rows] for c in cols])
+                breakdown, d_heads = loss(net, cache[-1], *[c[rows] for c in cols])
                 net.backward(cache, d_heads)
                 if not math.isfinite(breakdown.total):
                     raise TrainingDivergenceError("loss became non-finite")
@@ -224,9 +224,9 @@ def train(samples: SampleBatch, spec: NetworkSpec, config: TrainConfig, *,
     Passing ``init_params``/``init_state``/``start_epoch`` resumes from a
     checkpoint and reproduces the uninterrupted trajectory exactly.
     """
-    def batch_loss(heads, positions, orientations, nearest):
+    def batch_loss(net, h, positions, orientations, nearest):
         breakdown, *d = lossmod.batch_total_loss(
-            modelmod.prediction(spec, heads), samples.offsets_at(positions), positions[:, 2],
+            modelmod.prediction(net, h), samples.offsets_at(positions), positions[:, 2],
             orientations, nearest, config.weights)
         return breakdown, modelmod.head_grads(*d)
 
@@ -274,7 +274,8 @@ def load_training_checkpoint(path):
     the arrays: exactly ``params``, ``adam_m`` and ``adam_v``, in that order,
     each of shape ``[param_count(spec)]``. The meta's ``epoch``,
     ``adam_t`` and ``frame_interval``, where present, must be integers. Any
-    other header, and arrays of any other size, is ParseError.
+    other header, arrays of any other size, and a non-finite array entry are
+    ParseError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -307,5 +308,9 @@ def load_training_checkpoint(path):
     if len(raw) - off != size:
         raise ParseError(f"{path}: {len(raw) - off} bytes of arrays, the spec needs {size}")
     arrays = np.frombuffer(raw[off:], dtype="<f8").reshape(len(_ARRAYS), n)
+    bad = np.argwhere(~np.isfinite(arrays))
+    if bad.size:
+        a, i = bad[0]
+        raise ParseError(f"{path}: {_ARRAYS[a]}[{i}] is {arrays[a, i]}, not finite")
     params, m, v = (a.copy() for a in arrays)
     return spec, params, AdamState(m=m, v=v, t=meta["adam_t"]), meta["epoch"], meta

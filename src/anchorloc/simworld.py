@@ -406,11 +406,8 @@ def read_ini(path, known) -> dict[str, dict[str, str]]:
     ``[DEFAULT]``); one it rejects, or with a key outside ``known`` ({section: keys}),
     is InvalidSpecError."""
     parser = configparser.ConfigParser(interpolation=None, default_section="")
-    try:
-        with open(path, encoding="utf-8") as fh:  # a missing file is OSError; read skips it
-            parser.read_file(fh)
-    except UnicodeDecodeError as err:
-        raise ParseError(f"{path}: not a text file: {err}") from None
+    try:  # a missing file is OSError; read skips it
+        parser.read_file(_read_lines(path))
     except configparser.Error as err:  # whose own message spans lines
         line = getattr(err, "lineno", None) or err.errors[0][0]
         raise InvalidSpecError(f"{path}, line {line}: malformed ({type(err).__name__})") from None

@@ -190,8 +190,9 @@ def test_criterion_1_gradient_correctness():
     start = time.time()
     for _ in range(100):
         spec, params, x, target = random_gradient_case(rng)
-        heads, cache = model.Bound(spec, params).forward(x[None])
-        pred = model.prediction(spec, heads)
+        bound = model.Bound(spec, params)
+        cache = bound.forward(x[None])
+        pred = model.prediction(bound, cache[-1])
         grads = loss_grads(pred, target, weights)
 
         # gradients w.r.t. every BatchPrediction entry

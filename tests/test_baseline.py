@@ -36,8 +36,9 @@ def test_gradient_matches_finite_differences():
     gt_q = np.stack([random_unit_quat(rng) for _ in range(3)])
     w = LossWeights(alpha2=10.0, alpha3=1.0)
 
-    heads, cache = model.Bound(spec, params).forward(X)
-    pose = heads["pose"]
+    bound = model.Bound(spec, params)
+    cache = bound.forward(X)
+    pose = bound.head("pose", cache[-1])
     _, d_pose = direct_loss_batch(pose, gt_xyz, gt_q, w)
     analytic = baseline.backward_batch(spec, params, cache, d_pose)
 

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import anchorloc
-from anchorloc import data, evaluation, optim, simworld
+from anchorloc import cli, data, evaluation, model, optim, simworld
 from anchorloc.baseline import DirectSpec
 from anchorloc.cli import (EXIT_DATA, EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, _build,
                            _train_config, load_config, main, write_config_snapshot)
@@ -199,6 +200,44 @@ class TestTrain:
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert "--checkpoint-every" in err
         assert not run.exists()
+
+
+class TestBlasThreads:
+    def test_checkpoint_bytes_do_not_depend_on_the_thread_count(self, tmp_path):
+        # at k=1 the default world has about 2000 anchors; the logits head's
+        # input gradient, a (32, N) @ (N, 48) product, is where OpenBLAS splits
+        # the sums across threads when it may use more than one
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(anchorloc.__file__)))
+
+        def run(threads, *argv):
+            proc = subprocess.run([sys.executable, "-m", "anchorloc.cli", *argv],
+                                  env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == EXIT_OK, proc.stderr
+
+        run("1", "gen-world", "--out", str(tmp_path / "ds"))
+        for threads in ("1", "2"):
+            run(threads, "train", "--data", str(tmp_path / "ds"), "--out",
+                str(tmp_path / threads), "--k", "1", "--epochs", "2")
+        assert (tmp_path / "1" / "checkpoint.bin").read_bytes() == \
+            (tmp_path / "2" / "checkpoint.bin").read_bytes()
+
+    def test_a_command_runs_at_one_thread_and_restores_the_count(self, monkeypatch):
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        if not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            pytest.skip("numpy does not bundle OpenBLAS")
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        seen = []
+        monkeypatch.setattr(cli, "cmd_gen_world", lambda args: seen.append(get()) or EXIT_OK)
+        before = get()
+        put(2)
+        try:
+            assert main(["gen-world", "--out", "unused"]) == EXIT_OK
+            assert seen == [1] and get() == 2
+        finally:
+            put(before)
 
 
 class TestSeedFlag:
@@ -664,6 +703,69 @@ class TestCheckpointMeta:
                      "--out", str(ev)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "checkpoint.bin" in err
+        assert not ev.exists()
+
+
+def _last_offsets_bias(spec):
+    # the layer table of the indices gives each entry's index; the offsets head
+    # follows the trunk layers and the logits head
+    table = model._layer_table(spec, np.arange(model.param_count(spec), dtype=float))
+    return int(table[len(spec.hidden_layers) + 1][1][-1])
+
+
+class TestNonFiniteCheckpoint:
+    EDITS = {  # (array, index of the entry in the spec, value)
+        "trunk-weight-nan": ("params", lambda spec: 0, np.nan),
+        "last-offsets-bias-nan": ("params", _last_offsets_bias, np.nan),
+        "adam_m-inf": ("adam_m", lambda spec: 3, np.inf),
+        "adam_v-minus-inf": ("adam_v", lambda spec: model.param_count(spec) - 1, -np.inf),
+    }
+
+    @pytest.mark.parametrize("how", EDITS)
+    def test_is_a_data_error_naming_the_entry(self, dataset_dir, trained_run, tmp_path, capsys,
+                                              how):
+        out, _ = dataset_dir
+        array, entry, value = self.EDITS[how]
+        spec, params, state, epoch, meta = optim.load_training_checkpoint(
+            trained_run / "checkpoint.bin")
+        index = entry(spec)
+        {"params": params, "adam_m": state.m, "adam_v": state.v}[array][index] = value
+        ckpt = tmp_path / "checkpoint.bin"
+        optim.save_training_checkpoint(ckpt, spec, params, state, epoch, meta)
+        named = f"{array}[{index}] is {value}, not finite"
+        with pytest.raises(ParseError, match=re.escape(named)):
+            optim.load_training_checkpoint(ckpt)
+        ev = tmp_path / "ev"
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(out),
+                     "--out", str(ev)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "checkpoint.bin" in err and named in err
+        assert not ev.exists()
+
+
+class TestNonFinitePose:
+    @pytest.mark.parametrize("mode", ["argmax", "weighted"])
+    def test_eval_is_a_numerical_failure_with_no_report(self, dataset_dir, trained_run,
+                                                        tmp_path, capsys, mode):
+        # offsets-head weights and biases of 1e308 are finite, and every
+        # reconstructed position overflows
+        out, _ = dataset_dir
+        spec, params, state, epoch, meta = optim.load_training_checkpoint(
+            trained_run / "checkpoint.bin")
+        for a in model._layer_table(spec, params)[len(spec.hidden_layers) + 1]:
+            a[...] = 1e308
+        ckpt = tmp_path / "checkpoint.bin"
+        optim.save_training_checkpoint(ckpt, spec, params, state, epoch, meta)
+        ev = tmp_path / "ev"
+        capsys.readouterr()
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(out), "--out", str(ev)]
+        assert main(argv + (["--weighted"] if mode == "weighted" else [])) == EXIT_DIVERGENCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: translation error of test row 0 is ")
+        assert captured.err.count("\n") == 1
         assert not ev.exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anchorloc import data, evaluation, model, optim
-from anchorloc.errors import DegenerateOrientationError, InvalidInputError
+from anchorloc.errors import DegenerateOrientationError, InvalidInputError, NonFinitePoseError
 from anchorloc.evaluation import (co_located_anchors, discovery_stats, evaluate, reconstruct,
                                   reconstruct_pose, report_from_poses,
                                   sweep_anchor_interval)
@@ -136,7 +136,8 @@ class TestArgmaxReadsOneAnchor:
     def test_weighted_is_the_materialised_path_byte_for_byte(self, B, n):
         spec, params, amap, rng = head_spec_params(n, seed=1)
         x = rng.standard_normal((B, 5))
-        full = model.prediction(spec, model.Bound(spec, params).forward(x)[0])
+        bound = model.Bound(spec, params)
+        full = materialised(model.prediction(bound, bound.forward(x)[-1]))
         got = reconstruct(model.forward_batch(spec, params, x), amap, "weighted")
         want = reconstruct(full, amap, "weighted")
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -207,6 +208,17 @@ class TestReportFromPoses:
         batch = batch_from_poses([], amap)
         with pytest.raises(InvalidInputError):
             report_from_poses(np.zeros((0, 3)), np.zeros((0, 4)), batch, np.zeros(0))
+
+    @pytest.mark.parametrize("position", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0),
+                                          (1e308, -1e308, 0.0)], ids=["nan", "inf", "overflows"])
+    def test_non_finite_translation_error_names_the_first_row(self, position):
+        # a report of it would hold Infinity or NaN, which is not JSON
+        amap = AnchorMap(anchors=np.zeros((1, 2)))
+        batch = batch_from_poses([make_pose(0, 0)] * 4, amap)
+        pred_xyz = np.zeros((4, 3))
+        pred_xyz[[1, 3]] = position
+        with pytest.raises(NonFinitePoseError, match="test row 1 "):
+            report_from_poses(pred_xyz, batch.orientations.copy(), batch, np.zeros(4, dtype=int))
 
 
 class TestEvaluateNetwork:

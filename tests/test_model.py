@@ -50,7 +50,7 @@ def scalar_loss_and_grad(pred):
 def backward_one(spec, params, x, upstream):
     """backward_batch for one feature vector, after the forward pass that
     produces its cache."""
-    _, cache = model.Bound(spec, params).forward(x[None])
+    cache = model.Bound(spec, params).forward(x[None])
     return model.backward_batch(spec, params, cache, *upstream)
 
 
@@ -148,6 +148,12 @@ class TestForward:
         with pytest.raises(InvalidInputError):
             model.forward(spec, model.init(spec), np.zeros(spec.input_dim + 1))
 
+    def test_empty_batch_has_an_empty_offsets_table(self):
+        spec = small_spec()
+        pred = model.forward_batch(spec, model.init(spec), np.zeros((0, spec.input_dim)))
+        assert pred.logits.shape == (0, spec.num_anchors)
+        assert pred.offsets.shape == (0, spec.num_anchors, 2)
+
 
 def pred_bytes(pred):
     return [a.tobytes() for a in (pred.logits, pred.offsets, pred.z_hat, pred.orient_raw)]
@@ -155,7 +161,8 @@ def pred_bytes(pred):
 
 def fresh_forward(spec, params, x):
     """The forward pass of a new binding of ``params``."""
-    return model.prediction(spec, model.Bound(spec, params).forward(x[None])[0])
+    bound = model.Bound(spec, params)
+    return model.prediction(bound, bound.forward(x[None])[-1])
 
 
 class TestServedBinding:

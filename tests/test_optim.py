@@ -264,8 +264,9 @@ def reference_loop(samples, params, state, config, loss_grad, start_epoch=0):
 
 def anchor_loss_grad(samples, spec, weights):
     def loss_grad(params, idx):
-        heads, cache = model.Bound(spec, params).forward(samples.features[idx])
-        b, *d = loss.batch_total_loss(model.prediction(spec, heads),
+        bound = model.Bound(spec, params)
+        cache = bound.forward(samples.features[idx])
+        b, *d = loss.batch_total_loss(model.prediction(bound, cache[-1]),
                                       samples.offsets_at(samples.positions[idx]),
                                       samples.positions[idx, 2], samples.orientations[idx],
                                       samples.nearest[idx], weights)
@@ -275,8 +276,10 @@ def anchor_loss_grad(samples, spec, weights):
 
 def direct_loss_grad(samples, spec, weights):
     def loss_grad(params, idx):
-        heads, cache = model.Bound(spec, params).forward(samples.features[idx])
-        b, d_pose = baseline.direct_loss_batch(heads["pose"], samples.positions[idx],
+        bound = model.Bound(spec, params)
+        cache = bound.forward(samples.features[idx])
+        b, d_pose = baseline.direct_loss_batch(bound.head("pose", cache[-1]),
+                                               samples.positions[idx],
                                                samples.orientations[idx], weights)
         return b, baseline.backward_batch(spec, params, cache, d_pose)
     return loss_grad
