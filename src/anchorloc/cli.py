@@ -161,10 +161,10 @@ def cmd_train(args) -> int:
         optim.save_training_checkpoint(path, spec, params, state, epoch=epoch, meta=meta)
         return path
 
-    def on_epoch(stats, params, state):
+    def on_epoch(stats, snapshot):
         log.append(astuple(stats))
         if args.checkpoint_every and (stats.epoch + 1) % args.checkpoint_every == 0:
-            save(f"checkpoint_epoch{stats.epoch + 1:04d}.bin", params, state, stats.epoch + 1)
+            save(f"checkpoint_epoch{stats.epoch + 1:04d}.bin", *snapshot(), stats.epoch + 1)
 
     # the log appears only once training has finished, like the checkpoint; a
     # failed run leaves its periodic checkpoints, or no directory it created

@@ -14,8 +14,10 @@ package's one file writer, writes it whole or not at all.
 Training is deterministic given the two seeds involved (network init seed and
 shuffle seed): per-epoch permutations come from a generator keyed on
 (shuffle_seed, epoch), so a run resumed from a checkpoint replays exactly the
-same batches as an uninterrupted one, in a parameter vector that starts on a
-64-byte boundary.
+same batches as an uninterrupted one. A run holds four parameter-sized
+vectors, the parameters, the gradient and Adam's two moments, each starting
+on a 64-byte boundary, and Adam steps them in cache-sized blocks; the epoch
+callback copies them only when it asks for a snapshot.
 """
 
 from __future__ import annotations
@@ -110,45 +112,69 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
     return adam.params, AdamState(m=adam.m, v=adam.v, t=adam.t)
 
 
-class _InPlaceAdam:
-    """Adam (Kingma & Ba, Alg. 1) on parameter, moment and gradient buffers
-    that one training run owns. Every operation writes into a buffer with
-    ``out=`` or in place, so a step allocates nothing the size of the
-    parameter vector. ``step`` uses ``grad`` as scratch once ``v`` is
-    updated, so after a step it no longer holds the gradient."""
+# Adam's elements per pass: 64 Ki float64 (512 KiB per array) keeps a block's
+# params, grad, m, v and scratch in cache through its operations
+_BLOCK = 1 << 16
 
-    def __init__(self, params: np.ndarray, state: AdamState):
-        # 64-byte aligned: query latency depends on where the served vector sits
-        buf = np.empty(np.size(params) + 8)
-        start = -buf.ctypes.data % 64 // 8
-        self.params = buf[start:start + np.size(params)].reshape(np.shape(params))
+
+def _aligned(n: int) -> np.ndarray:
+    """An uninitialised float64 vector of n entries that starts on a 64-byte
+    boundary: query latency depends on where the served vector sits, and
+    Adam's throughput on where the moments sit."""
+    buf = np.empty(n + 8)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start:start + n]
+
+
+class _InPlaceAdam:
+    """Adam (Kingma & Ba, Alg. 1) on the four parameter-sized vectors that one
+    training run owns, ``params``, ``grad``, ``m`` and ``v``, each 64-byte
+    aligned, plus one scratch block. A step runs in blocks of ``_BLOCK``
+    entries, each through the whole update, on views built once (a vector of
+    one block has one view of each whole array). Every operation writes into
+    a buffer with ``out=`` or in place, so a step allocates nothing the size
+    of the parameter vector. ``step`` uses ``grad`` as scratch once ``v`` is
+    updated, so after a step it no longer holds the gradient. The state
+    starts from zero, or from a copy of ``state``."""
+
+    def __init__(self, params: np.ndarray, state: AdamState | None = None):
+        n = np.size(params)
+        if state is not None and not np.shape(state.m) == np.shape(state.v) == (n,):
+            raise InvalidInputError("Adam state/parameter shape mismatch")
+        self.params, self.grad, self.m, self.v = (_aligned(n) for _ in range(4))
         self.params[...] = params
-        self.m = np.array(state.m, dtype=np.float64)
-        self.v = np.array(state.v, dtype=np.float64)
-        self.t = state.t
-        self.grad = np.zeros_like(self.params)
-        self._s1 = np.empty_like(self.params)
+        self.grad[...] = 0.0
+        self.m[...] = 0.0 if state is None else state.m
+        self.v[...] = 0.0 if state is None else state.v
+        self.t = 0 if state is None else state.t
+        scratch = _aligned(min(n, _BLOCK))
+        self._blocks = [(self.grad[i:i + _BLOCK], self.m[i:i + _BLOCK], self.v[i:i + _BLOCK],
+                         self.params[i:i + _BLOCK], scratch[:min(_BLOCK, n - i)])
+                        for i in range(0, n, _BLOCK)]
 
     def step(self, lr: float) -> None:
-        g, m, v, s1 = self.grad, self.m, self.v, self._s1
         # g.g is finite unless some entry is inf or nan, or their squares
-        # overflow; only then is the exact per-entry check worth its pass
+        # overflow; only then is the exact per-entry check worth its pass.
+        # The whole gradient passes before any block is updated.
+        g = self.grad
         if not math.isfinite(g @ g) and not np.isfinite(g).all():
             raise TrainingDivergenceError("non-finite gradient in Adam step")
         self.t += 1
-        m *= BETA1
-        m += np.multiply(g, 1.0 - BETA1, out=s1)
-        v *= BETA2
-        np.multiply(g, 1.0 - BETA2, out=s1)
-        s1 *= g
-        v += s1
-        np.divide(m, 1.0 - BETA1 ** self.t, out=s1)  # m_hat
-        s1 *= lr
-        np.divide(v, 1.0 - BETA2 ** self.t, out=g)  # v_hat; g is spent
-        np.sqrt(g, out=g)
-        g += EPS
-        s1 /= g
-        self.params -= s1
+        c1, c2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
+        for g, m, v, params, s1 in self._blocks:
+            m *= BETA1
+            m += np.multiply(g, 1.0 - BETA1, out=s1)
+            v *= BETA2
+            np.multiply(g, 1.0 - BETA2, out=s1)
+            s1 *= g
+            v += s1
+            np.divide(m, c1, out=s1)  # m_hat
+            s1 *= lr
+            np.divide(v, c2, out=g)  # v_hat; g is spent
+            np.sqrt(g, out=g)
+            g += EPS
+            s1 /= g
+            params -= s1
 
     def snapshot(self) -> tuple[np.ndarray, AdamState]:
         """Copies of the parameters and the state, which later steps leave alone."""
@@ -168,15 +194,17 @@ def _train_loop(samples: SampleBatch, spec, config: TrainConfig, loss, targets,
     rows of the targets, and returns the LossBreakdown of batch means and the
     upstream gradient per head of the batch-mean loss. Parameters start from
     ``model.init(spec)`` or copies of ``init_params``, the Adam state from
-    zero or a copy of ``init_state``. ``epoch_callback`` gets snapshots, not
-    the buffers.
+    zero or a copy of ``init_state``; the run keeps no other copy of either.
+    ``epoch_callback(stats, snapshot)`` gets the epoch's stats and a
+    zero-argument ``snapshot()`` that returns copies of the parameters and
+    the Adam state as they are when it is called, never the buffers later
+    steps overwrite; a callback that does not call it costs no copy.
     """
     n_samples = samples.features.shape[0]
     if n_samples == 0:
         raise InvalidInputError("training requires a non-empty sample list")
-    params = modelmod.init(spec) if init_params is None else init_params
-    adam = _InPlaceAdam(params, AdamState.initial(params.size) if init_state is None
-                        else init_state)
+    adam = _InPlaceAdam(modelmod.init(spec) if init_params is None else init_params,
+                        init_state)
     net = modelmod.Bound(spec, adam.params, adam.grad)
     history: list[EpochStats] = []
     for epoch in range(start_epoch, config.epochs):
@@ -208,7 +236,7 @@ def _train_loop(samples: SampleBatch, spec, config: TrainConfig, loss, targets,
                            ce=ce / n_samples)
         history.append(stats)
         if epoch_callback is not None:
-            epoch_callback(stats, *adam.snapshot())
+            epoch_callback(stats, adam.snapshot)
     return TrainReport(epochs=history, params=adam.params,
                        adam_state=AdamState(m=adam.m, v=adam.v, t=adam.t))
 

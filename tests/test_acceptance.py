@@ -3,7 +3,8 @@
 The heavyweight artifacts (benchmark world, trained models, interval sweep)
 are session fixtures shared across criteria, all with frozen seeds:
 world seed 7, network seed 1, shuffle seed 2 for the headline models;
-network seed 5, shuffle seed 7, 40 epochs for the interval sweep.
+network seed 5, shuffle seed 7, 40 epochs at one BLAS thread for the interval
+sweep.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from anchorloc import baseline, data, evaluation, model, optim, simworld
+from anchorloc import baseline, cli, data, evaluation, model, optim, simworld
 from anchorloc.baseline import DirectSpec
 from anchorloc.errors import UndefinedRateError
 from anchorloc.geometry import AnchorMap, Pose
@@ -37,6 +38,15 @@ SWEEP_KS = [1, 5, 10, 20]
 # re-freezes the README tables edits them and says why
 ANCHOR_PARAMS_SHA256 = "587668a27a8dfc60b7e6e261ed18c7fce6832f743a47d8b79ff239d105bd4705"
 DIRECT_PARAMS_SHA256 = "d5c2fe5bf5a1a4172a56324d2eacf6d51ef380d683cef36b9c1002adf15ecf6d"
+# the same for each sweep leg by k, trained at one BLAS thread: how OpenBLAS
+# splits the sums of the k=1 leg's logits-head input gradient depends on the
+# thread count. k=1 (297,221 parameters) is the one run Adam steps in blocks.
+SWEEP_PARAMS_SHA256 = {
+    1: "a524e28b2e7e30cbf287e3425db17ffb957f4585bdc37c3489dd89fdd52a196b",
+    5: "122fa442268063b20f68c466a9a7ba9b73f143dea8a801cc5f4cee349c4f196f",
+    10: "6ad4945f7ac586c7c586f19b997c54a3b6e810b17273e7a3fce8403abe7645df",
+    20: "e5b06ad0086a956f859926b677cfa90aeaf4141bea4705145cefef88ed686732",
+}
 
 
 def verdict(num, name, ok, detail=""):
@@ -99,17 +109,30 @@ def sweep_inputs(splits):
 
 
 def run_sweep(sweep_inputs):
+    """The sweep's rows at one BLAS thread, and the sha256 of each leg's
+    trained parameters by k, recorded as the sweep trains them."""
     train_poses, tf, test_poses, ef = sweep_inputs
     tpl = NetworkSpec(input_dim=tf.shape[1], hidden_layers=HIDDEN, num_anchors=1,
                       seed=SWEEP_NET_SEED)
     cfg = TrainConfig(epochs=SWEEP_EPOCHS, shuffle_seed=SWEEP_SHUFFLE_SEED,
                       weights=LossWeights())
-    return evaluation.sweep_anchor_interval(train_poses, tf, test_poses, ef,
-                                            SWEEP_KS, tpl, cfg)
+    hashes = []
+    train = optim.train
+
+    def recorded_train(*args, **kwargs):
+        report = train(*args, **kwargs)
+        hashes.append(hashlib.sha256(report.params.tobytes()).hexdigest())
+        return report
+
+    with pytest.MonkeyPatch.context() as mp, cli._one_blas_thread():
+        mp.setattr(optim, "train", recorded_train)
+        rows = evaluation.sweep_anchor_interval(train_poses, tf, test_poses, ef,
+                                                SWEEP_KS, tpl, cfg)
+    return rows, dict(zip(SWEEP_KS, hashes))
 
 
 @pytest.fixture(scope="session")
-def sweep_rows(sweep_inputs):
+def sweep(sweep_inputs):
     return run_sweep(sweep_inputs)
 
 
@@ -350,6 +373,11 @@ def test_frozen_seed_parameter_hashes(trained, trained_direct):
     assert hashlib.sha256(dreport.params.tobytes()).hexdigest() == DIRECT_PARAMS_SHA256
 
 
+def test_frozen_seed_sweep_parameter_hashes(sweep):
+    _, hashes = sweep
+    assert hashes == SWEEP_PARAMS_SHA256
+
+
 # --- criterion 6: anchor discovery ----------------------------------------------------
 
 def test_criterion_6_anchor_discovery(world, scene, net_spec, trained):
@@ -372,11 +400,11 @@ def test_criterion_6_anchor_discovery(world, scene, net_spec, trained):
 
 # --- criterion 7: anchor interval sweep ------------------------------------------------
 
-def test_criterion_7_interval_sweep(sweep_inputs, sweep_rows, tmp_path):
-    rows = sweep_rows
+def test_criterion_7_interval_sweep(sweep_inputs, sweep, tmp_path):
+    rows, _ = sweep
     rerun = tmp_path / "rerun"
     rerun.mkdir()
-    evaluation.write_sweep_csv(rerun / "sweep.csv", run_sweep(sweep_inputs))
+    evaluation.write_sweep_csv(rerun / "sweep.csv", run_sweep(sweep_inputs)[0])
 
     finite = all(np.isfinite([r.median_m, r.median_deg, r.accuracy]).all()
                  for r in rows) and len(rows) == len(SWEEP_KS)

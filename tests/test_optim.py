@@ -2,6 +2,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -123,6 +124,55 @@ class TestAdamStep:
             m=np.array([0.1, -0.2, 0.3]), v=np.array([0.4, 0.5, 0.6]), t=5))
         kept = [a.tobytes() for a in (adam.params, adam.m, adam.v)]
         adam.grad[...] = [0.5, bad, -0.25]
+        with pytest.raises(TrainingDivergenceError):
+            adam.step(0.1)
+        assert adam.t == 5
+        assert [a.tobytes() for a in (adam.params, adam.m, adam.v)] == kept
+
+    def test_blocks_match_scalar_oracle_bit_for_bit(self, monkeypatch):
+        # two whole blocks and 5 entries: scalar oracles at every block edge and
+        # at random entries, and the whole vector against the same steps taken
+        # as one block, whose arithmetic the 7-entry oracle test pins
+        block = optim._BLOCK
+        n = 2 * block + 5
+        rng = np.random.default_rng(22)
+        params = rng.standard_normal(n)
+        blocked = optim._InPlaceAdam(params)
+        monkeypatch.setattr(optim, "_BLOCK", n)
+        whole = optim._InPlaceAdam(params)
+        assert (len(blocked._blocks), len(whole._blocks)) == (3, 1)
+        edges = {i + d for i in (block, 2 * block) for d in range(-3, 3)}
+        lanes = sorted(edges | {0, 1, 2} | set(range(n - 5, n))
+                       | set(rng.choice(n, 40, replace=False).tolist()))
+        oracles = [ScalarAdam(lr=1e-2) for _ in lanes]
+        ref = params[lanes].tolist()
+        for step in range(60):
+            lr = 1e-2 * 0.5 ** (step // 30)
+            g = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-6, 2, size=n)
+            for adam in (blocked, whole):
+                adam.grad[...] = g
+                adam.step(lr)
+            for j, (i, oracle) in enumerate(zip(lanes, oracles)):
+                oracle.lr = lr
+                ref[j] = oracle.step(ref[j], float(g[i]))
+            assert blocked.params[lanes].tolist() == ref
+            assert blocked.m[lanes].tolist() == [o.m for o in oracles]
+            assert blocked.v[lanes].tolist() == [o.v for o in oracles]
+            for a, b in ((blocked.params, whole.params), (blocked.m, whole.m),
+                         (blocked.v, whole.v)):
+                assert a.tobytes() == b.tobytes()
+            assert blocked.t == whole.t == step + 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_entry_in_the_last_block_leaves_every_block(self, bad):
+        n = 2 * optim._BLOCK + 5
+        rng = np.random.default_rng(23)
+        adam = optim._InPlaceAdam(rng.standard_normal(n), AdamState(
+            m=rng.standard_normal(n), v=rng.random(n), t=5))
+        assert len(adam._blocks) == 3
+        kept = [a.tobytes() for a in (adam.params, adam.m, adam.v)]
+        adam.grad[...] = rng.standard_normal(n)
+        adam.grad[n - 2] = bad
         with pytest.raises(TrainingDivergenceError):
             adam.step(0.1)
         assert adam.t == 5
@@ -328,7 +378,8 @@ class TestInPlaceStep:
 
         seen = []
 
-        def on_epoch(stats, params, state):
+        def on_epoch(stats, snapshot):
+            params, state = snapshot()
             seen.append((params, state, params.copy(), state.m.copy(), state.v.copy(), state.t))
 
         report = train(tiny_scene.train, tiny_net, cfg, init_params=init_params,
@@ -360,12 +411,46 @@ class TestInPlaceStep:
         cfg = TrainConfig(epochs=epochs)
         for report in (train(tiny_scene.train, tiny_net, cfg),
                        baseline.train_direct(tiny_scene.train, direct, cfg)):
-            assert report.params.ctypes.data % 64 == 0
+            for a in (report.params, report.adam_state.m, report.adam_state.v):
+                assert a.ctypes.data % 64 == 0
 
-    @pytest.mark.parametrize("n", [1, 3, 10, 101])
+    @pytest.mark.parametrize("n", [1, 3, 10, 101, 2 * optim._BLOCK + 5])
     def test_adam_step_parameters_start_on_a_64_byte_boundary(self, n):
-        params, _ = adam_step(np.ones(n), np.ones(n), AdamState.initial(n), 1e-3)
-        assert params.ctypes.data % 64 == 0
+        # params, grad, m and v, and each block's views of them
+        params, state = adam_step(np.ones(n), np.ones(n), AdamState.initial(n), 1e-3)
+        adam = optim._InPlaceAdam(np.ones(n))
+        for a in (params, state.m, state.v, adam.params, adam.grad, adam.m, adam.v,
+                  *(view for views in adam._blocks for view in views)):
+            assert a.ctypes.data % 64 == 0
+
+    def test_training_holds_four_parameter_sized_arrays(self, tiny_scene):
+        # params, grad, m and v, plus one Adam block of scratch: wide layers
+        # keep a step's temporaries small beside the 8P-byte vectors, and a
+        # callback that takes no snapshot costs no copy
+        spec = NetworkSpec(input_dim=tiny_scene.train.features.shape[1],
+                           hidden_layers=(600, 600), num_anchors=tiny_scene.num_anchors, seed=3)
+        n = model.param_count(spec)
+        assert n > 2 * optim._BLOCK
+        cfg = TrainConfig(epochs=2)
+        init = model.init(spec)
+        held = []
+
+        def on_epoch(stats, snapshot):
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(tiny_scene.train, spec, cfg, init_params=init,
+                  epoch_callback=lambda stats, snapshot: None)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            # a fresh run holds no copy of model.init's vector once Adam has it
+            base = tracemalloc.get_traced_memory()[0]
+            train(tiny_scene.train, spec, cfg, epoch_callback=on_epoch)
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * n
+        assert len(held) == 2 and max(held) < 5 * 8 * n
 
 
 def small_spec():
