@@ -74,8 +74,8 @@ def train_direct(samples: SampleBatch, spec: DirectSpec, config: TrainConfig) ->
                                               config.weights)
         return breakdown, {"pose": d_pose}
 
-    return optimmod._train_loop(samples, spec, config, batch_loss,
-                                (samples.positions, samples.orientations))
+    return optimmod.train_loop(samples, spec, config, batch_loss,
+                               (samples.positions, samples.orientations))
 
 
 def evaluate_direct(spec: DirectSpec, params: np.ndarray, batch: SampleBatch) -> EvalReport:

@@ -25,7 +25,7 @@ from dataclasses import MISSING, astuple, fields
 
 import numpy as np
 
-from . import data, evaluation, optim, simworld
+from . import data, evaluation, files, optim, simworld
 from .errors import (AnchorLocError, DegenerateOrientationError, InvalidInputError,
                      InvalidSpecError, NonFinitePoseError, TrainingDivergenceError)
 from .loss import LossWeights
@@ -75,7 +75,7 @@ class _Parser(argparse.ArgumentParser):
 def load_config(path: str | None) -> dict[str, dict[str, str]]:
     cfg = {sec: dict(vals) for sec, vals in _DEFAULTS.items()}
     if path:  # the keys are the defaults'
-        for sec, vals in simworld.read_ini(path, cfg).items():
+        for sec, vals in files.read_ini(path, cfg).items():
             cfg[sec].update(vals)
     return cfg
 
@@ -91,7 +91,7 @@ def _config(args) -> dict[str, dict[str, str]]:
 
 
 def write_config_snapshot(path, cfg: dict[str, dict[str, str]]) -> None:
-    simworld.write_ini(path, {sec: dict(sorted(cfg[sec].items())) for sec in sorted(cfg)})
+    files.write_ini(path, {sec: dict(sorted(cfg[sec].items())) for sec in sorted(cfg)})
 
 
 def _value(cfg, section: str, key: str, convert):
@@ -170,8 +170,8 @@ def cmd_train(args) -> int:
     # failed run leaves its periodic checkpoints, or no directory it created
     try:
         report = optim.train(scene.train, spec, train_cfg, epoch_callback=on_epoch)
-        simworld.write_csv(os.path.join(args.out, "training_log.csv"),
-                           [f.name for f in fields(EpochStats)], log)
+        files.write_csv(os.path.join(args.out, "training_log.csv"),
+                        [f.name for f in fields(EpochStats)], log)
     except BaseException:
         if created and not os.listdir(args.out):
             os.rmdir(args.out)

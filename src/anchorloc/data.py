@@ -5,16 +5,18 @@ Pose text format (UTF-8), one record per line::
 
     frame_id tx ty tz qw qx qy qz
 
-Lines starting with ``#`` (and blank lines) are ignored. Floats are written
-with 17 significant digits, which round-trips IEEE doubles exactly, so
-parse -> serialize -> parse is bit-stable.
+Lines starting with ``#`` (and blank lines) are ignored, so a frame id is
+non-empty, holds no whitespace and does not start with ``#``. Floats are
+written with 17 significant digits, which round-trips IEEE doubles exactly,
+so parse -> serialize -> parse is bit-stable.
 
 Feature files are little-endian binary: magic ``ALFT``, a u32 version, u64
 frame count, u64 dim, then per row a u32-length-prefixed UTF-8 frame id and
 ``dim`` float64 values, which must be finite.
 
 A dataset directory holds ``poses_train.txt``, ``poses_test.txt``,
-``features_train.bin``, ``features_test.bin``.
+``features_train.bin``, ``features_test.bin``; ``files`` writes each whole
+and reads the pose text.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import numpy as np
 
 from .errors import DataIntegrityError, InvalidInputError, ParseError
 from .geometry import AnchorMap, Pose, build_anchor_map, quat_norm
-from .simworld import Sample, _fmt, _read_lines, write_atomically
+from .files import fmt, read_lines, write_atomically
+from .simworld import Sample
 
 QUAT_NORM_TOL = 1e-3
 
@@ -44,9 +47,12 @@ FEATURES_TEST = "features_test.bin"
 
 
 def format_pose_line(frame_id: str, pose: Pose) -> str:
+    if frame_id.split() != [frame_id] or frame_id.startswith("#"):
+        raise InvalidInputError(f"frame id {frame_id!r} is empty, holds whitespace or starts "
+                                "with '#', so its pose line would not read back")
     fields = [frame_id]
-    fields += [_fmt(v) for v in pose.position]
-    fields += [_fmt(v) for v in pose.orientation]
+    fields += [fmt(v) for v in pose.position]
+    fields += [fmt(v) for v in pose.orientation]
     return " ".join(fields)
 
 
@@ -73,7 +79,7 @@ def parse_pose_line(line: str, line_number: int | None = None) -> tuple[str, Pos
 def load_pose_file(path) -> list[tuple[str, Pose]]:
     """Ordered (frame_id, Pose) records from a pose text file."""
     records = []
-    for n, raw in enumerate(_read_lines(path), start=1):
+    for n, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -24,10 +24,10 @@ from . import model as modelmod
 from . import optim as optimmod
 from .data import SampleBatch, assemble
 from .errors import InvalidInputError, NonFinitePoseError
+from .files import write_atomically, write_csv
 from .geometry import ANCHOR_DEDUP_TOL, AnchorMap, Pose, quat_angle_deg
 from .loss import confidences, unit_orientation
 from .model import BatchPrediction, NetworkSpec
-from .simworld import write_atomically, write_csv
 
 ACCURACY_TRANSLATION_M = 2.0
 ACCURACY_ROTATION_DEG = 5.0

@@ -1,15 +1,16 @@
 """Adam optimizer, stepped learning-rate schedule, the mini-batch loop and
 training checkpoints.
 
-The loop runs every model's training step: forward through ``model.Bound``,
-the model's loss, backward, then Adam. ``train`` (the anchor model) and
-``baseline.train_direct`` (the direct control) supply only a loss; the
-network pass and the loss check their inputs. A training checkpoint is the
-network spec, the parameters and Adam's state (three arrays of the spec's
-parameter count), so a resumed run continues the optimizer too;
-:func:`save_training_checkpoint` and :func:`load_training_checkpoint` are
-the one writer and reader of its layout; ``simworld.write_atomically``, the
-package's one file writer, writes it whole or not at all.
+The loop, :func:`train_loop`, runs every model's training step: forward
+through ``model.Bound``, the model's loss, backward, then Adam. ``train``
+(the anchor model) and ``baseline.train_direct`` (the direct control)
+supply only a loss; the network pass and the loss check their inputs. A
+training checkpoint is the network spec, the parameters and Adam's state
+(three arrays of the spec's parameter count), so a resumed run continues
+the optimizer too; :func:`save_training_checkpoint` and
+:func:`load_training_checkpoint` are the one writer and reader of its
+layout; ``files.write_atomically``, the package's one file writer, writes
+it whole or not at all.
 
 Training is deterministic given the two seeds involved (network init seed and
 shuffle seed): per-epoch permutations come from a generator keyed on
@@ -33,9 +34,9 @@ from . import model as modelmod
 from .data import SampleBatch
 from .errors import (DegenerateOrientationError, InvalidInputError, ParseError,
                      TrainingDivergenceError, as_int, as_seed)
+from .files import write_atomically
 from .loss import LossWeights
 from .model import NetworkSpec
-from .simworld import write_atomically
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba, Alg. 1)
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -87,10 +88,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-
-    @classmethod
-    def initial(cls, n: int) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n), t=0)
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -182,9 +179,9 @@ class _InPlaceAdam:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the inf or nan left raises below
-def _train_loop(samples: SampleBatch, spec, config: TrainConfig, loss, targets,
-                init_params: np.ndarray | None = None, init_state: AdamState | None = None,
-                start_epoch: int = 0, epoch_callback=None) -> TrainReport:
+def train_loop(samples: SampleBatch, spec, config: TrainConfig, loss, targets,
+               init_params: np.ndarray | None = None, init_state: AdamState | None = None,
+               start_epoch: int = 0, epoch_callback=None) -> TrainReport:
     """The mini-batch loop every model trains with: forward, ``loss``,
     backward and Adam on one :class:`model.Bound` over the run's buffers.
 
@@ -258,9 +255,9 @@ def train(samples: SampleBatch, spec: NetworkSpec, config: TrainConfig, *,
             orientations, nearest, config.weights)
         return breakdown, modelmod.head_grads(*d)
 
-    return _train_loop(samples, spec, config, batch_loss,
-                       (samples.positions, samples.orientations, samples.nearest),
-                       init_params, init_state, start_epoch, epoch_callback)
+    return train_loop(samples, spec, config, batch_loss,
+                      (samples.positions, samples.orientations, samples.nearest),
+                      init_params, init_state, start_epoch, epoch_callback)
 
 
 # --- training checkpoints ----------------------------------------------------
@@ -279,7 +276,7 @@ def save_training_checkpoint(path, spec: NetworkSpec, params: np.ndarray,
     shape of ``params``, ``adam_m`` and ``adam_v`` in that order, and the
     meta: ``epoch`` and ``adam_t``, which keys of ``meta`` override), then
     the three arrays as little-endian float64 in C order, so a load/save
-    cycle is bit-exact. ``simworld.write_atomically`` writes the bytes, so a
+    cycle is bit-exact. ``files.write_atomically`` writes the bytes, so a
     write that fails midway leaves a previous checkpoint as it was.
     """
     arrays = [np.ascontiguousarray(a, dtype="<f8") for a in (params, state.m, state.v)]

@@ -13,25 +13,22 @@ layout guarantees some landmark is almost always nearly dead ahead, and it
 makes "the nearest anchor's landmark is behind you or blocked, but another
 anchor's landmark is in clear view" a common, measurable situation.
 
-A world spec is saved as ``world.ini`` text, read by :func:`read_ini` like the
-CLI's config files. Its float fields are listed once, in file order, in
-``_FLOAT_FIELDS``: the spec's checks, writer and reader walk it.
-
-Every file the package writes goes through :func:`write_atomically` (whole or
-not at all, text as UTF-8), INI and CSV text through :func:`write_ini` and
-:func:`write_csv`; :func:`read_ini` and ``_read_lines`` read text as UTF-8.
+A world spec is saved as ``world.ini`` text through ``files.write_ini`` and
+read by ``files.read_ini`` like the CLI's config files. Its float fields are
+listed once, in file order, in ``_FLOAT_FIELDS``: the spec's checks, writer
+and reader walk it. A landmark name holds no ``;``, ``:`` or line break and
+does not start with whitespace, so it reads back as itself.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidSpecError, ParseError, as_seed
+from .errors import InvalidInputError, InvalidSpecError, as_seed
+from .files import fmt, read_ini, write_ini
 from .geometry import Pose, yaw_quat
 
 GRAZE_EPS = 1e-12
@@ -92,6 +89,9 @@ class WorldSpec:
         obs = tuple(((float(a[0]), float(a[1])), (float(b[0]), float(b[1])))
                     for a, b in self.obstacles)
         for name, p in lm:
+            if name[:1].isspace() or any(c in name for c in ";:\n\r"):
+                raise InvalidSpecError(f"landmark name {name!r} starts with whitespace or holds "
+                                       "';', ':' or a line break, which world.ini cannot read back")
             if not all(map(math.isfinite, p)):
                 raise InvalidSpecError(f"landmark {name!r} coordinates must be finite, got {p}")
         for j, (a, b) in enumerate(obs):
@@ -342,83 +342,19 @@ def default_world(seed: int = DEFAULT_SEED, noise_sigma: float = DEFAULT_NOISE_S
                      obstacles=_DEFAULT_OBSTACLES, noise_sigma=noise_sigma, seed=seed)
 
 
-# --- files: the one writer, world spec files, the INI reader ----------------------
-
-def _fmt(x) -> str:
-    """An int as it is, else 17 significant digits, which round-trip a double exactly."""
-    return str(x) if isinstance(x, int) else format(float(x), ".17g")
-
-
-def write_atomically(path, data: bytes | str) -> None:
-    """The one file writer: ``data`` (text as UTF-8) goes to a temporary file beside
-    ``path``, flushed to disk and then moved over ``path``, so a write that fails
-    midway leaves whatever was at ``path`` as it was, and no temporary file."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
-def write_ini(path, sections) -> None:
-    """``{section: {key: value}}`` as ``[section]`` then ``key = value`` lines, in the
-    order given, with a blank line between sections."""
-    write_atomically(path, "\n".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-                                     for sec, keys in sections.items()))
-
-
-def write_csv(path, header, rows) -> None:
-    """A line of ``header``'s names, then one per row of its values through :func:`_fmt`."""
-    lines = [header, *(map(_fmt, row) for row in rows)]
-    write_atomically(path, "".join(",".join(line) + "\n" for line in lines))
-
+# --- world spec files ------------------------------------------------------------
 
 def save_world_spec(path, spec: WorldSpec) -> None:
     """Plain-text world schema; floats carry 17 significant digits so a
     load/save cycle reproduces the world bit-exactly."""
     write_ini(path, {"world": {
         "seed": spec.seed,
-        **{name: _fmt(getattr(spec, name)) for name in _FLOAT_FIELDS},
-        "route": "; ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in spec.route),
-        "landmarks": "; ".join(f"{name}:{_fmt(p[0])},{_fmt(p[1])}" for name, p in spec.landmarks),
-        "obstacles": "; ".join(f"{_fmt(a[0])},{_fmt(a[1])},{_fmt(b[0])},{_fmt(b[1])}"
+        **{name: fmt(getattr(spec, name)) for name in _FLOAT_FIELDS},
+        "route": "; ".join(f"{fmt(p[0])},{fmt(p[1])}" for p in spec.route),
+        "landmarks": "; ".join(f"{name}:{fmt(p[0])},{fmt(p[1])}" for name, p in spec.landmarks),
+        "obstacles": "; ".join(f"{fmt(a[0])},{fmt(a[1])},{fmt(b[0])},{fmt(b[1])}"
                                for a, b in spec.obstacles),
     }})
-
-
-def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; one that does not decode is ParseError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.readlines()
-    except UnicodeDecodeError as err:
-        raise ParseError(f"{path}: not a text file: {err}") from None
-
-
-def read_ini(path, known) -> dict[str, dict[str, str]]:
-    """{section: {key: value}} of a UTF-8 INI file (configparser; no interpolation, no
-    ``[DEFAULT]``); one it rejects, or with a key outside ``known`` ({section: keys}),
-    is InvalidSpecError."""
-    parser = configparser.ConfigParser(interpolation=None, default_section="")
-    try:  # a missing file is OSError; read skips it
-        parser.read_file(_read_lines(path))
-    except configparser.Error as err:  # whose own message spans lines
-        line = getattr(err, "lineno", None) or err.errors[0][0]
-        raise InvalidSpecError(f"{path}, line {line}: malformed ({type(err).__name__})") from None
-    values = {sec: dict(parser.items(sec)) for sec in parser.sections()}
-    for sec in values:
-        if sec not in known:
-            raise InvalidSpecError(f"{path}: unknown section [{sec}]")
-        for key in values[sec]:
-            if key not in known[sec]:
-                raise InvalidSpecError(f"{path}: unknown key [{sec}] {key}")
-    return values
 
 
 def load_world_spec(path) -> WorldSpec:

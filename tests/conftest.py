@@ -4,7 +4,7 @@ import errno
 import numpy as np
 import pytest
 
-from anchorloc import data, simworld
+from anchorloc import data, files, simworld
 from anchorloc.geometry import AnchorMap, Pose, yaw_quat
 
 
@@ -44,10 +44,12 @@ class HalfWriter:
 
 @contextlib.contextmanager
 def half_writes():
-    """Within the block, every file ``simworld.write_atomically`` opens is a HalfWriter."""
+    """Within the block, every file ``files.write_atomically`` opens is a HalfWriter.
+    ``open`` is a builtin, not a name of ``files``, hence ``raising=False``; the
+    tests around the block expect the OSError, so a stale target fails them."""
     real_open = open
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simworld, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)),
+        mp.setattr(files, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)),
                    raising=False)
         yield
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anchorloc import data
 from anchorloc.errors import DataIntegrityError, InvalidInputError, ParseError
@@ -62,6 +64,25 @@ class TestPoseFiles:
         p2 = tmp_path / "b.txt"
         data.save_pose_file(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(fid=st.text(st.one_of(st.characters(), st.sampled_from(" \t\n\r#"))))
+    @example(fid="#x")
+    @example(fid="a b")
+    @example(fid="")
+    def test_a_frame_id_reads_back_or_is_rejected(self, tmp_path_factory, fid):
+        path = tmp_path_factory.mktemp("ids") / "poses.txt"
+        try:
+            data.save_pose_file(path, [(fid, make_pose(1.0, 2.0)), ("f1", make_pose(3.0, 4.0))])
+        except (InvalidInputError, UnicodeEncodeError):  # the latter: a lone surrogate
+            assert not any(path.parent.iterdir())
+            return
+        assert [f for f, _ in data.load_pose_file(path)] == [fid, "f1"]
+
+    @pytest.mark.parametrize("fid", ["#x", "a b", "", " x", "x\n", "a\u2028b"])
+    def test_a_frame_id_a_pose_file_cannot_carry_is_rejected(self, fid):
+        with pytest.raises(InvalidInputError, match="frame id"):
+            data.format_pose_line(fid, make_pose(1.0, 2.0))
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "poses.txt"

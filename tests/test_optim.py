@@ -63,7 +63,7 @@ class TestLrSchedule:
 class TestAdamStep:
     def test_zero_gradient_leaves_parameters(self):
         params = np.array([1.0, -2.0, 3.0])
-        state = AdamState.initial(3)
+        state = AdamState(m=np.zeros(3), v=np.zeros(3))
         for _ in range(5):
             params, state = adam_step(params, np.zeros(3), state, lr=0.1)
         np.testing.assert_array_equal(params, [1.0, -2.0, 3.0])
@@ -72,12 +72,13 @@ class TestAdamStep:
         # step = lr * g / (|g| + eps), so magnitude is lr up to the eps floor
         for g in (0.3, -7.0, 1e-3):
             params = np.array([1.0])
-            new, _ = adam_step(params, np.array([g]), AdamState.initial(1), lr=0.01)
+            new, _ = adam_step(params, np.array([g]), AdamState(m=np.zeros(1), v=np.zeros(1)),
+                               lr=0.01)
             assert new[0] == pytest.approx(1.0 - 0.01 * math.copysign(1, g), rel=1e-4)
 
     def test_quadratic_trajectory_matches_scalar_oracle(self):
         theta = np.array([1.0])
-        state = AdamState.initial(1)
+        state = AdamState(m=np.zeros(1), v=np.zeros(1))
         oracle = ScalarAdam(lr=0.1)
         ref = 1.0
         for _ in range(10):
@@ -91,7 +92,7 @@ class TestAdamStep:
         # IEEE operations in the same order, so they agree exactly
         rng = np.random.default_rng(21)
         params = rng.standard_normal(7)
-        state = AdamState.initial(7)
+        state = AdamState(m=np.zeros(7), v=np.zeros(7))
         oracles = [ScalarAdam(lr=1e-2) for _ in range(7)]
         ref = params.tolist()
         for step in range(80):
@@ -109,14 +110,15 @@ class TestAdamStep:
     def test_inputs_not_mutated(self):
         params = np.array([1.0, 2.0])
         g = np.array([0.5, -0.5])
-        state = AdamState.initial(2)
+        state = AdamState(m=np.zeros(2), v=np.zeros(2))
         adam_step(params, g, state, lr=0.1)
         np.testing.assert_array_equal(params, [1.0, 2.0])
         assert state.t == 0 and np.all(state.m == 0)
 
     def test_nonfinite_gradient_aborts(self):
         with pytest.raises(TrainingDivergenceError):
-            adam_step(np.ones(2), np.array([1.0, np.inf]), AdamState.initial(2), lr=0.1)
+            adam_step(np.ones(2), np.array([1.0, np.inf]),
+                      AdamState(m=np.zeros(2), v=np.zeros(2)), lr=0.1)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
     def test_nonfinite_gradient_leaves_the_state(self, bad):
@@ -183,7 +185,8 @@ class TestAdamStep:
         g = [1e200, -1e200, 0.5, -0.25]
         params = np.array([1.0, 2.0, -3.0, 4.0])
         with np.errstate(over="ignore"):
-            new, state = adam_step(params, np.array(g), AdamState.initial(4), lr=0.1)
+            new, state = adam_step(params, np.array(g),
+                                   AdamState(m=np.zeros(4), v=np.zeros(4)), lr=0.1)
         oracles = [ScalarAdam(0.1) for _ in g]
         assert new.tolist() == [o.step(p, gi) for o, p, gi in zip(oracles, params.tolist(), g)]
         assert state.m.tolist() == [o.m for o in oracles]
@@ -355,8 +358,10 @@ class TestInPlaceStep:
                           weights=LossWeights(alpha1=0.5 if use_ce else 0.0, alpha2=3.0,
                                               alpha3=0.7))
         report = train(tiny_scene.train, spec, cfg)
-        ref = reference_loop(tiny_scene.train, model.init(spec), AdamState.initial(
-            model.param_count(spec)), cfg, anchor_loss_grad(tiny_scene.train, spec, cfg.weights))
+        n = model.param_count(spec)
+        ref = reference_loop(tiny_scene.train, model.init(spec), AdamState(
+            m=np.zeros(n), v=np.zeros(n)), cfg, anchor_loss_grad(tiny_scene.train, spec,
+                                                                 cfg.weights))
         assert_same_run(report, *ref)
 
     def test_direct_matches_pure_reference_loop(self, tiny_scene):
@@ -364,9 +369,10 @@ class TestInPlaceStep:
                           seed=4)
         cfg = TrainConfig(epochs=3, batch_size=9, lr=1e-2, shuffle_seed=6)
         report = baseline.train_direct(tiny_scene.train, spec, cfg)
-        ref = reference_loop(tiny_scene.train, model.init(spec), AdamState.initial(
-            model.param_count(spec)), cfg, direct_loss_grad(tiny_scene.train, spec,
-                                                               cfg.weights))
+        n = model.param_count(spec)
+        ref = reference_loop(tiny_scene.train, model.init(spec), AdamState(
+            m=np.zeros(n), v=np.zeros(n)), cfg, direct_loss_grad(tiny_scene.train, spec,
+                                                                 cfg.weights))
         assert_same_run(report, *ref)
 
     def test_resumed_run_leaves_inputs_and_snapshots_alone(self, tiny_scene, tiny_net):
@@ -417,7 +423,8 @@ class TestInPlaceStep:
     @pytest.mark.parametrize("n", [1, 3, 10, 101, 2 * optim._BLOCK + 5])
     def test_adam_step_parameters_start_on_a_64_byte_boundary(self, n):
         # params, grad, m and v, and each block's views of them
-        params, state = adam_step(np.ones(n), np.ones(n), AdamState.initial(n), 1e-3)
+        params, state = adam_step(np.ones(n), np.ones(n),
+                                  AdamState(m=np.zeros(n), v=np.zeros(n)), 1e-3)
         adam = optim._InPlaceAdam(np.ones(n))
         for a in (params, state.m, state.v, adam.params, adam.grad, adam.m, adam.v,
                   *(view for views in adam._blocks for view in views)):
@@ -498,7 +505,8 @@ class TestCheckpoint:
         x = np.linspace(0, 1, spec.input_dim)
         before = model.forward(spec, params, x)
         path = tmp_path / "ckpt.bin"
-        save_training_checkpoint(path, spec, params, AdamState.initial(params.size), epoch=0)
+        save_training_checkpoint(path, spec, params, AdamState(
+            m=np.zeros(params.size), v=np.zeros(params.size)), epoch=0)
         spec2, params2, _, _, _ = load_training_checkpoint(path)
         after = model.forward(spec2, params2, x)
         assert np.array_equal(before.logits, after.logits)
@@ -507,7 +515,7 @@ class TestCheckpoint:
     def test_failed_write_leaves_previous_checkpoint(self, tmp_path):
         spec = small_spec()
         params = model.init(spec)
-        state = AdamState.initial(params.size)
+        state = AdamState(m=np.zeros(params.size), v=np.zeros(params.size))
         path = tmp_path / "ckpt.bin"
         save_training_checkpoint(path, spec, params, state, epoch=1)
         before = path.read_bytes()

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle_simworld as oracle
@@ -204,6 +204,33 @@ class TestWorldSpecFile:
         path2 = tmp_path / "world2.ini"
         save_world_spec(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.text(st.one_of(st.characters(), st.sampled_from(" \t\n\r;:,#="))))
+    @example(name="a;b")
+    @example(name="x:y")
+    @example(name=" lm")
+    @example(name="lm ")
+    def test_a_landmark_name_reads_back_or_is_rejected(self, tmp_path_factory, name):
+        # the name both first and last, where world.ini's separators and the
+        # reader's stripping touch it
+        try:
+            spec = WorldSpec(route=[[0.0, 0.0], [1.0, 0.0]],
+                             landmarks=((name, (0.5, 0.25)), (name + "'", (0.75, 0.5))))
+        except InvalidSpecError:
+            return
+        path = tmp_path_factory.mktemp("names") / "world.ini"
+        try:
+            save_world_spec(path, spec)
+        except UnicodeEncodeError:  # a lone surrogate, which no UTF-8 file holds
+            assert not any(path.parent.iterdir())
+            return
+        assert load_world_spec(path).landmarks == spec.landmarks
+
+    @pytest.mark.parametrize("name", ["a;b", "x:y", " lm", "\tlm", "a\nb", "a\rb"])
+    def test_a_name_world_ini_cannot_carry_is_rejected(self, name):
+        with pytest.raises(InvalidSpecError, match="landmark name"):
+            WorldSpec(route=[[0.0, 0.0], [1.0, 0.0]], landmarks=((name, (0.5, 0.25)),))
 
     def test_loaded_world_generates_identical_samples(self, tmp_path, tiny_world):
         path = tmp_path / "world.ini"
