@@ -2,10 +2,10 @@
 (x, y, z plus unnormalized quaternion), no anchors.
 
 This is the comparison model used to show that the anchor mechanism, not the
-trunk, is responsible for localization accuracy. It is a spec plus a loss:
-``model.Bound`` runs its network pass and ``optim``'s loop trains it with the
-same Adam, schedule and shuffling as the anchor model, so runs differ only in
-the head and loss.
+trunk, is responsible for localization accuracy. It is a spec plus a loss
+that reuses the anchor model's absolute term: ``model.Bound`` runs its
+network pass and ``optim``'s loop trains it with the same Adam, schedule and
+shuffling as the anchor model, so runs differ only in the head and loss.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import model as modelmod
 from . import optim as optimmod
 from .data import SampleBatch
 from .evaluation import EvalReport, report_from_poses
-from .loss import LossBreakdown, LossWeights, absolute_term, batch_mean, unit_orientation
+from .loss import LossBreakdown, LossWeights, absolute_term, unit_orientation
 from .optim import TrainConfig, TrainReport
 
 
@@ -36,43 +36,28 @@ def forward_batch(spec: DirectSpec, params: np.ndarray, features: np.ndarray) ->
     return bound.head("pose", bound.forward(features)[-1])
 
 
-def backward_batch(spec: DirectSpec, params: np.ndarray, cache, d_pose: np.ndarray) -> np.ndarray:
-    return modelmod.Bound(spec, params, np.zeros(modelmod.param_count(spec))).backward(
-        cache, {"pose": d_pose})
+backward_batch = modelmod.backward_batch
 
 
 def direct_loss_batch(pose_out: np.ndarray, gt_xyz: np.ndarray, gt_orient: np.ndarray,
                       weights: LossWeights):
-    """Mean direct-regression loss and the upstream gradient (already /B).
-
-    Horizontal squared error is weighted like the offset term and the
-    z/orientation part is the anchor model's absolute term, so the control
-    shares the anchor model's loss weighting.
-    """
-    xy_resid = pose_out[:, :2] - gt_xyz[:, :2]
-    off_per = (xy_resid ** 2).sum(axis=1)
-    abs_per, d_z, d_orient = absolute_term(pose_out[:, 2], pose_out[:, 3:], gt_xyz[:, 2],
-                                           gt_orient, weights.alpha3)
-    total_per = weights.alpha2 * off_per + weights.alpha3 * abs_per
-
-    inv_b = 1.0 / pose_out.shape[0]
+    """Mean direct-regression loss and the pose head's upstream gradient
+    (already /B): the squared horizontal error, weighted like the anchor
+    model's offset term, and its absolute term for z and orientation."""
     d_pose = np.empty_like(pose_out)  # every column is written below
-    d_pose[:, :2] = weights.alpha2 * 2.0 * xy_resid * inv_b
-    d_pose[:, 2] = d_z * inv_b
-    d_pose[:, 3:] = d_orient * inv_b
-
-    breakdown = LossBreakdown(offset_term=batch_mean(off_per),
-                              absolute_term=batch_mean(abs_per),
-                              ce_term=0.0, total=batch_mean(total_per))
-    return breakdown, d_pose
+    xy_resid = np.subtract(pose_out[:, :2], gt_xyz[:, :2], out=d_pose[:, :2])
+    off_per = (xy_resid ** 2).sum(axis=1)
+    abs_per, d_pose[:, 2], d_pose[:, 3:] = absolute_term(
+        pose_out[:, 2], pose_out[:, 3:], gt_xyz[:, 2], gt_orient, weights.alpha3)
+    xy_resid *= weights.alpha2 * 2.0
+    d_pose *= 1.0 / len(pose_out)
+    return LossBreakdown.of(weights, off_per, abs_per), {"pose": d_pose}
 
 
 def train_direct(samples: SampleBatch, spec: DirectSpec, config: TrainConfig) -> TrainReport:
     """Same loop, schedule and shuffles as optim.train, different head/loss."""
     def batch_loss(net, h, gt_xyz, gt_orient):
-        breakdown, d_pose = direct_loss_batch(net.head("pose", h), gt_xyz, gt_orient,
-                                              config.weights)
-        return breakdown, {"pose": d_pose}
+        return direct_loss_batch(net.head("pose", h), gt_xyz, gt_orient, config.weights)
 
     return optimmod.train_loop(samples, spec, config, batch_loss,
                                (samples.positions, samples.orientations))

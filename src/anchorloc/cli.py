@@ -17,15 +17,11 @@ failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import os
 import sys
 from dataclasses import MISSING, astuple, fields
 
-import numpy as np
-
-from . import data, evaluation, files, optim, simworld
+from . import data, evaluation, files, model, optim, simworld
 from .errors import (AnchorLocError, DegenerateOrientationError, InvalidInputError,
                      InvalidSpecError, NonFinitePoseError, TrainingDivergenceError)
 from .loss import LossWeights
@@ -272,32 +268,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """numpy's bundled OpenBLAS at one thread, and its previous count restored
-    on exit: how OpenBLAS splits some products' sums depends on the thread
-    count, and so would the bytes a command writes. Where numpy links another
-    BLAS, nothing is pinned."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        yield
-        return
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        with _one_blas_thread():
+        with model.one_blas_thread():
             args = parser.parse_args(argv)
             return args.func(args)
     except _UsageError as err:

@@ -6,7 +6,8 @@ Pose text format (UTF-8), one record per line::
     frame_id tx ty tz qw qx qy qz
 
 Lines starting with ``#`` (and blank lines) are ignored, so a frame id is
-non-empty, holds no whitespace and does not start with ``#``. Floats are
+non-empty, holds no whitespace and does not start with ``#``; as in feature
+files, it holds no lone surrogate, which UTF-8 cannot encode. Floats are
 written with 17 significant digits, which round-trips IEEE doubles exactly,
 so parse -> serialize -> parse is bit-stable.
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import DataIntegrityError, InvalidInputError, ParseError
 from .geometry import AnchorMap, Pose, build_anchor_map, quat_norm
-from .files import fmt, read_lines, write_atomically
+from .files import encodable, fmt, read_lines, write_atomically
 from .simworld import Sample
 
 QUAT_NORM_TOL = 1e-3
@@ -47,9 +48,10 @@ FEATURES_TEST = "features_test.bin"
 
 
 def format_pose_line(frame_id: str, pose: Pose) -> str:
-    if frame_id.split() != [frame_id] or frame_id.startswith("#"):
-        raise InvalidInputError(f"frame id {frame_id!r} is empty, holds whitespace or starts "
-                                "with '#', so its pose line would not read back")
+    if frame_id.split() != [frame_id] or frame_id.startswith("#") or not encodable(frame_id):
+        raise InvalidInputError(f"frame id {frame_id!r} is empty, holds whitespace or a lone "
+                                "surrogate or starts with '#', so its pose line would not "
+                                "read back")
     fields = [frame_id]
     fields += [fmt(v) for v in pose.position]
     fields += [fmt(v) for v in pose.orientation]
@@ -98,6 +100,9 @@ def save_features(path, frame_ids: list[str], features: np.ndarray) -> None:
     parts = [_FEAT_MAGIC, _FEAT_VERSION.to_bytes(4, "little"),
              feats.shape[0].to_bytes(8, "little"), feats.shape[1].to_bytes(8, "little")]
     for fid, row in zip(frame_ids, feats):
+        if not encodable(fid):
+            raise InvalidInputError(f"frame id {fid!r} holds a lone surrogate, which UTF-8 "
+                                    "cannot encode")
         enc = fid.encode()
         parts += [len(enc).to_bytes(4, "little"), enc, row.tobytes()]
     write_atomically(path, b"".join(parts))

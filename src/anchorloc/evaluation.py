@@ -110,9 +110,11 @@ def report_from_poses(pred_xyz: np.ndarray, pred_quats: np.ndarray,
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite orientation raises
+@modelmod.one_blas_thread()
 def evaluate(spec: NetworkSpec, params: np.ndarray, batch: SampleBatch,
              anchor_map: AnchorMap, mode: str = "argmax") -> EvalReport:
-    """Per-sample errors and metrics on a test batch; weighted mode averages by confidence."""
+    """Per-sample errors and metrics on a test batch; weighted mode averages
+    by confidence. Runs at one OpenBLAS thread, as training does."""
     pred = modelmod.forward_batch(spec, params, batch.features)
     pos, quats, j = reconstruct(pred, anchor_map, mode)
     return report_from_poses(pos, quats, batch, j)

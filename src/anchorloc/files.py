@@ -3,7 +3,8 @@
 Every file the package writes goes through :func:`write_atomically` (whole or
 not at all, text as UTF-8), INI and CSV text through :func:`write_ini` and
 :func:`write_csv`; :func:`read_lines` and :func:`read_ini` read text as UTF-8.
-:func:`fmt` writes a number so that reading it back gives the same number.
+:func:`fmt` writes a number so that reading it back gives the same number, and
+:func:`encodable` tells whether a name can be written at all.
 """
 
 from __future__ import annotations
@@ -12,6 +13,16 @@ import configparser
 import os
 
 from .errors import InvalidSpecError, ParseError
+
+
+def encodable(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8, as every file here is written; only
+    a str that holds a lone surrogate ('\\ud800'-'\\udfff') does not."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def fmt(x) -> str:

@@ -14,8 +14,10 @@ Three components:
 
 The total is an alpha-weighted sum. Each term is one batched kernel and
 :func:`batch_total_loss` combines them; a single sample is a batch of one.
-:func:`offset_term` and :func:`batch_total_loss` work in the residual or
-ground-truth offsets array their caller hands over; everything else is pure.
+Every model's loss returns its terms' :meth:`LossBreakdown.of` and the per-head
+gradient table ``model.Bound.backward`` takes. :func:`offset_term` and
+:func:`batch_total_loss` work in the array their caller hands over; the rest
+is pure.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOrientationError, InvalidInputError
-from .model import BatchPrediction
+from .model import ABS_HEAD_DIM, ABS_ORIENT, ABS_Z, BatchPrediction
 
 ORIENT_NORM_FLOOR = 1e-12
 
@@ -50,6 +52,18 @@ class LossBreakdown:
     absolute_term: float
     ce_term: float
     total: float
+
+    @classmethod
+    def of(cls, weights: LossWeights, off_per, abs_per, ce_per=None) -> LossBreakdown:
+        """Batch means of the per-sample terms (B,) and of their weighted total
+        (no ``ce_per`` is a 0). Each is ``np.add.reduce(per) / B``, the pairwise
+        sum and division of ``ndarray.mean`` without its Python wrapper."""
+        total_per = weights.alpha2 * off_per
+        if ce_per is not None:
+            total_per += weights.alpha1 * ce_per  # IEEE addition commutes
+        total_per += weights.alpha3 * abs_per
+        return cls(*(0.0 if per is None else float(np.add.reduce(per) / per.shape[0])
+                     for per in (off_per, abs_per, ce_per, total_per)))
 
 
 def _softmax(logits: np.ndarray):
@@ -92,12 +106,6 @@ def unit_orientation(orient_raw: np.ndarray, gt_orient: np.ndarray | None = None
         return u, None
     udotq = (u * gt_orient).sum(axis=-1, keepdims=True)
     return u, scale * 2.0 * (u * udotq - gt_orient) / norms
-
-
-def batch_mean(per: np.ndarray) -> float:
-    """``float(per.mean())`` of a (B,) array: the same pairwise sum over B,
-    without ``ndarray.mean``'s Python wrapper."""
-    return float(np.add.reduce(per) / per.shape[0])
 
 
 # --- per-term batched kernels ---------------------------------------------------
@@ -151,11 +159,11 @@ def cross_entropy_term(logits: np.ndarray, softmax, nearest: np.ndarray,
 def batch_total_loss(pred: BatchPrediction, gt_offsets: np.ndarray, gt_z: np.ndarray,
                      gt_orient: np.ndarray, nearest: np.ndarray, weights: LossWeights):
     """Mean loss over a batch plus upstream gradients for backward_batch,
-    computed in ``gt_offsets``: on return it holds the returned d_offsets.
-    The gradients are already scaled by 1/B, so the parameter gradient is the
+    computed in ``gt_offsets``: on return it holds the offsets head's. The
+    gradients are already scaled by 1/B, so the parameter gradient is the
     mean of per-sample gradients.
 
-    Returns (LossBreakdown of means, d_logits, d_offsets, d_z, d_orient).
+    Returns (LossBreakdown of means, {head: (B, width)} for every head).
     """
     if gt_offsets.shape != (*pred.logits.shape, 2):
         raise InvalidInputError(f"ground-truth offsets {gt_offsets.shape} do not match the "
@@ -164,21 +172,17 @@ def batch_total_loss(pred: BatchPrediction, gt_offsets: np.ndarray, gt_z: np.nda
     softmax = _softmax(pred.logits)
     off_per, d_logits, d_offsets = offset_term(
         softmax[0], np.subtract(gt_offsets, pred.offsets, out=gt_offsets), weights.alpha2)
-    abs_per, d_z, d_orient = absolute_term(pred.z_hat, pred.orient_raw, gt_z, gt_orient,
-                                           weights.alpha3)
+    d_abs = np.empty((B, ABS_HEAD_DIM))
+    abs_per, d_abs[:, ABS_Z], d_abs[:, ABS_ORIENT] = absolute_term(
+        pred.z_hat, pred.orient_raw, gt_z, gt_orient, weights.alpha3)
     inv_b = 1.0 / B
     d_logits *= inv_b
-    total_per = weights.alpha2 * off_per
-    ce_mean = 0.0
+    ce_per = None
     if weights.alpha1 > 0:
         ce_per, d_logits_ce = cross_entropy_term(pred.logits, softmax, nearest, weights.alpha1)
         d_logits_ce *= inv_b
         d_logits += d_logits_ce
-        total_per += weights.alpha1 * ce_per  # IEEE addition commutes
-        ce_mean = batch_mean(ce_per)
-    total_per += weights.alpha3 * abs_per
-    breakdown = LossBreakdown(offset_term=batch_mean(off_per),
-                              absolute_term=batch_mean(abs_per),
-                              ce_term=ce_mean, total=batch_mean(total_per))
     d_offsets *= inv_b
-    return breakdown, d_logits, d_offsets, d_z * inv_b, d_orient * inv_b
+    d_abs *= inv_b
+    return (LossBreakdown.of(weights, off_per, abs_per, ce_per),
+            {"logits": d_logits, "offsets": d_offsets.reshape(B, -1), "absolute": d_abs})

@@ -19,13 +19,16 @@ for training and queries alike. It runs the logits and absolute heads; the
 2N-wide offsets head is read when the offsets are first used, so an in-place
 parameter update in between is seen, and argmax reconstruction reads only one
 anchor's 2 weight rows and 2 biases per row. ``forward_batch``, ``forward`` and
-``backward_batch`` call into Bound; ``forward_batch`` (so every ``forward``)
-reuses the Bound of the last parameter vector it served, so a stream of
-queries does not rebind the network.
+``backward_batch`` (for any spec) call into Bound; ``forward_batch`` (so every
+``forward``) reuses the Bound of the last parameter vector it served, so a
+stream of queries does not rebind the network. :func:`one_blas_thread` pins
+numpy's OpenBLAS to one thread for the products run here.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,7 @@ from .errors import InvalidInputError, InvalidSpecError, as_int, as_seed
 ACTIVATIONS = ("relu", "tanh")
 
 ABS_HEAD_DIM = 5  # z plus 4 orientation components
+ABS_Z, ABS_ORIENT = 0, slice(1, ABS_HEAD_DIM)  # the absolute head's columns
 
 
 @dataclass(frozen=True)
@@ -146,14 +150,16 @@ def _layer_table(spec, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return table
 
 
-def init(spec: NetworkSpec) -> np.ndarray:
-    """Deterministic parameter init: scaled-uniform by fan-in, zero biases."""
+def init(spec: NetworkSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic parameter init: scaled-uniform by fan-in, zero biases;
+    written into ``out`` (a float64 vector of ``param_count(spec)`` entries)
+    when it is given, else into a new vector."""
     rng = np.random.default_rng(spec.seed)
-    flat = np.zeros(param_count(spec))
-    for W, _ in _layer_table(spec, flat):
+    flat = np.empty(param_count(spec)) if out is None else out
+    for W, b in _layer_table(spec, flat):
         bound = 1.0 / np.sqrt(W.shape[1])
         W[...] = rng.uniform(-bound, bound, size=W.shape)
-        # biases stay zero
+        b[...] = 0.0
     return flat
 
 
@@ -261,19 +267,8 @@ def prediction(bound: Bound, h: np.ndarray) -> BatchPrediction:
     """The anchor model's BatchPrediction over the trunk output h of ``bound``:
     the logits and absolute heads run now, the offsets head on first read."""
     absolute = bound.head("absolute", h)
-    return BatchPrediction(logits=bound.head("logits", h), z_hat=absolute[:, 0],
-                           orient_raw=absolute[:, 1:], bound=bound, h=h)
-
-
-def head_grads(d_logits: np.ndarray, d_offsets: np.ndarray, d_z: np.ndarray,
-               d_orient: np.ndarray) -> dict[str, np.ndarray]:
-    """Upstream gradients w.r.t. a BatchPrediction as the per-head table that
-    :meth:`Bound.backward` takes."""
-    B = d_logits.shape[0]
-    if d_offsets.shape[0] != B or d_z.shape[0] != B or d_orient.shape[0] != B:
-        raise InvalidInputError("upstream gradient batch sizes disagree")
-    d_abs = np.concatenate([d_z[:, None], d_orient], axis=1)
-    return {"logits": d_logits, "offsets": d_offsets.reshape(B, -1), "absolute": d_abs}
+    return BatchPrediction(logits=bound.head("logits", h), z_hat=absolute[:, ABS_Z],
+                           orient_raw=absolute[:, ABS_ORIENT], bound=bound, h=h)
 
 
 # The Bound of the last parameter vector forward_batch served, as (spec,
@@ -309,10 +304,34 @@ def forward(spec: NetworkSpec, params: np.ndarray, feature: np.ndarray) -> Batch
     return forward_batch(spec, params, np.asarray(feature).reshape(1, -1))
 
 
-def backward_batch(spec: NetworkSpec, params: np.ndarray, cache: list[np.ndarray],
-                   d_logits: np.ndarray, d_offsets: np.ndarray,
-                   d_z: np.ndarray, d_orient: np.ndarray) -> np.ndarray:
-    """:meth:`Bound.backward` into a new gradient vector, given upstream
-    gradients w.r.t. the batched head outputs."""
-    return Bound(spec, params, np.zeros(param_count(spec))).backward(
-        cache, head_grads(d_logits, d_offsets, d_z, d_orient))
+def backward_batch(spec, params: np.ndarray, cache: list[np.ndarray],
+                   d_heads: dict[str, np.ndarray]) -> np.ndarray:
+    """:meth:`Bound.backward` of any spec into a new gradient vector, given
+    the upstream gradient (B, width) of every head in ``spec.head_dims()``,
+    as a model's loss returns them."""
+    B = cache[-1].shape[0]
+    if any(np.shape(d_heads.get(k)) != (B, w) for k, w in spec.head_dims().items()):
+        raise InvalidInputError(f"upstream gradient batch sizes disagree: heads need ({B}, width)")
+    return Bound(spec, params, np.zeros(param_count(spec))).backward(cache, d_heads)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """numpy's bundled OpenBLAS at one thread, and its previous count restored
+    on exit: how OpenBLAS splits some products' sums depends on the thread
+    count, and so would trained parameters and the bytes written from them.
+    Where numpy links another BLAS, nothing is pinned."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)

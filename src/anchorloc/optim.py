@@ -4,7 +4,10 @@ training checkpoints.
 The loop, :func:`train_loop`, runs every model's training step: forward
 through ``model.Bound``, the model's loss, backward, then Adam. ``train``
 (the anchor model) and ``baseline.train_direct`` (the direct control)
-supply only a loss; the network pass and the loss check their inputs. A
+supply only a loss, which returns ``Bound.backward``'s per-head gradients;
+the network pass and the loss check their inputs. The loop runs at one
+OpenBLAS thread (``model.one_blas_thread``), so its parameters do not depend
+on the process's thread count. A
 training checkpoint is the network spec, the parameters and Adam's state
 (three arrays of the spec's parameter count), so a resumed run continues
 the optimizer too; :func:`save_training_checkpoint` and
@@ -17,7 +20,8 @@ shuffle seed): per-epoch permutations come from a generator keyed on
 (shuffle_seed, epoch), so a run resumed from a checkpoint replays exactly the
 same batches as an uninterrupted one. A run holds four parameter-sized
 vectors, the parameters, the gradient and Adam's two moments, each starting
-on a 64-byte boundary, and Adam steps them in cache-sized blocks; the epoch
+on a 64-byte boundary, and Adam steps them in cache-sized blocks; a fresh
+run's init is written straight into the parameter buffer, and the epoch
 callback copies them only when it asks for a snapshot.
 """
 
@@ -131,15 +135,22 @@ class _InPlaceAdam:
     one block has one view of each whole array). Every operation writes into
     a buffer with ``out=`` or in place, so a step allocates nothing the size
     of the parameter vector. ``step`` uses ``grad`` as scratch once ``v`` is
-    updated, so after a step it no longer holds the gradient. The state
-    starts from zero, or from a copy of ``state``."""
+    updated, so after a step it no longer holds the gradient. The parameters
+    start from a copy of ``params``, or, given a network spec, from
+    ``model.init`` written straight into their buffer; the state starts from
+    zero, or from a copy of ``state``."""
 
-    def __init__(self, params: np.ndarray, state: AdamState | None = None):
-        n = np.size(params)
+    def __init__(self, params, state: AdamState | None = None):
+        fresh = isinstance(params, modelmod.Trunk)
+        n = modelmod.param_count(params) if fresh else np.size(params)
         if state is not None and not np.shape(state.m) == np.shape(state.v) == (n,):
             raise InvalidInputError("Adam state/parameter shape mismatch")
-        self.params, self.grad, self.m, self.v = (_aligned(n) for _ in range(4))
-        self.params[...] = params
+        self.params = _aligned(n)
+        if fresh:  # first, so init's per-layer draws never sit beside all four vectors
+            modelmod.init(params, out=self.params)
+        else:
+            self.params[...] = params
+        self.grad, self.m, self.v = (_aligned(n) for _ in range(3))
         self.grad[...] = 0.0
         self.m[...] = 0.0 if state is None else state.m
         self.v[...] = 0.0 if state is None else state.v
@@ -179,6 +190,7 @@ class _InPlaceAdam:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the inf or nan left raises below
+@modelmod.one_blas_thread()
 def train_loop(samples: SampleBatch, spec, config: TrainConfig, loss, targets,
                init_params: np.ndarray | None = None, init_state: AdamState | None = None,
                start_epoch: int = 0, epoch_callback=None) -> TrainReport:
@@ -189,9 +201,11 @@ def train_loop(samples: SampleBatch, spec, config: TrainConfig, loss, targets,
     per sample) in its shuffled order once; a batch is a slice of each.
     ``loss(net, h, *rows)`` gets the Bound, its trunk output and the batch's
     rows of the targets, and returns the LossBreakdown of batch means and the
-    upstream gradient per head of the batch-mean loss. Parameters start from
-    ``model.init(spec)`` or copies of ``init_params``, the Adam state from
-    zero or a copy of ``init_state``; the run keeps no other copy of either.
+    upstream gradient (B, width) per head of the batch-mean loss. Parameters
+    start from ``model.init(spec)``, written into the run's own buffer, or
+    from copies of ``init_params``, the Adam state from zero or a copy of
+    ``init_state``; the run keeps no other copy of either. The run holds
+    numpy's OpenBLAS at one thread.
     ``epoch_callback(stats, snapshot)`` gets the epoch's stats and a
     zero-argument ``snapshot()`` that returns copies of the parameters and
     the Adam state as they are when it is called, never the buffers later
@@ -200,8 +214,7 @@ def train_loop(samples: SampleBatch, spec, config: TrainConfig, loss, targets,
     n_samples = samples.features.shape[0]
     if n_samples == 0:
         raise InvalidInputError("training requires a non-empty sample list")
-    adam = _InPlaceAdam(modelmod.init(spec) if init_params is None else init_params,
-                        init_state)
+    adam = _InPlaceAdam(spec if init_params is None else init_params, init_state)
     net = modelmod.Bound(spec, adam.params, adam.grad)
     history: list[EpochStats] = []
     for epoch in range(start_epoch, config.epochs):
@@ -250,10 +263,8 @@ def train(samples: SampleBatch, spec: NetworkSpec, config: TrainConfig, *,
     checkpoint and reproduces the uninterrupted trajectory exactly.
     """
     def batch_loss(net, h, positions, orientations, nearest):
-        breakdown, *d = lossmod.batch_total_loss(
-            modelmod.prediction(net, h), samples.offsets_at(positions), positions[:, 2],
-            orientations, nearest, config.weights)
-        return breakdown, modelmod.head_grads(*d)
+        return lossmod.batch_total_loss(modelmod.prediction(net, h), samples.offsets_at(positions),
+                                        positions[:, 2], orientations, nearest, config.weights)
 
     return train_loop(samples, spec, config, batch_loss,
                       (samples.positions, samples.orientations, samples.nearest),

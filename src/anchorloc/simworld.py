@@ -16,8 +16,8 @@ anchor's landmark is in clear view" a common, measurable situation.
 A world spec is saved as ``world.ini`` text through ``files.write_ini`` and
 read by ``files.read_ini`` like the CLI's config files. Its float fields are
 listed once, in file order, in ``_FLOAT_FIELDS``: the spec's checks, writer
-and reader walk it. A landmark name holds no ``;``, ``:`` or line break and
-does not start with whitespace, so it reads back as itself.
+and reader walk it. A landmark name holds no ``;``, ``:``, line break or lone
+surrogate and does not start with whitespace, so it reads back as itself.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError, as_seed
-from .files import fmt, read_ini, write_ini
+from .files import encodable, fmt, read_ini, write_ini
 from .geometry import Pose, yaw_quat
 
 GRAZE_EPS = 1e-12
@@ -89,9 +89,10 @@ class WorldSpec:
         obs = tuple(((float(a[0]), float(a[1])), (float(b[0]), float(b[1])))
                     for a, b in self.obstacles)
         for name, p in lm:
-            if name[:1].isspace() or any(c in name for c in ";:\n\r"):
+            if name[:1].isspace() or any(c in name for c in ";:\n\r") or not encodable(name):
                 raise InvalidSpecError(f"landmark name {name!r} starts with whitespace or holds "
-                                       "';', ':' or a line break, which world.ini cannot read back")
+                                       "';', ':', a line break or a lone surrogate, which "
+                                       "world.ini cannot read back")
             if not all(map(math.isfinite, p)):
                 raise InvalidSpecError(f"landmark {name!r} coordinates must be finite, got {p}")
         for j, (a, b) in enumerate(obs):

@@ -1,16 +1,38 @@
 import contextlib
+import ctypes
 import errno
 
 import numpy as np
 import pytest
 
-from anchorloc import data, files, simworld
+from anchorloc import data, files, model, simworld
 from anchorloc.geometry import AnchorMap, Pose, yaw_quat
 
 
 def random_unit_quat(rng):
     q = rng.standard_normal(4)
     return q / np.linalg.norm(q)
+
+
+def openblas_threads():
+    """(get, put) of the thread count of numpy's bundled OpenBLAS, through the
+    symbols ``model.one_blas_thread`` calls; skips the test where numpy links
+    another BLAS."""
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    if not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        pytest.skip("numpy does not bundle OpenBLAS")
+    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def prediction_grads(d_heads):
+    """The anchor model's per-head gradient table as gradients w.r.t. the
+    BatchPrediction fields (logits, offsets, z_hat, orient_raw)."""
+    absolute = d_heads["absolute"]
+    return (d_heads["logits"], d_heads["offsets"].reshape(*d_heads["logits"].shape, 2),
+            absolute[:, model.ABS_Z], absolute[:, model.ABS_ORIENT])
 
 
 def make_pose(x, y, z=0.0, yaw=0.0):

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from anchorloc import baseline, cli, data, evaluation, model, optim, simworld
+from anchorloc import baseline, data, evaluation, model, optim, simworld
 from anchorloc.baseline import DirectSpec
 from anchorloc.errors import UndefinedRateError
 from anchorloc.geometry import AnchorMap, Pose
@@ -24,7 +24,7 @@ from anchorloc.model import BatchPrediction, NetworkSpec
 from anchorloc.optim import TrainConfig
 from anchorloc.simworld import segments_intersect
 
-from conftest import nearest_label, random_unit_quat
+from conftest import nearest_label, prediction_grads, random_unit_quat
 
 HIDDEN = (48, 48)
 NET_SEED = 1
@@ -124,7 +124,7 @@ def run_sweep(sweep_inputs):
         hashes.append(hashlib.sha256(report.params.tobytes()).hexdigest())
         return report
 
-    with pytest.MonkeyPatch.context() as mp, cli._one_blas_thread():
+    with pytest.MonkeyPatch.context() as mp:  # training pins one BLAS thread itself
         mp.setattr(optim, "train", recorded_train)
         rows = evaluation.sweep_anchor_interval(train_poses, tf, test_poses, ef,
                                                 SWEEP_KS, tpl, cfg)
@@ -161,22 +161,22 @@ def random_gradient_case(rng):
     return spec, params, x, target
 
 
-def loss_grads(pred, target, weights):
+def loss_grads(spec, pred, target, weights):
     """The gradients of the four losses w.r.t. a one-sample BatchPrediction,
-    as backward_batch's upstream arguments."""
+    as the per-head tables backward_batch takes."""
     gt_off, gt_z, gt_q, nearest = target
     softmax = _softmax(pred.logits)
     _, d_lo, d_off = offset_term(softmax[0], gt_off - pred.offsets)
     _, d_z, d_or = absolute_term(pred.z_hat, pred.orient_raw, gt_z, gt_q)
     _, d_ce = cross_entropy_term(pred.logits, softmax, nearest)
-    _, *total_grad = batch_total_loss(pred, gt_off.copy(), gt_z, gt_q, nearest, weights)
-    zero_lo, zero_off, zero_z, zero_or = (np.zeros_like(a) for a in (
-        pred.logits, pred.offsets, pred.z_hat, pred.orient_raw))
+    d_abs = np.zeros((1, model.ABS_HEAD_DIM))
+    d_abs[:, model.ABS_Z], d_abs[:, model.ABS_ORIENT] = d_z, d_or
+    zero = {head: np.zeros((1, width)) for head, width in spec.head_dims().items()}
     return {
-        "offset": (d_lo, d_off, zero_z, zero_or),
-        "absolute": (zero_lo, zero_off, d_z, d_or),
-        "ce": (d_ce, zero_off, zero_z, zero_or),
-        "total": total_grad,
+        "offset": {**zero, "logits": d_lo, "offsets": d_off.reshape(1, -1)},
+        "absolute": {**zero, "absolute": d_abs},
+        "ce": {**zero, "logits": d_ce},
+        "total": batch_total_loss(pred, gt_off.copy(), gt_z, gt_q, nearest, weights)[1],
     }
 
 
@@ -216,11 +216,11 @@ def test_criterion_1_gradient_correctness():
         bound = model.Bound(spec, params)
         cache = bound.forward(x[None])
         pred = model.prediction(bound, cache[-1])
-        grads = loss_grads(pred, target, weights)
+        grads = loss_grads(spec, pred, target, weights)
 
         # gradients w.r.t. every BatchPrediction entry
         for name, grad in grads.items():
-            for field, anal in zip(PRED_FIELDS, grad):
+            for field, anal in zip(PRED_FIELDS, prediction_grads(grad)):
                 fd = np.zeros(anal.shape)
                 for idx in np.ndindex(fd.shape):
                     hi = loss_value(name, perturbed_pred(pred, field, idx, +h), target, weights)
@@ -230,7 +230,7 @@ def test_criterion_1_gradient_correctness():
 
         # gradients w.r.t. every network parameter, per loss term
         for name, grad in grads.items():
-            analytic = model.backward_batch(spec, params, cache, *grad)
+            analytic = model.backward_batch(spec, params, cache, grad)
             fd = np.zeros_like(params)
             for j in range(params.size):
                 for sign in (+1, -1):

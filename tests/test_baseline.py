@@ -39,8 +39,8 @@ def test_gradient_matches_finite_differences():
     bound = model.Bound(spec, params)
     cache = bound.forward(X)
     pose = bound.head("pose", cache[-1])
-    _, d_pose = direct_loss_batch(pose, gt_xyz, gt_q, w)
-    analytic = baseline.backward_batch(spec, params, cache, d_pose)
+    _, d_heads = direct_loss_batch(pose, gt_xyz, gt_q, w)
+    analytic = baseline.backward_batch(spec, params, cache, d_heads)
 
     h = 1e-5
     for idx in rng.choice(params.size, size=30, replace=False):

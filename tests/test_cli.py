@@ -1,4 +1,3 @@
-import ctypes
 import json
 import os
 import re
@@ -23,7 +22,7 @@ from anchorloc.evaluation import EvalReport, SweepRow
 from anchorloc.model import NetworkSpec
 from anchorloc.optim import TrainConfig
 
-from conftest import half_writes, make_pose
+from conftest import half_writes, make_pose, openblas_threads
 
 
 @pytest.fixture(scope="module")
@@ -223,12 +222,7 @@ class TestBlasThreads:
             (tmp_path / "2" / "checkpoint.bin").read_bytes()
 
     def test_a_command_runs_at_one_thread_and_restores_the_count(self, monkeypatch):
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        if not hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            pytest.skip("numpy does not bundle OpenBLAS")
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
+        get, put = openblas_threads()
         seen = []
         monkeypatch.setattr(cli, "cmd_gen_world", lambda args: seen.append(get()) or EXIT_OK)
         before = get()

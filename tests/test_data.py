@@ -70,16 +70,17 @@ class TestPoseFiles:
     @example(fid="#x")
     @example(fid="a b")
     @example(fid="")
+    @example(fid="f\ud800")
     def test_a_frame_id_reads_back_or_is_rejected(self, tmp_path_factory, fid):
         path = tmp_path_factory.mktemp("ids") / "poses.txt"
         try:
             data.save_pose_file(path, [(fid, make_pose(1.0, 2.0)), ("f1", make_pose(3.0, 4.0))])
-        except (InvalidInputError, UnicodeEncodeError):  # the latter: a lone surrogate
+        except InvalidInputError:
             assert not any(path.parent.iterdir())
             return
         assert [f for f, _ in data.load_pose_file(path)] == [fid, "f1"]
 
-    @pytest.mark.parametrize("fid", ["#x", "a b", "", " x", "x\n", "a\u2028b"])
+    @pytest.mark.parametrize("fid", ["#x", "a b", "", " x", "x\n", "a\u2028b", "f\ud800"])
     def test_a_frame_id_a_pose_file_cannot_carry_is_rejected(self, fid):
         with pytest.raises(InvalidInputError, match="frame id"):
             data.format_pose_line(fid, make_pose(1.0, 2.0))
@@ -115,6 +116,11 @@ class TestFeatureFiles:
     def test_row_count_mismatch_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):
             data.save_features(tmp_path / "f.bin", ["a"], np.zeros((2, 3)))
+
+    def test_a_frame_id_utf8_cannot_encode_is_rejected(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="frame id"):
+            data.save_features(tmp_path / "f.bin", ["f0", "f\ud800"], np.zeros((2, 3)))
+        assert not any(tmp_path.iterdir())
 
 
 class TestAssemble:

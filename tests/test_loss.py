@@ -11,7 +11,7 @@ from anchorloc.loss import (LossWeights, _softmax, absolute_term, batch_total_lo
                             confidences, cross_entropy_term, offset_term)
 from anchorloc.model import BatchPrediction
 
-from conftest import random_unit_quat
+from conftest import prediction_grads, random_unit_quat
 
 getcontext().prec = 60
 
@@ -245,7 +245,7 @@ class TestGradients:
         weights = LossWeights(alpha1=2.0, alpha2=10.0, alpha3=1.0)
         for _ in range(10):
             pred, target = random_case(rng)
-            _, *grad = total(pred, target, weights)
+            grad = prediction_grads(total(pred, target, weights)[1])
             fd = fd_gradient(lambda p: total(p, target, weights)[0].total, pred)
             for name, g in zip(pred, grad):
                 assert_close(g, fd[name])
@@ -299,12 +299,14 @@ class TestBatchPath:
         bpred = BatchPrediction(**{k: np.concatenate([p[k] for p in preds]) for k in preds[0]})
         gt = [np.concatenate(field) for field in zip(*targets)]
 
-        breakdown, d_logits, d_offsets, d_z, d_orient = batch_total_loss(bpred, *gt, w)
+        breakdown, d_heads = batch_total_loss(bpred, *gt, w)
+        d_logits, d_offsets, d_z, d_orient = prediction_grads(d_heads)
 
         singles = [total(p, t, w) for p, t in zip(preds, targets)]
         assert breakdown.total == pytest.approx(
             np.mean([s[0].total for s in singles]), rel=1e-12)
-        for i, (_, g_logits, g_offsets, g_z, g_orient) in enumerate(singles):
+        for i, (g_logits, g_offsets, g_z, g_orient) in enumerate(
+                prediction_grads(s[1]) for s in singles):
             np.testing.assert_allclose(d_logits[i], g_logits[0] / B, atol=1e-14)
             np.testing.assert_allclose(d_offsets[i], g_offsets[0] / B, atol=1e-14)
             assert d_z[i] == pytest.approx(g_z[0] / B, abs=1e-14)
@@ -338,7 +340,7 @@ class TestBatchPath:
         fields = {k: np.concatenate([p[k] for p in preds]) for k in preds[0]}
         gt = Target(*(np.concatenate(field) for field in zip(*targets)))
 
-        _, *analytic = total(fields, gt, w)
+        analytic = prediction_grads(total(fields, gt, w)[1])
         fd = fd_gradient(lambda f: total(f, gt, w)[0].total, fields)
         for name, grad in zip(fields, analytic):
             assert_close(grad, fd[name])

@@ -39,11 +39,13 @@ def forward_reference(spec, params, x):
 
 def scalar_loss_and_grad(pred):
     """Arbitrary smooth scalar of all heads of a BatchPrediction, plus its
-    gradient as backward_batch's upstream arguments."""
+    gradient as the per-head table backward_batch takes."""
     value = (np.sin(pred.logits).sum() + (pred.offsets ** 2).sum()
              + 3.0 * pred.z_hat.sum() + np.cos(pred.orient_raw).sum())
-    grad = (np.cos(pred.logits), 2.0 * pred.offsets, np.full_like(pred.z_hat, 3.0),
-            -np.sin(pred.orient_raw))
+    d_abs = np.empty((len(pred.z_hat), model.ABS_HEAD_DIM))
+    d_abs[:, model.ABS_Z], d_abs[:, model.ABS_ORIENT] = 3.0, -np.sin(pred.orient_raw)
+    grad = {"logits": np.cos(pred.logits),
+            "offsets": 2.0 * pred.offsets.reshape(len(pred.z_hat), -1), "absolute": d_abs}
     return value, grad
 
 
@@ -51,7 +53,7 @@ def backward_one(spec, params, x, upstream):
     """backward_batch for one feature vector, after the forward pass that
     produces its cache."""
     cache = model.Bound(spec, params).forward(x[None])
-    return model.backward_batch(spec, params, cache, *upstream)
+    return model.backward_batch(spec, params, cache, upstream)
 
 
 class TestInit:
@@ -265,7 +267,8 @@ class TestBackward:
     def test_zero_upstream_zero_gradient(self):
         spec = small_spec()
         params = model.init(spec)
-        upstream = (np.zeros((1, 3)), np.zeros((1, 3, 2)), np.zeros(1), np.zeros((1, 4)))
+        upstream = {"logits": np.zeros((1, 3)), "offsets": np.zeros((1, 6)),
+                    "absolute": np.zeros((1, 5))}
         grad = backward_one(spec, params, np.ones(spec.input_dim), upstream)
         assert np.all(grad == 0)
 
@@ -275,14 +278,14 @@ class TestBackward:
         x = np.linspace(-1, 1, spec.input_dim)
         _, g = scalar_loss_and_grad(model.forward_batch(spec, params, x[None]))
         grad1 = backward_one(spec, params, x, g)
-        grad2 = backward_one(spec, params, x, [2 * d for d in g])
+        grad2 = backward_one(spec, params, x, {name: 2 * d for name, d in g.items()})
         assert np.abs(grad2 - 2 * grad1).max() < 1e-12
 
     def test_malformed_upstream_rejected(self):
         spec = small_spec()
         params = model.init(spec)
-        bad = (np.zeros((2, spec.num_anchors)), np.zeros((1, spec.num_anchors, 2)),
-               np.zeros(1), np.zeros((1, 4)))
+        bad = {"logits": np.zeros((2, spec.num_anchors)),
+               "offsets": np.zeros((1, 2 * spec.num_anchors)), "absolute": np.zeros((1, 5))}
         with pytest.raises(InvalidInputError, match="batch sizes disagree"):
             backward_one(spec, params, np.ones(spec.input_dim), bad)
 

@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from anchorloc import baseline, data, loss, model, optim
+from anchorloc import baseline, data, evaluation, loss, model, optim, simworld
 from anchorloc.baseline import DirectSpec
 from anchorloc.errors import InvalidInputError, TrainingDivergenceError
 from anchorloc.loss import LossWeights
@@ -16,7 +16,7 @@ from anchorloc.model import NetworkSpec
 from anchorloc.optim import (AdamState, EpochStats, TrainConfig, adam_step,
                              load_training_checkpoint, lr_at, save_training_checkpoint, train)
 
-from conftest import half_writes
+from conftest import half_writes, openblas_threads
 
 
 class ScalarAdam:
@@ -315,27 +315,61 @@ def reference_loop(samples, params, state, config, loss_grad, start_epoch=0):
     return params, state, history
 
 
-def anchor_loss_grad(samples, spec, weights):
+def anchor_loss(samples, weights):
+    """The anchor model's loss on rows ``idx``, given a Bound and its trunk
+    output: (LossBreakdown, per-head gradient table)."""
+    def heads(bound, h, idx):
+        return loss.batch_total_loss(model.prediction(bound, h),
+                                     samples.offsets_at(samples.positions[idx]),
+                                     samples.positions[idx, 2], samples.orientations[idx],
+                                     samples.nearest[idx], weights)
+    return heads
+
+
+def direct_loss(samples, weights):
+    """The direct control's loss, called as :func:`anchor_loss`'s."""
+    def heads(bound, h, idx):
+        return baseline.direct_loss_batch(bound.head("pose", h), samples.positions[idx],
+                                          samples.orientations[idx], weights)
+    return heads
+
+
+LOSSES = {NetworkSpec: anchor_loss, DirectSpec: direct_loss}
+
+
+def loss_grad_of(samples, spec, weights):
+    """``reference_loop``'s loss_grad for spec's model: its loss, then
+    ``model.backward_batch`` of the per-head table into a flat gradient."""
+    heads = LOSSES[type(spec)](samples, weights)
+
     def loss_grad(params, idx):
         bound = model.Bound(spec, params)
         cache = bound.forward(samples.features[idx])
-        b, *d = loss.batch_total_loss(model.prediction(bound, cache[-1]),
-                                      samples.offsets_at(samples.positions[idx]),
-                                      samples.positions[idx, 2], samples.orientations[idx],
-                                      samples.nearest[idx], weights)
-        return b, model.backward_batch(spec, params, cache, *d)
+        b, d_heads = heads(bound, cache[-1], idx)
+        return b, model.backward_batch(spec, params, cache, d_heads)
     return loss_grad
 
 
-def direct_loss_grad(samples, spec, weights):
-    def loss_grad(params, idx):
-        bound = model.Bound(spec, params)
-        cache = bound.forward(samples.features[idx])
-        b, d_pose = baseline.direct_loss_batch(bound.head("pose", cache[-1]),
-                                               samples.positions[idx],
-                                               samples.orientations[idx], weights)
-        return b, baseline.backward_batch(spec, params, cache, d_pose)
-    return loss_grad
+class TestLossContract:
+    """Both models' losses return what ``model.Bound.backward`` takes, and one
+    ``backward_batch`` serves both specs."""
+
+    @pytest.mark.parametrize("spec_type", [NetworkSpec, DirectSpec])
+    def test_a_loss_returns_a_batch_row_per_head(self, tiny_scene, spec_type):
+        samples = tiny_scene.train
+        args = dict(input_dim=samples.features.shape[1], hidden_layers=(8,), seed=3)
+        if spec_type is NetworkSpec:
+            args["num_anchors"] = tiny_scene.num_anchors
+        spec = spec_type(**args)
+        idx = np.arange(5)
+        bound = model.Bound(spec, model.init(spec))
+        heads = LOSSES[spec_type](samples, LossWeights(alpha1=1.0))
+        _, d_heads = heads(bound, bound.forward(samples.features[idx])[-1], idx)
+        assert {name: d.shape for name, d in d_heads.items()} == \
+            {name: (5, width) for name, width in spec.head_dims().items()}
+
+    def test_the_control_backward_is_the_models(self):
+        assert baseline.backward_batch is model.backward_batch
 
 
 def assert_same_run(report, params, state, history):
@@ -360,8 +394,8 @@ class TestInPlaceStep:
         report = train(tiny_scene.train, spec, cfg)
         n = model.param_count(spec)
         ref = reference_loop(tiny_scene.train, model.init(spec), AdamState(
-            m=np.zeros(n), v=np.zeros(n)), cfg, anchor_loss_grad(tiny_scene.train, spec,
-                                                                 cfg.weights))
+            m=np.zeros(n), v=np.zeros(n)), cfg, loss_grad_of(tiny_scene.train, spec,
+                                                             cfg.weights))
         assert_same_run(report, *ref)
 
     def test_direct_matches_pure_reference_loop(self, tiny_scene):
@@ -371,8 +405,8 @@ class TestInPlaceStep:
         report = baseline.train_direct(tiny_scene.train, spec, cfg)
         n = model.param_count(spec)
         ref = reference_loop(tiny_scene.train, model.init(spec), AdamState(
-            m=np.zeros(n), v=np.zeros(n)), cfg, direct_loss_grad(tiny_scene.train, spec,
-                                                                 cfg.weights))
+            m=np.zeros(n), v=np.zeros(n)), cfg, loss_grad_of(tiny_scene.train, spec,
+                                                             cfg.weights))
         assert_same_run(report, *ref)
 
     def test_resumed_run_leaves_inputs_and_snapshots_alone(self, tiny_scene, tiny_net):
@@ -405,7 +439,7 @@ class TestInPlaceStep:
 
         ref = reference_loop(tiny_scene.train, kept[0], AdamState(m=kept[1], v=kept[2],
                                                                    t=kept[3]),
-                             cfg, anchor_loss_grad(tiny_scene.train, tiny_net, cfg.weights),
+                             cfg, loss_grad_of(tiny_scene.train, tiny_net, cfg.weights),
                              start_epoch=2)
         assert_same_run(report, *ref)
 
@@ -451,13 +485,58 @@ class TestInPlaceStep:
             train(tiny_scene.train, spec, cfg, init_params=init,
                   epoch_callback=lambda stats, snapshot: None)
             peak = tracemalloc.get_traced_memory()[1] - base
-            # a fresh run holds no copy of model.init's vector once Adam has it
+            # a fresh run writes model.init straight into Adam's parameter
+            # buffer, so it never holds a spare copy of it
+            tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            train(tiny_scene.train, spec, cfg, epoch_callback=on_epoch)
+            report = train(tiny_scene.train, spec, cfg, epoch_callback=on_epoch)
+            fresh_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert peak < 5 * 8 * n
         assert len(held) == 2 and max(held) < 5 * 8 * n
+        assert fresh_peak < 5 * 8 * n
+        assert np.array_equal(report.params, train(tiny_scene.train, spec, cfg,
+                                                   init_params=init).params)
+
+
+def test_library_training_does_not_depend_on_the_thread_count():
+    # at k=1 the default world has 2000 anchors; the logits head's input
+    # gradient, a (32, N) @ (N, 48) product, is where OpenBLAS splits the sums
+    # across threads when it may use more than one
+    get, put = openblas_threads()
+    scene = data.from_simworld(*simworld.generate(simworld.default_world(),
+                                                  simworld.DEFAULT_N_TRAIN, 1), k=1)
+    spec = NetworkSpec(input_dim=scene.train.features.shape[1], num_anchors=scene.num_anchors,
+                       seed=5)
+    before = get()
+    params = []
+    try:
+        for threads in (1, 2):
+            put(threads)
+            params.append(train(scene.train, spec, TrainConfig(epochs=2, shuffle_seed=7)).params)
+            assert get() == threads
+    finally:
+        put(before)
+    assert params[0].tobytes() == params[1].tobytes()
+
+
+def test_training_and_evaluation_run_at_one_thread_and_restore_the_count(
+        tiny_scene, tiny_net, monkeypatch):
+    get, put = openblas_threads()
+    seen = []
+    forward = model.Bound.forward
+    monkeypatch.setattr(model.Bound, "forward",
+                        lambda net, x: seen.append(get()) or forward(net, x))
+    before = get()
+    put(2)
+    try:
+        report = train(tiny_scene.train, tiny_net, TrainConfig(epochs=1))
+        evaluation.evaluate(tiny_net, report.params, tiny_scene.test, tiny_scene.anchor_map)
+        assert get() == 2
+    finally:
+        put(before)
+    assert len(seen) > 1 and set(seen) == {1}
 
 
 def small_spec():

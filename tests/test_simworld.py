@@ -211,6 +211,7 @@ class TestWorldSpecFile:
     @example(name="x:y")
     @example(name=" lm")
     @example(name="lm ")
+    @example(name="a\ud800")
     def test_a_landmark_name_reads_back_or_is_rejected(self, tmp_path_factory, name):
         # the name both first and last, where world.ini's separators and the
         # reader's stripping touch it
@@ -220,14 +221,10 @@ class TestWorldSpecFile:
         except InvalidSpecError:
             return
         path = tmp_path_factory.mktemp("names") / "world.ini"
-        try:
-            save_world_spec(path, spec)
-        except UnicodeEncodeError:  # a lone surrogate, which no UTF-8 file holds
-            assert not any(path.parent.iterdir())
-            return
+        save_world_spec(path, spec)
         assert load_world_spec(path).landmarks == spec.landmarks
 
-    @pytest.mark.parametrize("name", ["a;b", "x:y", " lm", "\tlm", "a\nb", "a\rb"])
+    @pytest.mark.parametrize("name", ["a;b", "x:y", " lm", "\tlm", "a\nb", "a\rb", "a\ud800"])
     def test_a_name_world_ini_cannot_carry_is_rejected(self, name):
         with pytest.raises(InvalidSpecError, match="landmark name"):
             WorldSpec(route=[[0.0, 0.0], [1.0, 0.0]], landmarks=((name, (0.5, 0.25)),))
