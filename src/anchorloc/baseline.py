@@ -63,7 +63,11 @@ def train_direct(samples: SampleBatch, spec: DirectSpec, config: TrainConfig) ->
                                (samples.positions, samples.orientations))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite orientation raises
+@modelmod.one_blas_thread()
 def evaluate_direct(spec: DirectSpec, params: np.ndarray, batch: SampleBatch) -> EvalReport:
+    """Metrics of the control on a test batch, as ``evaluation.evaluate`` gives
+    the anchor model's, at one OpenBLAS thread as that runs."""
     pose = forward_batch(spec, params, batch.features)
     quats, _ = unit_orientation(pose[:, 3:])
     pred_anchor = np.full(len(batch), -1)

@@ -7,6 +7,8 @@ Config files are INI text whose sections mirror the module types ([world],
 ``input_dim``: the data fixes it); ``[loss] alpha1 > 0`` turns cross-entropy
 on. Flags override file values and the resolved configuration is snapshotted
 into the output directory, so every run is reproducible from its snapshot.
+``train`` writes ``training_log.csv`` from its training report's epochs and
+``eval`` writes ``eval_report.json`` from ``EvalReport.to_dict``.
 A command runs with numpy's OpenBLAS at one thread, so the bytes it writes do
 not depend on the thread count the process was given.
 
@@ -149,7 +151,6 @@ def cmd_train(args) -> int:
 
     created = not os.path.exists(args.out)
     os.makedirs(args.out, exist_ok=True)
-    log = []
     meta = {"frame_interval": k, "scene": os.path.basename(os.path.normpath(args.data))}
 
     def save(name, params, state, epoch):
@@ -158,7 +159,6 @@ def cmd_train(args) -> int:
         return path
 
     def on_epoch(stats, snapshot):
-        log.append(astuple(stats))
         if args.checkpoint_every and (stats.epoch + 1) % args.checkpoint_every == 0:
             save(f"checkpoint_epoch{stats.epoch + 1:04d}.bin", *snapshot(), stats.epoch + 1)
 
@@ -167,7 +167,7 @@ def cmd_train(args) -> int:
     try:
         report = optim.train(scene.train, spec, train_cfg, epoch_callback=on_epoch)
         files.write_csv(os.path.join(args.out, "training_log.csv"),
-                        [f.name for f in fields(EpochStats)], log)
+                        [f.name for f in fields(EpochStats)], map(astuple, report.epochs))
     except BaseException:
         if created and not os.listdir(args.out):
             os.rmdir(args.out)

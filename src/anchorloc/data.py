@@ -11,7 +11,8 @@ files, it holds no lone surrogate, which UTF-8 cannot encode. Floats are
 written with 17 significant digits, which round-trips IEEE doubles exactly,
 so parse -> serialize -> parse is bit-stable.
 
-Feature files are little-endian binary: magic ``ALFT``, a u32 version, u64
+Feature files are little-endian binary: magic ``ALFT`` and a u32 version,
+which ``files.write_binary`` writes and ``files.read_binary`` checks, u64
 frame count, u64 dim, then per row a u32-length-prefixed UTF-8 frame id and
 ``dim`` float64 values, which must be finite.
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import DataIntegrityError, InvalidInputError, ParseError
 from .geometry import AnchorMap, Pose, build_anchor_map, quat_norm
-from .files import encodable, fmt, read_lines, write_atomically
+from .files import encodable, fmt, read_binary, read_lines, write_atomically, write_binary
 from .simworld import Sample
 
 QUAT_NORM_TOL = 1e-3
@@ -97,27 +98,20 @@ def save_features(path, frame_ids: list[str], features: np.ndarray) -> None:
     feats = np.ascontiguousarray(features, dtype="<f8")
     if feats.ndim != 2 or feats.shape[0] != len(frame_ids):
         raise InvalidInputError("features must be (n, d) with one row per frame id")
-    parts = [_FEAT_MAGIC, _FEAT_VERSION.to_bytes(4, "little"),
-             feats.shape[0].to_bytes(8, "little"), feats.shape[1].to_bytes(8, "little")]
+    parts = [feats.shape[0].to_bytes(8, "little"), feats.shape[1].to_bytes(8, "little")]
     for fid, row in zip(frame_ids, feats):
         if not encodable(fid):
             raise InvalidInputError(f"frame id {fid!r} holds a lone surrogate, which UTF-8 "
                                     "cannot encode")
         enc = fid.encode()
         parts += [len(enc).to_bytes(4, "little"), enc, row.tobytes()]
-    write_atomically(path, b"".join(parts))
+    write_binary(path, _FEAT_MAGIC, _FEAT_VERSION, parts)
 
 
 def load_features(path) -> tuple[list[str], np.ndarray]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _FEAT_MAGIC:
-        raise ParseError(f"{path}: not a feature file (bad magic)")
+    raw = read_binary(path, _FEAT_MAGIC, _FEAT_VERSION, "feature file")
     if len(raw) < 24:
         raise ParseError(f"{path}: truncated header ({len(raw)} bytes)")
-    version = int.from_bytes(raw[4:8], "little")
-    if version != _FEAT_VERSION:
-        raise ParseError(f"{path}: unsupported feature file version {version}")
     count = int.from_bytes(raw[8:16], "little")
     dim = int.from_bytes(raw[16:24], "little")
     # checked before allocating: every row takes at least 4 + 8 * dim bytes

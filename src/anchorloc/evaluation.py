@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 import statistics
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -42,13 +42,10 @@ class EvalReport:
     per_sample: list[tuple[float, float, int, int]]  # (terr, rerr, argmax anchor, nearest anchor)
 
     def to_dict(self) -> dict:
-        return {
-            "median_translation_m": self.median_translation_m,
-            "mean_translation_m": self.mean_translation_m,
-            "median_rotation_deg": self.median_rotation_deg,
-            "accuracy_2m_5deg": self.accuracy_2m_5deg,
-            "num_samples": len(self.per_sample),
-        }
+        """Every field, with ``num_samples`` in place of ``per_sample``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["num_samples"] = len(out.pop("per_sample"))
+        return out
 
 
 def reconstruct(pred: BatchPrediction, anchor_map: AnchorMap, mode: str = "argmax"):

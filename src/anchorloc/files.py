@@ -1,8 +1,9 @@
 """The package's file I/O.
 
 Every file the package writes goes through :func:`write_atomically` (whole or
-not at all, text as UTF-8), INI and CSV text through :func:`write_ini` and
-:func:`write_csv`; :func:`read_lines` and :func:`read_ini` read text as UTF-8.
+not at all, text as UTF-8): INI, CSV and binary files through :func:`write_ini`,
+:func:`write_csv` and :func:`write_binary`, whose 4-byte magic and u32 version
+:func:`read_binary` checks; :func:`read_lines` and :func:`read_ini` read text as UTF-8.
 :func:`fmt` writes a number so that reading it back gives the same number, and
 :func:`encodable` tells whether a name can be written at all.
 """
@@ -45,6 +46,23 @@ def write_atomically(path, data: bytes | str) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_binary(path, magic: bytes, version: int, parts) -> None:
+    """``magic``, ``version`` as a little-endian u32, then the byte strings ``parts``."""
+    write_atomically(path, b"".join([magic, version.to_bytes(4, "little"), *parts]))
+
+
+def read_binary(path, magic: bytes, version: int, kind: str) -> bytes:
+    """A file's bytes, once its magic and version are checked; else ParseError naming it."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[:4] != magic:
+        raise ParseError(f"{path}: not a {kind} (bad magic)")
+    found = int.from_bytes(raw[4:8], "little")
+    if found != version:
+        raise ParseError(f"{path}: unsupported {kind} version {found}")
+    return raw
 
 
 def write_ini(path, sections) -> None:

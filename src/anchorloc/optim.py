@@ -12,8 +12,9 @@ training checkpoint is the network spec, the parameters and Adam's state
 (three arrays of the spec's parameter count), so a resumed run continues
 the optimizer too; :func:`save_training_checkpoint` and
 :func:`load_training_checkpoint` are the one writer and reader of its
-layout; ``files.write_atomically``, the package's one file writer, writes
-it whole or not at all.
+layout; ``files.write_binary`` writes it, after its magic and version,
+whole or not at all, and ``files.read_binary`` checks those two.
+``TrainReport.epochs`` holds one :class:`EpochStats` row per epoch trained.
 
 Training is deterministic given the two seeds involved (network init seed and
 shuffle seed): per-epoch permutations come from a generator keyed on
@@ -38,7 +39,7 @@ from . import model as modelmod
 from .data import SampleBatch
 from .errors import (DegenerateOrientationError, InvalidInputError, ParseError,
                      TrainingDivergenceError, as_int, as_seed)
-from .files import write_atomically
+from .files import read_binary, write_binary
 from .loss import LossWeights
 from .model import NetworkSpec
 
@@ -287,7 +288,7 @@ def save_training_checkpoint(path, spec: NetworkSpec, params: np.ndarray,
     shape of ``params``, ``adam_m`` and ``adam_v`` in that order, and the
     meta: ``epoch`` and ``adam_t``, which keys of ``meta`` override), then
     the three arrays as little-endian float64 in C order, so a load/save
-    cycle is bit-exact. ``files.write_atomically`` writes the bytes, so a
+    cycle is bit-exact. ``files.write_binary`` writes the bytes whole, so a
     write that fails midway leaves a previous checkpoint as it was.
     """
     arrays = [np.ascontiguousarray(a, dtype="<f8") for a in (params, state.m, state.v)]
@@ -297,9 +298,8 @@ def save_training_checkpoint(path, spec: NetworkSpec, params: np.ndarray,
         "meta": {"epoch": epoch, "adam_t": state.t, **(meta or {})},
     }
     hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    write_atomically(path, b"".join([_MAGIC, _VERSION.to_bytes(4, "little"),
-                                     len(hbytes).to_bytes(4, "little"), hbytes,
-                                     *(a.tobytes() for a in arrays)]))
+    write_binary(path, _MAGIC, _VERSION, [len(hbytes).to_bytes(4, "little"), hbytes,
+                                          *(a.tobytes() for a in arrays)])
 
 
 def load_training_checkpoint(path):
@@ -313,13 +313,7 @@ def load_training_checkpoint(path):
     other header, arrays of any other size, and a non-finite array entry are
     ParseError.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise ParseError(f"{path}: not a checkpoint file")
-    version = int.from_bytes(raw[4:8], "little")
-    if version != _VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint version {version}")
+    raw = read_binary(path, _MAGIC, _VERSION, "checkpoint")
     off = 12 + int.from_bytes(raw[8:12], "little")
     if off > len(raw):
         raise ParseError(f"{path}: truncated header")

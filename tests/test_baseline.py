@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -9,7 +10,7 @@ from anchorloc.errors import DegenerateOrientationError
 from anchorloc.loss import LossWeights, absolute_term
 from anchorloc.optim import TrainConfig
 
-from conftest import random_unit_quat
+from conftest import openblas_threads, random_unit_quat
 
 
 def test_parameter_count():
@@ -81,6 +82,40 @@ def test_degenerate_orientation_is_a_numerical_error(tiny_samples):
     W_pose[3:] = 0.0  # orientation rows of the head
     with pytest.raises(DegenerateOrientationError):
         baseline.evaluate_direct(spec, params, scene.test)
+
+
+
+@pytest.fixture(scope="module")
+def scene_and_spec(tiny_samples):
+    scene = data.from_simworld(*tiny_samples, k=10)
+    return scene, DirectSpec(input_dim=scene.train.features.shape[1], hidden_layers=(16,), seed=4)
+
+
+def test_overflowing_parameters_raise_only_the_packages_error(scene_and_spec):
+    # as in evaluation.evaluate, numpy's overflow stays quiet and the
+    # non-finite orientation it leaves is the package's error
+    scene, spec = scene_and_spec
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateOrientationError):
+            baseline.evaluate_direct(spec, model.init(spec) * 1e160, scene.test)
+
+
+def test_evaluation_runs_at_one_thread_and_restores_the_count(scene_and_spec, monkeypatch):
+    scene, spec = scene_and_spec
+    get, put = openblas_threads()
+    seen = []
+    forward = model.Bound.forward
+    monkeypatch.setattr(model.Bound, "forward",
+                        lambda net, x: seen.append(get()) or forward(net, x))
+    before = get()
+    put(2)
+    try:
+        baseline.evaluate_direct(spec, model.init(spec), scene.test)
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen == [1]
 
 
 @pytest.mark.parametrize("use_ce", [False, True], ids=["ce-off", "ce-on"])

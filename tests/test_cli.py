@@ -312,9 +312,13 @@ class TestConfigValues:
         ("gen-world", "", ["--seed", str(2**64)], f"seed must be < 2**64, got {2**64}"),
         ("train", "[train]\nshuffle_seed = -1\n", [], "shuffle_seed must be >= 0, got -1"),
         ("train", f"[train]\nshuffle_seed = {2**64}\n", [],
-         f"shuffle_seed must be < 2**64, got {2**64}")],
+         f"shuffle_seed must be < 2**64, got {2**64}"),
+        ("train", "[train]\nbatch_size = 0\n", [], "batch_size must be >= 1"),
+        ("train", "[train]\nlr_halving_period = 0\n", [], "lr_halving_period must be >= 1"),
+        ("train", "[train]\nepochs = -1\n", [], "epochs must be >= 0")],
         ids=["lr-nan", "lr-inf", "train-seed", "sweep-seed", "train-seed-2**64", "world-seed",
-             "world-seed-2**64", "shuffle-seed", "shuffle-seed-2**64"])
+             "world-seed-2**64", "shuffle-seed", "shuffle-seed-2**64", "batch-size-0",
+             "lr-halving-period-0", "negative-epochs"])
     def test_out_of_range_value_is_a_config_error(self, dataset_dir, tmp_path, capsys,
                                                   command, text, flags, message):
         out, cfg = dataset_dir
@@ -618,6 +622,40 @@ class TestTruncatedFiles:
                      "--out", str(tmp_path / "ev")]) == EXIT_DATA
 
 
+class TestFilePreamble:
+    """A binary file with another magic, or of another format version, exits 2
+    with one line naming the file and what its preamble holds."""
+
+    @pytest.mark.parametrize("offset,value,message", [
+        (0, b"X", "not a checkpoint (bad magic)"),
+        (4, b"\x02", "unsupported checkpoint version 2")], ids=["magic", "version-2"])
+    def test_checkpoint(self, dataset_dir, trained_run, tmp_path, capsys, offset, value,
+                        message):
+        out, _ = dataset_dir
+        ckpt = tmp_path / "checkpoint.bin"
+        ckpt.write_bytes(_byte_set(offset, value)((trained_run / "checkpoint.bin").read_bytes()))
+        ev = tmp_path / "ev"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(out),
+                     "--out", str(ev)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {ckpt}: {message}\n"
+        assert not ev.exists()
+
+    @pytest.mark.parametrize("offset,value,message", [
+        (0, b"X", "not a feature file (bad magic)"),
+        (4, b"\x02", "unsupported feature file version 2")], ids=["magic", "version-2"])
+    def test_feature_file(self, dataset_dir, tmp_path, capsys, offset, value, message):
+        out, cfg = dataset_dir
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        feats = bad / data.FEATURES_TRAIN
+        feats.write_bytes(_byte_set(offset, value)(feats.read_bytes()))
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--data", str(bad), "--out", str(run),
+                     "--epochs", "1"]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {feats}: {message}\n"
+        assert not run.exists()
+
+
 def _meta_set(key, value):
     return lambda header, blocks: header["meta"].__setitem__(key, value)
 
@@ -683,6 +721,7 @@ class TestCheckpointMeta:
         "input_dim-fraction": _spec_set("input_dim", 12.5),
         "width-fraction": _spec_set("hidden_layers", [48.5, 48]),
         "spec-without-activation": lambda header, blocks: header["spec"].pop("activation"),
+        "meta-list": lambda header, blocks: header.__setitem__("meta", [3, 0]),
     }
 
     @pytest.mark.parametrize("how", EDITS)
@@ -1108,15 +1147,23 @@ class TestSweep:
             assert rc == EXIT_DATA
             assert not sw.exists()
 
-    def test_bad_k_list(self, dataset_dir):
+    def test_bad_k_list(self, dataset_dir, tmp_path):
         out, _ = dataset_dir
-        assert main(["sweep-anchors", "--data", str(out), "--out", "/tmp/x",
+        assert main(["sweep-anchors", "--data", str(out), "--out", str(tmp_path / "sw"),
                      "--k", "abc"]) == EXIT_USAGE
+
+    def test_k_list_without_a_value(self, dataset_dir, tmp_path, capsys):
+        out, _ = dataset_dir
+        sw = tmp_path / "sw"
+        assert main(["sweep-anchors", "--data", str(out), "--out", str(sw),
+                     "--k", ","]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: --k needs at least one value\n"
+        assert not sw.exists()
 
 
 class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 
-    def test_missing_required_flag(self):
-        assert main(["train", "--out", "/tmp/x"]) == EXIT_USAGE
+    def test_missing_required_flag(self, tmp_path):
+        assert main(["train", "--out", str(tmp_path / "run")]) == EXIT_USAGE

@@ -84,6 +84,16 @@ class TestReconstructPose:
         with pytest.raises(InvalidInputError, match="finite"):
             reconstruct_pose(pred, amap)
 
+    def test_anchor_map_of_another_size_rejected(self):
+        amap = AnchorMap(anchors=np.zeros((3, 2)))
+        with pytest.raises(InvalidInputError, match="size mismatch"):
+            reconstruct(pred_with([1.0, 0.0], [[0.0, 0.0], [1.0, 0.0]]), amap)
+
+    def test_unknown_mode_rejected(self):
+        amap = AnchorMap(anchors=np.zeros((2, 2)))
+        with pytest.raises(InvalidInputError, match="unknown reconstruction mode 'median'"):
+            reconstruct(pred_with([1.0, 0.0], [[0.0, 0.0], [1.0, 0.0]]), amap, mode="median")
+
     def test_batch_of_more_than_one_rejected(self):
         amap = AnchorMap(anchors=np.zeros((1, 2)))
         pred = BatchPrediction(logits=np.zeros((2, 1)), offsets=np.zeros((2, 1, 2)),

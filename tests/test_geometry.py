@@ -245,6 +245,15 @@ class TestAnchorMap:
         assert amap.anchors.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
         assert not amap.anchors.flags.writeable
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(InvalidInputError, match="non-empty"):
+            AnchorMap(anchors=np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_anchor_rejected(self, value):
+        with pytest.raises(InvalidInputError, match="finite"):
+            AnchorMap(anchors=np.array([[0.0, 0.0], [1.0, value]]))
+
 
 class TestNearestAnchor:
     def test_basic(self):
@@ -289,6 +298,10 @@ class TestQuatAngle:
     def test_rejects_non_unit(self):
         with pytest.raises(InvalidInputError):
             quat_angle_deg(np.array([2.0, 0, 0, 0]), np.array([1.0, 0, 0, 0]))
+
+    def test_rejects_a_3_vector(self):
+        with pytest.raises(InvalidInputError, match="4-vectors"):
+            quat_angle_deg(np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)

@@ -91,6 +91,10 @@ class TestInit:
         with pytest.raises(InvalidSpecError):
             make(**{"input_dim": 4, **bad})
 
+    def test_no_anchors_rejected(self):
+        with pytest.raises(InvalidSpecError, match="num_anchors must be >= 1"):
+            NetworkSpec(input_dim=4, num_anchors=0)
+
     def test_num_anchors_is_an_integer(self):
         with pytest.raises(InvalidSpecError, match="num_anchors"):
             NetworkSpec(input_dim=4, num_anchors=2.0)
@@ -149,6 +153,11 @@ class TestForward:
         spec = small_spec()
         with pytest.raises(InvalidInputError):
             model.forward(spec, model.init(spec), np.zeros(spec.input_dim + 1))
+
+    def test_parameters_one_short_rejected(self):
+        spec = small_spec()
+        with pytest.raises(InvalidInputError, match="parameter vector has"):
+            model.forward(spec, model.init(spec)[:-1], np.zeros(spec.input_dim))
 
     def test_empty_batch_has_an_empty_offsets_table(self):
         spec = small_spec()

@@ -59,6 +59,10 @@ class TestLrSchedule:
         cfg = TrainConfig(lr=8e-4, lr_halving_period=5)
         assert lr_at(14, cfg) == 2e-4
 
+    def test_negative_epoch_rejected(self):
+        with pytest.raises(InvalidInputError, match="epoch must be >= 0"):
+            lr_at(-1, TrainConfig())
+
 
 class TestAdamStep:
     def test_zero_gradient_leaves_parameters(self):
@@ -114,6 +118,10 @@ class TestAdamStep:
         adam_step(params, g, state, lr=0.1)
         np.testing.assert_array_equal(params, [1.0, 2.0])
         assert state.t == 0 and np.all(state.m == 0)
+
+    def test_gradient_of_another_shape_rejected(self):
+        with pytest.raises(InvalidInputError, match="shape mismatch"):
+            adam_step(np.ones(3), np.ones(2), AdamState(m=np.zeros(3), v=np.zeros(3)), lr=0.1)
 
     def test_nonfinite_gradient_aborts(self):
         with pytest.raises(TrainingDivergenceError):
@@ -269,6 +277,12 @@ class TestTrain:
         with pytest.raises(InvalidInputError) as err:
             train(tiny_scene.train, spec, TrainConfig(epochs=1))
         assert {str(have), str(have + 1)} <= set(re.findall(r"\d+", str(err.value)))
+
+    def test_moments_of_another_size_rejected(self, tiny_scene, tiny_net):
+        n = model.param_count(tiny_net) - 1
+        with pytest.raises(InvalidInputError, match="Adam state/parameter shape mismatch"):
+            train(tiny_scene.train, tiny_net, TrainConfig(epochs=1),
+                  init_state=AdamState(m=np.zeros(n), v=np.zeros(n)))
 
     def test_empty_dataset_rejected(self, tiny_scene, tiny_net):
         empty = data.SampleBatch.build([], [], np.zeros((0, tiny_net.input_dim)),

@@ -51,6 +51,12 @@ class TestSegmentsIntersect:
     def test_collinear_overlap_counts(self):
         assert segments_intersect((0, 0), (2, 0), (1, 0), (3, 0))
 
+    def test_obstacle_ending_on_the_sight_line_counts(self):
+        # q2 lies on p1-p2 while q1 is off it: only the last orientation is zero
+        p1, p2, q1, q2 = (0, 0), (2, 0), (1, 1), (1, 0)
+        assert segments_intersect(p1, p2, q1, q2)
+        assert segments_intersect_oracle(p1, p2, q1, q2)
+
     def test_matches_oracle_on_random_configs(self):
         rng = np.random.default_rng(11)
         disagreements = 0

@@ -15,14 +15,19 @@ term on (``alpha1 = 2.0``), the same tanh config overridden by ``--seed 3 --k 20
 config sets every ``[network]``, ``[train]`` and ``[loss]`` key away from its
 default, argmax, ``--weighted`` and cross-entropy ``eval``, an ``eval`` of the
 periodic checkpoint ``run/checkpoint_epoch0004.bin``, and ``sweep-anchors --k
-1,5,10,20 --epochs 3``. Each command runs in its own process with BLAS pinned to one thread.
+1,5,10,20 --epochs 3``. Then one command for each failing exit code, which
+pins the error contract: ``sweep-anchors --k ,`` (1), an ``eval`` of a copy
+of ``run/checkpoint.bin`` and a ``train`` on a copy of ``ds``, each copy's
+binary file with its version field set to 2 (2), and a 1-epoch ``train``
+with ``[loss] alpha2 = 1e308``, whose loss is not finite (3). Each command
+runs in its own process with BLAS pinned to one thread.
 It prints every command with its exit code, stdout and stderr (the temporary
 directory shown as ``$TMP``), then ``sha256  relative/path`` for every file
 the run left, each ``.ini`` file followed by its text indented by four spaces
 (so a config change shows as changed lines in a diff), and deletes the
 directory.
-Run it on two source trees and diff the outputs. Exits 1 if a command
-failed.
+Run it on two source trees and diff the outputs. Exits 1 if a command's exit
+code is not the one expected of it.
 """
 
 from __future__ import annotations
@@ -40,31 +45,69 @@ EVERY = SMALL + ("\n[network]\nhidden_layers = 24,16\nactivation = tanh\nseed = 
                  "\n[train]\nlr = 0.001\nbatch_size = 20\nepochs = 2\nlr_halving_period = 1\n"
                  "shuffle_seed = 9\n"
                  "\n[loss]\nalpha1 = 0.5\nalpha2 = 4.0\nalpha3 = 2.5\n")
+OVERFLOW = SMALL + "\n[loss]\nalpha2 = 1e308\n"  # the first batch's loss is not finite
 WORLD_UTF8 = ("[world]\nseed = 4\nfov_half_angle = 90\nz_base = 0.5\nz_noise_amp = 0.1\n"
               "noise_sigma = 0.01\nlateral_jitter = 0.05\nheading_jitter_deg = 2\n"
               "route = 0,0; 8,0; 8,3; 0,3; 0,0\nlandmarks = lmé:8,0; 路標:0,3; ñandú:4,1.5\n"
               "obstacles = 4,0.5,4,1\n")
 
-COMMANDS = (
-    ["gen-world", "--config", "small.ini", "--out", "ds"],
-    ["gen-world", "--config", "small.ini", "--out", "ds-seed8", "--seed", "8"],
-    ["gen-world", "--config", "small.ini", "--world-file", "ds/world.ini", "--out", "ds-world"],
-    ["gen-world", "--config", "small.ini", "--world-file", "world-utf8.ini", "--out", "ds-utf8"],
-    ["train", "--config", "small.ini", "--data", "ds", "--out", "run", "--epochs", "5",
-     "--checkpoint-every", "2"],
-    ["train", "--config", "tanh-ce.ini", "--data", "ds", "--out", "run-ce", "--epochs", "5"],
-    ["train", "--config", "tanh-ce.ini", "--data", "ds", "--out", "run-flags", "--seed", "3",
-     "--k", "20", "--no-cross-entropy", "--epochs", "2"],
-    ["train", "--config", "every.ini", "--data", "ds", "--out", "run-every"],
-    ["eval", "--checkpoint", "run/checkpoint.bin", "--data", "ds", "--out", "eval-argmax"],
-    ["eval", "--checkpoint", "run/checkpoint.bin", "--data", "ds", "--out", "eval-weighted",
-     "--weighted"],
-    ["eval", "--checkpoint", "run-ce/checkpoint.bin", "--data", "ds", "--out", "eval-ce"],
-    ["eval", "--checkpoint", "run/checkpoint_epoch0004.bin", "--data", "ds", "--out",
-     "eval-epoch4"],
-    ["sweep-anchors", "--config", "small.ini", "--data", "ds", "--out", "sweep",
-     "--k", "1,5,10,20", "--epochs", "3"],
+COMMANDS = (  # (expected exit code, arguments)
+    (0, ["gen-world", "--config", "small.ini", "--out", "ds"]),
+    (0, ["gen-world", "--config", "small.ini", "--out", "ds-seed8", "--seed", "8"]),
+    (0, ["gen-world", "--config", "small.ini", "--world-file", "ds/world.ini", "--out",
+         "ds-world"]),
+    (0, ["gen-world", "--config", "small.ini", "--world-file", "world-utf8.ini", "--out",
+         "ds-utf8"]),
+    (0, ["train", "--config", "small.ini", "--data", "ds", "--out", "run", "--epochs", "5",
+         "--checkpoint-every", "2"]),
+    (0, ["train", "--config", "tanh-ce.ini", "--data", "ds", "--out", "run-ce", "--epochs", "5"]),
+    (0, ["train", "--config", "tanh-ce.ini", "--data", "ds", "--out", "run-flags", "--seed", "3",
+         "--k", "20", "--no-cross-entropy", "--epochs", "2"]),
+    (0, ["train", "--config", "every.ini", "--data", "ds", "--out", "run-every"]),
+    (0, ["eval", "--checkpoint", "run/checkpoint.bin", "--data", "ds", "--out", "eval-argmax"]),
+    (0, ["eval", "--checkpoint", "run/checkpoint.bin", "--data", "ds", "--out", "eval-weighted",
+         "--weighted"]),
+    (0, ["eval", "--checkpoint", "run-ce/checkpoint.bin", "--data", "ds", "--out", "eval-ce"]),
+    (0, ["eval", "--checkpoint", "run/checkpoint_epoch0004.bin", "--data", "ds", "--out",
+         "eval-epoch4"]),
+    (0, ["sweep-anchors", "--config", "small.ini", "--data", "ds", "--out", "sweep",
+         "--k", "1,5,10,20", "--epochs", "3"]),
 )
+
+# run after COMMANDS and after the version-2 copies of run/checkpoint.bin and
+# ds/features_train.bin are made: one command per failing exit code
+FAILING = (
+    (1, ["sweep-anchors", "--config", "small.ini", "--data", "ds", "--out", "sweep-none",
+         "--k", ","]),
+    (2, ["eval", "--checkpoint", "run-v2/checkpoint.bin", "--data", "ds", "--out", "eval-v2"]),
+    (2, ["train", "--config", "small.ini", "--data", "ds-v2", "--out", "run-on-v2"]),
+    (3, ["train", "--config", "overflow.ini", "--data", "ds", "--out", "run-overflow",
+         "--epochs", "1"]),
+)
+
+
+def version_2_copies(work) -> None:
+    """``run-v2/checkpoint.bin`` and ``ds-v2``: copies of ``run/checkpoint.bin``
+    and ``ds`` whose binary file's u32 version field (bytes 4-7) reads 2."""
+    os.makedirs(os.path.join(work, "run-v2"))
+    shutil.copyfile(os.path.join(work, "run", "checkpoint.bin"),
+                    os.path.join(work, "run-v2", "checkpoint.bin"))
+    shutil.copytree(os.path.join(work, "ds"), os.path.join(work, "ds-v2"))
+    for path in ("run-v2/checkpoint.bin", "ds-v2/features_train.bin"):
+        with open(os.path.join(work, path), "r+b") as fh:
+            fh.seek(4)
+            fh.write((2).to_bytes(4, "little"))
+
+
+def run(work, env, expected: int, args) -> bool:
+    """Runs ``anchorloc args`` in ``work`` and prints the command, its exit
+    code, stdout and stderr; whether the exit code is ``expected``."""
+    proc = subprocess.run([sys.executable, "-m", "anchorloc.cli", *args], cwd=work, env=env,
+                          capture_output=True, text=True)
+    print(f"$ anchorloc {' '.join(args)}  -> exit {proc.returncode}")
+    for stream in (proc.stdout, proc.stderr):
+        sys.stdout.write(stream.replace(work, "$TMP"))
+    return proc.returncode == expected
 
 
 def main(argv=None) -> int:
@@ -75,19 +118,14 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(argv[0]), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     work = tempfile.mkdtemp(prefix="cli-digest-")
-    failed = False
     try:
         for name, text in (("small.ini", SMALL), ("tanh-ce.ini", TANH_CE), ("every.ini", EVERY),
-                           ("world-utf8.ini", WORLD_UTF8)):
+                           ("overflow.ini", OVERFLOW), ("world-utf8.ini", WORLD_UTF8)):
             with open(os.path.join(work, name), "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
-        for args in COMMANDS:
-            proc = subprocess.run([sys.executable, "-m", "anchorloc.cli", *args], cwd=work,
-                                  env=env, capture_output=True, text=True)
-            failed |= proc.returncode != 0
-            print(f"$ anchorloc {' '.join(args)}  -> exit {proc.returncode}")
-            for stream in (proc.stdout, proc.stderr):
-                sys.stdout.write(stream.replace(work, "$TMP"))
+        passed = [run(work, env, *command) for command in COMMANDS]
+        version_2_copies(work)
+        passed += [run(work, env, *command) for command in FAILING]
         for root, dirs, files in os.walk(work):
             dirs.sort()
             for name in sorted(files):
@@ -100,7 +138,7 @@ def main(argv=None) -> int:
                         print(f"    {line}".rstrip())
     finally:
         shutil.rmtree(work)
-    return 1 if failed else 0
+    return 0 if all(passed) else 1
 
 
 if __name__ == "__main__":
