@@ -42,15 +42,16 @@ backward_batch = modelmod.backward_batch
 def direct_loss_batch(pose_out: np.ndarray, gt_xyz: np.ndarray, gt_orient: np.ndarray,
                       weights: LossWeights):
     """Mean direct-regression loss and the pose head's upstream gradient
-    (already /B): the squared horizontal error, weighted like the anchor
-    model's offset term, and its absolute term for z and orientation."""
+    (each term's alpha times 1/B): the squared horizontal error, weighted like
+    the anchor model's offset term, and its absolute term for z and
+    orientation."""
+    inv_b = 1.0 / len(pose_out)
     d_pose = np.empty_like(pose_out)  # every column is written below
     xy_resid = np.subtract(pose_out[:, :2], gt_xyz[:, :2], out=d_pose[:, :2])
     off_per = (xy_resid ** 2).sum(axis=1)
     abs_per, d_pose[:, 2], d_pose[:, 3:] = absolute_term(
-        pose_out[:, 2], pose_out[:, 3:], gt_xyz[:, 2], gt_orient, weights.alpha3)
-    xy_resid *= weights.alpha2 * 2.0
-    d_pose *= 1.0 / len(pose_out)
+        pose_out[:, 2], pose_out[:, 3:], gt_xyz[:, 2], gt_orient, weights.alpha3 * inv_b)
+    xy_resid *= weights.alpha2 * 2.0 * inv_b
     return LossBreakdown.of(weights, off_per, abs_per), {"pose": d_pose}
 
 

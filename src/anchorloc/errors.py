@@ -26,7 +26,8 @@ class DegenerateOrientationError(AnchorLocError, ValueError):
 
 
 class NonFinitePoseError(AnchorLocError, ArithmeticError):
-    """A reconstructed pose's translation error is not finite."""
+    """A reconstructed pose's translation error, or the logits that pick its
+    anchor, is not finite."""
 
 
 class ParseError(AnchorLocError, ValueError):

@@ -130,18 +130,25 @@ def co_located_anchors(anchor_map: AnchorMap, landmarks) -> dict[int, str]:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite logits raise below
+@modelmod.one_blas_thread()
 def discovery_stats(spec: NetworkSpec, params: np.ndarray, batch: SampleBatch,
                     anchor_map: AnchorMap, landmarks) -> tuple[int, int]:
     """(successes, qualifying) for the anchor-discovery experiment.
 
     Qualifying samples are those whose nearest anchor carries a co-located
     landmark that is NOT in the sample's visible set. A success is an
-    argmax-confidence anchor whose own co-located landmark IS visible.
+    argmax-confidence anchor whose own co-located landmark IS visible. Runs
+    at one OpenBLAS thread, as ``evaluate`` does; a row of logits that is not
+    finite has no argmax anchor and is NonFinitePoseError.
     """
     if batch.visible_sets is None:
         raise InvalidInputError("discovery requires samples with visibility ground truth")
     anchor_lm = co_located_anchors(anchor_map, landmarks)
     pred = modelmod.forward_batch(spec, params, batch.features)
+    bad = np.flatnonzero(~np.isfinite(pred.logits).all(axis=1))
+    if bad.size:
+        raise NonFinitePoseError(f"confidence logits of test row {bad[0]} are not finite")
     j = pred.logits.argmax(axis=1)
     qualifying = successes = 0
     for i in range(len(batch)):

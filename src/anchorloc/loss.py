@@ -110,13 +110,13 @@ def unit_orientation(orient_raw: np.ndarray, gt_orient: np.ndarray | None = None
 
 # --- per-term batched kernels ---------------------------------------------------
 # Each returns the per-sample term (B,) and its gradients multiplied by
-# ``scale`` (the term's alpha); callers apply 1/B for the batch mean.
+# ``scale``: a batch mean's caller passes the term's alpha times 1/B.
 
 def offset_term(c: np.ndarray, resid: np.ndarray, scale: float = 1.0):
     """Confidence-weighted squared offset residuals -> (per, d_logits, d_offsets).
 
     ``c`` is the softmax of the logits (B, N). The residual ``gt_offsets -
-    offsets`` (B, N, 2) is overwritten with d_offsets, ``scale * (-2 resid c)``
+    offsets`` (B, N, 2) is overwritten with d_offsets, ``(resid c) (-2 scale)``
     in that order, with ``c`` applied one coordinate at a time (twice as fast
     as a broadcast over the length-2 axis)."""
     x, y = resid[:, :, 0], resid[:, :, 1]
@@ -128,10 +128,9 @@ def offset_term(c: np.ndarray, resid: np.ndarray, scale: float = 1.0):
     r -= per[:, None]
     r *= c
     r *= scale
-    resid *= -2.0
     x *= c
     y *= c
-    resid *= scale
+    resid *= -2.0 * scale
     return per, r, resid
 
 
@@ -159,9 +158,9 @@ def cross_entropy_term(logits: np.ndarray, softmax, nearest: np.ndarray,
 def batch_total_loss(pred: BatchPrediction, gt_offsets: np.ndarray, gt_z: np.ndarray,
                      gt_orient: np.ndarray, nearest: np.ndarray, weights: LossWeights):
     """Mean loss over a batch plus upstream gradients for backward_batch,
-    computed in ``gt_offsets``: on return it holds the offsets head's. The
-    gradients are already scaled by 1/B, so the parameter gradient is the
-    mean of per-sample gradients.
+    computed in ``gt_offsets``: on return it holds the offsets head's. Each
+    term's kernel scales its gradients by its alpha times 1/B, so the
+    parameter gradient is the mean of per-sample gradients.
 
     Returns (LossBreakdown of means, {head: (B, width)} for every head).
     """
@@ -169,20 +168,18 @@ def batch_total_loss(pred: BatchPrediction, gt_offsets: np.ndarray, gt_z: np.nda
         raise InvalidInputError(f"ground-truth offsets {gt_offsets.shape} do not match the "
                                 f"predictions' (batch, anchors, 2) = {(*pred.logits.shape, 2)}")
     B = pred.logits.shape[0]
+    inv_b = 1.0 / B
     softmax = _softmax(pred.logits)
     off_per, d_logits, d_offsets = offset_term(
-        softmax[0], np.subtract(gt_offsets, pred.offsets, out=gt_offsets), weights.alpha2)
+        softmax[0], np.subtract(gt_offsets, pred.offsets, out=gt_offsets),
+        weights.alpha2 * inv_b)
     d_abs = np.empty((B, ABS_HEAD_DIM))
     abs_per, d_abs[:, ABS_Z], d_abs[:, ABS_ORIENT] = absolute_term(
-        pred.z_hat, pred.orient_raw, gt_z, gt_orient, weights.alpha3)
-    inv_b = 1.0 / B
-    d_logits *= inv_b
+        pred.z_hat, pred.orient_raw, gt_z, gt_orient, weights.alpha3 * inv_b)
     ce_per = None
     if weights.alpha1 > 0:
-        ce_per, d_logits_ce = cross_entropy_term(pred.logits, softmax, nearest, weights.alpha1)
-        d_logits_ce *= inv_b
+        ce_per, d_logits_ce = cross_entropy_term(pred.logits, softmax, nearest,
+                                                 weights.alpha1 * inv_b)
         d_logits += d_logits_ce
-    d_offsets *= inv_b
-    d_abs *= inv_b
     return (LossBreakdown.of(weights, off_per, abs_per, ce_per),
             {"logits": d_logits, "offsets": d_offsets.reshape(B, -1), "absolute": d_abs})

@@ -135,3 +135,22 @@ def test_loss_breakdown_is_the_mean_of_the_terms(B, use_ce):
                 (w.alpha2 * off + w.alpha3 * absolute).mean())
     breakdown = direct_loss_batch(pose, gt_xyz, gt_orient, w)[0]
     assert [v.hex() for v in astuple(breakdown)] == [float(v).hex() for v in expected]
+
+
+@pytest.mark.parametrize("B", [32, 16])
+def test_pose_gradient_scaled_once_matches_scaling_by_alpha_then_by_1_over_b(B):
+    """The loss scales each gradient by alpha/B once; at a power-of-two B
+    that is bit for bit the product by alpha and then by 1/B."""
+    rng = np.random.default_rng(50 + B)
+    w = LossWeights(alpha2=7.0, alpha3=0.6)
+    pose = rng.standard_normal((B, 7))
+    pose[:, 3] += 3.0
+    gt_xyz = rng.standard_normal((B, 3))
+    gt_orient = np.array([random_unit_quat(rng) for _ in range(B)])
+    want = np.empty((B, 7))
+    want[:, :2] = (pose[:, :2] - gt_xyz[:, :2]) * (w.alpha2 * 2.0)
+    _, want[:, 2], want[:, 3:] = absolute_term(pose[:, 2], pose[:, 3:], gt_xyz[:, 2],
+                                                gt_orient, w.alpha3)
+    want *= 1.0 / B
+    got = direct_loss_batch(pose, gt_xyz, gt_orient, w)[1]["pose"]
+    assert got.tobytes() == want.tobytes()

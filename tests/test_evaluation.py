@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from anchorloc.loss import LossWeights
 from anchorloc.model import BatchPrediction, NetworkSpec
 from anchorloc.optim import TrainConfig
 
-from conftest import make_pose
+from conftest import make_pose, openblas_threads
 
 
 def pred_with(logits, offsets, z=0.0, orient=(1, 0, 0, 0)):
@@ -313,6 +314,44 @@ class TestDiscovery:
         spec = NetworkSpec(input_dim=3, hidden_layers=(2,), num_anchors=4, seed=0)
         with pytest.raises(InvalidInputError):
             discovery_stats(spec, model.init(spec), batch, amap, landmarks)
+
+
+@pytest.fixture(scope="module")
+def tiny_scene(tiny_samples):
+    scene = data.from_simworld(*tiny_samples, k=10)
+    spec = NetworkSpec(input_dim=scene.train.features.shape[1], hidden_layers=(16,),
+                       num_anchors=scene.num_anchors, seed=5)
+    return scene, spec
+
+
+def test_discovery_overflow_raises_only_the_packages_error(tiny_world, tiny_scene):
+    # as in evaluate: numpy's overflow stays quiet, and logits that are not
+    # finite are the package's error, not an argmax
+    scene, spec = tiny_scene
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFinitePoseError, match="logits of test row 0 are not finite"):
+            discovery_stats(spec, model.init(spec) * 1e160, scene.test, scene.anchor_map,
+                            tiny_world.landmarks)
+
+
+def test_discovery_runs_at_one_thread_and_restores_the_count(tiny_world, tiny_scene,
+                                                             monkeypatch):
+    scene, spec = tiny_scene
+    get, put = openblas_threads()
+    seen = []
+    forward = model.Bound.forward
+    monkeypatch.setattr(model.Bound, "forward",
+                        lambda net, x: seen.append(get()) or forward(net, x))
+    before = get()
+    put(2)
+    try:
+        discovery_stats(spec, model.init(spec), scene.test, scene.anchor_map,
+                        tiny_world.landmarks)
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen == [1]
 
 
 @pytest.fixture(scope="module")

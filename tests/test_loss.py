@@ -332,6 +332,40 @@ class TestBatchPath:
         breakdown = total(fields, gt, w)[0]
         assert [v.hex() for v in astuple(breakdown)] == [float(v).hex() for v in expected]
 
+    @pytest.mark.parametrize("use_ce", [False, True], ids=["ce-off", "ce-on"])
+    @pytest.mark.parametrize("B", [32, 16, 24])
+    def test_gradients_scaled_once_match_scaling_by_alpha_then_by_1_over_b(self, B, use_ce):
+        """Each kernel scales its gradients by alpha/B once. A reference that
+        scales by alpha and then by 1/B, each offset gradient as ``-2 r c``
+        first, agrees bit for bit when 1/B is a power of two (as at the
+        training batch sizes 32 and 16) and otherwise to within 1e-15 of each
+        table's largest entry (relative to the entry itself, a logit's offset
+        and cross-entropy gradients can cancel to a few ulps of the terms)."""
+        rng = np.random.default_rng(40 + B)
+        w = LossWeights(alpha1=1.3 if use_ce else 0.0, alpha2=7.0, alpha3=0.6)
+        preds, targets = zip(*(random_case(rng, n=6) for _ in range(B)))
+        fields = {k: np.concatenate([p[k] for p in preds]) for k in preds[0]}
+        gt = Target(*(np.concatenate(field) for field in zip(*targets)))
+        inv_b = 1.0 / B
+        softmax = _softmax(fields["logits"])
+        c = softmax[0]
+        resid = gt.offsets - fields["offsets"]
+        r = np.square(resid).sum(axis=2)
+        d_logits = c * (r - (r * c).sum(axis=1)[:, None]) * w.alpha2 * inv_b
+        d_offsets = -2.0 * resid * c[:, :, None] * w.alpha2 * inv_b
+        _, d_z, d_orient = absolute_term(fields["z_hat"], fields["orient_raw"], gt.z,
+                                         gt.orientation, w.alpha3)
+        if use_ce:
+            d_logits += cross_entropy_term(fields["logits"], softmax, gt.nearest,
+                                           w.alpha1)[1] * inv_b
+        want = (d_logits, d_offsets, d_z * inv_b, d_orient * inv_b)
+        got = prediction_grads(total(fields, gt, w)[1])
+        for g, ref in zip(got, want):
+            if B == 24:
+                assert np.abs(g - ref).max() <= 1e-15 * np.abs(ref).max()
+            else:
+                assert g.tobytes() == ref.tobytes()
+
     def test_batch_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
         n, B = 4, 3
