@@ -11,6 +11,14 @@ files, it holds no lone surrogate, which UTF-8 cannot encode. Floats are
 written with 17 significant digits, which round-trips IEEE doubles exactly,
 so parse -> serialize -> parse is bit-stable.
 
+Poses travel as columns, a :class:`PoseTable` of frame ids, positions and
+orientations, from a generated world or a pose file to a :class:`SampleBatch`,
+with no per-record ``Pose`` on the way. The reader converts each line to
+floats, then checks every quaternion norm and renormalizes in bulk, with the
+arithmetic :class:`geometry.Pose` applies to one; an error names the file and
+its first faulty line (``PATH, line N: ...``). The writer formats rows of
+Python floats.
+
 Feature files are little-endian binary: magic ``ALFT`` and a u32 version,
 which ``files.write_binary`` writes and ``files.read_binary`` checks, u64
 frame count, u64 dim, then per row a u32-length-prefixed UTF-8 frame id and
@@ -29,16 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataIntegrityError, InvalidInputError, ParseError
-from .geometry import AnchorMap, Pose, build_anchor_map, quat_norm
-from .files import encodable, fmt, read_binary, read_lines, write_atomically, write_binary
-from .simworld import Sample
+from .geometry import AnchorMap, Pose, build_anchor_map, quat_norms
+from .files import encodable, read_binary, read_lines, write_atomically, write_binary
+from .simworld import Frames
 
 QUAT_NORM_TOL = 1e-3
 
 _FEAT_MAGIC = b"ALFT"
 _FEAT_VERSION = 1
 
-# Elements of the (rows, N) squared-distance table that SampleBatch.build
+# Elements of the (rows, N) squared-distance table that SampleBatch.of
 # holds at a time (1 MB); each row's argmin is the same as over the whole table.
 _NEAREST_BLOCK = 2**17
 
@@ -48,50 +56,89 @@ FEATURES_TRAIN = "features_train.bin"
 FEATURES_TEST = "features_test.bin"
 
 
-def format_pose_line(frame_id: str, pose: Pose) -> str:
-    if frame_id.split() != [frame_id] or frame_id.startswith("#") or not encodable(frame_id):
-        raise InvalidInputError(f"frame id {frame_id!r} is empty, holds whitespace or a lone "
-                                "surrogate or starts with '#', so its pose line would not "
-                                "read back")
-    fields = [frame_id]
-    fields += [fmt(v) for v in pose.position]
-    fields += [fmt(v) for v in pose.orientation]
-    return " ".join(fields)
+@dataclass(frozen=True)
+class PoseTable:
+    """Pose records as columns: frame ids, positions (n, 3) in meters and
+    orientations (n, 4), unit quaternions in (w, x, y, z) order, all finite."""
+
+    frame_ids: list[str]
+    positions: np.ndarray
+    orientations: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.frame_ids)
+        for name, width in (("positions", 3), ("orientations", 4)):
+            values = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            if values.shape != (n, width):
+                raise InvalidInputError(f"{name} must be ({n}, {width}), one row per frame id, "
+                                        f"got shape {values.shape}")
+            if not np.isfinite(values).all():
+                raise InvalidInputError("pose components must be finite")
+            object.__setattr__(self, name, values)
+
+    def __len__(self) -> int:
+        return len(self.frame_ids)
+
+    @classmethod
+    def of(cls, frame_ids, poses: list[Pose]) -> "PoseTable":
+        """The columns of ``poses``, one per frame id."""
+        n = len(poses)
+        return cls(list(frame_ids), np.array([p.position for p in poses]).reshape(n, 3),
+                   np.array([p.orientation for p in poses]).reshape(n, 4))
 
 
-def parse_pose_line(line: str, line_number: int | None = None) -> tuple[str, Pose]:
-    parts = line.split()
-    if len(parts) != 8:
-        raise ParseError(f"expected 8 whitespace-separated fields, got {len(parts)}",
-                         line_number)
-    frame_id = parts[0]
-    try:
-        values = [float(p) for p in parts[1:]]
-    except ValueError as err:
-        raise ParseError(f"bad float field: {err}", line_number) from None
-    quat = np.array(values[3:])
-    norm = quat_norm(quat, values[3:])
-    if abs(norm - 1.0) > QUAT_NORM_TOL:
-        raise DataIntegrityError(
-            f"line {line_number}: quaternion norm {norm:.6g} is more than "
-            f"{QUAT_NORM_TOL} from unit")
-    # Pose renormalizes (idempotently), keeping file round-trips bit-stable
-    return frame_id, Pose(position=np.array(values[:3]), orientation=quat)
-
-
-def load_pose_file(path) -> list[tuple[str, Pose]]:
-    """Ordered (frame_id, Pose) records from a pose text file."""
-    records = []
+def load_pose_file(path) -> PoseTable:
+    """The records of a pose text file, in order. Each line is converted to
+    floats, then the quaternion norms of all of them are checked and
+    renormalized together, as :class:`geometry.Pose` would one at a time; an
+    error names the file and the first faulty line."""
+    ids, rows, numbers = [], [], []
+    stop = None
     for n, raw in enumerate(read_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        records.append(parse_pose_line(line, n))
-    return records
+        if len(parts) != 8:
+            stop = ParseError(f"expected 8 whitespace-separated fields, got {len(parts)}", n,
+                              path)
+            break
+        try:
+            rows.append([float(p) for p in parts[1:]])
+        except ValueError as err:
+            stop = ParseError(f"bad float field: {err}", n, path)
+            break
+        ids.append(parts[0])
+        numbers.append(n)
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), 7)
+    quats = values[:, 3:]
+    norms = quat_norms(quats)
+    far = np.abs(norms - 1.0) > QUAT_NORM_TOL  # false for a NaN norm, which is not finite
+    faulty = far | ~np.isfinite(values).all(axis=1)
+    if faulty.any():
+        i = int(faulty.argmax())
+        where = f"{path}, line {numbers[i]}"
+        if far[i]:
+            raise DataIntegrityError(f"{where}: quaternion norm {norms[i]:.6g} is more than "
+                                     f"{QUAT_NORM_TOL} from unit")
+        raise InvalidInputError(f"{where}: pose components must be finite")
+    if stop is not None:
+        raise stop
+    # divided by the norm where geometry.Pose would, so file round-trips stay bit-stable
+    off = np.abs(norms - 1.0) > 1e-12
+    quats[off] /= norms[off, None]
+    return PoseTable(ids, values[:, :3], quats)
 
 
-def save_pose_file(path, records: list[tuple[str, Pose]]) -> None:
-    write_atomically(path, "".join(format_pose_line(fid, pose) + "\n" for fid, pose in records))
+def save_pose_file(path, poses: PoseTable) -> None:
+    for frame_id in poses.frame_ids:
+        if frame_id.split() != [frame_id] or frame_id.startswith("#") or not encodable(frame_id):
+            raise InvalidInputError(f"frame id {frame_id!r} is empty, holds whitespace or a lone "
+                                    "surrogate or starts with '#', so its pose line would not "
+                                    "read back")
+    line = "%s" + " %.17g" * 7 + "\n"  # fmt's 17 significant digits
+    write_atomically(path, "".join(
+        line % (frame_id, *row) for frame_id, row in
+        zip(poses.frame_ids, np.hstack([poses.positions, poses.orientations]).tolist())))
 
 
 def save_features(path, frame_ids: list[str], features: np.ndarray) -> None:
@@ -172,13 +219,18 @@ class SampleBatch:
     @classmethod
     def build(cls, frame_ids, poses: list[Pose], features: np.ndarray,
               anchor_map: AnchorMap, visible_sets=None) -> "SampleBatch":
+        """:meth:`of` the columns of ``poses``."""
+        return cls.of(PoseTable.of(frame_ids, poses), features, anchor_map, visible_sets)
+
+    @classmethod
+    def of(cls, poses: PoseTable, features: np.ndarray, anchor_map: AnchorMap,
+           visible_sets=None) -> "SampleBatch":
         n = len(poses)
         feats = np.asarray(features, dtype=np.float64)
         if feats.shape[0] != n:
             raise InvalidInputError(
                 f"{feats.shape[0]} feature rows for {n} poses")
-        positions = np.array([p.position for p in poses]).reshape(n, 3)
-        orientations = np.array([p.orientation for p in poses]).reshape(n, 4)
+        positions = poses.positions
         ax, ay = anchor_map.anchors.T
         rows = max(1, _NEAREST_BLOCK // len(anchor_map))
         nearest = np.empty(n, dtype=np.intp)
@@ -186,8 +238,8 @@ class SampleBatch:
             px, py = positions[s:s + rows, 0, None], positions[s:s + rows, 1, None]
             d2 = (ax - px) ** 2 + (ay - py) ** 2
             nearest[s:s + rows] = d2.argmin(axis=1)
-        return cls(frame_ids=list(frame_ids), features=feats, positions=positions,
-                   orientations=orientations, anchor_map=anchor_map, nearest=nearest,
+        return cls(frame_ids=list(poses.frame_ids), features=feats, positions=positions,
+                   orientations=poses.orientations, anchor_map=anchor_map, nearest=nearest,
                    visible_sets=visible_sets)
 
 
@@ -207,53 +259,44 @@ class SceneDataset:
         return len(self.anchor_map)
 
 
-def assemble(poses: list[tuple[str, Pose]], features: np.ndarray, k: int,
-             test_poses: list[tuple[str, Pose]], test_features: np.ndarray, *,
+def assemble(poses: PoseTable, features: np.ndarray, k: int,
+             test_poses: PoseTable, test_features: np.ndarray, *,
              train_visible=None, test_visible=None) -> SceneDataset:
     """Build a SceneDataset; the anchor map comes from training poses ONLY.
 
-    :meth:`SampleBatch.build` converts each split's features, checks that
+    :meth:`SampleBatch.of` converts each split's features, checks that
     they have one row per pose and labels nearest anchors; the test split
     (which may be empty) never contributes anchors.
     """
-    pose_objs = [p for _, p in poses]
-    anchor_map = build_anchor_map(pose_objs, k)
-    train = SampleBatch.build([fid for fid, _ in poses], pose_objs, features,
-                              anchor_map, visible_sets=train_visible)
-    test = SampleBatch.build([fid for fid, _ in test_poses], [p for _, p in test_poses],
-                             test_features, anchor_map, visible_sets=test_visible)
-    return SceneDataset(train=train, test=test)
+    anchor_map = build_anchor_map(poses.positions, k)
+    return SceneDataset(
+        train=SampleBatch.of(poses, features, anchor_map, visible_sets=train_visible),
+        test=SampleBatch.of(test_poses, test_features, anchor_map, visible_sets=test_visible))
 
 
-def _stack_splits(train_samples: list[Sample], test_samples: list[Sample]):
-    """[train records, train features, test records, test features]: frame ids
-    t00000, ... (test: e00000, ...) with poses, and (n, dim) stacked features."""
-    first = (train_samples or test_samples)[:1]
-    dim = first[0].feature.shape[0] if first else 0
-    splits = []
-    for prefix, samples in (("t", train_samples), ("e", test_samples)):
-        splits.append([(f"{prefix}{i:05d}", s.pose) for i, s in enumerate(samples)])
-        splits.append(np.array([s.feature for s in samples]).reshape(len(samples), dim))
-    return splits
+def _pose_tables(train: Frames, test: Frames) -> tuple[PoseTable, PoseTable]:
+    """The splits' pose columns under frame ids t00000, ... (test: e00000, ...)."""
+    return tuple(PoseTable([f"{prefix}{i:05d}" for i in range(len(frames))], frames.positions,
+                           frames.orientations)
+                 for prefix, frames in (("t", train), ("e", test)))
 
 
-def from_simworld(train_samples: list[Sample], test_samples: list[Sample], k: int) -> SceneDataset:
-    """Assemble directly from in-memory world samples, keeping visibility
+def from_simworld(train: Frames, test: Frames, k: int) -> SceneDataset:
+    """Assemble directly from in-memory world frames, keeping visibility
     ground truth for discovery analysis."""
-    train_recs, tf, test_recs, ef = _stack_splits(train_samples, test_samples)
-    return assemble(train_recs, tf, k, test_recs, ef,
-                    train_visible=[s.visible_set for s in train_samples],
-                    test_visible=[s.visible_set for s in test_samples])
+    train_poses, test_poses = _pose_tables(train, test)
+    return assemble(train_poses, train.features, k, test_poses, test.features,
+                    train_visible=train.visible_sets, test_visible=test.visible_sets)
 
 
-def export_dataset(out_dir, train_samples: list[Sample], test_samples: list[Sample]) -> None:
+def export_dataset(out_dir, train: Frames, test: Frames) -> None:
     """Write the four dataset files for a generated world."""
     os.makedirs(out_dir, exist_ok=True)
-    train_recs, tf, test_recs, ef = _stack_splits(train_samples, test_samples)
-    save_pose_file(os.path.join(out_dir, POSES_TRAIN), train_recs)
-    save_pose_file(os.path.join(out_dir, POSES_TEST), test_recs)
-    save_features(os.path.join(out_dir, FEATURES_TRAIN), [r[0] for r in train_recs], tf)
-    save_features(os.path.join(out_dir, FEATURES_TEST), [r[0] for r in test_recs], ef)
+    train_poses, test_poses = _pose_tables(train, test)
+    save_pose_file(os.path.join(out_dir, POSES_TRAIN), train_poses)
+    save_pose_file(os.path.join(out_dir, POSES_TEST), test_poses)
+    save_features(os.path.join(out_dir, FEATURES_TRAIN), train_poses.frame_ids, train.features)
+    save_features(os.path.join(out_dir, FEATURES_TEST), test_poses.frame_ids, test.features)
 
 
 def load_dataset_files(data_dir):
@@ -264,9 +307,9 @@ def load_dataset_files(data_dir):
     test_poses = load_pose_file(os.path.join(data_dir, POSES_TEST))
     train_ids, train_feats = load_features(os.path.join(data_dir, FEATURES_TRAIN))
     test_ids, test_feats = load_features(os.path.join(data_dir, FEATURES_TEST))
-    if [fid for fid, _ in train_poses] != train_ids:
+    if train_poses.frame_ids != train_ids:
         raise DataIntegrityError("train pose/feature frame ids disagree")
-    if [fid for fid, _ in test_poses] != test_ids:
+    if test_poses.frame_ids != test_ids:
         raise DataIntegrityError("test pose/feature frame ids disagree")
     return train_poses, train_feats, test_poses, test_feats
 

@@ -31,12 +31,15 @@ class NonFinitePoseError(AnchorLocError, ArithmeticError):
 
 
 class ParseError(AnchorLocError, ValueError):
-    """A text record could not be parsed. Carries the 1-based line number."""
+    """A text record could not be parsed. Carries the 1-based line number,
+    which the message names after the file's ``path`` when given."""
 
-    def __init__(self, message: str, line_number: int | None = None):
+    def __init__(self, message: str, line_number: int | None = None, path=None):
         self.line_number = line_number
         if line_number is not None:
             message = f"line {line_number}: {message}"
+            if path is not None:
+                message = f"{path}, {message}"
         super().__init__(message)
 
 

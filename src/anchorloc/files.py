@@ -11,6 +11,7 @@ not at all, text as UTF-8): INI, CSV and binary files through :func:`write_ini`,
 from __future__ import annotations
 
 import configparser
+import io
 import os
 
 from .errors import InvalidSpecError, ParseError
@@ -79,12 +80,16 @@ def write_csv(path, header, rows) -> None:
 
 
 def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; one that does not decode is ParseError."""
+    """The lines of a UTF-8 text file, split and translated as text-mode
+    ``open`` does (universal newlines); one that does not decode is ParseError
+    naming the line of the first bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.readlines()
+        return io.StringIO(raw.decode("utf-8"), newline=None).readlines()
     except UnicodeDecodeError as err:
-        raise ParseError(f"{path}: not a text file: {err}") from None
+        before = io.StringIO(raw[:err.start].decode("utf-8"), newline=None).read()
+        raise ParseError(f"not a text file: {err}", before.count("\n") + 1, path) from None
 
 
 def read_ini(path, known) -> dict[str, dict[str, str]]:

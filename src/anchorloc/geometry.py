@@ -80,6 +80,15 @@ def quat_norm(quat: np.ndarray, comps: list[float]) -> float:
         return math.sqrt(quat.dot(quat))
 
 
+def quat_norms(quats: np.ndarray) -> np.ndarray:
+    """:func:`quat_norm` of each row of ``quats`` (n, 4), bit for bit: a
+    1 x 4 by 4 x 1 ``matmul`` takes the dot routine that ``quat.dot(quat)``
+    takes, so each row's squares sum in the same order."""
+    q = np.ascontiguousarray(quats, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.matmul(q[:, None, :], q[:, :, None]).reshape(-1))
+
+
 @dataclass(frozen=True)
 class AnchorMap:
     """Ordered, finite anchor coordinates in the (x, y) plane, held in a
@@ -100,19 +109,21 @@ class AnchorMap:
         return self.anchors.shape[0]
 
 
-def build_anchor_map(poses: list[Pose], k: int) -> AnchorMap:
-    """Subsample every k-th pose position into an anchor list.
+def build_anchor_map(positions: np.ndarray, k: int) -> AnchorMap:
+    """Subsample every k-th position into an anchor list.
 
-    Anchors are the (x, y) of poses at indices 0, k, 2k, ...; in that order,
+    ``positions`` is (n, 2) or (n, 3), whose first two columns are (x, y).
+    Anchors are the (x, y) of rows 0, k, 2k, ...; in that order,
     a candidate within ``ANCHOR_DEDUP_TOL`` of an anchor already kept is
     dropped, keeping the first occurrence so anchor indices stay reproducible.
     """
-    if len(poses) == 0:
+    positions = np.asarray(positions, dtype=np.float64)
+    if len(positions) == 0:
         raise InvalidInputError("cannot build an anchor map from an empty pose list")
     if k < 1:
         raise InvalidInputError(f"frame interval must be >= 1, got {k}")
 
-    candidates = np.array([p.xy for p in poses[::k]], dtype=np.float64)
+    candidates = positions[::k, :2]
     order = np.lexsort((candidates[:, 1], candidates[:, 0]))  # x, then y, then index
     srt = candidates[order]
     # A repeat of an earlier candidate's exact (x, y) is always dropped: what

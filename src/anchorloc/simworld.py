@@ -13,6 +13,15 @@ layout guarantees some landmark is almost always nearly dead ahead, and it
 makes "the nearest anchor's landmark is behind you or blocked, but another
 anchor's landmark is in clear view" a common, measurable situation.
 
+:func:`generate` computes each split's frames together, as the columns of a
+:class:`Frames` (positions, orientations, features and visible masks), in
+the operation order of the scalar formulas: elementwise array arithmetic
+rounds as the scalar does, the transcendentals run per element through
+``math`` (libm), never numpy's SIMD loops, whose last bit can depend on the
+CPU, and distances come from elementwise ``np.hypot``, which equals scalar
+``np.hypot``. :func:`sample_features`, :func:`visibility` and
+:func:`segments_intersect` are single-frame calls into the same kernels.
+
 A world spec is saved as ``world.ini`` text through ``files.write_ini`` and
 read by ``files.read_ini`` like the CLI's config files. Its float fields are
 listed once, in file order, in ``_FLOAT_FIELDS``: the spec's checks, writer
@@ -24,12 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError, as_seed
 from .files import encodable, fmt, read_ini, write_ini
-from .geometry import Pose, yaw_quat
+from .geometry import Pose
 
 GRAZE_EPS = 1e-12
 
@@ -119,6 +129,37 @@ class Sample:
     visible_set: frozenset[str]
 
 
+@dataclass(frozen=True, eq=False)
+class Frames:
+    """One split of generated frames as read-only columns. Indexing gives a
+    :class:`Sample` (its pose is built then) and slicing gives ``Frames``, so
+    a split reads like a list of samples, while ``data`` reads the columns."""
+
+    positions: np.ndarray      # (n, 3)
+    orientations: np.ndarray   # (n, 4) unit quaternions (w, x, y, z)
+    features: np.ndarray       # (n, 3L)
+    visible: np.ndarray        # (n, L) bool: which landmarks each frame sees
+    names: tuple[str, ...]     # the L landmark names
+
+    def __len__(self) -> int:
+        return self.features.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Frames(self.positions[i], self.orientations[i], self.features[i],
+                          self.visible[i], self.names)
+        return Sample(feature=self.features[i],
+                      pose=Pose(position=self.positions[i], orientation=self.orientations[i]),
+                      visible_set=frozenset(compress(self.names, self.visible[i])))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def visible_sets(self) -> list[frozenset[str]]:
+        return [frozenset(compress(self.names, row)) for row in self.visible.tolist()]
+
+
 # --- route parametrization ----------------------------------------------------
 
 class _Route:
@@ -132,7 +173,7 @@ class _Route:
         nz = self.seg_len > 0
         self.seg_dir[nz] = seg[nz] / self.seg_len[nz, None]
 
-    def locate(self, s: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    def locate(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(n, 2) positions and n tangent angles at arc lengths ``s``, each
         clamped to the route. A point on a zero-length segment takes the last
         non-zero segment before it (the first segment if there is none)."""
@@ -143,48 +184,78 @@ class _Route:
         i = np.minimum(np.searchsorted(self.cum, s, side="right") - 1, nseg - 1)
         i = np.maximum.accumulate(np.where(self.seg_len > 0, np.arange(nseg), 0))[i]
         pos = self.pts[i] + (s - self.cum[i])[:, None] * self.seg_dir[i]
-        angles = [math.atan2(dy, dx) for dx, dy in self.seg_dir.tolist()]
-        return pos, [angles[j] for j in i.tolist()]
+        angles = np.array([math.atan2(dy, dx) for dx, dy in self.seg_dir.tolist()])
+        return pos, angles[i]
 
 
 # --- visibility ----------------------------------------------------------------
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _each(fn, *arrays) -> np.ndarray:
+    """``fn`` of Python floats applied per element of same-shaped arrays."""
+    return np.array(list(map(fn, *(a.ravel().tolist() for a in arrays))),
+                    dtype=np.float64).reshape(arrays[0].shape)
 
 
-def _on_segment(a, b, c) -> bool:
-    return (min(a[0], b[0]) - GRAZE_EPS <= c[0] <= max(a[0], b[0]) + GRAZE_EPS and
-            min(a[1], b[1]) - GRAZE_EPS <= c[1] <= max(a[1], b[1]) + GRAZE_EPS)
+def _crosses(p1, p2, q1, q2) -> np.ndarray:
+    """Whether segment p1-p2 touches segment q1-q2, elementwise over points
+    given as (x, y) pairs of broadcasting arrays or floats: exact orientation
+    tests, where collinear grazing counts."""
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def within(a, b, c):  # c in the box of a and b, widened by GRAZE_EPS
+        return ((np.minimum(a[0], b[0]) - GRAZE_EPS <= c[0])
+                & (c[0] <= np.maximum(a[0], b[0]) + GRAZE_EPS)
+                & (np.minimum(a[1], b[1]) - GRAZE_EPS <= c[1])
+                & (c[1] <= np.maximum(a[1], b[1]) + GRAZE_EPS))
+
+    def straddle(u, v):
+        return ((u > GRAZE_EPS) & (v < -GRAZE_EPS)) | ((u < -GRAZE_EPS) & (v > GRAZE_EPS))
+
+    d1, d2 = cross(q1, q2, p1), cross(q1, q2, p2)
+    d3, d4 = cross(p1, p2, q1), cross(p1, p2, q2)
+    hit = straddle(d1, d2) & straddle(d3, d4)
+    for d, a, b, c in ((d1, q1, q2, p1), (d2, q1, q2, p2), (d3, p1, p2, q1), (d4, p1, p2, q2)):
+        hit = hit | ((np.abs(d) <= GRAZE_EPS) & within(a, b, c))
+    return hit
 
 
 def segments_intersect(p1, p2, q1, q2) -> bool:
     """Exact-orientation segment intersection; collinear grazing counts."""
-    d1 = _cross(q1, q2, p1)
-    d2 = _cross(q1, q2, p2)
-    d3 = _cross(p1, p2, q1)
-    d4 = _cross(p1, p2, q2)
-    if ((d1 > GRAZE_EPS and d2 < -GRAZE_EPS) or (d1 < -GRAZE_EPS and d2 > GRAZE_EPS)) and \
-       ((d3 > GRAZE_EPS and d4 < -GRAZE_EPS) or (d3 < -GRAZE_EPS and d4 > GRAZE_EPS)):
-        return True
-    if abs(d1) <= GRAZE_EPS and _on_segment(q1, q2, p1):
-        return True
-    if abs(d2) <= GRAZE_EPS and _on_segment(q1, q2, p2):
-        return True
-    if abs(d3) <= GRAZE_EPS and _on_segment(p1, p2, q1):
-        return True
-    if abs(d4) <= GRAZE_EPS and _on_segment(p1, p2, q2):
-        return True
-    return False
+    return bool(_crosses(*((float(p[0]), float(p[1])) for p in (p1, p2, q1, q2))))
 
 
-def _yaw_of(pose: Pose) -> float:
-    w, x, y, z = pose.orientation.tolist()
-    return math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
+def _headings(orientations: np.ndarray) -> np.ndarray:
+    """The yaw of each (w, x, y, z) row of ``orientations`` (n, 4)."""
+    w, x, y, z = orientations.T
+    return _each(math.atan2, 2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
 
 
 def _wrap_angle(a: float) -> float:
     return math.atan2(math.sin(a), math.cos(a))
+
+
+def _sight(cams: np.ndarray, yaws: np.ndarray, points: np.ndarray, spec: WorldSpec):
+    """(visible, bearing_rad, distance_m), each (n, L), of the points (L, 2)
+    from cameras at the (x, y) ``cams`` (n, 2) heading ``yaws`` (n,).
+
+    Visible means within the field of view AND the sight line touches no
+    obstacle segment; a point at the camera is visible at bearing and
+    distance 0.
+    """
+    cam = (cams[:, 0, None], cams[:, 1, None])
+    point = (points[:, 0], points[:, 1])
+    with np.errstate(over="ignore", invalid="ignore"):  # Python floats overflow silently
+        dx, dy = point[0] - cam[0], point[1] - cam[1]
+        distance = np.hypot(dx, dy)
+        bearing = _each(_wrap_angle, _each(math.atan2, dy, dx) - yaws[:, None])
+        hidden = np.abs(bearing) > math.radians(spec.fov_half_angle)
+        for a, b in spec.obstacles:
+            hidden |= _crosses(cam, point, a, b)
+    at_camera = distance < 1e-12
+    bearing[at_camera] = 0.0
+    distance[at_camera] = 0.0
+    return at_camera | ~hidden, bearing, distance
 
 
 def visibility(pose: Pose, landmark: tuple[float, float] | np.ndarray,
@@ -194,23 +265,10 @@ def visibility(pose: Pose, landmark: tuple[float, float] | np.ndarray,
     Visible means within the field of view AND the sight line touches no
     obstacle segment. Grazing contact is conservatively treated as occluded.
     """
-    return _sighting(pose.position[:2].tolist(), _yaw_of(pose), landmark, spec)
-
-
-def _sighting(cam: list[float], yaw: float, landmark, spec: WorldSpec):
-    """:func:`visibility` from a camera at (x, y) ``cam`` with heading ``yaw``."""
-    lm = (float(landmark[0]), float(landmark[1]))
-    dx, dy = lm[0] - cam[0], lm[1] - cam[1]
-    distance = float(np.hypot(dx, dy))
-    if distance < 1e-12:
-        return True, 0.0, 0.0
-    bearing = _wrap_angle(math.atan2(dy, dx) - yaw)
-    if abs(bearing) > math.radians(spec.fov_half_angle):
-        return False, bearing, distance
-    for a, b in spec.obstacles:
-        if segments_intersect(cam, lm, a, b):
-            return False, bearing, distance
-    return True, bearing, distance
+    point = np.array([[float(landmark[0]), float(landmark[1])]])
+    vis, bearing, distance = _sight(pose.position[None, :2], _headings(pose.orientation[None]),
+                                    point, spec)
+    return bool(vis[0, 0]), float(bearing[0, 0]), float(distance[0, 0])
 
 
 # --- feature encoding -----------------------------------------------------------
@@ -222,24 +280,30 @@ def encode_distance(d: float) -> float:
     return 1.0 / (1.0 + d)
 
 
+def _observe(positions: np.ndarray, orientations: np.ndarray, spec: WorldSpec,
+             noise: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Features (n, 3L) and the visible mask (n, L) of n camera poses; the
+    noise (n, L, 2), scaled by ``noise_sigma``, is added to the bearing and
+    the encoded distance of each visible landmark."""
+    n, count = positions.shape[0], len(spec.landmarks)
+    points = np.array([p for _, p in spec.landmarks], dtype=np.float64).reshape(count, 2)
+    visible, bearing, distance = _sight(positions[:, :2], _headings(orientations), points, spec)
+    encoded = encode_distance(distance)
+    if noise is not None:
+        bearing = bearing + spec.noise_sigma * noise[..., 0]
+        encoded = encoded + spec.noise_sigma * noise[..., 1]
+    feats = np.stack([visible.astype(np.float64), bearing, encoded], axis=2)
+    feats[~visible] = 0.0
+    return feats.reshape(n, 3 * count), visible
+
+
 def sample_features(pose: Pose, spec: WorldSpec,
                     noise: np.ndarray | None = None) -> tuple[np.ndarray, frozenset[str]]:
     """Feature vector (3 channels per landmark) and the exact visible set."""
-    feat = [0.0] * spec.feature_dim
-    visible: set[str] = set()
     if noise is not None:
-        noise = noise.tolist()
-    cam, yaw = pose.position[:2].tolist(), _yaw_of(pose)
-    for i, (name, lm) in enumerate(spec.landmarks):
-        vis, bearing, dist = _sighting(cam, yaw, lm, spec)
-        if vis:
-            visible.add(name)
-            b, e = bearing, encode_distance(dist)
-            if noise is not None:
-                b += spec.noise_sigma * noise[i][0]
-                e += spec.noise_sigma * noise[i][1]
-            feat[3 * i:3 * i + 3] = 1.0, b, e
-    return np.array(feat), frozenset(visible)
+        noise = np.asarray(noise, dtype=np.float64)[None]
+    feats, visible = _observe(pose.position[None], pose.orientation[None], spec, noise)
+    return feats[0], frozenset(compress((name for name, _ in spec.landmarks), visible[0]))
 
 
 # --- sampling -------------------------------------------------------------------
@@ -255,9 +319,10 @@ def _z_profile(fracs: np.ndarray, spec: WorldSpec) -> np.ndarray:
     return spec.z_base + spec.z_noise_amp * wave
 
 
-def _camera_path(spec: WorldSpec, n: int, stream: int, ordered: bool):
-    """Lists of x, y, z and yaw of n jittered camera poses along the route;
-    ordered=True mimics a video pass."""
+def _camera_path(spec: WorldSpec, n: int, stream: int,
+                 ordered: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (n, 3) and yaws (n,) of n jittered camera poses along the
+    route; ordered=True mimics a video pass."""
     route = _Route(spec.route)
     if route.length <= 0.0:
         raise InvalidSpecError("route has zero length")
@@ -271,31 +336,34 @@ def _camera_path(spec: WorldSpec, n: int, stream: int, ordered: bool):
     z = _z_profile(s / route.length, spec)
 
     base, tangent = route.locate(s)
-    xs, ys = [], []
-    for (bx, by), t, lat in zip(base.tolist(), tangent, lateral.tolist()):
-        xs.append(bx + lat * -math.sin(t))
-        ys.append(by + lat * math.cos(t))
-    yaws = [t + h for t, h in zip(tangent, hjit.tolist())]
-    return xs, ys, z.tolist(), yaws
+    x = base[:, 0] + lateral * -_each(math.sin, tangent)
+    y = base[:, 1] + lateral * _each(math.cos, tangent)
+    return np.column_stack([x, y, z]), tangent + hjit
 
 
-def generate(spec: WorldSpec, n_train: int, n_test: int) -> tuple[list[Sample], list[Sample]]:
-    """Deterministic train/test sample lists; splits use disjoint RNG streams."""
+def generate(spec: WorldSpec, n_train: int, n_test: int) -> tuple[Frames, Frames]:
+    """Deterministic train/test splits; splits use disjoint RNG streams.
+    Each split's frames are computed together, as columns."""
     if n_train < 0 or n_test < 0:
         raise InvalidInputError("sample counts must be >= 0")
+    names = tuple(name for name, _ in spec.landmarks)
     out = []
     for n, pose_stream, noise_stream, ordered in (
             (n_train, _STREAM_TRAIN, _STREAM_TRAIN_NOISE, True),
             (n_test, _STREAM_TEST, _STREAM_TEST_NOISE, False)):
-        poses = [Pose(position=np.array([x, y, z]), orientation=yaw_quat(yaw))
-                 for x, y, z, yaw in zip(*_camera_path(spec, n, pose_stream, ordered))]
+        positions, yaws = _camera_path(spec, n, pose_stream, ordered)
+        if not np.isfinite(positions).all():
+            raise InvalidInputError("pose components must be finite")
+        half = 0.5 * yaws
+        orientations = np.zeros((n, 4))
+        orientations[:, 0] = _each(math.cos, half)
+        orientations[:, 3] = _each(math.sin, half)
         nrng = np.random.default_rng([spec.seed, noise_stream])
         noise = nrng.standard_normal((n, len(spec.landmarks), 2))
-        samples = []
-        for i, pose in enumerate(poses):
-            feat, vis = sample_features(pose, spec, noise[i])
-            samples.append(Sample(feature=feat, pose=pose, visible_set=vis))
-        out.append(samples)
+        columns = (positions, orientations, *_observe(positions, orientations, spec, noise))
+        for column in columns:
+            column.setflags(write=False)
+        out.append(Frames(*columns, names))
     return out[0], out[1]
 
 
@@ -336,8 +404,8 @@ def default_world(seed: int = DEFAULT_SEED, noise_sigma: float = DEFAULT_NOISE_S
     """
     bare = WorldSpec(route=stadium_route(), landmarks=(), obstacles=_DEFAULT_OBSTACLES,
                      noise_sigma=noise_sigma, seed=seed)
-    xs, ys, _, _ = _camera_path(bare, DEFAULT_N_TRAIN, _STREAM_TRAIN, ordered=True)
-    landmarks = tuple((f"lm{frame // DEFAULT_FRAME_INTERVAL:02d}", (xs[frame], ys[frame]))
+    positions, _ = _camera_path(bare, DEFAULT_N_TRAIN, _STREAM_TRAIN, ordered=True)
+    landmarks = tuple((f"lm{frame // DEFAULT_FRAME_INTERVAL:02d}", tuple(positions[frame, :2]))
                       for frame in _DEFAULT_LANDMARK_FRAMES)
     return WorldSpec(route=stadium_route(), landmarks=landmarks,
                      obstacles=_DEFAULT_OBSTACLES, noise_sigma=noise_sigma, seed=seed)

@@ -1,6 +1,12 @@
 import contextlib
 import ctypes
 import errno
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -100,3 +106,54 @@ def tiny_world():
 @pytest.fixture(scope="session")
 def tiny_samples(tiny_world):
     return simworld.generate(tiny_world, 120, 40)
+
+
+# Criterion 7 compares the sweep's sweep.csv with that of a rerun in a second
+# process, started as soon as the session has collected the criterion, so it
+# runs beside the in-process sweep instead of after it.
+SWEEP_RERUN_TEST = "test_criterion_7_interval_sweep"
+SWEEP_RERUN_TIMEOUT_S = 900
+_SWEEP_RERUN = pytest.StashKey()
+
+
+def pytest_collection_finish(session):
+    if not any(item.name == SWEEP_RERUN_TEST for item in session.items):
+        return
+    tests = pathlib.Path(__file__).resolve().parent
+    out = pathlib.Path(tempfile.mkdtemp(prefix="sweep-rerun-"))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    with open(out / "stderr.txt", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys, test_acceptance; test_acceptance.write_rerun_sweep_csv(sys.argv[1])",
+             str(out / "sweep.csv")],
+            cwd=tests, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=err)
+    session.config.stash[_SWEEP_RERUN] = proc, out
+
+
+def pytest_sessionfinish(session):
+    proc, out = session.config.stash.get(_SWEEP_RERUN, (None, None))
+    if proc is not None:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        shutil.rmtree(out, ignore_errors=True)
+
+
+@pytest.fixture(scope="session")
+def sweep_rerun(request) -> bytes:
+    """The sweep.csv bytes of criterion 7's rerun process, once it has exited
+    0; it failing or running past SWEEP_RERUN_TIMEOUT_S fails the test."""
+    proc, out = request.config.stash[_SWEEP_RERUN]
+    try:
+        proc.wait(timeout=SWEEP_RERUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+        pytest.fail(f"the sweep rerun ran past {SWEEP_RERUN_TIMEOUT_S} s")
+    if proc.returncode != 0:
+        stderr = (out / "stderr.txt").read_text(errors="replace")
+        pytest.fail(f"the sweep rerun exited {proc.returncode}:\n{stderr[-4000:]}")
+    return (out / "sweep.csv").read_bytes()

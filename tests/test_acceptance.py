@@ -100,14 +100,18 @@ def trained_direct(scene):
     return spec, report
 
 
+def sweep_inputs_of(splits):
+    train, test = splits
+    train_poses = data.PoseTable([f"t{i:05d}" for i in range(len(train))], train.positions,
+                                 train.orientations)
+    test_poses = data.PoseTable([f"e{i:05d}" for i in range(len(test))], test.positions,
+                                test.orientations)
+    return train_poses, train.features, test_poses, test.features
+
+
 @pytest.fixture(scope="session")
 def sweep_inputs(splits):
-    train, test = splits
-    train_poses = [(f"t{i:05d}", s.pose) for i, s in enumerate(train)]
-    test_poses = [(f"e{i:05d}", s.pose) for i, s in enumerate(test)]
-    tf = np.array([s.feature for s in train])
-    ef = np.array([s.feature for s in test])
-    return train_poses, tf, test_poses, ef
+    return sweep_inputs_of(splits)
 
 
 def run_sweep(sweep_inputs):
@@ -136,6 +140,14 @@ def run_sweep(sweep_inputs):
 @pytest.fixture(scope="session")
 def sweep(sweep_inputs):
     return run_sweep(sweep_inputs)
+
+
+def write_rerun_sweep_csv(path) -> None:
+    """The sweep from a fresh world, as ``sweep.csv`` at ``path``: what criterion
+    7's second process runs (see ``sweep_rerun`` in conftest.py)."""
+    world = simworld.default_world()
+    splits = simworld.generate(world, simworld.DEFAULT_N_TRAIN, simworld.DEFAULT_N_TEST)
+    evaluation.write_sweep_csv(path, run_sweep(sweep_inputs_of(splits))[0])
 
 
 # --- criterion 1: gradient correctness ---------------------------------------------
@@ -402,11 +414,8 @@ def test_criterion_6_anchor_discovery(world, scene, net_spec, trained):
 
 # --- criterion 7: anchor interval sweep ------------------------------------------------
 
-def test_criterion_7_interval_sweep(sweep_inputs, sweep, tmp_path):
+def test_criterion_7_interval_sweep(sweep, sweep_rerun, tmp_path):
     rows, _ = sweep
-    rerun = tmp_path / "rerun"
-    rerun.mkdir()
-    evaluation.write_sweep_csv(rerun / "sweep.csv", run_sweep(sweep_inputs)[0])
 
     finite = all(np.isfinite([r.median_m, r.median_deg, r.accuracy]).all()
                  for r in rows) and len(rows) == len(SWEEP_KS)
@@ -416,7 +425,7 @@ def test_criterion_7_interval_sweep(sweep_inputs, sweep, tmp_path):
     evaluation.write_sweep_csv(tmp_path / "sweep.csv", rows)
     evaluation.write_sweep_svg(tmp_path / "sweep.svg", rows)
     artifacts = (tmp_path / "sweep.csv").exists() and (tmp_path / "sweep.svg").exists()
-    deterministic = (tmp_path / "sweep.csv").read_bytes() == (rerun / "sweep.csv").read_bytes()
+    deterministic = (tmp_path / "sweep.csv").read_bytes() == sweep_rerun
 
     detail = ", ".join(f"k={r.k}: {r.median_m:.4f}" for r in rows)
     verdict(7, "interval sweep", deterministic and interior and artifacts and finite,
@@ -462,9 +471,10 @@ def test_criterion_9_io_round_trips(tmp_path, splits, net_spec):
         data.save_pose_file(again, records)
         ok &= path.read_bytes() == again.read_bytes()
         # and a second parse of the rewrite matches record for record
-        for (fa, pa), (fb, pb) in zip(records, data.load_pose_file(again)):
-            ok &= fa == fb and np.array_equal(pa.position, pb.position) \
-                and np.array_equal(pa.orientation, pb.orientation)
+        reread = data.load_pose_file(again)
+        ok &= (reread.frame_ids == records.frame_ids
+               and reread.positions.tobytes() == records.positions.tobytes()
+               and reread.orientations.tobytes() == records.orientations.tobytes())
 
     # feature files
     for name in (data.FEATURES_TRAIN, data.FEATURES_TEST):

@@ -56,7 +56,7 @@ class TestGenWorld:
         cfg.write_text("[world]\nn_train = 0\nn_test = 10\n")
         out = tmp_path / "empty"
         assert main(["gen-world", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert data.load_pose_file(out / data.POSES_TRAIN) == []
+        assert len(data.load_pose_file(out / data.POSES_TRAIN)) == 0
         assert len(data.load_pose_file(out / data.POSES_TEST)) == 10
         ids, feats = data.load_features(out / data.FEATURES_TRAIN)
         assert ids == [] and feats.shape[0] == 0
@@ -802,6 +802,32 @@ class TestNonFinitePose:
         assert not ev.exists()
 
 
+class TestPoseFileErrors:
+    """A pose-file error names the file and the line, as a world.ini error does."""
+
+    @pytest.mark.parametrize("name, line, edit, message", [
+        (data.POSES_TRAIN, 4, lambda fields: fields[:2] + ["nan"] + fields[3:],
+         "pose components must be finite"),
+        (data.POSES_TEST, 3, lambda fields: fields[:-1],
+         "expected 8 whitespace-separated fields, got 7")],
+        ids=["train-nan", "test-short"])
+    def test_train_names_the_file_and_line(self, dataset_dir, tmp_path, capsys, name, line,
+                                           edit, message):
+        out, cfg = dataset_dir
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        path = bad / name
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line - 1] = " ".join(edit(lines[line - 1].split())) + "\n"
+        path.write_text("".join(lines))
+        run = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--data", str(bad), "--out", str(run),
+                     "--epochs", "1"]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {path}, line {line}: {message}\n"
+        assert not run.exists()
+
+
 class TestNonFiniteFeatures:
     def test_nan_feature_is_a_data_error(self, dataset_dir, tmp_path, capsys):
         out, cfg = dataset_dir
@@ -1078,7 +1104,8 @@ class TestFailedWrites:
         lambda out, v: write_config_snapshot(out / "config.ini", {"train": {"epochs": str(v)}}),
         lambda out, v: simworld.save_world_spec(out / "world.ini", simworld.WorldSpec(
             route=[[0.0, 0.0], [1.0, v]], landmarks=(("lmé", (0.5, v)),))),
-        lambda out, v: data.save_pose_file(out / data.POSES_TRAIN, [("f0", make_pose(v, 0.0))]),
+        lambda out, v: data.save_pose_file(out / data.POSES_TRAIN,
+                                           data.PoseTable.of(["f0"], [make_pose(v, 0.0)])),
         lambda out, v: data.save_features(out / data.FEATURES_TRAIN, ["f0"], np.full((1, 3), v)),
         lambda out, v: evaluation.write_eval_report(out, EvalReport(v, v, v, v, [(v, v, 0, 1)])),
         lambda out, v: evaluation.write_sweep_csv(out / "sweep.csv", [SweepRow(1, 2, v, v, v)]),

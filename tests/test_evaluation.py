@@ -357,11 +357,11 @@ def test_discovery_runs_at_one_thread_and_restores_the_count(tiny_world, tiny_sc
 @pytest.fixture(scope="module")
 def raw(tiny_samples):
     train, test = tiny_samples
-    train_poses = [(f"t{i}", s.pose) for i, s in enumerate(train)]
-    test_poses = [(f"e{i}", s.pose) for i, s in enumerate(test)]
-    tf = np.array([s.feature for s in train])
-    ef = np.array([s.feature for s in test])
-    return train_poses, tf, test_poses, ef
+    train_poses = data.PoseTable([f"t{i}" for i in range(len(train))], train.positions,
+                                 train.orientations)
+    test_poses = data.PoseTable([f"e{i}" for i in range(len(test))], test.positions,
+                                test.orientations)
+    return train_poses, train.features, test_poses, test.features
 
 
 class TestSweep:

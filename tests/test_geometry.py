@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from anchorloc.data import SampleBatch
 from anchorloc.errors import DegenerateMapError, InvalidInputError
 from anchorloc.geometry import (ANCHOR_DEDUP_TOL, AnchorMap, Pose, build_anchor_map,
+                                quat_norm, quat_norms,
                                 quat_angle_deg, yaw_quat)
 
 from conftest import make_pose, nearest_label, random_unit_quat
 
 
-def line_poses(xs, y=0.0):
-    return [make_pose(x, y) for x in xs]
+def line_positions(xs, y=0.0):
+    return np.array([[x, y, 0.0] for x in xs], dtype=np.float64).reshape(-1, 3)
 
 
 def offsets_at(pos, amap):
@@ -111,21 +112,32 @@ class TestPoseOracle:
         assert not pose.position.flags.writeable and not pose.orientation.flags.writeable
 
 
+class TestQuatNorms:
+    def test_each_row_is_quat_norm_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        rows = [rng.standard_normal((400, 4)),
+                rng.standard_normal((400, 4)) * 1e-4 + [1.0, 0.0, 0.0, 0.0],
+                rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-320, 300, size=(50, 1)),
+                [[1e200, 0, 0, 0], [1e155, 1e155, 0, 0], [np.inf, 0, 0, 0], [np.nan, 1, 0, 0],
+                 [0, 0, 0, 0], [5e-324, 0, 0, 0], [-0.0, 0, 0, 0]]]
+        quats = np.concatenate(rows)
+        want = np.array([quat_norm(q, q.tolist()) for q in quats])
+        assert quat_norms(quats).tobytes() == want.tobytes()
+        assert quat_norms(np.zeros((0, 4))).shape == (0,)
+
+
 class TestBuildAnchorMap:
     def test_every_third_frame(self):
-        poses = line_poses(range(10))
-        amap = build_anchor_map(poses, 3)
+        amap = build_anchor_map(line_positions(range(10)), 3)
         np.testing.assert_allclose(amap.anchors[:, 0], [0, 3, 6, 9])
         np.testing.assert_allclose(amap.anchors[:, 1], 0)
 
     def test_k1_keeps_unique_positions(self):
-        poses = line_poses([0, 1, 1, 2, 3, 3])
-        amap = build_anchor_map(poses, 1)
+        amap = build_anchor_map(line_positions([0, 1, 1, 2, 3, 3]), 1)
         np.testing.assert_allclose(amap.anchors[:, 0], [0, 1, 2, 3])
 
     def test_duplicates_within_tolerance_dropped(self):
-        poses = line_poses([0.0, 1.0, 1.0 + 1e-12, 2.0])
-        amap = build_anchor_map(poses, 1)
+        amap = build_anchor_map(line_positions([0.0, 1.0, 1.0 + 1e-12, 2.0]), 1)
         assert len(amap) == 3
 
     def test_empty_poses_rejected(self):
@@ -134,16 +146,16 @@ class TestBuildAnchorMap:
 
     def test_bad_interval_rejected(self):
         with pytest.raises(InvalidInputError):
-            build_anchor_map(line_poses([0, 1]), 0)
+            build_anchor_map(line_positions([0, 1]), 0)
 
     def test_collapsed_map_rejected(self):
         with pytest.raises(DegenerateMapError):
-            build_anchor_map([make_pose(1.0, 1.0)] * 5, 2)
+            build_anchor_map(line_positions([1.0] * 5, y=1.0), 2)
 
     def test_larger_k_never_more_anchors(self):
         rng = np.random.default_rng(0)
-        poses = [make_pose(*rng.uniform(-5, 5, size=2)) for _ in range(60)]
-        counts = [len(build_anchor_map(poses, k)) for k in (1, 2, 3, 5, 10)]
+        xy = np.array([rng.uniform(-5, 5, size=2) for _ in range(60)])
+        counts = [len(build_anchor_map(xy, k)) for k in (1, 2, 3, 5, 10)]
         assert counts == sorted(counts, reverse=True)
         assert counts[0] == 60  # distinct random positions, k = 1
 
@@ -199,30 +211,29 @@ class TestDedupOracle:
     @settings(max_examples=300, deadline=None)
     @given(near_duplicate_clusters())
     def test_matches_greedy_oracle(self, points):
-        poses = [make_pose(x, y) for x, y in points]
         try:
             expected = greedy_dedup(points)
         except DegenerateMapError:
             with pytest.raises(DegenerateMapError):
-                build_anchor_map(poses, 1)
+                build_anchor_map(points, 1)
             return
-        assert build_anchor_map(poses, 1).anchors.tobytes() == expected.tobytes()
+        assert build_anchor_map(points, 1).anchors.tobytes() == expected.tobytes()
 
     def test_chain_keeps_both_ends(self):
         step = 0.75 * ANCHOR_DEDUP_TOL
         points = np.array([[0.0, 0.0], [step, 0.0], [2 * step, 0.0], [5.0, 5.0]])
-        anchors = build_anchor_map([make_pose(x, y) for x, y in points], 1).anchors
+        anchors = build_anchor_map(points, 1).anchors
         assert np.array_equal(anchors, points[[0, 2, 3]])
         assert np.array_equal(anchors, greedy_dedup(points))
 
 
 class TestRelativeOffsets:
     def test_change_of_origin(self):
-        amap = build_anchor_map(line_poses([0, 10]), 1)
+        amap = build_anchor_map(line_positions([0, 10]), 1)
         np.testing.assert_allclose(offsets_at([3.0, 4.0, -2.0], amap), [[3, 4], [-7, 4]])
 
     def test_zero_offset_at_coincident_anchor(self):
-        amap = build_anchor_map(line_poses([0, 5]), 1)
+        amap = build_anchor_map(line_positions([0, 5]), 1)
         np.testing.assert_allclose(offsets_at([5.0, 0.0, 1.0], amap)[1], [0, 0])
 
     def test_round_trip_100_random(self):
@@ -257,11 +268,11 @@ class TestAnchorMap:
 
 class TestNearestAnchor:
     def test_basic(self):
-        amap = build_anchor_map(line_poses([0, 1]), 1)
+        amap = build_anchor_map(line_positions([0, 1]), 1)
         assert nearest_label(np.array([0.4, 0.0, 0.0]), amap) == 0
 
     def test_midpoint_tie_breaks_low(self):
-        amap = build_anchor_map(line_poses([0, 1]), 1)
+        amap = build_anchor_map(line_positions([0, 1]), 1)
         assert nearest_label(np.array([0.5, 0.0, 0.0]), amap) == 0
 
     def test_matches_exhaustive_oracle(self):

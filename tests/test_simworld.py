@@ -144,7 +144,7 @@ class TestGenerate:
     def test_deterministic(self, tiny_world):
         a_train, a_test = generate(tiny_world, 50, 20)
         b_train, b_test = generate(tiny_world, 50, 20)
-        for a, b in zip(a_train + a_test, b_train + b_test):
+        for a, b in zip([*a_train, *a_test], [*b_train, *b_test]):
             assert np.array_equal(a.feature, b.feature)
             assert np.array_equal(a.pose.position, b.pose.position)
             assert a.visible_set == b.visible_set
@@ -155,7 +155,7 @@ class TestGenerate:
 
     def test_zero_counts_allowed(self, tiny_world):
         train, test = generate(tiny_world, 0, 5)
-        assert train == [] and len(test) == 5
+        assert len(train) == 0 and list(train) == [] and len(test) == 5
 
     def test_negative_counts_rejected(self, tiny_world):
         with pytest.raises(InvalidInputError):
@@ -260,8 +260,7 @@ class TestDefaultWorld:
 
     def test_twenty_anchors(self, world, splits):
         train, _ = splits
-        amap = geometry.build_anchor_map([s.pose for s in train],
-                                         simworld.DEFAULT_FRAME_INTERVAL)
+        amap = geometry.build_anchor_map(train.positions, simworld.DEFAULT_FRAME_INTERVAL)
         assert len(amap) == 20
 
     def test_four_landmarks_two_obstacles(self, world):
@@ -270,8 +269,7 @@ class TestDefaultWorld:
 
     def test_landmarks_exactly_on_anchors(self, world, splits):
         train, _ = splits
-        amap = geometry.build_anchor_map([s.pose for s in train],
-                                         simworld.DEFAULT_FRAME_INTERVAL)
+        amap = geometry.build_anchor_map(train.positions, simworld.DEFAULT_FRAME_INTERVAL)
         for _, p in world.landmarks:
             d = np.linalg.norm(amap.anchors - np.asarray(p), axis=1)
             assert d.min() < 1e-9
@@ -283,8 +281,7 @@ class TestDefaultWorld:
 
     def test_occluded_nearest_fraction_in_band(self, world, splits):
         train, test = splits
-        amap = geometry.build_anchor_map([s.pose for s in train],
-                                         simworld.DEFAULT_FRAME_INTERVAL)
+        amap = geometry.build_anchor_map(train.positions, simworld.DEFAULT_FRAME_INTERVAL)
         lm_anchor = {}
         for name, p in world.landmarks:
             d = np.linalg.norm(amap.anchors - np.asarray(p), axis=1)
@@ -341,8 +338,9 @@ _N_TRAIN, _N_TEST = 12, 5
 
 @st.composite
 def small_worlds(draw):
-    """A random route with 1-4 landmarks, some exactly at a training camera's
-    position, and 0-3 obstacles, some collinear with a camera's sight line."""
+    """A world and its split sizes (train, test), each possibly 0: a random
+    route with 0-4 landmarks, some exactly at a training camera's position,
+    and 0-3 obstacles, some collinear with a camera's sight line."""
     route = draw(routes_with_repeats())
     assume(oracle.Route(route).length > 0.0)
     params = dict(fov_half_angle=draw(st.sampled_from([30.0, 60.0, 120.0, 179.0])),
@@ -351,35 +349,45 @@ def small_worlds(draw):
                   lateral_jitter=draw(st.sampled_from([0.0, 0.1, 0.7])),
                   heading_jitter_deg=draw(st.sampled_from([0.0, 3.0, 40.0])),
                   seed=draw(st.integers(0, 2**64 - 1)))
+    n_train = draw(st.sampled_from([0, 1, _N_TRAIN]))
+    n_test = draw(st.sampled_from([0, _N_TEST]))
     bare = WorldSpec(route=route, landmarks=(), **params)
     cams = [p.position[:2].tolist() for p in
-            oracle.route_poses(bare, _N_TRAIN, simworld._STREAM_TRAIN, ordered=True)]
-    at_camera = st.sampled_from(cams)
-    points = draw(st.lists(at_camera | st.tuples(_COORD, _COORD), min_size=1, max_size=4))
+            oracle.route_poses(bare, n_train, simworld._STREAM_TRAIN, ordered=True)]
+    anywhere = st.tuples(_COORD, _COORD)
+    points = draw(st.lists(st.sampled_from(cams) | anywhere if cams else anywhere,
+                           min_size=0, max_size=4))
     landmarks = tuple((f"l{i}", tuple(p)) for i, p in enumerate(points))
     obstacles = []
     for _ in range(draw(st.integers(0, 3))):
-        if draw(st.booleans()):
-            c, lm = np.array(draw(at_camera)), np.array(draw(st.sampled_from(points)))
+        if cams and points and draw(st.booleans()):
+            c = np.array(draw(st.sampled_from(cams)))
+            lm = np.array(draw(st.sampled_from(points)))
             t0, t1 = draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5]),
                                    min_size=2, max_size=2))
             obstacles.append((tuple(c + t0 * (lm - c)), tuple(c + t1 * (lm - c))))
         else:
-            obstacles.append((draw(st.tuples(_COORD, _COORD)), draw(st.tuples(_COORD, _COORD))))
-    return WorldSpec(route=route, landmarks=landmarks, obstacles=tuple(obstacles), **params)
+            obstacles.append((draw(anywhere), draw(anywhere)))
+    spec = WorldSpec(route=route, landmarks=landmarks, obstacles=tuple(obstacles), **params)
+    return spec, n_train, n_test
 
 
 class TestGenerateOracle:
     @settings(max_examples=150, deadline=None)
     @given(small_worlds())
-    def test_matches_scalar_generate(self, spec):
-        got = generate(spec, _N_TRAIN, _N_TEST)
-        want = oracle.generate(spec, _N_TRAIN, _N_TEST)
-        for new, ref in zip(got[0] + got[1], want[0] + want[1]):
-            assert new.feature.tobytes() == ref.feature.tobytes()
-            assert new.pose.position.tobytes() == ref.pose.position.tobytes()
-            assert new.pose.orientation.tobytes() == ref.pose.orientation.tobytes()
-            assert new.visible_set == ref.visible_set
+    def test_matches_scalar_generate(self, world):
+        spec, n_train, n_test = world
+        got = generate(spec, n_train, n_test)
+        want = oracle.generate(spec, n_train, n_test)
+        for split, ref, n in zip(got, want, (n_train, n_test)):
+            samples = list(split)
+            assert len(split) == len(samples) == len(ref) == n
+            for new, old in zip(samples, ref):
+                assert new.feature.shape == old.feature.shape == (spec.feature_dim,)
+                assert new.feature.tobytes() == old.feature.tobytes()
+                assert new.pose.position.tobytes() == old.pose.position.tobytes()
+                assert new.pose.orientation.tobytes() == old.pose.orientation.tobytes()
+                assert new.visible_set == old.visible_set
 
     def test_default_world_matches_scalar_route(self):
         for seed in (7, 11):

@@ -21,6 +21,12 @@ next in the same epoch (an epoch's first step, which spans the epoch's
 shuffle and gather, is not counted), and ``gather`` is the step less the
 phases: slicing the batch and building its ground-truth offsets.
 
+Before training it times the set-up phases, each call on its own, over
+SETUP_RUNS runs after one warm-up: ``simworld.default_world``,
+``simworld.generate`` (2000 / 500 frames), ``data.export_dataset`` into a
+temporary directory, ``data.load_dataset_files`` from it, and ``data.assemble``
+of the loaded splits at k=100 and at k=1.
+
 Epoch 0 is a warm-up. After it, wrapped and unwrapped epochs alternate in
 pairs, the wrapped one first in even pairs and second in odd ones, and the
 wrapper overhead is the median over pairs of the wrapped epoch's time over
@@ -29,7 +35,8 @@ the unwrapped one's, less 1. Phase times come from the wrapped epochs.
 Prints one line per phase and writes ``BENCH_<label>.json`` (``label``
 defaults to SRC_DIR's short git revision) in the current directory: per N
 the parameter count, the step's and each phase's median and interquartile
-range in microseconds, and the overhead; and a provenance block (numpy and
+range in microseconds, and the overhead; each set-up phase's median and
+interquartile range in milliseconds; and a provenance block (numpy and
 BLAS versions, the thread setting, the CPU, the git revision and the sha256
 of each ``anchorloc/*.py``). ``--tier1-s`` records a Tier-1 wall time, measured
 elsewhere, as ``info.tier1_s``.
@@ -45,6 +52,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 # the two regimes of the anchor sweep: (frame interval k, epochs run). At k=100
@@ -52,6 +60,7 @@ import time
 # decay into subnormals and Adam's step takes twice as long.
 RUNS = ((100, 81), (1, 41))
 PHASES = ("gather", "forward", "head", "offsets_head", "loss", "backward", "adam")
+SETUP_RUNS = 15
 
 
 def quartiles(values) -> dict:
@@ -153,6 +162,34 @@ def profile(samples, k: int, epochs: int) -> dict:
     }
 
 
+def setup_profile() -> dict:
+    """Median and IQR in ms of each set-up phase over SETUP_RUNS runs, at one
+    OpenBLAS thread; the first run is a warm-up and is not counted."""
+    from anchorloc import data, model, simworld
+
+    ms = {name: [] for name in ("default_world", "generate", "export_dataset",
+                                "load_dataset_files", "assemble_k100", "assemble_k1")}
+
+    def timed(name, fn, *args):
+        start = time.perf_counter_ns()
+        out = fn(*args)
+        ms[name].append((time.perf_counter_ns() - start) * 1e-6)
+        return out
+
+    with model.one_blas_thread(), tempfile.TemporaryDirectory() as work:
+        for _ in range(SETUP_RUNS + 1):
+            world = timed("default_world", simworld.default_world)
+            samples = timed("generate", simworld.generate, world, simworld.DEFAULT_N_TRAIN,
+                            simworld.DEFAULT_N_TEST)
+            timed("export_dataset", data.export_dataset, work, *samples)
+            train_poses, train_feats, test_poses, test_feats = timed(
+                "load_dataset_files", data.load_dataset_files, work)
+            for k in (100, 1):
+                timed(f"assemble_k{k}", data.assemble, train_poses, train_feats, k, test_poses,
+                      test_feats)
+    return {name: quartiles(values[1:]) for name, values in ms.items()}
+
+
 def git(src, *args):
     try:
         out = subprocess.run(["git", "-C", src, *args], capture_output=True, text=True,
@@ -214,9 +251,13 @@ def main(argv=None) -> int:
 
     samples = simworld.generate(simworld.default_world(), simworld.DEFAULT_N_TRAIN,
                                 simworld.DEFAULT_N_TEST)
-    out = {"label": label, "provenance": provenance(np, src), "runs": {}}
+    out = {"label": label, "provenance": provenance(np, src), "runs": {},
+           "setup_ms": setup_profile()}
     if args.tier1_s is not None:
         out["info"] = {"tier1_s": args.tier1_s}
+    print(f"set-up over {SETUP_RUNS} runs:")
+    for name, q in out["setup_ms"].items():
+        print(f"    {name:<19} {q['median']:8.2f} ms  [IQR {q['iqr']:.2f}]")
     for k, epochs in RUNS:
         run = profile(samples, k, epochs)
         out["runs"][f"N={run['num_anchors']}"] = run
