@@ -22,7 +22,20 @@ Python floats.
 Feature files are little-endian binary: magic ``ALFT`` and a u32 version,
 which ``files.write_binary`` writes and ``files.read_binary`` checks, u64
 frame count, u64 dim, then per row a u32-length-prefixed UTF-8 frame id and
-``dim`` float64 values, which must be finite.
+``dim`` float64 values, which must be finite. The reader walks the id
+lengths and copies each row's values as bytes into one array; the writer
+slices one ``tobytes`` of the whole array.
+
+A sample's nearest-anchor label is the lowest index of the minimum of its row
+of the squared-distance table ``(ax - px)**2 + (ay - py)**2`` over the N
+anchors. A table larger than one row block is searched through a grid of
+square cells first: a sample in the anchors' box reads only the anchors of
+the 3 x 3 cells around its own, and its label is settled when its minimum
+there lies within the radius the block certifies, a cell's side less a
+rounding slack; every distance it compares is the table's own entry. Other
+samples (an empty block, a nearest anchor farther than that radius, a
+sample outside the box, a box of zero or non-finite extent) take the argmin
+of their whole table rows, so every label equals the full-table argmin.
 
 A dataset directory holds ``poses_train.txt``, ``poses_test.txt``,
 ``features_train.bin``, ``features_test.bin``; ``files`` writes each whole
@@ -46,9 +59,11 @@ QUAT_NORM_TOL = 1e-3
 _FEAT_MAGIC = b"ALFT"
 _FEAT_VERSION = 1
 
-# Elements of the (rows, N) squared-distance table that SampleBatch.of
+# Elements of the (rows, N) squared-distance table that _nearest_anchors
 # holds at a time (1 MB); each row's argmin is the same as over the whole table.
 _NEAREST_BLOCK = 2**17
+# The fraction of a cell's side that _nearest_in_cells gives up to rounding.
+_CELL_SLACK = 1e-6
 
 POSES_TRAIN = "poses_train.txt"
 POSES_TEST = "poses_test.txt"
@@ -146,12 +161,13 @@ def save_features(path, frame_ids: list[str], features: np.ndarray) -> None:
     if feats.ndim != 2 or feats.shape[0] != len(frame_ids):
         raise InvalidInputError("features must be (n, d) with one row per frame id")
     parts = [feats.shape[0].to_bytes(8, "little"), feats.shape[1].to_bytes(8, "little")]
-    for fid, row in zip(frame_ids, feats):
+    body, width = memoryview(feats.tobytes()), 8 * feats.shape[1]
+    for i, fid in enumerate(frame_ids):
         if not encodable(fid):
             raise InvalidInputError(f"frame id {fid!r} holds a lone surrogate, which UTF-8 "
                                     "cannot encode")
         enc = fid.encode()
-        parts += [len(enc).to_bytes(4, "little"), enc, row.tobytes()]
+        parts += [len(enc).to_bytes(4, "little"), enc, body[i * width:(i + 1) * width]]
     write_binary(path, _FEAT_MAGIC, _FEAT_VERSION, parts)
 
 
@@ -166,22 +182,24 @@ def load_features(path) -> tuple[list[str], np.ndarray]:
         raise ParseError(f"{path}: {count} rows of dim {dim} do not fit in {len(raw)} bytes")
     ids = []
     try:  # zero rows pass the size check above with any dim
-        feats = np.empty((count, dim))
+        feats = np.empty((count, dim), dtype="<f8")
     except ValueError as err:
         raise ParseError(f"{path}: {count} rows of dim {dim}: {err}") from None
-    off = 24
+    # each row's values are copied as bytes, with no numpy call per row
+    view, out = memoryview(raw), memoryview(feats.reshape(-1).view(np.uint8))
+    width, off = 8 * dim, 24
     for i in range(count):
         idlen = int.from_bytes(raw[off:off + 4], "little")
         off += 4
-        if off + idlen + 8 * dim > len(raw):
+        if off + idlen + width > len(raw):
             raise ParseError(f"{path}: truncated in row {i}")
         try:
             ids.append(raw[off:off + idlen].decode())
         except UnicodeDecodeError:
             raise ParseError(f"{path}: frame id of row {i} is not UTF-8") from None
         off += idlen
-        feats[i] = np.frombuffer(raw[off:off + 8 * dim], dtype="<f8")
-        off += 8 * dim
+        out[i * width:(i + 1) * width] = view[off:off + width]
+        off += width
     if off != len(raw):
         raise ParseError(f"{path}: {len(raw) - off} bytes after the last row")
     finite = np.isfinite(feats).all(axis=1)
@@ -230,17 +248,97 @@ class SampleBatch:
         if feats.shape[0] != n:
             raise InvalidInputError(
                 f"{feats.shape[0]} feature rows for {n} poses")
-        positions = poses.positions
-        ax, ay = anchor_map.anchors.T
-        rows = max(1, _NEAREST_BLOCK // len(anchor_map))
-        nearest = np.empty(n, dtype=np.intp)
-        for s in range(0, n, rows):
-            px, py = positions[s:s + rows, 0, None], positions[s:s + rows, 1, None]
-            d2 = (ax - px) ** 2 + (ay - py) ** 2
-            nearest[s:s + rows] = d2.argmin(axis=1)
-        return cls(frame_ids=list(poses.frame_ids), features=feats, positions=positions,
-                   orientations=poses.orientations, anchor_map=anchor_map, nearest=nearest,
+        return cls(frame_ids=list(poses.frame_ids), features=feats, positions=poses.positions,
+                   orientations=poses.orientations, anchor_map=anchor_map,
+                   nearest=_nearest_anchors(poses.positions, anchor_map.anchors),
                    visible_sets=visible_sets)
+
+
+def _nearest_anchors(positions: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Index (n,) of the anchor (N, 2) closest in (x, y) to each row of
+    ``positions`` (n, 3), the lowest index on a tie: each row's argmin in the
+    squared-distance table ``(ax - px)**2 + (ay - py)**2``.
+
+    A table of more than one row block goes through :func:`_nearest_in_cells`
+    first; the rows it does not settle, or every row of a smaller table, take
+    the argmin of their table rows, ``_NEAREST_BLOCK`` elements at a time."""
+    n = len(positions)
+    nearest = np.empty(n, dtype=np.intp)
+    rows = np.arange(n)
+    if n * len(anchors) > _NEAREST_BLOCK:
+        rows = rows[~_nearest_in_cells(positions, anchors, nearest)]
+    ax, ay = anchors.T
+    step = max(1, _NEAREST_BLOCK // len(anchors))
+    for s in range(0, len(rows), step):
+        block = rows[s:s + step]
+        px, py = positions[block, 0, None], positions[block, 1, None]
+        nearest[block] = _squared_distances(ax, ay, px, py).argmin(axis=1)
+    return nearest
+
+
+def _squared_distances(ax, ay, px, py):
+    """The table's entries, one expression for the cell grid and the row blocks."""
+    return (ax - px) ** 2 + (ay - py) ** 2
+
+
+def _nearest_in_cells(positions: np.ndarray, anchors: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A mask of the rows of ``positions`` whose nearest anchor a cell grid
+    certifies; writes their labels, the table's argmins, into ``out``.
+
+    The anchors are binned into square cells of side h, the longer side of
+    their bounding box over 2 sqrt(N) (Bentley, Weide & Yao 1980), and sorted
+    by (cell, index): a row's 3 x 3 block of cells is three runs of that
+    order. Rows go in chunks of about one row block of entries (one row at
+    least), so clustered anchors take no more memory than the table does.
+
+    An anchor outside a row's block is more than h away, less the rounding
+    of the cell arithmetic (under 4 Q units in the last place of h, for Q
+    cells across, far below ``_CELL_SLACK``), so a block minimum below
+    ``(h * (1 - _CELL_SLACK))**2`` is below every entry outside the block.
+    Values that overflow settle nothing, and no numpy warning is raised."""
+    settled = np.zeros(len(positions), dtype=bool)
+    with np.errstate(all="ignore"):
+        lo, hi = anchors.min(axis=0), anchors.max(axis=0)
+        h = float((hi - lo).max() / (2 * np.sqrt(len(anchors))))
+        if not np.finfo(float).tiny <= h < np.inf:  # a subnormal h could round off the slack
+            return settled
+        r = h * (1 - _CELL_SLACK)
+        # cell (i, j) of the box is (i + 1) + width * (j + 1): a ring of empty
+        # cells around the box keeps each run of three inside one row of cells
+        width = int((hi[0] - lo[0]) / h) + 3
+
+        def cell_of(xy):
+            return np.floor((xy - lo) / h).astype(np.intp) @ [1, width] + width + 1
+
+        cells = cell_of(anchors)
+        order = np.argsort(cells, kind="stable")
+        cells = cells[order]
+        ax, ay = anchors[order].T.copy()
+        # rows in the anchors' box; the others are left to the table
+        rows = np.flatnonzero(((positions[:, :2] >= lo) & (positions[:, :2] <= hi)).all(axis=1))
+        q = positions[rows, :2]
+        runs = cell_of(q)[:, None] + [-width, 0, width]
+        first = np.searchsorted(cells, runs - 1, side="left")
+        counts = np.searchsorted(cells, runs + 1, side="right") - first
+        per_row = counts.sum(axis=1)
+        chunk = (np.cumsum(per_row) - per_row) // _NEAREST_BLOCK
+        cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1), len(rows)]
+        for a, b in zip(cuts, cuts[1:]):
+            c, k = counts[a:b].ravel(), per_row[a:b]
+            full = k > 0
+            if not full.any():
+                continue
+            pos = np.arange(k.sum()) + np.repeat(first[a:b].ravel() - np.cumsum(c) + c, c)
+            px, py = (np.repeat(v, k) for v in q[a:b].T)
+            d2 = _squared_distances(ax[pos], ay[pos], px, py)
+            starts = (np.cumsum(k) - k)[full]
+            best = np.minimum.reduceat(d2, starts)
+            ids = np.where(d2 == np.repeat(best, k[full]), order[pos], len(anchors))
+            ok = best < r * r
+            hit = rows[a:b][full][ok]
+            out[hit] = np.minimum.reduceat(ids, starts)[ok]
+            settled[hit] = True
+    return settled
 
 
 @dataclass

@@ -6,9 +6,33 @@ from hypothesis import strategies as st
 from anchorloc import data
 from anchorloc.errors import DataIntegrityError, InvalidInputError, ParseError
 from anchorloc.files import fmt
-from anchorloc.geometry import Pose
+from anchorloc.geometry import AnchorMap, Pose
 
 from conftest import make_pose, nearest_anchor
+
+
+@st.composite
+def anchor_scenes(draw):
+    """(anchors (N, 2), queries (n, 2)) on a half-unit lattice, scaled by
+    10**-6 to 10**6: anchors in a row, a column, the plane or alone, drawn
+    with repeats; queries on anchors, midway between two or four, just
+    outside the anchors' box or far from it."""
+    shape = draw(st.sampled_from(["plane", "row", "column", "one"]))
+    count = 1 if shape == "one" else draw(st.integers(2, 40))
+    pool = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1,
+                         max_size=count))
+    anchors = np.array(draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count)),
+                       dtype=float)
+    if shape == "row":
+        anchors[:, 1] = 2.0
+    elif shape == "column":
+        anchors[:, 0] = -1.0
+    half = st.integers(-16, 16).map(lambda v: v / 2)
+    near = st.tuples(half, half)
+    far = st.tuples(st.integers(-10**6, 10**6), st.sampled_from([-10**6, 10**6]))
+    queries = draw(st.lists(near | far.map(lambda q: q[::-1]) | far, min_size=1, max_size=40))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    return anchors * scale, np.array(queries, dtype=float) * scale
 
 
 def read_pose_lines(tmp_path, *lines):
@@ -229,7 +253,6 @@ class TestAssemble:
                     batch.positions[i], scene.anchor_map)
 
     def test_nearest_labels_across_row_blocks(self):
-        from anchorloc.geometry import AnchorMap
         # a 200 x 100 grid of anchors in shuffled index order
         rng = np.random.default_rng(3)
         gx, gy = np.meshgrid(np.arange(200.0), np.arange(100.0))
@@ -238,17 +261,56 @@ class TestAssemble:
         rows = max(1, data._NEAREST_BLOCK // len(amap))
         n = 3 * rows + rows // 2
         assert n % rows and n // rows >= 3
-        # midway between two anchors, equidistant from four, and anywhere
+        # outside the anchors' box, where no cell grid settles a row: midway
+        # between two anchors of the nearest edge, and anywhere
         xy = np.floor(rng.uniform(0, [199, 99], size=(n, 2)))
         xy[0::3, 0] += 0.5
-        xy[1::3] += 0.5
-        xy[2::3] += rng.uniform(0, 1, size=xy[2::3].shape)
+        xy[0::3, 1] = -rng.integers(1, 4, size=xy[0::3].shape[0])
+        xy[1::3, 1] += 0.5
+        xy[1::3, 0] = 199 + rng.integers(1, 4, size=xy[1::3].shape[0])
+        xy[2::3] = rng.uniform(-400, 600, size=xy[2::3].shape) - [[0, 1000]]
+        positions = np.c_[xy, np.zeros(n)]
+        assert not data._nearest_in_cells(positions, amap.anchors, np.empty(n, np.intp)).any()
         poses = [make_pose(x, y) for x, y in xy]
         batch = data.SampleBatch.build([str(i) for i in range(n)], poses,
                                        np.zeros((n, 1)), amap)
         expected = [nearest_anchor(p.position, amap) for p in poses]
         assert batch.nearest.dtype == np.intp
         assert batch.nearest.tolist() == expected
+
+    def test_nearest_labels_of_grid_and_fallback_rows(self):
+        # 2000 anchors scattered over a 60 m square, less a disc of radius 10 m
+        rng = np.random.default_rng(4)
+        anchors = rng.uniform(0, 60, size=(2600, 2))
+        amap = AnchorMap(anchors=anchors[np.hypot(*(anchors - 30).T) > 10][:2000])
+        assert len(amap) == 2000
+        # anywhere in the square, in the disc, and outside the square
+        xy = rng.uniform(0, 60, size=(900, 2))
+        xy[600:750] = 30 + rng.uniform(-7, 7, size=(150, 2))
+        xy[750:] += [[0, 61]]
+        positions = np.c_[rng.permutation(xy), np.zeros(len(xy))]
+        n = len(positions)
+        settled = data._nearest_in_cells(positions, amap.anchors, np.empty(n, np.intp))
+        assert 0 < settled.sum() < n
+        batch = data.SampleBatch.of(data.PoseTable([str(i) for i in range(n)], positions,
+                                                   np.tile([1.0, 0, 0, 0], (n, 1))),
+                                    np.zeros((n, 1)), amap)
+        assert batch.nearest.tolist() == [nearest_anchor(p, amap) for p in positions]
+
+    @settings(max_examples=200, deadline=None)
+    @given(scene=anchor_scenes())
+    def test_nearest_labels_are_the_table_argmin(self, scene):
+        anchors, xy = scene
+        n = len(xy)
+        poses = data.PoseTable([str(i) for i in range(n)], np.c_[xy, np.ones(n)],
+                               np.tile([1.0, 0, 0, 0], (n, 1)))
+        amap = AnchorMap(anchors=anchors)
+        # one-element row blocks: every table of more than one element goes
+        # through the cell grid, and each row it leaves is a block of its own
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_NEAREST_BLOCK", 1)
+            batch = data.SampleBatch.of(poses, np.zeros((n, 1)), amap)
+        assert batch.nearest.tolist() == [nearest_anchor(p, amap) for p in poses.positions]
 
     def test_anchor_count_by_index_rule(self, tiny_samples):
         train, test = tiny_samples

@@ -24,8 +24,10 @@ phases: slicing the batch and building its ground-truth offsets.
 Before training it times the set-up phases, each call on its own, over
 SETUP_RUNS runs after one warm-up: ``simworld.default_world``,
 ``simworld.generate`` (2000 / 500 frames), ``data.export_dataset`` into a
-temporary directory, ``data.load_dataset_files`` from it, and ``data.assemble``
-of the loaded splits at k=100 and at k=1.
+temporary directory, ``data.load_dataset_files`` from it, ``data.assemble``
+of the loaded splits at k=100 and at k=1, and ``data.SampleBatch.of`` of each
+loaded split on the k=1 anchor map (the nearest-anchor labels over 2000
+anchors, most of ``assemble_k1``).
 
 Epoch 0 is a warm-up. After it, wrapped and unwrapped epochs alternate in
 pairs, the wrapped one first in even pairs and second in odd ones, and the
@@ -165,10 +167,11 @@ def profile(samples, k: int, epochs: int) -> dict:
 def setup_profile() -> dict:
     """Median and IQR in ms of each set-up phase over SETUP_RUNS runs, at one
     OpenBLAS thread; the first run is a warm-up and is not counted."""
-    from anchorloc import data, model, simworld
+    from anchorloc import data, geometry, model, simworld
 
     ms = {name: [] for name in ("default_world", "generate", "export_dataset",
-                                "load_dataset_files", "assemble_k100", "assemble_k1")}
+                                "load_dataset_files", "assemble_k100", "assemble_k1",
+                                "sample_batch_k1_train", "sample_batch_k1_test")}
 
     def timed(name, fn, *args):
         start = time.perf_counter_ns()
@@ -187,6 +190,10 @@ def setup_profile() -> dict:
             for k in (100, 1):
                 timed(f"assemble_k{k}", data.assemble, train_poses, train_feats, k, test_poses,
                       test_feats)
+            anchor_map = geometry.build_anchor_map(train_poses.positions, 1)
+            for split, poses, feats in (("train", train_poses, train_feats),
+                                        ("test", test_poses, test_feats)):
+                timed(f"sample_batch_k1_{split}", data.SampleBatch.of, poses, feats, anchor_map)
     return {name: quartiles(values[1:]) for name, values in ms.items()}
 
 
@@ -257,7 +264,7 @@ def main(argv=None) -> int:
         out["info"] = {"tier1_s": args.tier1_s}
     print(f"set-up over {SETUP_RUNS} runs:")
     for name, q in out["setup_ms"].items():
-        print(f"    {name:<19} {q['median']:8.2f} ms  [IQR {q['iqr']:.2f}]")
+        print(f"    {name:<22} {q['median']:8.2f} ms  [IQR {q['iqr']:.2f}]")
     for k, epochs in RUNS:
         run = profile(samples, k, epochs)
         out["runs"][f"N={run['num_anchors']}"] = run
