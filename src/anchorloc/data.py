@@ -13,18 +13,27 @@ so parse -> serialize -> parse is bit-stable.
 
 Poses travel as columns, a :class:`PoseTable` of frame ids, positions and
 orientations, from a generated world or a pose file to a :class:`SampleBatch`,
-with no per-record ``Pose`` on the way. The reader converts each line to
-floats, then checks every quaternion norm and renormalizes in bulk, with the
-arithmetic :class:`geometry.Pose` applies to one; an error names the file and
-its first faulty line (``PATH, line N: ...``). The writer formats rows of
-Python floats.
+with no per-record ``Pose`` on the way. The reader splits each line and
+checks its field count, then converts every float field of the lines before
+the first short one in one pass of Python's own ``float`` (so it accepts what
+``float`` accepts, ``1_0`` and other scripts' digits included); only when
+that pass fails does it walk the fields to find the first bad one. It then
+checks every quaternion norm and renormalizes in bulk, with the arithmetic
+:class:`geometry.Pose` applies to one. An error names the file and the first
+faulty line (``PATH, line N: ...``), whatever the fault of that line and of
+later ones. The writer formats rows of Python floats.
 
 Feature files are little-endian binary: magic ``ALFT`` and a u32 version,
 which ``files.write_binary`` writes and ``files.read_binary`` checks, u64
 frame count, u64 dim, then per row a u32-length-prefixed UTF-8 frame id and
-``dim`` float64 values, which must be finite. The reader walks the id
-lengths and copies each row's values as bytes into one array; the writer
-slices one ``tobytes`` of the whole array.
+``dim`` float64 values, which must be finite. When every frame id takes the
+same number of bytes L, as generated ids do, the rows are one record array
+(u32 length, L id bytes, ``dim`` float64): the writer fills it and writes one
+``tobytes``, and the reader takes it as a view when the file is exactly that
+long for the first row's L and every length field is L, then decodes the ids
+row by row and copies the values with one assignment. Ragged ids, and every
+file the view does not fit or whose ids do not decode, go through a walk of
+the rows, one at a time, which alone says what is wrong with a file.
 
 A sample's nearest-anchor label is the lowest index of the minimum of its row
 of the squared-distance table ``(ax - px)**2 + (ay - py)**2`` over the N
@@ -103,28 +112,39 @@ class PoseTable:
 
 
 def load_pose_file(path) -> PoseTable:
-    """The records of a pose text file, in order. Each line is converted to
-    floats, then the quaternion norms of all of them are checked and
-    renormalized together, as :class:`geometry.Pose` would one at a time; an
-    error names the file and the first faulty line."""
-    ids, rows, numbers = [], [], []
+    """The records of a pose text file, in order. Each line is split and its
+    field count checked, then every float field of the lines up to the first
+    short one goes through Python's ``float`` in one pass; only when that
+    pass fails are the fields walked again to find the line of the first bad
+    one. The quaternion norms are then checked and renormalized together, as
+    :class:`geometry.Pose` would one at a time; an error names the file and
+    the first faulty line."""
+    fields, numbers = [], []
     stop = None
-    for n, raw in enumerate(read_lines(path), start=1):
-        parts = raw.split()
+    for n, parts in enumerate(map(str.split, read_lines(path)), start=1):
         if not parts or parts[0].startswith("#"):
             continue
         if len(parts) != 8:
             stop = ParseError(f"expected 8 whitespace-separated fields, got {len(parts)}", n,
                               path)
             break
-        try:
-            rows.append([float(p) for p in parts[1:]])
-        except ValueError as err:
-            stop = ParseError(f"bad float field: {err}", n, path)
-            break
-        ids.append(parts[0])
+        fields += parts
         numbers.append(n)
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), 7)
+    ids = fields[::8]
+    del fields[::8]
+    try:
+        values = np.fromiter(map(float, fields), np.float64, len(fields))
+    except ValueError:
+        for j, field in enumerate(fields):
+            try:
+                float(field)
+            except ValueError as err:
+                row = j // 7
+                stop = ParseError(f"bad float field: {err}", numbers[row], path)
+                break
+        del ids[row:], fields[7 * row:]
+        values = np.fromiter(map(float, fields), np.float64, len(fields))
+    values = values.reshape(len(ids), 7)
     quats = values[:, 3:]
     norms = quat_norms(quats)
     far = np.abs(norms - 1.0) > QUAT_NORM_TOL  # false for a NaN norm, which is not finite
@@ -160,15 +180,32 @@ def save_features(path, frame_ids: list[str], features: np.ndarray) -> None:
     feats = np.ascontiguousarray(features, dtype="<f8")
     if feats.ndim != 2 or feats.shape[0] != len(frame_ids):
         raise InvalidInputError("features must be (n, d) with one row per frame id")
-    parts = [feats.shape[0].to_bytes(8, "little"), feats.shape[1].to_bytes(8, "little")]
-    body, width = memoryview(feats.tobytes()), 8 * feats.shape[1]
-    for i, fid in enumerate(frame_ids):
-        if not encodable(fid):
+    count, dim = feats.shape
+    encoded = []
+    for fid in frame_ids:
+        try:
+            encoded.append(fid.encode())
+        except UnicodeEncodeError:
             raise InvalidInputError(f"frame id {fid!r} holds a lone surrogate, which UTF-8 "
-                                    "cannot encode")
-        enc = fid.encode()
-        parts += [len(enc).to_bytes(4, "little"), enc, body[i * width:(i + 1) * width]]
+                                    "cannot encode") from None
+    parts = [count.to_bytes(8, "little"), dim.to_bytes(8, "little")]
+    idlen = len(encoded[0]) if encoded else 0
+    if all(len(enc) == idlen for enc in encoded):
+        rows = np.empty(count, _feature_rows(idlen, dim))
+        rows["n"] = idlen
+        rows["id"] = np.frombuffer(b"".join(encoded), np.uint8).reshape(count, idlen)
+        rows["x"] = feats
+        parts.append(rows.tobytes())
+    else:
+        body, width = memoryview(feats.tobytes()), 8 * dim
+        for i, enc in enumerate(encoded):
+            parts += [len(enc).to_bytes(4, "little"), enc, body[i * width:(i + 1) * width]]
     write_binary(path, _FEAT_MAGIC, _FEAT_VERSION, parts)
+
+
+def _feature_rows(idlen: int, dim: int) -> np.dtype:
+    """The rows of a feature file whose frame ids all take ``idlen`` bytes."""
+    return np.dtype([("n", "<u4"), ("id", "u1", (idlen,)), ("x", "<f8", (dim,))])
 
 
 def load_features(path) -> tuple[list[str], np.ndarray]:
@@ -180,12 +217,38 @@ def load_features(path) -> tuple[list[str], np.ndarray]:
     # checked before allocating: every row takes at least 4 + 8 * dim bytes
     if count * (4 + 8 * dim) > len(raw) - 24:
         raise ParseError(f"{path}: {count} rows of dim {dim} do not fit in {len(raw)} bytes")
-    ids = []
     try:  # zero rows pass the size check above with any dim
         feats = np.empty((count, dim), dtype="<f8")
     except ValueError as err:
         raise ParseError(f"{path}: {count} rows of dim {dim}: {err}") from None
-    # each row's values are copied as bytes, with no numpy call per row
+    # a file of equal-length ids is one record array; any other goes row by
+    # row, and only that walk says what is wrong with a file
+    idlen = int.from_bytes(raw[24:28], "little")
+    ids = None
+    if count and len(raw) == 24 + count * (4 + idlen + 8 * dim):
+        rows = np.frombuffer(raw, _feature_rows(idlen, dim), count, 24)
+        if (rows["n"] == idlen).all():
+            blob = rows["id"].tobytes()
+            try:
+                ids = [blob[i * idlen:(i + 1) * idlen].decode() for i in range(count)]
+            except UnicodeDecodeError:
+                pass
+            else:
+                feats[...] = rows["x"]
+    if ids is None:
+        ids = _walk_feature_rows(path, raw, feats)
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DataIntegrityError(f"{path}: frame {ids[i]!r} (row {i}) has a non-finite feature")
+    return ids, feats
+
+
+def _walk_feature_rows(path, raw: bytes, feats: np.ndarray) -> list[str]:
+    """The frame ids of a feature file's rows, walked one at a time; each
+    row's values are copied as bytes into ``feats``, with no numpy call per row."""
+    ids = []
+    count, dim = feats.shape
     view, out = memoryview(raw), memoryview(feats.reshape(-1).view(np.uint8))
     width, off = 8 * dim, 24
     for i in range(count):
@@ -202,11 +265,7 @@ def load_features(path) -> tuple[list[str], np.ndarray]:
         off += width
     if off != len(raw):
         raise ParseError(f"{path}: {len(raw) - off} bytes after the last row")
-    finite = np.isfinite(feats).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise DataIntegrityError(f"{path}: frame {ids[i]!r} (row {i}) has a non-finite feature")
-    return ids, feats
+    return ids
 
 
 @dataclass
@@ -401,15 +460,26 @@ def load_dataset_files(data_dir):
     """The four files of a dataset directory as (train_poses, train_features,
     test_poses, test_features), once each split's pose and feature files are
     checked to list the same frame ids in the same order."""
-    train_poses = load_pose_file(os.path.join(data_dir, POSES_TRAIN))
-    test_poses = load_pose_file(os.path.join(data_dir, POSES_TEST))
-    train_ids, train_feats = load_features(os.path.join(data_dir, FEATURES_TRAIN))
-    test_ids, test_feats = load_features(os.path.join(data_dir, FEATURES_TEST))
-    if train_poses.frame_ids != train_ids:
-        raise DataIntegrityError("train pose/feature frame ids disagree")
-    if test_poses.frame_ids != test_ids:
-        raise DataIntegrityError("test pose/feature frame ids disagree")
+    paths = [os.path.join(data_dir, name)
+             for name in (POSES_TRAIN, POSES_TEST, FEATURES_TRAIN, FEATURES_TEST)]
+    train_poses, test_poses = map(load_pose_file, paths[:2])
+    (train_ids, train_feats), (test_ids, test_feats) = map(load_features, paths[2:])
+    _check_same_frames(paths[0], train_poses.frame_ids, paths[2], train_ids)
+    _check_same_frames(paths[1], test_poses.frame_ids, paths[3], test_ids)
     return train_poses, train_feats, test_poses, test_feats
+
+
+def _check_same_frames(poses_path, pose_ids, features_path, feature_ids) -> None:
+    """DataIntegrityError naming both files, and the first row whose frame ids
+    differ or else the two counts, unless the two lists are equal."""
+    if pose_ids == feature_ids:
+        return
+    for i, (a, b) in enumerate(zip(pose_ids, feature_ids)):
+        if a != b:
+            raise DataIntegrityError(f"{poses_path}: row {i} is frame {a!r}, but row {i} of "
+                                     f"{features_path} is {b!r}")
+    raise DataIntegrityError(f"{poses_path}: {len(pose_ids)} frames, but {features_path} "
+                             f"holds {len(feature_ids)}")
 
 
 def load_dataset_dir(data_dir, k: int) -> SceneDataset:

@@ -828,6 +828,30 @@ class TestPoseFileErrors:
         assert not run.exists()
 
 
+class TestFrameIdMismatch:
+    """A split whose feature file does not list its pose file's frames exits 2
+    naming both files, and the first row that differs or the two counts."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ids, feats: ([*ids[:3], ids[4], ids[3], *ids[5:]], feats),
+         "row 3 is frame 't00003', but row 3 of {feats} is 't00004'"),
+        (lambda ids, feats: (ids[:-1], feats[:-1]), "300 frames, but {feats} holds 299")],
+        ids=["swapped-id", "count"])
+    def test_is_a_data_error(self, dataset_dir, tmp_path, capsys, edit, message):
+        out, cfg = dataset_dir
+        bad = tmp_path / "bad"
+        shutil.copytree(out, bad)
+        feats = bad / data.FEATURES_TRAIN
+        data.save_features(feats, *edit(*data.load_features(feats)))
+        run = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--data", str(bad), "--out", str(run),
+                     "--epochs", "1"]) == EXIT_DATA
+        poses = bad / data.POSES_TRAIN
+        assert capsys.readouterr().err == f"error: {poses}: {message.format(feats=feats)}\n"
+        assert not run.exists()
+
+
 class TestNonFiniteFeatures:
     def test_nan_feature_is_a_data_error(self, dataset_dir, tmp_path, capsys):
         out, cfg = dataset_dir

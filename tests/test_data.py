@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -105,12 +107,28 @@ class TestPoseLines:
         (["# c", "f0 1 2 3 2 0 0 0", "f1 1 2 3"], DataIntegrityError, "line 2: quaternion"),
         (["f0 1 2 3", "f1 1 2 3 2 0 0 0"], ParseError, "line 1: expected 8"),
         (["f0 nan 2 3 1 0 0 0", "f1 1 2 3 2 0 0 0"], InvalidInputError, "line 1: pose"),
+        (["f0 1 2 x 1 0 0 0", "f1 1 2 3"], ParseError,
+         "line 1: bad float field: could not convert string to float: 'x'"),
+        (["f0 1 2 3 1 0 0 0", "f1 y 2 3 1 0 0 0", "f2 1 2 3 1 0 0 0", "f3 z 2 3 1 0 0 0"],
+         ParseError, "line 2: bad float field: could not convert string to float: 'y'"),
+        (["f0 1 2 3", "f1 1 2 x 1 0 0 0"], ParseError, "line 1: expected 8"),
+        (["f0 1 2 3 2 0 0 0", "f1 1 2 x 1 0 0 0"], DataIntegrityError,
+         "line 1: quaternion norm 2 is more than 0.001 from unit"),
     ], ids=["short", "bad-float", "far-norm", "inf", "nan-quat", "norm-first", "short-first",
-            "nan-first"])
+            "nan-first", "bad-float-first", "bad-float-before-bad-float",
+            "short-before-bad-float", "norm-before-bad-float"])
     def test_an_error_names_the_file_and_its_line(self, tmp_path, lines, error, message):
         with pytest.raises(error) as err:
             read_pose_lines(tmp_path, *lines)
         assert str(err.value).startswith(f"{tmp_path / 'poses.txt'}, {message}")
+
+    def test_a_field_reads_as_python_float_reads_it(self, tmp_path):
+        # underscores, a bare sign and point, and digits of other scripts
+        poses = read_pose_lines(tmp_path, "f0 1_0 +.5 \u0661\u0662.\u0665 1 -0 0_0 \uff10")
+        assert poses.positions.tolist() == [[10.0, 0.5, 12.5]]
+        assert poses.orientations.tobytes() == np.array([[1.0, -0.0, 0.0, 0.0]]).tobytes()
+        with pytest.raises(InvalidInputError, match="line 1: pose components must be finite"):
+            read_pose_lines(tmp_path, "f0 Infinity 0 0 1 0 0 0")
 
 
 class TestPoseFiles:
@@ -194,6 +212,44 @@ class TestPoseFiles:
             data.PoseTable(["f0"], positions, orientations)
 
 
+def feature_file_bytes(frame_ids, features) -> bytes:
+    """The feature-file layout, field by field: magic, u32 version, u64 rows,
+    u64 width, then per row a u32 byte length, the UTF-8 id and the values."""
+    count, dim = features.shape
+    out = [b"ALFT", struct.pack("<IQQ", 1, count, dim)]
+    for fid, row in zip(frame_ids, features.tolist()):
+        enc = fid.encode("utf-8")
+        out.append(struct.pack(f"<I{len(enc)}s{dim}d", len(enc), enc, *row))
+    return b"".join(out)
+
+
+@st.composite
+def feature_tables(draw):
+    """(frame ids, features, bad row): ids all of one byte length (ASCII, or
+    multi-byte ones of unequal character length) or ragged, empty ids, 0 rows,
+    width 0; for ids of one non-zero length, perhaps a row whose id is to be
+    made not UTF-8."""
+    count = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from(["ascii", "multi-byte", "empty", "ragged"]))
+    if shape == "ascii":
+        size = draw(st.integers(1, 7))
+        word = st.text(st.characters(max_codepoint=127), min_size=size, max_size=size)
+    elif shape == "multi-byte":
+        word = st.sampled_from(["\u00e9", "ab", "\u00fc", "z9"])
+    elif shape == "empty":
+        word = st.just("")
+    else:
+        word = st.text(st.characters(exclude_categories=["Cs"]), max_size=5)
+    ids = draw(st.lists(word, min_size=count, max_size=count))
+    dim = draw(st.integers(0, 4))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=count * dim, max_size=count * dim))
+    bad = None
+    if shape in ("ascii", "multi-byte") and count:
+        bad = draw(st.none() | st.integers(0, count - 1))
+    return ids, np.array(values, dtype=np.float64).reshape(count, dim), bad
+
+
 class TestFeatureFiles:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -207,6 +263,29 @@ class TestFeatureFiles:
         path2 = tmp_path / "g.bin"
         data.save_features(path2, ids2, feats2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=feature_tables())
+    @example(table=(["ab", "c", "def"], np.zeros((3, 2)), None))  # ragged, of a uniform size
+    @example(table=(["\u00e9", "ab"], np.ones((2, 1)), None))
+    @example(table=(["", ""], np.ones((2, 0)), None))
+    @example(table=([], np.ones((0, 3)), None))
+    @example(table=(["fr0", "fr1", "fr2"], np.ones((3, 2)), 2))
+    def test_bytes_are_the_documented_layout(self, tmp_path_factory, table):
+        ids, feats, bad = table
+        path = tmp_path_factory.mktemp("feats") / "f.bin"
+        data.save_features(path, ids, feats)
+        want = feature_file_bytes(ids, feats)
+        assert path.read_bytes() == want
+        if bad is not None:  # the first byte of row bad's id
+            row = len(want[24:]) // len(ids)
+            path.write_bytes(want[:24 + bad * row + 4] + b"\xff" + want[24 + bad * row + 5:])
+            with pytest.raises(ParseError, match=f": frame id of row {bad} is not UTF-8$"):
+                data.load_features(path)
+            return
+        ids2, feats2 = data.load_features(path)
+        assert ids2 == ids
+        assert feats2.shape == feats.shape and feats2.tobytes() == feats.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

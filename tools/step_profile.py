@@ -13,21 +13,27 @@ and at k=1 (N=2000), with numpy's OpenBLAS held at one thread by
   head, which the loss reads on first use, is its own phase, ``offsets_head``),
 - ``model.Bound.backward`` (``backward``),
 - ``loss.batch_total_loss`` (``loss``, less the offsets head it runs),
+- ``data.SampleBatch.offsets_at`` (``offsets_at``: the batch's ground-truth
+  offsets),
 - ``optim._InPlaceAdam.step`` (``adam``),
 
 and charges each call its self time: its duration less that of the wrapped
 calls inside it. A step runs from the end of one Adam step to the end of the
 next in the same epoch (an epoch's first step, which spans the epoch's
-shuffle and gather, is not counted), and ``gather`` is the step less the
-phases: slicing the batch and building its ground-truth offsets.
+shuffle and gather, is not counted), and ``slicing_and_clock`` is the step
+less the phases: slicing the batch out of the epoch's rows, plus this tool's
+own bookkeeping between the wrapped calls.
 
 Before training it times the set-up phases, each call on its own, over
 SETUP_RUNS runs after one warm-up: ``simworld.default_world``,
 ``simworld.generate`` (2000 / 500 frames), ``data.export_dataset`` into a
-temporary directory, ``data.load_dataset_files`` from it, ``data.assemble``
-of the loaded splits at k=100 and at k=1, and ``data.SampleBatch.of`` of each
-loaded split on the k=1 anchor map (the nearest-anchor labels over 2000
-anchors, most of ``assemble_k1``).
+temporary directory, ``data.load_dataset_files`` from it, then on their own
+the four file calls that make up those two, each over both splits:
+``data.save_pose_file``, ``data.save_features``, ``data.load_pose_file`` and
+``data.load_features``; then ``data.assemble`` of the loaded splits at k=100
+and at k=1, and ``data.SampleBatch.of`` of each loaded split on the k=1
+anchor map (the nearest-anchor labels over 2000 anchors, most of
+``assemble_k1``).
 
 Epoch 0 is a warm-up. After it, wrapped and unwrapped epochs alternate in
 pairs, the wrapped one first in even pairs and second in odd ones, and the
@@ -61,7 +67,8 @@ import time
 # the run stops before epoch 100 or so, where the first moments of dead units
 # decay into subnormals and Adam's step takes twice as long.
 RUNS = ((100, 81), (1, 41))
-PHASES = ("gather", "forward", "head", "offsets_head", "loss", "backward", "adam")
+PHASES = ("slicing_and_clock", "offsets_at", "forward", "head", "offsets_head", "loss",
+          "backward", "adam")
 SETUP_RUNS = 15
 
 
@@ -74,8 +81,9 @@ class StepClock:
     """Self time per phase of each step, from wrappers installed on the
     package's classes and module for the wrapped epochs only."""
 
-    def __init__(self, model, loss, optim):
-        self.targets = ((model.Bound, "forward", lambda args: "forward"),
+    def __init__(self, data, model, loss, optim):
+        self.targets = ((data.SampleBatch, "offsets_at", lambda args: "offsets_at"),
+                        (model.Bound, "forward", lambda args: "forward"),
                         (model.Bound, "head",
                          lambda args: "offsets_head" if args[1] == "offsets" else "head"),
                         (model.Bound, "backward", lambda args: "backward"),
@@ -119,7 +127,7 @@ def profile(samples, k: int, epochs: int) -> dict:
     scene = data.from_simworld(*samples, k=k)
     spec = model.NetworkSpec(input_dim=scene.train.features.shape[1],
                              num_anchors=scene.num_anchors)
-    clock = StepClock(model, loss, optim)
+    clock = StepClock(data, model, loss, optim)
     epoch_ns = []  # (wrapped, ns) per epoch after the warm-up
     last = [time.perf_counter_ns()]
 
@@ -146,7 +154,7 @@ def profile(samples, k: int, epochs: int) -> dict:
         ratios.append(t1 / t2 if w1 else t2 / t1)
     phases = {name: [] for name in PHASES}
     for step, parts in clock.steps:
-        phases["gather"].append(step - sum(parts.values()))
+        phases["slicing_and_clock"].append(step - sum(parts.values()))
         for name, ns in parts.items():
             phases[name].append(ns)
     us = 1e-3
@@ -170,14 +178,18 @@ def setup_profile() -> dict:
     from anchorloc import data, geometry, model, simworld
 
     ms = {name: [] for name in ("default_world", "generate", "export_dataset",
-                                "load_dataset_files", "assemble_k100", "assemble_k1",
-                                "sample_batch_k1_train", "sample_batch_k1_test")}
+                                "load_dataset_files", "save_pose_file", "save_features",
+                                "load_pose_file", "load_features", "assemble_k100",
+                                "assemble_k1", "sample_batch_k1_train", "sample_batch_k1_test")}
 
     def timed(name, fn, *args):
         start = time.perf_counter_ns()
         out = fn(*args)
         ms[name].append((time.perf_counter_ns() - start) * 1e-6)
         return out
+
+    def both_splits(name, fn, *calls):
+        return timed(name, lambda: [fn(*args) for args in calls])
 
     with model.one_blas_thread(), tempfile.TemporaryDirectory() as work:
         for _ in range(SETUP_RUNS + 1):
@@ -187,6 +199,16 @@ def setup_profile() -> dict:
             timed("export_dataset", data.export_dataset, work, *samples)
             train_poses, train_feats, test_poses, test_feats = timed(
                 "load_dataset_files", data.load_dataset_files, work)
+            paths = [os.path.join(work, name) for name in (data.POSES_TRAIN, data.POSES_TEST,
+                                                           data.FEATURES_TRAIN,
+                                                           data.FEATURES_TEST)]
+            both_splits("save_pose_file", data.save_pose_file, (paths[0], train_poses),
+                        (paths[1], test_poses))
+            both_splits("save_features", data.save_features,
+                        (paths[2], train_poses.frame_ids, train_feats),
+                        (paths[3], test_poses.frame_ids, test_feats))
+            both_splits("load_pose_file", data.load_pose_file, (paths[0],), (paths[1],))
+            both_splits("load_features", data.load_features, (paths[2],), (paths[3],))
             for k in (100, 1):
                 timed(f"assemble_k{k}", data.assemble, train_poses, train_feats, k, test_poses,
                       test_feats)
@@ -274,7 +296,7 @@ def main(argv=None) -> int:
               f"{run['overhead_pct']['median']:+.2f}% [IQR {run['overhead_pct']['iqr']:.2f}] "
               f"over {run['overhead_pct']['pairs']} epoch pairs")
         for name, q in run["phases_us"].items():
-            print(f"    {name:<13} {q['median']:9.1f} us  [IQR {q['iqr']:.1f}]")
+            print(f"    {name:<17} {q['median']:9.1f} us  [IQR {q['iqr']:.1f}]")
     path = f"BENCH_{label}.json"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(out, fh, indent=2, sort_keys=True)
