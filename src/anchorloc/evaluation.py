@@ -71,13 +71,15 @@ def reconstruct(pred: BatchPrediction, anchor_map: AnchorMap, mode: str = "argma
 
 
 def reconstruct_pose(pred: BatchPrediction, anchor_map: AnchorMap) -> Pose:
-    """The Pose of a batch-of-one prediction, by argmax :func:`reconstruct`,
-    built from the views of row 0; any other batch size is InvalidInputError."""
+    """The Pose of a batch-of-one prediction, by argmax :func:`reconstruct`:
+    row 0 of its fresh arrays, adopted without a copy (:meth:`Pose.adopt`,
+    where a non-finite position is InvalidInputError); any other batch size
+    is InvalidInputError."""
     if pred.logits.shape[0] != 1:
         raise InvalidInputError(
             f"reconstruct_pose takes a batch of one, got {pred.logits.shape[0]} rows")
     pos, quats, _ = reconstruct(pred, anchor_map)
-    return Pose(position=pos[0], orientation=quats[0])
+    return Pose.adopt(pos[0], quats[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite error raises below

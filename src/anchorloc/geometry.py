@@ -7,6 +7,13 @@ Conventions
 - Anchors live in the horizontal (x, y) plane only; z and orientation are
   always handled in the global frame.
 
+A ``Pose`` holds read-only copies of the arrays it is given, checked and
+renormalized. A served query builds its pose once instead:
+``evaluation.reconstruct_pose`` hands the fresh rows of ``reconstruct`` to
+:meth:`Pose.adopt`, which checks only that the position is finite and the
+quaternion unit to 1e-12 and keeps both arrays as they are, with the bytes
+the constructor would give them; anything else goes through the constructor.
+
 Everything here is immutable after construction and all operations are pure,
 so concurrent use is safe.
 """
@@ -63,6 +70,28 @@ class Pose:
         quat.setflags(write=False)
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "orientation", quat)
+
+    @classmethod
+    def adopt(cls, position: np.ndarray, orientation: np.ndarray) -> Pose:
+        """The Pose of arrays the caller gives up, as a served query builds it:
+        ``position`` a fresh float64 3-vector and ``orientation`` a row of
+        ``loss.unit_orientation``, float64, finite and of norm 1 to a few
+        ulps. When the position's sum is finite (so is each component) and
+        the squared norm is within 1e-12 of 1 (so the norm is within about
+        5e-13, where the constructor keeps a quaternion as it is), both
+        arrays are kept as they are and made read-only: no copy, no second
+        norm, the constructor's bytes. Any other input goes through the
+        constructor, which raises its own errors."""
+        x, y, z = position.tolist()
+        w, i, j, k = orientation.tolist()
+        if not (math.isfinite(x + y + z) and abs(w * w + i * i + j * j + k * k - 1.0) <= 1e-12):
+            return cls(position=position, orientation=orientation)
+        position.setflags(write=False)
+        orientation.setflags(write=False)
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "position", position)
+        object.__setattr__(pose, "orientation", orientation)
+        return pose
 
     @property
     def xy(self) -> np.ndarray:

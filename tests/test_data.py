@@ -186,6 +186,19 @@ class TestPoseFiles:
                                 data.PoseTable.of([fid], [make_pose(1.0, 2.0)]))
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("first, second", [("a b", "#x"), ("#x", ""), ("f\ud800", "a b"),
+                                               ("", "f\ud800"), ("#x", "#y"),
+                                               ("f\ud800", "g\udfff"), ("a\tb", "c\u2028d")])
+    def test_the_first_of_two_bad_frame_ids_is_named(self, tmp_path, first, second):
+        ids = ["f0", first, "f2", second, "f4"]
+        with pytest.raises(InvalidInputError) as err:
+            data.save_pose_file(tmp_path / "poses.txt",
+                                data.PoseTable.of(ids, [make_pose(float(i), 0.0) for i in range(5)]))
+        assert str(err.value) == (f"frame id {first!r} is empty, holds whitespace or a lone "
+                                  "surrogate or starts with '#', so its pose line would not "
+                                  "read back")
+        assert not any(tmp_path.iterdir())
+
     def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
         path = tmp_path / "poses.txt"
         path.write_bytes(b"f0 0 0 0 1 0 0 0\r\n# c\rf\xff1 0 0 0 1 0 0 0\n")

@@ -1,16 +1,20 @@
+import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anchorloc import data, evaluation, model, optim
-from anchorloc.errors import DegenerateOrientationError, InvalidInputError, NonFinitePoseError
+from anchorloc.errors import (AnchorLocError, DegenerateOrientationError, InvalidInputError,
+                              NonFinitePoseError)
 from anchorloc.evaluation import (co_located_anchors, discovery_stats, evaluate, reconstruct,
                                   reconstruct_pose, report_from_poses,
                                   sweep_anchor_interval)
-from anchorloc.geometry import AnchorMap, yaw_quat
-from anchorloc.loss import LossWeights
+from anchorloc.geometry import AnchorMap, Pose, yaw_quat
+from anchorloc.loss import ORIENT_NORM_FLOOR, LossWeights
 from anchorloc.model import BatchPrediction, NetworkSpec
 from anchorloc.optim import TrainConfig
 
@@ -23,6 +27,34 @@ def pred_with(logits, offsets, z=0.0, orient=(1, 0, 0, 0)):
                            offsets=np.asarray(offsets, dtype=float)[None],
                            z_hat=np.array([float(z)]),
                            orient_raw=np.asarray(orient, dtype=float)[None])
+
+
+# a head output: finite, huge, or not finite
+OUTPUT = st.one_of(st.floats(-1e3, 1e3),
+                   st.sampled_from([1e300, -1e300, math.inf, -math.inf, math.nan]))
+# components whose squares underflow (to subnormals or to 0)
+TINY = st.sampled_from([0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-170, -3e-160])
+
+
+@st.composite
+def raw_orientation(draw):
+    """A raw orientation whose norm is 10**e times that of a direction in
+    [-1, 1]^4, with e from just under log10(ORIENT_NORM_FLOOR) to 150; each
+    component may instead be one whose square underflows."""
+    e = draw(st.floats(-12.0, 150.0))
+    return tuple(draw(TINY) if draw(st.booleans()) and draw(st.booleans())
+                 else draw(st.floats(-1.0, 1.0)) * 10.0 ** e for _ in range(4))
+
+
+RAW_ORIENTATION = raw_orientation()
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or its error as (class, message)."""
+    try:
+        return fn(*args)
+    except AnchorLocError as err:
+        return type(err), str(err)
 
 
 class TestReconstructPose:
@@ -75,7 +107,8 @@ class TestReconstructPose:
     @pytest.mark.parametrize("field", ["z_hat", "argmax_offset"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_output_rejected(self, field, value):
-        # the Pose's finite check stands on the query path
+        # Pose.adopt checks the position, with the constructor's message; the
+        # orientation is finite whenever unit_orientation returns
         amap = AnchorMap(anchors=np.array([[0.0, 0.0], [10.0, 0.0]]))
         pred = pred_with([0.0, 3.0], [[0.0, 0.0], [1.0, 2.0]], z=1.0)
         if field == "z_hat":
@@ -84,6 +117,49 @@ class TestReconstructPose:
             pred.offsets[0, 1, 0] = value
         with pytest.raises(InvalidInputError, match="finite"):
             reconstruct_pose(pred, amap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(logits=st.lists(st.floats(-10, 10), min_size=1, max_size=4),
+           offsets=st.lists(st.tuples(OUTPUT, OUTPUT), min_size=4, max_size=4),
+           z=OUTPUT, orient=RAW_ORIENTATION)
+    @example(logits=[0.0], offsets=[(1.0, 2.0)] * 4, z=3.0,
+             orient=(ORIENT_NORM_FLOOR * (1 + 2**-40), 0.0, 0.0, 0.0))
+    @example(logits=[0.0], offsets=[(1.0, 2.0)] * 4, z=3.0,
+             orient=(1e150, -1e150, 1e150, 1e-170))
+    @example(logits=[0.0], offsets=[(1e300, -1e300)] * 4, z=-1e300,
+             orient=(2e-12, 5e-324, -1e-160, 0.0))
+    @example(logits=[1.0, 0.0], offsets=[(math.nan, 0.0), (0.0, 0.0)] * 2, z=0.0,
+             orient=(0.5, 0.5, 0.5, 0.5))
+    @example(logits=[0.0], offsets=[(0.0, 0.0)] * 4, z=math.inf, orient=(0.0,) * 4)
+    def test_is_the_constructors_pose_of_reconstructs_row(self, logits, offsets, z, orient):
+        n = len(logits)
+        amap = AnchorMap(anchors=np.linspace(-50.0, 50.0, 2 * n).reshape(n, 2))
+        pred = pred_with(logits, offsets[:n], z, orient)
+
+        def constructed():
+            pos, quats, _ = reconstruct(pred, amap)
+            return Pose(position=pos[0], orientation=quats[0])
+
+        got, want = outcome(reconstruct_pose, pred, amap), outcome(constructed)
+        if not isinstance(want, Pose):
+            assert got == want
+            return
+        for name in ("position", "orientation"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_a_later_query_leaves_an_earlier_pose_as_it_was(self):
+        spec, params, amap, rng = head_spec_params(6, seed=3)
+        poses, snapshots = [], []
+        for feature in rng.standard_normal((20, spec.input_dim)):
+            pose = reconstruct_pose(model.forward(spec, params, feature), amap)
+            poses.append(pose)
+            snapshots.append(pose.position.tobytes() + pose.orientation.tobytes())
+        assert len(set(snapshots)) == len(poses)
+        assert [p.position.tobytes() + p.orientation.tobytes() for p in poses] == snapshots
 
     def test_anchor_map_of_another_size_rejected(self):
         amap = AnchorMap(anchors=np.zeros((3, 2)))

@@ -57,6 +57,34 @@ class TestPose:
         assert p.orientation.tolist() == yaw_quat(0.3).tolist()
 
 
+class TestAdopt:
+    def test_keeps_a_unit_quaternion_and_the_position_without_a_copy(self):
+        pos, q = np.array([1.0, -2.0, 3.0]), yaw_quat(0.7)
+        p = Pose.adopt(pos, q)
+        assert p.position is pos and p.orientation is q
+        assert not pos.flags.writeable and not q.flags.writeable
+        want = Pose(position=[1.0, -2.0, 3.0], orientation=yaw_quat(0.7))
+        assert p.orientation.tobytes() == want.orientation.tobytes()
+
+    @pytest.mark.parametrize("position, q", [
+        ([1.0, 2.0, 3.0], [2.0, 0.0, 0.0, 0.0]), ([1.0, 2.0, 3.0], [1.0 + 1e-12, 0.0, 0.0, 0.0]),
+        ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0]), ([1.0, 2.0, 3.0], [math.nan, 0.0, 0.0, 0.0]),
+        ([1.0, 2.0, 3.0], [1e200, 0.0, 0.0, 0.0]), ([1e308, 1e308, 0.0], [1.0, 0.0, 0.0, 0.0]),
+        ([0.0, math.inf, 0.0], [1.0, 0.0, 0.0, 0.0]), ([math.nan, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]),
+        ([-math.inf, 0.0, math.inf], [1.0, 0.0, 0.0, 0.0])])
+    def test_other_input_goes_through_the_constructor(self, position, q):
+        # finite components whose sum overflows, a position that is not
+        # finite, and quaternions the constructor renormalizes or rejects
+        def outcome(build):
+            try:
+                pose = build(np.array(position), np.array(q))
+            except InvalidInputError as err:
+                return str(err)
+            return pose.position.tobytes() + pose.orientation.tobytes()
+
+        assert outcome(Pose.adopt) == outcome(lambda p, o: Pose(position=p, orientation=o))
+
+
 def pose_checks_oracle(position, orientation):
     """Oracle: ``Pose.__post_init__`` as it checked on numpy before it moved to
     Python floats, plus the rejection of a squared norm that overflows; the

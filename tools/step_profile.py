@@ -1,4 +1,5 @@
-"""Where a training step's time goes, phase by phase, at 20 and at 2000 anchors.
+"""Where a training step's time goes, phase by phase, at 20 and at 2000 anchors,
+and where a served query's goes at 200.
 
     python tools/step_profile.py SRC_DIR [--label L] [--tier1-s SECONDS]
 
@@ -40,14 +41,25 @@ pairs, the wrapped one first in even pairs and second in odd ones, and the
 wrapper overhead is the median over pairs of the wrapped epoch's time over
 the unwrapped one's, less 1. Phase times come from the wrapped epochs.
 
+The query profile trains the localize workload's served model (k=10, N=200
+anchors, 40 epochs) and serves the test frames one at a time, as that
+workload does: ``evaluation.reconstruct_pose(model.forward(...))``. It wraps ``model.Bound.forward`` (``trunk``),
+``model.Bound.head`` (``logits_head`` and ``absolute_head``; an argmax pose
+runs no offsets head), ``evaluation.reconstruct`` (``reconstruct``) and
+``evaluation.reconstruct_pose`` (``pose``: its self time, the batch check
+and building the Pose); ``glue`` is the query less the phases: ``forward``,
+``forward_batch`` and the prediction's construction, plus this tool's
+bookkeeping. After a warm-up pass, wrapped and unwrapped passes alternate as
+epochs do above; ``query_us`` is the per-query time of the unwrapped passes.
+
 Prints one line per phase and writes ``BENCH_<label>.json`` (``label``
 defaults to SRC_DIR's short git revision) in the current directory: per N
 the parameter count, the step's and each phase's median and interquartile
-range in microseconds, and the overhead; each set-up phase's median and
-interquartile range in milliseconds; and a provenance block (numpy and
-BLAS versions, the thread setting, the CPU, the git revision and the sha256
-of each ``anchorloc/*.py``). ``--tier1-s`` records a Tier-1 wall time, measured
-elsewhere, as ``info.tier1_s``.
+range in microseconds, and the overhead; the same for the query; each
+set-up phase's median and interquartile range in milliseconds; and a
+provenance block (numpy and BLAS versions, the thread setting, the CPU, the
+git revision and the sha256 of each ``anchorloc/*.py``). ``--tier1-s``
+records a Tier-1 wall time, measured elsewhere, as ``info.tier1_s``.
 """
 
 from __future__ import annotations
@@ -70,6 +82,10 @@ RUNS = ((100, 81), (1, 41))
 PHASES = ("slicing_and_clock", "offsets_at", "forward", "head", "offsets_head", "loss",
           "backward", "adam")
 SETUP_RUNS = 15
+# the localize workload's served model: frame interval k, epochs trained
+QUERY_K, QUERY_EPOCHS = 10, 40
+QUERY_PASSES = 20
+QUERY_PHASES = ("glue", "trunk", "logits_head", "absolute_head", "reconstruct", "pose")
 
 
 def quartiles(values) -> dict:
@@ -77,25 +93,20 @@ def quartiles(values) -> dict:
     return {"median": median, "iqr": q3 - q1, "q1": q1, "q3": q3}
 
 
-class StepClock:
-    """Self time per phase of each step, from wrappers installed on the
-    package's classes and module for the wrapped epochs only."""
+class PhaseClock:
+    """Self time per phase, from wrappers installed on the package's classes
+    and modules while ``install(True)`` holds: each wrapped call is charged
+    its duration less that of the wrapped calls inside it. ``targets`` are
+    (owner, attribute, phase of the call's arguments)."""
 
-    def __init__(self, data, model, loss, optim):
-        self.targets = ((data.SampleBatch, "offsets_at", lambda args: "offsets_at"),
-                        (model.Bound, "forward", lambda args: "forward"),
-                        (model.Bound, "head",
-                         lambda args: "offsets_head" if args[1] == "offsets" else "head"),
-                        (model.Bound, "backward", lambda args: "backward"),
-                        (loss, "batch_total_loss", lambda args: "loss"),
-                        (optim._InPlaceAdam, "step", lambda args: "adam"))
-        self.originals = [getattr(owner, name) for owner, name, _ in self.targets]
+    def __init__(self, targets, phases):
+        self.targets = targets
+        self.originals = [getattr(owner, name) for owner, name, _ in targets]
+        self.names = phases
         self.open = []  # the wrapped time inside each call still running
-        self.phases = dict.fromkeys(PHASES[1:], 0)
-        self.last_end = None  # ns at the end of the last Adam step of this epoch
-        self.steps = []  # per counted step: (step ns, {phase: self ns})
+        self.phases = dict.fromkeys(phases, 0)
 
-    def timed(self, fn, phase_of, ends_step):
+    def timed(self, fn, phase_of, on_end=None):
         def call(*args, **kwargs):
             self.open.append(0)
             start = time.perf_counter_ns()
@@ -107,18 +118,79 @@ class StepClock:
                 self.phases[phase_of(args)] += end - start - inner
                 if self.open:
                     self.open[-1] += end - start
-                if ends_step:
-                    if self.last_end is not None:
-                        self.steps.append((end - self.last_end, self.phases))
-                    self.phases = dict.fromkeys(PHASES[1:], 0)
-                    self.last_end = end
+                if on_end is not None:
+                    on_end(end)
         return call
+
+    def take(self) -> dict:
+        """The phases charged since the last take, which starts them anew."""
+        phases, self.phases = self.phases, dict.fromkeys(self.names, 0)
+        return phases
+
+    def install(self, on: bool) -> None:
+        self.take()
+        for (owner, name, phase_of), fn in zip(self.targets, self.originals):
+            setattr(owner, name, self.timed(fn, phase_of, self.end_hook(name)) if on else fn)
+
+    def end_hook(self, name):
+        """What runs at the end of each call of the wrapped ``name``, or None."""
+        return None
+
+
+class StepClock(PhaseClock):
+    """Self time per phase of each step, for the wrapped epochs only."""
+
+    def __init__(self, data, model, loss, optim):
+        super().__init__(((data.SampleBatch, "offsets_at", lambda args: "offsets_at"),
+                          (model.Bound, "forward", lambda args: "forward"),
+                          (model.Bound, "head",
+                           lambda args: "offsets_head" if args[1] == "offsets" else "head"),
+                          (model.Bound, "backward", lambda args: "backward"),
+                          (loss, "batch_total_loss", lambda args: "loss"),
+                          (optim._InPlaceAdam, "step", lambda args: "adam")), PHASES[1:])
+        self.last_end = None  # ns at the end of the last Adam step of this epoch
+        self.steps = []  # per counted step: (step ns, {phase: self ns})
+
+    def end_step(self, end: int) -> None:
+        phases = self.take()
+        if self.last_end is not None:
+            self.steps.append((end - self.last_end, phases))
+        self.last_end = end
+
+    def end_hook(self, name):
+        return self.end_step if name == "step" else None
 
     def install(self, on: bool) -> None:
         self.last_end = None
-        self.phases = dict.fromkeys(PHASES[1:], 0)
-        for (owner, name, phase_of), fn in zip(self.targets, self.originals):
-            setattr(owner, name, self.timed(fn, phase_of, name == "step") if on else fn)
+        super().install(on)
+
+
+def wrapped(i: int) -> bool:
+    """Whether epoch or pass i, after the warm-up i = 0, runs wrapped: the
+    wrapped one of each pair comes first in even pairs, second in odd ones."""
+    pair, second = divmod(i - 1, 2)
+    return i > 0 and second == pair % 2
+
+
+def overhead_pct(runs) -> dict:
+    """The median over pairs of runs, from (wrapped, ns) per run, of the
+    wrapped run's time over the unwrapped one's, less 1, in percent."""
+    ratios = []
+    for i in range(0, len(runs) - 1, 2):
+        (w1, t1), (_, t2) = runs[i], runs[i + 1]
+        ratios.append(t1 / t2 if w1 else t2 / t1)
+    return {"pairs": len(ratios), **quartiles([100 * (r - 1) for r in ratios])}
+
+
+def phases_us(names, timed) -> dict:
+    """Median and IQR in us of each phase, from (total ns, {phase: self ns})
+    per call; the first name is the residual, the total less the phases."""
+    phases = {name: [] for name in names}
+    for total, parts in timed:
+        phases[names[0]].append(total - sum(parts.values()))
+        for name, ns in parts.items():
+            phases[name].append(ns)
+    return {name: quartiles([ns * 1e-3 for ns in values]) for name, values in phases.items()}
 
 
 def profile(samples, k: int, epochs: int) -> dict:
@@ -130,10 +202,6 @@ def profile(samples, k: int, epochs: int) -> dict:
     clock = StepClock(data, model, loss, optim)
     epoch_ns = []  # (wrapped, ns) per epoch after the warm-up
     last = [time.perf_counter_ns()]
-
-    def wrapped(epoch: int) -> bool:
-        pair, second = divmod(epoch - 1, 2)
-        return epoch > 0 and second == pair % 2
 
     def on_epoch(stats, snapshot):
         now = time.perf_counter_ns()
@@ -148,16 +216,6 @@ def profile(samples, k: int, epochs: int) -> dict:
                         epoch_callback=on_epoch)
     finally:
         clock.install(False)
-    ratios = []
-    for i in range(0, len(epoch_ns) - 1, 2):
-        (w1, t1), (_, t2) = epoch_ns[i], epoch_ns[i + 1]
-        ratios.append(t1 / t2 if w1 else t2 / t1)
-    phases = {name: [] for name in PHASES}
-    for step, parts in clock.steps:
-        phases["slicing_and_clock"].append(step - sum(parts.values()))
-        for name, ns in parts.items():
-            phases[name].append(ns)
-    us = 1e-3
     return {
         "k": k,
         "num_anchors": scene.num_anchors,
@@ -165,10 +223,56 @@ def profile(samples, k: int, epochs: int) -> dict:
         "batch_size": 32,
         "epochs": epochs,
         "steps_counted": len(clock.steps),
-        "step_us": quartiles([s * us for s, _ in clock.steps]),
-        "phases_us": {name: quartiles([ns * us for ns in values])
-                      for name, values in phases.items()},
-        "overhead_pct": {"pairs": len(ratios), **quartiles([100 * (r - 1) for r in ratios])},
+        "step_us": quartiles([s * 1e-3 for s, _ in clock.steps]),
+        "phases_us": phases_us(PHASES, clock.steps),
+        "overhead_pct": overhead_pct(epoch_ns),
+    }
+
+
+def query_profile(samples) -> dict:
+    """Where a served B=1 query's time goes, at the localize workload's k and
+    epochs: QUERY_PASSES + 1 passes over the test frames, the first a
+    warm-up, then wrapped and unwrapped passes alternating in pairs."""
+    from anchorloc import data, evaluation, model, optim
+
+    scene = data.from_simworld(*samples, k=QUERY_K)
+    spec = model.NetworkSpec(input_dim=scene.train.features.shape[1],
+                             num_anchors=scene.num_anchors)
+    clock = PhaseClock(((model.Bound, "forward", lambda args: "trunk"),
+                        (model.Bound, "head", lambda args: f"{args[1]}_head"),
+                        (evaluation, "reconstruct", lambda args: "reconstruct"),
+                        (evaluation, "reconstruct_pose", lambda args: "pose")), QUERY_PHASES[1:])
+    amap = scene.anchor_map
+    timed, plain, pass_ns = [], [], []  # per query (ns, phases); per query ns; per pass
+    try:
+        with model.one_blas_thread():
+            params = optim.train(scene.train, spec,
+                                 optim.TrainConfig(epochs=QUERY_EPOCHS, batch_size=32)).params
+            for p in range(QUERY_PASSES + 1):
+                on = wrapped(p)
+                clock.install(on)
+                begin = time.perf_counter_ns()
+                for feature in scene.test.features:
+                    start = time.perf_counter_ns()
+                    evaluation.reconstruct_pose(model.forward(spec, params, feature), amap)
+                    ns = time.perf_counter_ns() - start
+                    if on:
+                        timed.append((ns, clock.take()))
+                    elif p:
+                        plain.append(ns)
+                if p:
+                    pass_ns.append((on, time.perf_counter_ns() - begin))
+    finally:
+        clock.install(False)
+    return {
+        "k": QUERY_K,
+        "num_anchors": scene.num_anchors,
+        "param_count": model.param_count(spec),
+        "epochs": QUERY_EPOCHS,
+        "queries_counted": len(timed),
+        "query_us": quartiles([ns * 1e-3 for ns in plain]),
+        "phases_us": phases_us(QUERY_PHASES, timed),
+        "overhead_pct": overhead_pct(pass_ns),
     }
 
 
@@ -287,6 +391,14 @@ def main(argv=None) -> int:
     print(f"set-up over {SETUP_RUNS} runs:")
     for name, q in out["setup_ms"].items():
         print(f"    {name:<22} {q['median']:8.2f} ms  [IQR {q['iqr']:.2f}]")
+    query = out["query"] = query_profile(samples)
+    print(f"query, N={query['num_anchors']} (k={QUERY_K}, {query['queries_counted']} wrapped "
+          f"queries): {query['query_us']['median']:.2f} us unwrapped "
+          f"[IQR {query['query_us']['iqr']:.2f}], wrapper overhead "
+          f"{query['overhead_pct']['median']:+.2f}% [IQR {query['overhead_pct']['iqr']:.2f}] "
+          f"over {query['overhead_pct']['pairs']} pass pairs")
+    for name, q in query["phases_us"].items():
+        print(f"    {name:<17} {q['median']:9.2f} us  [IQR {q['iqr']:.2f}]")
     for k, epochs in RUNS:
         run = profile(samples, k, epochs)
         out["runs"][f"N={run['num_anchors']}"] = run
