@@ -165,20 +165,11 @@ def load_pose_file(path) -> PoseTable:
 
 
 def save_pose_file(path, poses: PoseTable) -> None:
-    """Writes one line per record: the frame id, then the 7 floats to 17
-    significant digits. Every id must read back as its line's first field;
-    the ids are checked joined by spaces, all at once, and walked only to
-    name the first that fails."""
-    ids = list(poses.frame_ids)
-    joined = " ".join(ids)
-    # split gives back the ids only if none is empty or holds whitespace; then
-    # an id starts with '#' only at the start or after a space
-    if joined.split() != ids or joined.startswith("#") or " #" in joined or not encodable(joined):
-        for fid in ids:
-            if fid.split() != [fid] or fid.startswith("#") or not encodable(fid):
-                raise InvalidInputError(f"frame id {fid!r} is empty, holds whitespace or a "
-                                        "lone surrogate or starts with '#', so its pose line "
-                                        "would not read back")
+    for frame_id in poses.frame_ids:
+        if frame_id.split() != [frame_id] or frame_id.startswith("#") or not encodable(frame_id):
+            raise InvalidInputError(f"frame id {frame_id!r} is empty, holds whitespace or a lone "
+                                    "surrogate or starts with '#', so its pose line would not "
+                                    "read back")
     line = "%s" + " %.17g" * 7 + "\n"  # fmt's 17 significant digits
     write_atomically(path, "".join(
         line % (frame_id, *row) for frame_id, row in

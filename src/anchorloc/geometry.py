@@ -10,9 +10,10 @@ Conventions
 A ``Pose`` holds read-only copies of the arrays it is given, checked and
 renormalized. A served query builds its pose once instead:
 ``evaluation.reconstruct_pose`` hands the fresh rows of ``reconstruct`` to
-:meth:`Pose.adopt`, which checks only that the position is finite and the
-quaternion unit to 1e-12 and keeps both arrays as they are, with the bytes
-the constructor would give them; anything else goes through the constructor.
+:meth:`Pose.adopt`, which checks only that they are float64 arrays of the
+right shapes, the position finite and the quaternion unit to 1e-12, and keeps
+both arrays as they are, with the bytes the constructor would give them;
+anything else goes through the constructor.
 
 Everything here is immutable after construction and all operations are pure,
 so concurrent use is safe.
@@ -39,9 +40,11 @@ _NORM_SAFE = 2.0 ** 511
 class Pose:
     """A 6-DOF camera state: position plus unit-quaternion orientation.
 
-    Both arrays are read-only copies of the ones given. The orientation is
-    renormalized on construction; a quaternion with (near-)zero norm, or one
+    The constructor keeps read-only float64 copies of the arrays given and
+    renormalizes the orientation; a quaternion with (near-)zero norm, or one
     whose squared norm overflows, or a non-finite component is rejected.
+    :meth:`adopt` is the one exception: it keeps the caller's own arrays,
+    made read-only, when they already hold the bytes the constructor would.
     """
 
     position: np.ndarray
@@ -76,12 +79,21 @@ class Pose:
         """The Pose of arrays the caller gives up, as a served query builds it:
         ``position`` a fresh float64 3-vector and ``orientation`` a row of
         ``loss.unit_orientation``, float64, finite and of norm 1 to a few
-        ulps. When the position's sum is finite (so is each component) and
-        the squared norm is within 1e-12 of 1 (so the norm is within about
-        5e-13, where the constructor keeps a quaternion as it is), both
-        arrays are kept as they are and made read-only: no copy, no second
-        norm, the constructor's bytes. Any other input goes through the
-        constructor, which raises its own errors."""
+        ulps. When both are plain float64 ndarrays of shapes (3,) and (4,),
+        the position's sum is finite (so is each component) and the squared
+        norm is within 1e-12 of 1 (so the norm is within about 5e-13, where
+        the constructor keeps a quaternion as it is), both arrays are kept
+        as they are and made read-only: no copy, no second norm, the
+        constructor's bytes. Any other input goes through the constructor,
+        which copies, converts and reshapes it or raises its own errors.
+
+        A kept array may be a view, such as a row of a batch: the caller must
+        hold no other reference to it or to the array it views, since only
+        the kept array itself is made read-only."""
+        if not (type(position) is np.ndarray and type(orientation) is np.ndarray
+                and position.dtype == orientation.dtype == np.float64
+                and position.shape == (3,) and orientation.shape == (4,)):
+            return cls(position=position, orientation=orientation)
         x, y, z = position.tolist()
         w, i, j, k = orientation.tolist()
         if not (math.isfinite(x + y + z) and abs(w * w + i * i + j * j + k * k - 1.0) <= 1e-12):

@@ -84,6 +84,29 @@ class TestAdopt:
 
         assert outcome(Pose.adopt) == outcome(lambda p, o: Pose(position=p, orientation=o))
 
+    @pytest.mark.parametrize("position, q", [
+        (np.array([1, 2, 3]), np.array([1, 0, 0, 0])),
+        (np.array([1.0, 2.0, 3.0], np.float32), np.array([1.0, 0.0, 0.0, 0.0], np.float32)),
+        (np.array([1.0, 2.0, 3.0]), np.array([0.6, 0.8, 0.0, 0.0], np.float32)),
+        (np.array([1.0, 2.0, 3.0], np.dtype(">f8")), np.array([1.0, 0.0, 0.0, 0.0])),
+        (np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 0.0, 0.0, 0.0]])),
+        (np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 0.0, 0.0, 0.0])),
+        ([1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 0.0]),
+        (np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 0.0, 0.0, 0.0])),
+        (np.array([1.0, 2.0, 3.0]), np.array([[1.0, 0.0], [0.0, 0.0]]))])
+    def test_other_types_and_shapes_go_through_the_constructor(self, position, q):
+        # the constructor's float64 copies, reshaped, or its own error
+        def outcome(build):
+            try:
+                pose = build(position, q)
+            except InvalidInputError as err:
+                return str(err)
+            assert pose.position is not position and pose.orientation is not q
+            return [(a.dtype.str, a.shape, a.tobytes(), a.flags.writeable)
+                    for a in (pose.position, pose.orientation)]
+
+        assert outcome(Pose.adopt) == outcome(lambda p, o: Pose(position=p, orientation=o))
+
 
 def pose_checks_oracle(position, orientation):
     """Oracle: ``Pose.__post_init__`` as it checked on numpy before it moved to
